@@ -4,7 +4,8 @@ Records what the unified kernel delivers on the workloads the ROADMAP's
 north star cares about and writes the numbers to ``BENCH_engine.json`` at
 the repo root so the perf trajectory is tracked across PRs:
 
-* ``single_1k`` — a 1000-device streamed cell in one process:
+* ``single_1k`` — a 1000-device streamed cell in one process on the
+  scalar kernel (forced, so this section's floor keeps gating it):
   packets/sec through the kernel (device policy held cheap so the
   measurement is kernel-dominated) and current RSS / Python-heap peak,
   demonstrating that memory is bounded by the device count, not the total
@@ -14,9 +15,10 @@ the repo root so the perf trajectory is tracked across PRs:
   contract (byte-identical per-device records) and recording the measured
   speedup (only meaningful on multi-core machines — ``cpu_count`` is
   recorded alongside);
-* ``sharded_100k`` — the 100k-device streamed cell, executed sharded,
-  recording wall time, packets/sec and RSS at a population size one
-  process could not comfortably hold with materialised traces;
+* ``sharded_100k`` — the 100k-device streamed cell, executed sharded
+  (every shard on the vector kernel when numpy imports), recording wall
+  time, packets/sec and RSS at a population size one process could not
+  comfortably hold with materialised traces;
 * ``sharded_scenario`` — a heterogeneous ``office_day`` scenario cell
   (cohort-weighted archetypes under a diurnal shape), single-process vs
   2-shard pool, asserting the shard-merge exactness contract extends to
@@ -25,14 +27,11 @@ the repo root so the perf trajectory is tracked across PRs:
   (cell × UE-block) sharded execution with mid-stream RRC handovers,
   recording the handover count and per-UE handover rate alongside the
   packet throughput the mobility layer sustains;
-* ``vector_1k`` — the numpy backend (``engine="vector"``) against the
-  scalar kernel on a dense 1k-device cell (social/news, 600 s), traces
-  materialised outside the timed region so the comparison is
-  kernel-vs-kernel on identical inputs: byte-identical results asserted,
-  both throughputs and the speedup recorded;
-* ``vector_100k`` — the 100k-device sharded cell of ``sharded_100k``
-  re-run under ``engine="vector"``, recording the backend's throughput
-  on the sparse-traffic regime side-by-side with the scalar number;
+* ``vector_1k`` — the numpy kernel against the (forced) scalar kernel on
+  a dense 1k-device cell (social/news, 600 s), traces materialised
+  outside the timed region so the comparison is kernel-vs-kernel on
+  identical inputs: byte-identical results asserted, both throughputs
+  and the speedup recorded;
 * ``learning_10k`` — the 10k-device streamed cell running the
   Learn-α MakeIdle+MakeActive scheme: per-UE online learners updated
   in-kernel at release time, single-process vs sharded pool with the
@@ -55,6 +54,7 @@ the column carried no per-section information.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import gc
 import json
@@ -97,9 +97,9 @@ SCENARIO_SHARDS = 2
 METRO_DEVICES = 250_000
 METRO_DURATION_S = 60.0
 METRO_SHARDS = 8
-# Dense workload for the kernel-backend comparison: ~230 packets/UE keeps
-# both kernels dominated by per-packet work, the vector backend's target
-# regime (sparse bursty traffic is boundary-dominated — see vector_100k).
+# Dense workload for the kernel comparison: ~230 packets/UE keeps both
+# kernels dominated by per-packet work, the vector kernel's target regime
+# (sparse bursty traffic is boundary-dominated).
 VECTOR_DEVICES = 1000
 VECTOR_APPS = ("social", "news")
 VECTOR_DURATION_S = 600.0
@@ -117,7 +117,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 _BENCH_SECTIONS = (
     "single_1k", "sharded_10k", "sharded_100k", "sharded_scenario",
-    "metro_250k", "vector_1k", "vector_100k", "learning_10k", "cell_1m",
+    "metro_250k", "vector_1k", "learning_10k", "cell_1m",
 )
 
 
@@ -190,12 +190,10 @@ def _build_devices():
     return population.build_devices(PolicySpec(scheme="fixed_4.5s"))
 
 
-def _cell_spec(
-    devices: int, duration: float, shards: int, engine: str = "scalar"
-) -> CellRunSpec:
+def _cell_spec(devices: int, duration: float, shards: int) -> CellRunSpec:
     return CellRunSpec(
         cell=cell(devices=devices, apps=("im", "email"), duration=duration,
-                  streaming=True, chunk_s=60.0, engine=engine),
+                  streaming=True, chunk_s=60.0),
         carrier="att_hspa",
         policy=PolicySpec(scheme="fixed_4.5s").resolved(100),
         dormancy=DormancySpec(),
@@ -206,7 +204,14 @@ def _cell_spec(
 THROUGHPUT_ROUNDS = 5
 
 
-def test_engine_throughput_1k_device_cell(benchmark):
+def test_engine_throughput_1k_device_cell(benchmark, scalar_kernel):
+    # The scalar kernel is forced: this section's floor gates it, while
+    # vector_1k and the sharded sections measure the vector kernel.
+    with scalar_kernel():
+        _measure_single_1k(benchmark)
+
+
+def _measure_single_1k(benchmark) -> None:
     # Throughput passes, untraced (tracemalloc costs several x).  Best of
     # THROUGHPUT_ROUNDS replays: the kernel is deterministic, so run-to-run
     # spread is scheduler/frequency noise, and the fastest replay is the
@@ -519,36 +524,41 @@ def _materialized_dense_devices():
     ]
 
 
-def test_vector_1k_dense_cell_speedup():
+def test_vector_1k_dense_cell_speedup(scalar_kernel):
     """Scalar vs vector kernel on the dense 1k-device cell, byte-identical.
 
-    Both backends replay the same materialised workload, best of
+    Both kernels replay the same materialised workload, best of
     THROUGHPUT_ROUNDS (one untimed warm-up each — the vector warm-up
-    also pays the numpy import).  The full results are compared
-    field-for-field before any number is recorded: a speedup claim for a
-    backend that diverges would be meaningless.
+    also pays the numpy import); the scalar side forces its kernel, the
+    vector side is the one the selection rule picks.  The full results
+    are compared field-for-field before any number is recorded: a
+    speedup claim for a kernel that diverges would be meaningless.
     """
     if not numpy_available():
-        pytest.skip("numpy unavailable — vector backend falls back to scalar")
+        pytest.skip("numpy unavailable — every shard runs on the scalar kernel")
 
     elapsed = {}
     results = {}
-    for engine in ("scalar", "vector"):
-        CellSimulator(
-            get_profile("att_hspa"), AcceptAllDormancy(), engine=engine
-        ).run(_materialized_dense_devices())
-        best = float("inf")
-        for _ in range(THROUGHPUT_ROUNDS):
-            devices = _materialized_dense_devices()
-            simulator = CellSimulator(
-                get_profile("att_hspa"), AcceptAllDormancy(), engine=engine
+    for kernel, context in (("scalar", scalar_kernel),
+                            ("vector", contextlib.nullcontext)):
+        with context():
+            CellSimulator(get_profile("att_hspa"), AcceptAllDormancy()).run(
+                _materialized_dense_devices()
             )
-            start = time.perf_counter()
-            results[engine] = simulator.run(devices)
-            best = min(best, time.perf_counter() - start)
-        elapsed[engine] = best
+            best = float("inf")
+            for _ in range(THROUGHPUT_ROUNDS):
+                devices = _materialized_dense_devices()
+                simulator = CellSimulator(
+                    get_profile("att_hspa"), AcceptAllDormancy()
+                )
+                start = time.perf_counter()
+                results[kernel] = simulator.run(devices)
+                best = min(best, time.perf_counter() - start)
+        elapsed[kernel] = best
 
     scalar, vector = results["scalar"], results["vector"]
+    assert scalar.vector_devices == 0
+    assert vector.vector_devices == VECTOR_DEVICES
     assert vector.devices == scalar.devices
     assert vector.signaling == scalar.signaling
     assert vector.switch_times == scalar.switch_times
@@ -585,7 +595,7 @@ def test_vector_1k_dense_cell_speedup():
         "scalar_elapsed_s": round(elapsed["scalar"], 3),
         "vector_elapsed_s": round(elapsed["vector"], 3),
         "scalar_packets_per_sec": round(scalar_pps, 1),
-        # The floor-gated headline number is the vector backend's.
+        # The floor-gated headline number is the vector kernel's.
         "packets_per_sec": round(vector_pps, 1),
         "speedup": round(speedup, 2),
         "byte_identical_devices": True,
@@ -596,90 +606,22 @@ def test_vector_1k_dense_cell_speedup():
     record = _update_bench("vector_1k", record)
 
     print_figure(
-        "Vector backend — dense 1k-device cell, scalar vs vector kernel",
+        "Vector kernel — dense 1k-device cell, scalar vs vector kernel",
         "\n".join(f"{key}: {value}" for key, value in record.items())
         + f"\n(written to {BENCH_PATH.name})",
     )
 
-    # The backend must beat the scalar kernel decisively on its target
-    # regime — a generous in-test floor; the bench gate pins the
+    # The vector kernel must beat the scalar kernel decisively on its
+    # target regime — a generous in-test floor; the bench gate pins the
     # machine-specific absolute.
     assert speedup >= 2.0, (
         f"vector kernel only {speedup:.2f}x scalar on the dense cell"
     )
     if single_pps:
         assert vector_pps >= 5.0 * single_pps, (
-            f"vector backend {vector_pps:,.0f} pkt/s is under 5x the "
+            f"vector kernel {vector_pps:,.0f} pkt/s is under 5x the "
             f"single_1k scalar baseline {single_pps:,.0f} pkt/s"
         )
-
-
-def test_vector_100k_sharded_cell_records():
-    """The sharded_100k workload re-run under ``engine="vector"``.
-
-    Same spec, same shard plan, only the backend differs — the recorded
-    number is directly comparable to ``sharded_100k``.  This sparse
-    regime (~5 packets/UE, bursty) is boundary-dominated, so near-parity
-    with the scalar kernel is the expected honest result here; the dense
-    regime above is where the folds pay.
-    """
-    if not numpy_available():
-        pytest.skip("numpy unavailable — vector backend falls back to scalar")
-
-    spec = _cell_spec(
-        HUGE_DEVICES, HUGE_DURATION_S, shards=HUGE_SHARDS, engine="vector"
-    )
-    runner = ProcessPoolRunner(jobs=HUGE_SHARDS)
-    start = time.perf_counter()
-    runs = runner.run([spec])
-    result = runs.records[0].result
-    elapsed = time.perf_counter() - start
-    execution = runs.execution
-
-    assert len(result.devices) == HUGE_DEVICES
-    # fixed_4.5s under accept_all is vector-eligible: no device may have
-    # fallen back to the scalar path.
-    assert result.vector_devices == HUGE_DEVICES
-    packets = result.total_packets
-    assert packets > 0
-
-    scalar_section = {}
-    if BENCH_PATH.exists():
-        try:
-            scalar_section = json.loads(
-                BENCH_PATH.read_text(encoding="utf-8")
-            ).get("sharded_100k", {})
-        except json.JSONDecodeError:
-            pass
-    if scalar_section.get("packets") is not None:
-        # Deterministic workload: the backend swap must not move totals.
-        assert packets == scalar_section["packets"]
-
-    record = {
-        "devices": HUGE_DEVICES,
-        "duration_s": HUGE_DURATION_S,
-        "shards": HUGE_SHARDS,
-        "engine": "vector",
-        "pool_jobs": execution.effective_jobs,
-        "pool_used": execution.pool_used,
-        "pool_clamped": execution.clamped,
-        "packets": packets,
-        "vector_devices": result.vector_devices,
-        "elapsed_s": round(elapsed, 3),
-        "packets_per_sec": round(packets / elapsed, 1),
-        "rss_now_mb": round(_rss_now_mb(), 1),
-    }
-    if scalar_section.get("packets_per_sec"):
-        record["speedup_vs_scalar_sharded"] = round(
-            (packets / elapsed) / scalar_section["packets_per_sec"], 2
-        )
-    record = _update_bench("vector_100k", record)
-
-    print_figure(
-        "Vector backend — 100k-device sharded cell",
-        "\n".join(f"{key}: {value}" for key, value in record.items())
-        + f"\n(written to {BENCH_PATH.name})",
-    )
 
 
 def test_learning_10k_device_cell_matches_and_records():
@@ -780,11 +722,8 @@ def test_cell_1m_streamed_completes_in_bounded_memory():
     """
     if os.environ.get("REPRO_BENCH_1M") != "1":
         pytest.skip("cell_1m is opt-in: set REPRO_BENCH_1M=1")
-    engine = "vector" if numpy_available() else "scalar"
-    spec = _cell_spec(
-        MILLION_DEVICES, MILLION_DURATION_S, shards=MILLION_SHARDS,
-        engine=engine,
-    )
+    spec = _cell_spec(MILLION_DEVICES, MILLION_DURATION_S,
+                      shards=MILLION_SHARDS)
     runner = ProcessPoolRunner(jobs=MILLION_SHARDS)
     start = time.perf_counter()
     runs = runner.run([spec])
@@ -805,7 +744,7 @@ def test_cell_1m_streamed_completes_in_bounded_memory():
         "devices": MILLION_DEVICES,
         "duration_s": MILLION_DURATION_S,
         "shards": MILLION_SHARDS,
-        "engine": engine,
+        "vector_devices": result.vector_devices,
         "pool_jobs": execution.effective_jobs,
         "pool_used": execution.pool_used,
         "pool_clamped": execution.clamped,

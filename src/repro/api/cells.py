@@ -168,23 +168,8 @@ class CellSpec:
     streaming: bool = True
     chunk_s: float = 300.0
     scenario: Scenario | None = None
-    #: Kernel backend executing this population: ``"scalar"`` (the
-    #: per-event reference kernel) or ``"vector"`` (the numpy batch
-    #: backend, byte-identical results; see
-    #: :mod:`repro.sim.vector_engine`).  Deliberately *not* part of
-    #: :attr:`fingerprint`: both backends produce the same bytes, so
-    #: cache entries are shared across engines.
-    engine: str = "scalar"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.engine, str):
-            raise TypeError(
-                f"engine must be str, got {type(self.engine).__name__}"
-            )
-        if self.engine not in ("scalar", "vector"):
-            raise ValueError(
-                f"engine must be 'scalar' or 'vector', got {self.engine!r}"
-            )
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
         if not self.apps and self.scenario is None:
@@ -361,8 +346,6 @@ class CellSpec:
             "streaming": self.streaming,
             "chunk_s": self.chunk_s,
         }
-        if self.engine != "scalar":
-            data["engine"] = self.engine
         if self.scenario is not None:
             # The scenario defines every workload; an apps list here would
             # describe traffic that never runs.
@@ -375,6 +358,7 @@ class CellSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "CellSpec":
         """Re-create a spec from :meth:`to_dict` output."""
         payload = dict(data)
+        check_legacy_engine(payload.pop("engine", "scalar"))
         payload["apps"] = tuple(payload.get("apps", ()))
         scenario = payload.get("scenario")
         if scenario is not None:
@@ -457,6 +441,23 @@ class CellRunSpec:
 
 # -- axis declaration helpers --------------------------------------------------------
 
+def check_legacy_engine(engine: Any) -> None:
+    """Validate a legacy kernel choice, which is then ignored.
+
+    ``cell(engine=...)`` and the ``engine``/``engines`` keys of older plan
+    files still name a kernel.  Every shard now runs on the kernel
+    :func:`repro.sim.vector_engine.use_vector_kernel` picks, and both
+    kernels produce byte-identical results, so the value only has to be
+    one the old knob accepted.
+    """
+    if not isinstance(engine, str):
+        raise TypeError(f"engine must be str, got {type(engine).__name__}")
+    if engine not in ("scalar", "vector"):
+        raise ValueError(
+            f"engine must be 'scalar' or 'vector', got {engine!r}"
+        )
+
+
 def cell(devices: int, apps: tuple[str, ...] | list[str] | None = None,
          duration: float = 900.0, seed: int = 0, name: str = "",
          streaming: bool = True, chunk_s: float = 300.0,
@@ -470,7 +471,11 @@ def cell(devices: int, apps: tuple[str, ...] | list[str] | None = None,
     ``"mixed_policy"``, ...).  The two workload descriptions are mutually
     exclusive; ``apps`` defaults to ``("im", "email", "news")`` when
     neither is given.
+
+    ``engine`` is validated and then ignored (see
+    :func:`check_legacy_engine`).
     """
+    check_legacy_engine(engine)
     if apps is not None and scenario is not None:
         raise ValueError(
             "a scenario defines its own application mixes per cohort; "
@@ -485,7 +490,6 @@ def cell(devices: int, apps: tuple[str, ...] | list[str] | None = None,
     return CellSpec(
         devices=devices, apps=tuple(apps), duration_s=duration, seed=seed,
         name=name, streaming=streaming, chunk_s=chunk_s, scenario=scenario,
-        engine=engine,
     )
 
 
@@ -553,7 +557,6 @@ def execute_cell_shard(spec: CellRunSpec, index: int) -> CellShard:
         load_sample_interval_s=(
             SHARD_SAMPLE_INTERVAL_S if len(sizes) > 1 else None
         ),
-        engine=spec.cell.engine,
     )
     return simulator.run_shard(
         spec.cell.build_devices(spec.policy, start, start + sizes[index])
@@ -577,9 +580,7 @@ def execute_cell(spec: CellRunSpec, shards: int | None = None) -> CellResult:
     count = spec.effective_shards
     if count == 1:
         profile = get_profile(spec.carrier)
-        simulator = CellSimulator(
-            profile, spec.dormancy.build(), engine=spec.cell.engine
-        )
+        simulator = CellSimulator(profile, spec.dormancy.build())
         return simulator.run(spec.cell.build_devices(spec.policy))
     return merge_cell_shards(
         [execute_cell_shard(spec, index) for index in range(count)]

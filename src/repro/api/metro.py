@@ -24,6 +24,7 @@ from ..metro.execution import (
 from ..metro.presets import METRO_BUILDERS, get_metro
 from ..metro.topology import Metro
 from ..rrc.profiles import get_profile
+from .cells import check_legacy_engine
 from .spec import PolicySpec
 
 __all__ = [
@@ -54,20 +55,8 @@ class MetroSpec:
     seed: int = 0
     chunk_s: float = 300.0
     name: str = ""
-    #: Kernel backend executing every cell of this metro: ``"scalar"`` or
-    #: ``"vector"`` (byte-identical numpy batch backend).  Not part of
-    #: :attr:`fingerprint` — both backends share cache entries.
-    engine: str = "scalar"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.engine, str):
-            raise TypeError(
-                f"engine must be str, got {type(self.engine).__name__}"
-            )
-        if self.engine not in ("scalar", "vector"):
-            raise ValueError(
-                f"engine must be 'scalar' or 'vector', got {self.engine!r}"
-            )
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
         if self.duration_s <= 0:
@@ -116,7 +105,7 @@ class MetroSpec:
                 f"metro {self.metro.name!r} is not a registered preset; "
                 "inline metros cannot be serialised into plans"
             )
-        data = {
+        return {
             "metro": self.metro.name,
             "devices": self.devices,
             "duration_s": self.duration_s,
@@ -124,13 +113,11 @@ class MetroSpec:
             "chunk_s": self.chunk_s,
             "name": self.name,
         }
-        if self.engine != "scalar":
-            data["engine"] = self.engine
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetroSpec":
         payload = dict(data)
+        check_legacy_engine(payload.pop("engine", "scalar"))
         payload["metro"] = get_metro(payload["metro"])
         return cls(**payload)
 
@@ -195,7 +182,7 @@ class MetroRunSpec:
 
 def metro(name_or_metro: str | Metro, devices: int = 1000,
           duration: float = 3600.0, seed: int = 0, name: str = "",
-          chunk_s: float = 300.0, engine: str = "scalar") -> MetroSpec:
+          chunk_s: float = 300.0) -> MetroSpec:
     """A metro-population axis entry for metro sweeps.
 
     ``name_or_metro`` is a preset name (``"commuter_2cell"``,
@@ -207,7 +194,7 @@ def metro(name_or_metro: str | Metro, devices: int = 1000,
         if isinstance(name_or_metro, str) else name_or_metro
     )
     return MetroSpec(metro=topology, devices=devices, duration_s=duration,
-                     seed=seed, name=name, chunk_s=chunk_s, engine=engine)
+                     seed=seed, name=name, chunk_s=chunk_s)
 
 
 def execute_metro_cell_shard(
@@ -223,7 +210,6 @@ def execute_metro_cell_shard(
     return run_metro_cell_shard(
         ms.metro, cell_index, ms.devices, ms.duration_s, ms.seed, ms.chunk_s,
         spec.policy, spec.carrier, spec.effective_shards, shard_index,
-        engine=ms.engine,
     )
 
 

@@ -39,7 +39,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from ..rrc.profiles import get_profile
 from ..traces.packet import PacketTrace
-from .cells import CellRunSpec, CellSpec, DormancySpec
+from .cells import CellRunSpec, CellSpec, DormancySpec, check_legacy_engine
 from .metro import MetroRunSpec, MetroSpec, metro as metro_spec
 from .spec import PolicySpec, RunSpec, TraceSpec, user as user_spec
 
@@ -91,22 +91,6 @@ def _validated_shard_counts(counts: Iterable[int]) -> tuple[int, ...]:
     return tuple(validated)
 
 
-def _validated_engines(names: Iterable[str]) -> tuple[str, ...]:
-    """Validate engine axis entries (shared by .engines and from_dict)."""
-    validated = []
-    for name in names:
-        if not isinstance(name, str):
-            raise TypeError(
-                f"engine names must be str, got {type(name).__name__}"
-            )
-        if name not in ("scalar", "vector"):
-            raise ValueError(
-                f"engine must be 'scalar' or 'vector', got {name!r}"
-            )
-        validated.append(name)
-    return tuple(validated)
-
-
 def _as_dormancy_spec(entry: DormancySpec | str) -> DormancySpec:
     if isinstance(entry, DormancySpec):
         return entry
@@ -137,7 +121,6 @@ class ExperimentPlan:
     dormancy_specs: tuple[DormancySpec, ...] = ()
     shard_counts: tuple[int, ...] = ()
     metro_specs: tuple[MetroSpec, ...] = ()
-    engine_names: tuple[str, ...] = ()
 
     # -- axis declaration ------------------------------------------------------------
 
@@ -272,21 +255,6 @@ class ExperimentPlan:
             shard_counts=self.shard_counts + _validated_shard_counts(counts),
         )
 
-    def engines(self, *names: str) -> "ExperimentPlan":
-        """Append kernel-backend axis entries (cell and metro plans only).
-
-        Entries are ``"scalar"`` (the per-event reference kernel) or
-        ``"vector"`` (the numpy batch backend).  Both produce
-        byte-identical results and share cache entries, so sweeping both
-        is mainly useful for benchmarking and cross-checking the
-        execution path itself; plans without this axis run each
-        population with the engine its spec declares (``"scalar"`` by
-        default).
-        """
-        return replace(
-            self, engine_names=self.engine_names + _validated_engines(names)
-        )
-
     def carriers(self, *keys: str) -> "ExperimentPlan":
         """Append carrier axis entries (keys or aliases, validated eagerly)."""
         normalized = tuple(get_profile(k).key for k in keys)
@@ -329,16 +297,15 @@ class ExperimentPlan:
     def __len__(self) -> int:
         """Grid size: workloads x carriers x policies (x dormancy x shards) x seeds."""
         repetitions = len(self.seeds) if self.seeds else 1
-        engines = len(self.engine_names) if self.engine_names else 1
         if self.is_metro_plan:
             shards = len(self.shard_counts) if self.shard_counts else 1
             return (len(self.metro_specs) * len(self.carrier_keys)
-                    * len(self.policy_specs) * shards * engines * repetitions)
+                    * len(self.policy_specs) * shards * repetitions)
         if self.is_cell_plan:
             dormancy = len(self.dormancy_specs) if self.dormancy_specs else 1
             shards = len(self.shard_counts) if self.shard_counts else 1
             return (len(self.cell_specs) * len(self.carrier_keys)
-                    * len(self.policy_specs) * dormancy * shards * engines
+                    * len(self.policy_specs) * dormancy * shards
                     * repetitions)
         return (len(self.trace_specs) * len(self.carrier_keys)
                 * len(self.policy_specs) * repetitions)
@@ -368,12 +335,6 @@ class ExperimentPlan:
             raise ValueError(
                 "a shards axis only applies to cell plans; declare a "
                 "device population with .cells(...) or drop .shards(...)"
-            )
-        if self.engine_names:
-            raise ValueError(
-                "an engines axis only applies to cell and metro plans; "
-                "declare a device population with .cells(...) or "
-                ".metros(...) or drop .engines(...)"
             )
         if not self.trace_specs:
             raise EmptyAxisError("traces")
@@ -411,10 +372,6 @@ class ExperimentPlan:
             raise EmptyAxisError("policies")
         dormancy = self.dormancy_specs if self.dormancy_specs else (DormancySpec(),)
         shard_counts = self.shard_counts if self.shard_counts else (1,)
-        # No engines axis: run each population with its spec's own engine.
-        engines: Sequence[str | None] = (
-            self.engine_names if self.engine_names else (None,)
-        )
         seeds: Sequence[int | None] = self.seeds if self.seeds else (None,)
         specs: list[CellRunSpec] = []
         for seed in seeds:
@@ -425,24 +382,18 @@ class ExperimentPlan:
                     for policy in self.policy_specs:
                         for station in dormancy:
                             for shards in shard_counts:
-                                for engine in engines:
-                                    specs.append(
-                                        CellRunSpec(
-                                            cell=(
-                                                seeded if engine is None
-                                                else replace(
-                                                    seeded, engine=engine
-                                                )
-                                            ),
-                                            carrier=carrier,
-                                            policy=policy.resolved(
-                                                self.default_window
-                                            ),
-                                            dormancy=station,
-                                            seed=run_seed,
-                                            shards=shards,
-                                        )
+                                specs.append(
+                                    CellRunSpec(
+                                        cell=seeded,
+                                        carrier=carrier,
+                                        policy=policy.resolved(
+                                            self.default_window
+                                        ),
+                                        dormancy=station,
+                                        seed=run_seed,
+                                        shards=shards,
                                     )
+                                )
         return tuple(specs)
 
     def _build_metros(self) -> tuple[MetroRunSpec, ...]:
@@ -461,9 +412,6 @@ class ExperimentPlan:
         if not self.policy_specs:
             raise EmptyAxisError("policies")
         shard_counts = self.shard_counts if self.shard_counts else (1,)
-        engines: Sequence[str | None] = (
-            self.engine_names if self.engine_names else (None,)
-        )
         seeds: Sequence[int | None] = self.seeds if self.seeds else (None,)
         specs: list[MetroRunSpec] = []
         for seed in seeds:
@@ -473,31 +421,23 @@ class ExperimentPlan:
                 for carrier in self.carrier_keys:
                     for policy in self.policy_specs:
                         for shards in shard_counts:
-                            for engine in engines:
-                                specs.append(
-                                    MetroRunSpec(
-                                        metro=(
-                                            seeded if engine is None
-                                            else replace(seeded, engine=engine)
-                                        ),
-                                        carrier=carrier,
-                                        policy=policy.resolved(
-                                            self.default_window
-                                        ),
-                                        seed=run_seed,
-                                        shards=shards,
-                                    )
+                            specs.append(
+                                MetroRunSpec(
+                                    metro=seeded,
+                                    carrier=carrier,
+                                    policy=policy.resolved(
+                                        self.default_window
+                                    ),
+                                    seed=run_seed,
+                                    shards=shards,
                                 )
+                            )
         return tuple(specs)
 
     def describe(self) -> str:
         """One-line summary of the declared axes."""
         repetitions = len(self.seeds) if self.seeds else 1
         label = f"{self.name!r}: " if self.name else ""
-        engines = (
-            f" x {len(self.engine_names)} engine(s)"
-            if self.engine_names else ""
-        )
         if self.is_metro_plan:
             shards = (
                 f" x {len(self.shard_counts)} shard count(s)"
@@ -506,7 +446,7 @@ class ExperimentPlan:
             return (
                 f"ExperimentPlan {label}{len(self.metro_specs)} metro(s) x "
                 f"{len(self.carrier_keys)} carrier(s) x "
-                f"{len(self.policy_specs)} policy(ies){shards}{engines} x "
+                f"{len(self.policy_specs)} policy(ies){shards} x "
                 f"{repetitions} seed(s) = {len(self)} runs"
             )
         if self.is_cell_plan:
@@ -519,7 +459,7 @@ class ExperimentPlan:
                 f"ExperimentPlan {label}{len(self.cell_specs)} cell(s) x "
                 f"{len(self.carrier_keys)} carrier(s) x "
                 f"{len(self.policy_specs)} policy(ies) x "
-                f"{dormancy} dormancy policy(ies){shards}{engines} x "
+                f"{dormancy} dormancy policy(ies){shards} x "
                 f"{repetitions} seed(s) = {len(self)} runs"
             )
         return (
@@ -549,13 +489,13 @@ class ExperimentPlan:
             data["shards"] = list(self.shard_counts)
         if self.metro_specs:
             data["metros"] = [m.to_dict() for m in self.metro_specs]
-        if self.engine_names:
-            data["engines"] = list(self.engine_names)
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentPlan":
         """Re-create a plan from :meth:`to_dict` output."""
+        for engine in data.get("engines", ()):
+            check_legacy_engine(engine)
         return cls(
             trace_specs=tuple(
                 TraceSpec.from_dict(t) for t in data.get("traces", ())
@@ -577,7 +517,6 @@ class ExperimentPlan:
             metro_specs=tuple(
                 MetroSpec.from_dict(m) for m in data.get("metros", ())
             ),
-            engine_names=_validated_engines(data.get("engines", ())),
         )
 
 

@@ -120,21 +120,6 @@ class RunRecord:
         return 1
 
     @property
-    def engine(self) -> str:
-        """The kernel backend the spec selected (``"scalar"`` for single-UE).
-
-        The *requested* backend — per-UE scalar fallback inside a vector
-        run is reported by the result's ``vector_devices`` counter, and a
-        cache hit may carry a result computed by the other backend (the
-        two are byte-identical, so the cache is shared).
-        """
-        if isinstance(self.spec, CellRunSpec):
-            return self.spec.cell.engine
-        if isinstance(self.spec, MetroRunSpec):
-            return self.spec.metro.engine
-        return "scalar"
-
-    @property
     def group_key(self) -> tuple:
         """The cell this record's schemes compete in.
 
@@ -225,7 +210,6 @@ class RunSet(Sequence[RunRecord]):
         "scheme": lambda r: r.scheme,
         "dormancy": lambda r: r.dormancy,
         "shards": lambda r: r.shards,
-        "engine": lambda r: r.engine,
         "seed": lambda r: r.seed,
     }
 
@@ -233,9 +217,9 @@ class RunSet(Sequence[RunRecord]):
         """Partition the records by one or more axes.
 
         ``axes`` entries are ``"trace"``, ``"carrier"``, ``"scheme"``,
-        ``"dormancy"``, ``"shards"``, ``"engine"`` or ``"seed"``.  With
-        one axis the dict is keyed by
-        that axis value; with several, by the tuple of values.  Insertion
+        ``"dormancy"``, ``"shards"`` or ``"seed"``.  With one axis the
+        dict is keyed by that axis value; with several, by the tuple of
+        values.  Insertion
         order follows the record order, so iterating the groups preserves
         the plan's axis order.
         """
@@ -325,14 +309,15 @@ class RunSet(Sequence[RunRecord]):
     # -- export ----------------------------------------------------------------------
 
     @staticmethod
-    def _cohort_rows(result: CellResult,
-                     baseline: RunRecord | None) -> dict[str, dict[str, Any]]:
-        """Per-cohort breakdown dicts of one scenario cell record.
+    def _cohort_rows(result: CellResult, base_result: CellResult | None
+                     ) -> dict[str, dict[str, Any]]:
+        """Per-cohort breakdown dicts of one scenario cell.
 
-        Empty (falsy) for homogeneous populations.  When the group's
-        baseline record exists and carries the same cohort label, each
-        cohort entry also gets a ``saved_percent`` against that cohort of
-        the baseline — the per-cohort view of the paper's headline metric.
+        Empty (falsy) for homogeneous populations.  When the baseline
+        cell (the group's baseline record, or the same cell of a metro
+        baseline) exists and carries the same cohort label, each cohort
+        entry also gets a ``saved_percent`` against that cohort of the
+        baseline — the per-cohort view of the paper's headline metric.
         Note the comparison is *axis vs axis*: a cohort whose policy is
         pinned by a scenario override runs that override in the baseline
         record too, so its ``saved_percent`` is ~0 by construction —
@@ -344,9 +329,7 @@ class RunSet(Sequence[RunRecord]):
             return {}
         breakdown = result.cohort_breakdown()
         base_breakdown = (
-            baseline.result.cohort_breakdown()
-            if baseline is not None and isinstance(baseline.result, CellResult)
-            else {}
+            base_result.cohort_breakdown() if base_result is not None else {}
         )
         rows: dict[str, dict[str, Any]] = {}
         for label in labels:
@@ -398,34 +381,12 @@ class RunSet(Sequence[RunRecord]):
                     (base.result.total_energy_j - cell_result.total_energy_j)
                     / base.result.total_energy_j
                 )
-            cohorts = self._metro_cohort_rows(
+            cohorts = self._cohort_rows(
                 cell_result, base.result if base is not None else None
             )
             if cohorts:
                 row["cohorts"] = cohorts
             rows[entry.name] = row
-        return rows
-
-    @staticmethod
-    def _metro_cohort_rows(
-        cell_result: CellResult, base_result: CellResult | None
-    ) -> dict[str, dict[str, Any]]:
-        """Cohort rows of one metro cell, normalised against the baseline cell."""
-        if not cell_result.cohorts():
-            return {}
-        breakdown = cell_result.cohort_breakdown()
-        base_breakdown = (
-            base_result.cohort_breakdown() if base_result is not None else {}
-        )
-        rows: dict[str, dict[str, Any]] = {}
-        for label in cell_result.cohorts():
-            entry = breakdown[label].as_dict()
-            base = base_breakdown.get(label)
-            if base is not None and base.energy_j > 0:
-                entry["saved_percent"] = 100.0 * (
-                    (base.energy_j - breakdown[label].energy_j) / base.energy_j
-                )
-            rows[label] = entry
         return rows
 
     def iter_records(self, baseline_scheme: str | None = BASELINE_SCHEME,
@@ -443,11 +404,7 @@ class RunSet(Sequence[RunRecord]):
         normalisation entirely.  Cell-scale records additionally carry the
         base-station aggregates: ``dormancy``, ``shards``, ``devices``,
         ``dormancy_requests``, ``denial_rate``, ``peak_active_devices`` and
-        ``peak_switches_per_minute``.  Records whose spec selected a
-        non-default kernel backend also carry ``engine``,
-        ``vector_devices`` (devices the batch path actually executed) and
-        ``fallback_devices`` (devices that fell back to the scalar
-        kernel, e.g. for per-packet policy hooks).  Scenario cells (whose devices carry
+        ``peak_switches_per_minute``.  Scenario cells (whose devices carry
         cohort labels) also carry ``cohorts``: a per-cohort
         energy/switch/denial breakdown keyed by cohort label, each entry
         normalised against the same cohort of the group's baseline record
@@ -478,15 +435,6 @@ class RunSet(Sequence[RunRecord]):
                     "denial_rate": result.denial_rate,
                     "from_cache": record.from_cache,
                 }
-                if record.engine != "scalar":
-                    row["engine"] = record.engine
-                    vector_visits = sum(
-                        entry.result.vector_devices for entry in result.cells
-                    )
-                    row["vector_devices"] = vector_visits
-                    row["fallback_devices"] = sum(
-                        entry.visits for entry in result.cells
-                    ) - vector_visits
                 if self._execution is not None:
                     row["pool_jobs"] = self._execution.effective_jobs
                     row["pool_clamped"] = self._execution.clamped
@@ -525,12 +473,6 @@ class RunSet(Sequence[RunRecord]):
                     "peak_switches_per_minute": result.peak_switches_per_minute,
                     "from_cache": record.from_cache,
                 }
-                if record.engine != "scalar":
-                    row["engine"] = record.engine
-                    row["vector_devices"] = result.vector_devices
-                    row["fallback_devices"] = (
-                        len(result.devices) - result.vector_devices
-                    )
                 if self._execution is not None:
                     row["pool_jobs"] = self._execution.effective_jobs
                     row["pool_clamped"] = self._execution.clamped
@@ -556,7 +498,9 @@ class RunSet(Sequence[RunRecord]):
                     row["learn_iterations"] = learning["learn_iterations"]
                     row["learn_delay_first_s"] = learning["mean_delay_first_s"]
                     row["learn_delay_final_s"] = learning["mean_delay_final_s"]
-                cohorts = self._cohort_rows(result, baseline)
+                cohorts = self._cohort_rows(
+                    result, baseline.result if baseline is not None else None
+                )
                 if cohorts:
                     row["cohorts"] = cohorts
                 yield row

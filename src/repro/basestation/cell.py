@@ -58,6 +58,7 @@ from ..rrc.profiles import CarrierProfile
 from ..rrc.signaling import SignalingLoad, signaling_costs_for
 from ..rrc.state_machine import SwitchKind
 from ..rrc.states import RadioState
+from ..sim import vector_engine
 from ..sim.engine import (
     CellLoad,
     DormancyStation,
@@ -288,11 +289,10 @@ class CellResult:
     peak_active_devices: int
     switch_times: FloatArray = field(default=(), repr=False)
     load_samples: tuple[LoadSample, ...] = field(default=(), repr=False)
-    #: How many devices ran on the vectorized kernel backend (0 for a
-    #: scalar run; the remainder took the automatic per-UE scalar
-    #: fallback — see :mod:`repro.sim.vector_engine`).  Diagnostic only
-    #: and excluded from equality: both backends produce byte-identical
-    #: results, so a vector result *equals* its scalar twin.
+    #: How many devices ran on the vectorized kernel: the devices of the
+    #: shards that took it (see :mod:`repro.sim.vector_engine`).
+    #: Diagnostic only and excluded from equality: both kernels produce
+    #: byte-identical results, so a vector result *equals* its scalar twin.
     vector_devices: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -401,7 +401,7 @@ class ShardDeviceState:
     shard itself cannot know (the *global* close time of the whole cell):
     the incremental energy totals, the open state segment with its pending
     timer demotions (pinned down by ``open_state``, ``open_since`` and
-    ``last_activity``), and the plain counters.  :func:`_close_device`
+    ``last_activity``), and the plain counters.  :func:`_close_columns`
     replays :meth:`~repro.rrc.state_machine.RrcStateMachine.finish` plus
     the machine's fold-at-transition accounting
     (:meth:`~repro.rrc.state_machine.RrcStateMachine.folded_state_totals`)
@@ -461,8 +461,8 @@ class CellShard:
     load: CellLoad
     load_samples: tuple[LoadSample, ...]
     sample_interval_s: float | None
-    #: Devices of this shard that ran on the vectorized kernel backend
-    #: (0 for scalar shards; vector and scalar shards merge freely).
+    #: Devices of this shard that ran on the vectorized kernel: all of
+    #: them or none (scalar and vector shards merge freely).
     vector_devices: int = 0
 
     def __post_init__(self) -> None:
@@ -491,13 +491,8 @@ class _NetworkStation(DormancyStation):
     def __init__(self, policy: DormancyPolicy) -> None:
         self._policy = policy
         # Propagate the policy's unconditional-grant declaration so the
-        # kernel can skip per-request snapshots — but only when decide()
-        # really is the accept-all implementation, so a subclass that
-        # overrides decide() while inheriting the flag is still consulted.
-        self.always_grants = (
-            bool(getattr(policy, "always_grants", False))
-            and type(policy).decide is AcceptAllDormancy.decide
-        )
+        # kernel can skip per-request snapshots.
+        self.always_grants = vector_engine.station_always_grants(policy)
 
     def decide(self, ue_id: int, time: float, load: CellLoad) -> bool:
         snapshot = CellLoadSnapshot(
@@ -522,14 +517,11 @@ class CellSimulator:
     load_sample_interval_s:
         When set, the kernel records a cell-load sample every this many
         seconds (``CellResult.load_samples``).
-    engine:
-        Kernel backend: ``"scalar"`` (the event-driven reference) or
-        ``"vector"`` (numpy batch processing, byte-identical results —
-        see :mod:`repro.sim.vector_engine`).  The vector backend falls
-        back to the scalar kernel automatically — per UE for policies
-        with per-packet hooks, for the whole shard when the base-station
-        policy does not unconditionally grant dormancy or numpy is
-        unavailable.
+
+    Each shard runs on one of two byte-identical kernels, chosen by
+    :func:`repro.sim.vector_engine.use_vector_kernel`: the numpy batch
+    kernel when every device policy and the base station allow it, the
+    event-driven scalar kernel otherwise.
     """
 
     def __init__(
@@ -537,18 +529,12 @@ class CellSimulator:
         profile: CarrierProfile,
         dormancy_policy: DormancyPolicy | None = None,
         load_sample_interval_s: float | None = None,
-        engine: str = "scalar",
     ) -> None:
-        if engine not in ("scalar", "vector"):
-            raise ValueError(
-                f"engine must be 'scalar' or 'vector', got {engine!r}"
-            )
         self._engine = SimulationEngine(profile)
         self._dormancy_policy = (
             dormancy_policy if dormancy_policy is not None else AcceptAllDormancy()
         )
         self._sample_interval = load_sample_interval_s
-        self._backend = engine
 
     @property
     def profile(self) -> CarrierProfile:
@@ -564,11 +550,6 @@ class CellSimulator:
     def engine(self) -> SimulationEngine:
         """The shared event kernel this façade drives."""
         return self._engine
-
-    @property
-    def backend(self) -> str:
-        """The selected kernel backend (``"scalar"`` or ``"vector"``)."""
-        return self._backend
 
     @property
     def sample_interval_s(self) -> float | None:
@@ -596,20 +577,12 @@ class CellSimulator:
         load-aware switch budget) must be partitioned by the caller — each
         shard's policy instance only ever sees its own shard's load.
 
-        With ``engine="vector"`` the shard is produced by the numpy batch
-        backend (byte-identical results, ``CellShard.vector_devices``
-        records how many devices took the batch path); it silently uses
-        this scalar path when numpy is missing or the base-station policy
-        arbitrates requests against live load.
+        The whole shard runs on the kernel
+        :func:`~repro.sim.vector_engine.use_vector_kernel` picks from its
+        station and device-policy types; ``CellShard.vector_devices``
+        records which (all devices or none).
         """
         _check_policy_isolation(devices)
-        if self._backend == "vector":
-            from ..sim import vector_engine
-
-            if vector_engine.numpy_available() and (
-                vector_engine.station_always_grants(self._dormancy_policy)
-            ):
-                return vector_engine.run_shard_vector(self, devices)
         if not devices:
             raise ValueError("at least one device is required")
         ids = [d.device_id for d in devices]
@@ -617,10 +590,10 @@ class CellSimulator:
             raise ValueError("device ids must be unique")
 
         profile = self._engine.profile
+        vector = vector_engine.use_vector_kernel(
+            self._dormancy_policy, [spec.policy for spec in devices]
+        )
         self._dormancy_policy.reset()
-
-        contexts: dict[int, UeContext] = {}
-        streams: dict[int, Iterable[Packet]] = {}
         for spec in devices:
             if isinstance(spec.trace, PacketTrace):
                 spec.policy.prepare(spec.trace, profile)
@@ -640,6 +613,12 @@ class CellSimulator:
                 # here and learn packet-by-packet inside the kernel.
                 spec.policy.bind_profile(profile)
             spec.policy.reset()
+        if vector:
+            return vector_engine.run_shard_vector(self, devices)
+
+        contexts: dict[int, UeContext] = {}
+        streams: dict[int, Iterable[Packet]] = {}
+        for spec in devices:
             contexts[spec.device_id] = UeContext(
                 spec.device_id, profile, spec.policy, collect=False,
                 start_time=spec.attach_at,
@@ -680,11 +659,7 @@ class CellSimulator:
 
 
 def _shard_device_state(spec: DeviceSpec, ue: UeContext) -> ShardDeviceState:
-    """Export one kernel context's open folded state for a shard result.
-
-    Shared by the scalar shard run and the vector backend's scalar
-    fallback group — the same reads in the same order either way.
-    """
+    """Export one scalar-kernel context's open folded state for a shard result."""
     (data_j, data_time_s, active_time_s, high_idle_time_s,
      idle_time_s, switch_j) = ue.folded_totals()
     machine = ue.machine
@@ -721,77 +696,19 @@ def _shard_device_state(spec: DeviceSpec, ue: UeContext) -> ShardDeviceState:
     )
 
 
-def _close_device(
-    dev: ShardDeviceState, profile: CarrierProfile, end_time: float
-) -> tuple[float, float, float, int]:
-    """Close one device's open timeline at ``end_time``.
-
-    Replays exactly what :meth:`RrcStateMachine.finish` (pending timer
-    demotions via ``_apply_timers``, then the final fold-at-transition
-    interval accounting) would have folded — the same boundary
-    comparisons, the same per-interval additions, in the same order — so
-    the result is bit-equal to the single-process close at the same
-    ``end_time``.  Returns the closed ``(active_time_s, high_idle_time_s,
-    idle_time_s, timer_demotions)``.
-    """
-    active = dev.active_time_s
-    high = dev.high_idle_time_s
-    idle = dev.idle_time_s
-    timer_demotions = dev.timer_demotions
-    state = dev.open_state
-    seg = dev.open_since
-    if state is RadioState.ACTIVE:
-        demote_at = dev.last_activity + profile.t1
-        if end_time >= demote_at:
-            if profile.has_high_idle_state:
-                if demote_at > seg:
-                    active = active + (demote_at - seg)
-                timer_demotions += 1
-                state = RadioState.HIGH_IDLE
-                seg = demote_at
-                idle_at = demote_at + profile.t2
-                if end_time >= idle_at:
-                    if idle_at > seg:
-                        high = high + (idle_at - seg)
-                    timer_demotions += 1
-                    state = RadioState.IDLE
-                    seg = idle_at
-            else:
-                if demote_at > seg:
-                    active = active + (demote_at - seg)
-                timer_demotions += 1
-                state = RadioState.IDLE
-                seg = demote_at
-    elif state is RadioState.HIGH_IDLE:
-        idle_at = seg + profile.t2
-        if end_time >= idle_at:
-            if idle_at > seg:
-                high = high + (idle_at - seg)
-            timer_demotions += 1
-            state = RadioState.IDLE
-            seg = idle_at
-    if end_time > seg:
-        tail = end_time - seg
-        if state in (RadioState.ACTIVE, RadioState.PROMOTING):
-            active = active + tail
-        elif state is RadioState.HIGH_IDLE:
-            high = high + tail
-        else:
-            idle = idle + tail
-    return active, high, idle, timer_demotions
-
-
 def _close_columns(
     combined: ShardTable, profile: CarrierProfile, end_time: float
 ) -> tuple[list[float], list[float], list[float], list[int]]:
     """Close every open timeline of ``combined`` at ``end_time``.
 
-    The columnar form of :func:`_close_device`: the columns are pulled to
-    Python scalars once and each device runs the identical scalar float
-    ops (the boundary comparisons and per-interval additions of
-    :meth:`RrcStateMachine.finish`, in the same order), so the closed
-    state times are bit-equal to a per-row close at any shard count.
-    Handover-closed devices pass through untouched.  Returns the closed
+    Replays exactly what :meth:`RrcStateMachine.finish` (pending timer
+    demotions via ``_apply_timers``, then the final fold-at-transition
+    interval accounting) would have folded: the columns are pulled to
+    Python scalars once and each device runs the same boundary
+    comparisons and per-interval additions, in the same order, so the
+    closed state times are bit-equal to the single-process close at the
+    same ``end_time`` at any shard count.  Handover-closed devices pass
+    through untouched.  Returns the closed
     ``(active_time_s, high_idle_time_s, idle_time_s, timer_demotions)``
     lists.
     """
@@ -963,7 +880,7 @@ def merge_cell_shards(shards: Sequence[CellShard]) -> CellResult:
     costs = signaling_costs_for(profile.technology)
 
     # Close every open timeline with the exact per-device scalar float ops
-    # (see _close_columns / _close_device), then derive the energy columns
+    # (see _close_columns), then derive the energy columns
     # elementwise — the same op sequence assemble_breakdown runs per row.
     active_l, high_l, idle_l, tdem_l = _close_columns(
         combined, profile, end_time
@@ -1018,7 +935,7 @@ def merge_cell_shards(shards: Sequence[CellShard]) -> CellResult:
         peak_active = max(sample.active_devices for sample in samples)
     else:
         # Sum of per-shard peaks: an upper bound (shards peak at
-        # different moments) — same rule CellLoad.merged applies.
+        # different moments) — see DESIGN.md §2.1.
         peak_active = sum(shard.load.peak_active_devices for shard in shards)  # repro-lint: allow[left-fold] reason=integer per-shard peaks; exact arithmetic
 
     signaling = SignalingLoad(

@@ -133,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--jobs workers, or one worker per shard when --jobs is 1)",
     )
     sweep.add_argument(
-        "--engine", default=None,
-        help="kernel backend for --cell/--metro runs: scalar (per-event "
-             "reference) or vector (numpy batch backend; byte-identical "
-             "results, default scalar)",
-    )
-    sweep.add_argument(
         "--users", type=int, nargs="*",
         help="user ids within --population (default: the whole roster)",
     )
@@ -324,12 +318,7 @@ def _build_sweep_plan(args: argparse.Namespace):
     from .config import load_plan
 
     if args.plan:
-        loaded = load_plan(args.plan)
-        if args.engine is not None:
-            # Applies on top of the file's axes; single-UE plans reject
-            # the axis at build() with the usual clean error.
-            loaded = loaded.engines(args.engine)
-        return loaded
+        return load_plan(args.plan)
     p = new_plan()
     if args.metro is not None:
         if args.cell or args.scenario is not None or args.dormancy is not None:
@@ -355,12 +344,11 @@ def _build_sweep_plan(args: argparse.Namespace):
     elif not args.cell and (args.devices is not None
                             or args.dormancy is not None
                             or args.shards is not None
-                            or args.scenario is not None
-                            or args.engine is not None):
+                            or args.scenario is not None):
         raise ValueError(
-            "--devices, --dormancy, --shards, --scenario and --engine "
-            "configure a cell or metro sweep; add --cell or --metro (they "
-            "would otherwise be silently ignored)"
+            "--devices, --dormancy, --shards and --scenario configure a "
+            "cell or metro sweep; add --cell or --metro (they would "
+            "otherwise be silently ignored)"
         )
     if args.metro is not None:
         pass  # workload declared above; fall through to the shared axes
@@ -399,8 +387,6 @@ def _build_sweep_plan(args: argparse.Namespace):
     else:
         apps = _split_csv_arg(args.apps) if args.apps else ["email", "im"]
         p = p.apps(*apps, duration=args.duration)
-    if args.engine is not None and (args.cell or args.metro is not None):
-        p = p.engines(args.engine)
     p = p.carriers(*_split_csv_arg(args.carriers))
     if args.schemes is None:
         # Streamed cell/metro traces cannot feed the offline oracle (see

@@ -167,7 +167,6 @@ def run_metro_cell_shard(
     carrier: str,
     shards: int,
     shard_index: int,
-    engine: str = "scalar",
 ) -> CellShard | None:
     """Run UE-block shard ``shard_index`` of one metro cell.
 
@@ -176,8 +175,7 @@ def run_metro_cell_shard(
     own; ``load_aware`` budgets are partitioned proportionally to the
     UE-block sizes — the same documented approximation as single-cell
     sharding, with block size standing in for the (timeline-dependent)
-    visit count.  ``engine`` selects the kernel backend each cell
-    simulator runs (results are byte-identical either way).
+    visit count.
     """
     sizes = shard_sizes(devices, shards)
     if not 0 <= shard_index < len(sizes):
@@ -198,7 +196,6 @@ def run_metro_cell_shard(
         load_sample_interval_s=(
             SHARD_SAMPLE_INTERVAL_S if len(sizes) > 1 else None
         ),
-        engine=engine,
     )
     return simulator.run_shard(specs)
 

@@ -135,13 +135,13 @@ def _cell_record(spec) -> dict[str, Any]:
     return record
 
 
-def _small_cell_records(engine: str = "scalar") -> list[dict[str, Any]]:
+def _small_cell_records() -> list[dict[str, Any]]:
     """Canonical homogeneous cells: two schemes × two dormancy policies."""
     from ..api.cells import CellRunSpec, DormancySpec, cell
 
     population = cell(
         devices=_CELL_DEVICES, apps=("im", "email", "news"),
-        duration=_CELL_DURATION_S, engine=engine,
+        duration=_CELL_DURATION_S,
     )
     from ..api.spec import PolicySpec
 
@@ -157,7 +157,7 @@ def _small_cell_records(engine: str = "scalar") -> list[dict[str, Any]]:
     return records
 
 
-def _scenario_cell_records(engine: str = "scalar") -> list[dict[str, Any]]:
+def _scenario_cell_records() -> list[dict[str, Any]]:
     """Canonical scenario cells: shaped heterogeneous + mixed-policy runs."""
     from ..api.cells import CellRunSpec, DormancySpec, cell
     from ..api.spec import PolicySpec
@@ -167,7 +167,7 @@ def _scenario_cell_records(engine: str = "scalar") -> list[dict[str, Any]]:
         for scheme in ("status_quo", "makeidle"):
             records.append(_cell_record(CellRunSpec(
                 cell=cell(devices=_SCENARIO_DEVICES, scenario=scenario,
-                          duration=_CELL_DURATION_S, engine=engine),
+                          duration=_CELL_DURATION_S),
                 carrier="att_hspa",
                 policy=PolicySpec(scheme=scheme).resolved(100),
                 dormancy=DormancySpec(),
@@ -186,7 +186,7 @@ def _hex(value: float) -> str:
     return float(value).hex()
 
 
-def _hot_path_records(engine: str = "scalar") -> list[dict[str, Any]]:
+def _hot_path_records() -> list[dict[str, Any]]:
     """Digest-pinned kernel-scale cells: 1k homogeneous + scenario.
 
     These are the throughput-benchmark shapes (streamed 1k-device cell,
@@ -205,13 +205,12 @@ def _hot_path_records(engine: str = "scalar") -> list[dict[str, Any]]:
             "streamed_1k",
             cell(devices=_HOT_PATH_DEVICES, apps=("im", "email"),
                  duration=_HOT_PATH_DURATION_S, streaming=True,
-                 chunk_s=_HOT_PATH_CHUNK_S, engine=engine),
+                 chunk_s=_HOT_PATH_CHUNK_S),
         ),
         (
             "scenario_office_day",
             cell(devices=_HOT_PATH_SCENARIO_DEVICES, scenario="office_day",
-                 duration=_HOT_PATH_DURATION_S, chunk_s=_HOT_PATH_CHUNK_S,
-                 engine=engine),
+                 duration=_HOT_PATH_DURATION_S, chunk_s=_HOT_PATH_CHUNK_S),
         ),
     )
     records = []
@@ -270,7 +269,7 @@ _TOURNAMENT_DURATION_S = 400.0
 _TOURNAMENT_SHARDS = (1, 3)
 
 
-def _learning_tournament_records(engine: str = "scalar") -> list[dict[str, Any]]:
+def _learning_tournament_records() -> list[dict[str, Any]]:
     """Digest-pinned policy-tournament cell at K ∈ {1, 3} shards.
 
     One ``learning_rollout`` scenario cell — a Learn-α MakeActive fleet, a
@@ -288,7 +287,7 @@ def _learning_tournament_records(engine: str = "scalar") -> list[dict[str, Any]]
     for shards in _TOURNAMENT_SHARDS:
         spec = CellRunSpec(
             cell=cell(devices=_TOURNAMENT_DEVICES, scenario="learning_rollout",
-                      duration=_TOURNAMENT_DURATION_S, engine=engine),
+                      duration=_TOURNAMENT_DURATION_S),
             carrier="att_hspa",
             policy=PolicySpec(scheme="makeidle+makeactive_learn").resolved(100),
             dormancy=DormancySpec(),
@@ -351,7 +350,7 @@ _METRO_COMMUTER_DURATION_S = 36000.0
 _METRO_CHUNK_S = 300.0
 
 
-def _metro_small_records(engine: str = "scalar") -> list[dict[str, Any]]:
+def _metro_small_records() -> list[dict[str, Any]]:
     """Digest-pinned small metros: shuffle 4-cell + commuter 2-cell.
 
     Pins the whole metro layer — mobility timelines, visit windowing,
@@ -376,7 +375,7 @@ def _metro_small_records(engine: str = "scalar") -> list[dict[str, Any]]:
     for name, devices, duration_s, policy_scheme in grid:
         spec = MetroRunSpec(
             metro=metro(name, devices=devices, duration=duration_s,
-                        chunk_s=_METRO_CHUNK_S, engine=engine),
+                        chunk_s=_METRO_CHUNK_S),
             carrier="att_hspa",
             policy=PolicySpec(scheme=policy_scheme).resolved(100),
         )
@@ -440,24 +439,13 @@ GOLDEN_BUILDERS: dict[str, Callable[[], list[dict[str, Any]]]] = {
     "metro_small": _metro_small_records,
 }
 
-#: Suites whose builders take an ``engine=`` keyword: every cell/metro
-#: suite.  ``single_ue`` has no device population — the backend switch
-#: does not exist on the single-UE path, so the suite is backend-
-#: invariant by construction.
-ENGINE_AWARE_SUITES = frozenset(
-    {"small_cell", "scenario_cell", "hot_path_1k", "learning_tournament",
-     "metro_small"}
-)
-
-
-def build_golden(name: str, engine: str = "scalar") -> dict[str, Any]:
+def build_golden(name: str) -> dict[str, Any]:
     """Build one golden suite's payload (records plus provenance header).
 
-    ``engine`` selects the kernel backend for the cell/metro suites; the
-    payload itself never records it — the backend contract is that every
-    suite renders byte-identically whichever backend ran, so the vector
-    parity test compares an ``engine="vector"`` rebuild against the same
-    checked-in files the scalar test uses.
+    The payload never records which kernel ran a shard: both kernels
+    render every suite byte-identically, which the golden tests check by
+    building each suite twice — once as selected, once on the scalar
+    kernel alone.
     """
     try:
         builder = GOLDEN_BUILDERS[name]
@@ -465,14 +453,10 @@ def build_golden(name: str, engine: str = "scalar") -> dict[str, Any]:
         raise KeyError(
             f"unknown golden suite {name!r}; known: {sorted(GOLDEN_BUILDERS)}"
         ) from None
-    if name in ENGINE_AWARE_SUITES:
-        records = builder(engine=engine)
-    else:
-        records = builder()
     return {
         "suite": name,
         "refresh_with": "python tools/refresh_golden.py",
-        "records": records,
+        "records": builder(),
     }
 
 

@@ -272,37 +272,6 @@ class CellLoad:
         """One device reached Idle."""
         self.active_devices -= 1
 
-    @classmethod
-    def merged(cls, loads: Sequence["CellLoad"]) -> "CellLoad":
-        """Combine the loads of disjoint device partitions (shards).
-
-        Switch timelines interleave exactly — each input's is time-ordered
-        and the partitions are disjoint — so windowed switch queries over
-        the merged load equal those of a single-process run.  The
-        *instantaneous* active-device peak is not recoverable from
-        per-shard peaks (shards peak at different moments), so
-        ``peak_active_devices`` is the sum of the inputs' peaks: an upper
-        bound on the true cell peak, exact for a single input.
-        """
-        if not loads:
-            raise ValueError("at least one CellLoad is required")
-        window = loads[0].window_s
-        if any(load.window_s != window for load in loads):
-            raise ValueError("cannot merge CellLoads with different windows")
-        combined = cls(
-            total_devices=sum(load.total_devices for load in loads),  # repro-lint: allow[left-fold] reason=integer device count; exact order-independent arithmetic
-            window_s=window,
-        )
-        combined.switch_times = list(
-            heapq.merge(*(load.switch_times for load in loads))
-        )
-        combined._recent = list(combined.switch_times)
-        combined.active_devices = sum(load.active_devices for load in loads)  # repro-lint: allow[left-fold] reason=integer device count; exact order-independent arithmetic
-        combined.peak_active_devices = sum(  # repro-lint: allow[left-fold] reason=integer per-shard peaks; exact order-independent arithmetic
-            load.peak_active_devices for load in loads
-        )
-        return combined
-
 
 class DormancyStation:
     """Base-station hook arbitrating fast-dormancy requests in cell mode.
@@ -348,7 +317,6 @@ class UeContext:
         "buffered_arrivals",
         "buffered_flows",
         "dormancy_seq",
-        "late_dormancy_seq",
         "release_seq",
         "timer_target",
         "timer_pending",
@@ -399,12 +367,6 @@ class UeContext:
         self.buffered_arrivals: list[SessionDelay] = []
         self.buffered_flows: set[int] = set()
         self.dormancy_seq = 0
-        # Sequence number of a dormancy scheduled with zero effective wait
-        # while processing an ARRIVAL: it pops *after* the kind-1 slot of
-        # its timestamp (right behind the arrival that scheduled it), so
-        # load-log entries it produces are keyed by the arrival's kind to
-        # keep the logged key order equal to pop order.
-        self.late_dormancy_seq = -1
         self.release_seq = 0
         # Inactivity-timer-expiry scheduling (cell mode): the current true
         # deadline (last activity + full demotion horizon) and whether one
@@ -590,13 +552,6 @@ class KernelResult:
     samples: tuple[LoadSample, ...] = ()
     last_emitted: float | None = None
     finished: bool = True
-    #: Time of the last *real* (non-SAMPLE) event the kernel popped —
-    #: including stale timer deferrals and invalidated dormancy events
-    #: that touched no machine.  This is the horizon the periodic
-    #: load-sample chain runs to; the vector backend reads it to
-    #: reconstruct a byte-identical sample series around its scalar
-    #: fallback group.  ``None`` when no real event was processed.
-    last_event_time: float | None = None
 
 
 class SimulationEngine:
@@ -716,7 +671,6 @@ class SimulationEngine:
         sample_interval_s: float | None = None,
         finish: bool = True,
         handovers: Mapping[int, float] | None = None,
-        load_log: list[tuple[float, int, int, str]] | None = None,
     ) -> KernelResult:
         """Drive every UE's packet stream through the shared event queue.
 
@@ -752,22 +706,6 @@ class SimulationEngine:
             count.  The UE's packet stream must end strictly before its
             departure time; a later packet aborts the run.  See
             ``docs/DESIGN.md`` §4 (handover contract).
-        load_log:
-            When given (cell mode), every :class:`CellLoad` mutation this
-            run performs is also appended to the list as ``(event_time,
-            event_kind, ue_id, op)`` with ``op`` one of ``"act"`` /
-            ``"deact"`` / ``"switch"`` — keyed by the *popped event* that
-            caused it, with one deliberate remap: a dormancy that fires at
-            the very timestamp of the ARRIVAL that scheduled it (zero
-            effective wait, e.g. MakeIdle) pops *behind* that arrival —
-            after the kind-1 slot of its timestamp — and is therefore
-            keyed by the arrival kind.  With that remap a stable sort of
-            the entries by ``(time, kind, ue_id)`` reproduces the exact
-            pop order of the heap.  The vector backend uses
-            this to interleave a scalar fallback group's load mutations
-            with analytically derived ones (see
-            :mod:`repro.sim.vector_engine`); normal runs pass ``None``
-            and pay only dead branches.
         """
         if station is not None and load is None:
             raise ValueError("cell mode (station=...) requires a CellLoad")
@@ -839,17 +777,13 @@ class SimulationEngine:
             real_events += 1
             heappush(heap, (timestamp, _ARRIVAL, ue_id, serial, packet))
 
-        def sync_load(ue: UeContext, log_kind: int) -> None:
+        def sync_load(ue: UeContext) -> None:
             """Reconcile the cell's active-device count with ``ue``'s state."""
             active = ue.machine.state is not RadioState.IDLE
             if active and not ue.was_active:
                 load.activate()
-                if load_log is not None:
-                    load_log.append((time, log_kind, ue_id, "act"))
             elif not active and ue.was_active:
                 load.deactivate()
-                if load_log is not None:
-                    load_log.append((time, log_kind, ue_id, "deact"))
             ue.was_active = active
 
         def emit(ue: UeContext, packet: Packet, time: float) -> None:
@@ -905,14 +839,10 @@ class SimulationEngine:
             if cell_mode:
                 if promoted:
                     load.note_switch(time)
-                    if load_log is not None:
-                        load_log.append((time, kind, ue.ue_id, "switch"))
                 # Inline of sync_load: after an emit the machine is Active.
                 if not ue.was_active:
                     load.activate()
                     ue.was_active = True
-                    if load_log is not None:
-                        load_log.append((time, kind, ue.ue_id, "act"))
                 # Move the expiry deadline; queue an event only when none
                 # is in flight (it defers itself forward on early pops).
                 ue.timer_target = time + idle_after
@@ -929,18 +859,10 @@ class SimulationEngine:
             wait = ue.policy.dormancy_wait(time)
             ue.dormancy_seq += 1
             if wait is not None:
-                scheduled = time + wait
-                if scheduled == time and kind == _ARRIVAL:
-                    # Zero effective wait scheduled while an ARRIVAL is being
-                    # processed: the kind-1 slot of this timestamp has already
-                    # passed, so the event pops right behind this arrival and
-                    # its load-log entries are keyed by the arrival's kind
-                    # (see on_dormancy).
-                    ue.late_dormancy_seq = ue.dormancy_seq
                 nonlocal serial, real_events
                 serial += 1
                 real_events += 1
-                heappush(heap, (scheduled, _DORMANCY, ue.ue_id, serial,
+                heappush(heap, (time + wait, _DORMANCY, ue.ue_id, serial,
                                 ue.dormancy_seq))
 
         def release_buffer(ue: UeContext, time: float) -> None:
@@ -1048,13 +970,10 @@ class SimulationEngine:
                 else:
                     ue.dormancy_denied += 1
                     return
-            log_kind = _ARRIVAL if seq == ue.late_dormancy_seq else _DORMANCY
             if ue.machine.request_fast_dormancy(time) and cell_mode:
                 load.note_switch(time)
-                if load_log is not None:
-                    load_log.append((time, log_kind, ue.ue_id, "switch"))
             if cell_mode:
-                sync_load(ue, log_kind)
+                sync_load(ue)
 
         def on_handover(ue: UeContext, time: float) -> None:
             """Close ``ue``'s timeline at its departure instant.
@@ -1082,8 +1001,6 @@ class SimulationEngine:
                 if ue.was_active:
                     load.deactivate()
                     ue.was_active = False
-                    if load_log is not None:
-                        load_log.append((time, _HANDOVER, ue.ue_id, "deact"))
 
         def on_timer(ue: UeContext, time: float) -> None:
             if ue.departed:
@@ -1099,7 +1016,7 @@ class SimulationEngine:
                 return
             ue.timer_pending = False
             ue.machine.advance_to(time)
-            sync_load(ue, _TIMER)
+            sync_load(ue)
 
         # Prime one arrival per UE, the scheduled departures, and
         # (optionally) the first load sample.
@@ -1113,12 +1030,9 @@ class SimulationEngine:
             push(sample_interval_s, _SAMPLE, -1, None)
 
         heappop = heapq.heappop
-        last_real: float | None = None  # newest non-SAMPLE pop time
         try:
             while heap:
                 time, kind, ue_id, _, payload = heappop(heap)
-                if kind != _SAMPLE:
-                    last_real = time
                 if kind == _ARRIVAL:
                     real_events -= 1
                     on_arrival(contexts[ue_id], payload)
@@ -1191,7 +1105,6 @@ class SimulationEngine:
             samples=tuple(samples),
             last_emitted=last_emitted,
             finished=False,
-            last_event_time=last_real,
         )
         if not finish:
             return open_result

@@ -1,20 +1,20 @@
-"""Vectorized (numpy) cell kernel backend — byte-identical to the scalar kernel.
+"""Vectorized (numpy) cell kernel — byte-identical to the scalar kernel.
 
-Selected with ``engine="vector"`` on a cell/metro spec, this backend runs
-:meth:`~repro.basestation.cell.CellSimulator.run_shard` per-UE in *batch*:
-one UE's whole packet stream is materialised into numpy arrays (arrival
-times, sizes, uplink flags), and everything the scalar kernel computes per
-heap event is computed as array expressions over the
-:class:`~repro.rrc.vector_tables.VectorTable` constants — except at the
-sparse "interesting" instants, which are replayed through the *real*
-per-UE :class:`~repro.rrc.state_machine.RrcStateMachine` so every float
-lands bit-for-bit where the scalar kernel would put it.
+:meth:`~repro.basestation.cell.CellSimulator.run_shard` runs a shard on
+this kernel whenever :func:`use_vector_kernel` says it can.  The kernel
+replays each UE in *batch*: one UE's whole packet stream is materialised
+into numpy arrays (arrival times, sizes, uplink flags), and everything the
+scalar kernel computes per heap event is computed as array expressions
+over the :class:`~repro.rrc.vector_tables.VectorTable` constants — except
+at the sparse "interesting" instants, which are replayed through the
+*real* per-UE :class:`~repro.rrc.state_machine.RrcStateMachine` so every
+float lands bit-for-bit where the scalar kernel would put it.
 
 Why byte-identity holds
 -----------------------
 
 The scalar kernel's per-UE work for an *eligible* UE (see
-:func:`constant_dormancy_wait`) decomposes into three independent pieces:
+:func:`vector_eligible`) decomposes into three independent pieces:
 
 1. **The data-energy fold** depends only on the emitted packet sequence
    (timestamps, sizes, directions), never on RRC state.  It is a strict
@@ -55,41 +55,41 @@ The scalar kernel's per-UE work for an *eligible* UE (see
 
 3. **Cell-load bookkeeping** is order-sensitive but replayable: every
    load mutation the scalar kernel performs is keyed by its popped event
-   ``(time, kind, ue_id)``.  Vector UEs derive their mutations
-   analytically at the instants above; policies that need the scalar
-   kernel run as one group with ``load_log=`` capturing theirs; a stable
-   sort on ``(time, kind, ue_id)`` interleaves both streams in exact
-   heap order (the heap breaks ties the same way, and equal full keys
-   only occur within one UE's consecutive ops).  A fresh
-   :class:`~repro.sim.engine.CellLoad` is driven through the merged ops,
-   and the periodic :class:`~repro.sim.engine.LoadSample` chain is
-   re-run on the same grid: sample *k+1* exists iff some real event pops
-   after sample *k*, so the chain horizon is the latest real pop — for a
-   vector UE that is ``t_last + max(wait, idle_after)``, or for a
-   departed UE the latest of its handover instant, its last (stale)
-   dormancy pop and the final pop of its self-deferring timer chain.
+   ``(time, kind, ue_id)``.  Each UE's mutations are derived analytically
+   at the instants above, and a stable sort on ``(time, kind, ue_id)``
+   interleaves all UEs' streams in exact heap order (the heap breaks ties
+   the same way, and equal full keys only occur within one UE's
+   consecutive ops).  A fresh :class:`~repro.sim.engine.CellLoad` is
+   driven through the merged ops, and the periodic
+   :class:`~repro.sim.engine.LoadSample` chain is re-run on the same
+   grid: sample *k+1* exists iff some real event pops after sample *k*,
+   so the chain horizon is the latest real pop — for a UE that is
+   ``t_last + max(wait, idle_after)``, or for a departed UE the latest of
+   its handover instant, its last (stale) dormancy pop and the final pop
+   of its self-deferring timer chain.
 
-Eligibility and fallback
-------------------------
+Kernel selection
+----------------
 
-A UE is vector-eligible when its policy keeps the base-class
+The kernel is chosen per shard, all or nothing (:func:`use_vector_kernel`):
+numpy must import, the base-station policy must grant every dormancy
+request unconditionally (request arbitration observes the live
+interleaved load, which a per-UE replay cannot see), and every device
+policy must be :func:`vector_eligible` — the base-class
 ``observe_packet`` and ``activation_delay`` hooks (no per-packet hooks,
-no MakeActive buffering) and its ``dormancy_wait`` is a known constant —
-the base class (never requests dormancy), a
-:class:`~repro.core.baselines.FixedTimerPolicy`, or a prepared
-:class:`~repro.core.baselines.PercentileIatPolicy`.  Ineligible UEs run
-in one scalar kernel group alongside the vector UEs (their per-device
-results are the scalar results by construction); a base-station policy
-that does not unconditionally grant dormancy — or a missing numpy —
-disables the vector path for the whole shard, since request arbitration
-observes the live interleaved load.  The choice is automatic and
-surfaced as ``CellShard.vector_devices`` / ``CellResult.vector_devices``.
+no MakeActive buffering) and a ``dormancy_wait`` that is a known
+constant: the base class (never requests dormancy), a
+:class:`~repro.core.baselines.FixedTimerPolicy`, or a
+:class:`~repro.core.baselines.PercentileIatPolicy` (whose constant is
+trained in ``prepare``).  Any other shard runs on the scalar kernel.  The
+choice is surfaced as ``CellShard.vector_devices`` /
+``CellResult.vector_devices``.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 try:  # numpy is an optional accelerator, never a hard dependency
     import numpy as _np
@@ -101,17 +101,18 @@ from ..core.policy import RadioPolicy
 from ..rrc.state_machine import RrcStateMachine
 from ..rrc.states import RadioState
 from ..rrc.vector_tables import VectorTable, vector_table
-from ..traces.packet import Direction, PacketTrace
-from .engine import CellLoad, LoadSample, StreamOrderError, UeContext
+from ..traces.packet import Direction
+from .engine import CellLoad, LoadSample, StreamOrderError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..basestation.cell import CellShard, CellSimulator, DeviceSpec
 
 __all__ = [
-    "constant_dormancy_wait",
     "numpy_available",
     "run_shard_vector",
     "station_always_grants",
+    "use_vector_kernel",
+    "vector_eligible",
 ]
 
 #: Event-kind tie-break priorities, mirroring :class:`~repro.sim.engine.EventKind`
@@ -123,8 +124,8 @@ _TIMER = 3
 _ARRIVAL = 4
 
 #: One load mutation: ``(event_time, event_kind, ue_id, op)`` with ``op``
-#: one of ``"act"`` / ``"deact"`` / ``"switch"`` — the same record the
-#: scalar kernel appends to ``load_log``.
+#: one of ``"act"`` / ``"deact"`` / ``"switch"``, keyed by the event the
+#: scalar kernel would pop to perform it.
 _LoadOp = tuple[float, int, int, str]
 
 #: Heap order over merged load ops: ``(time, kind, ue_id)``, stable for
@@ -133,18 +134,20 @@ _OP_KEY = itemgetter(0, 1, 2)
 
 
 def numpy_available() -> bool:
-    """Whether the numpy the vector backend needs is importable."""
+    """Whether the numpy the vector kernel needs is importable."""
     return _np is not None
 
 
 def station_always_grants(policy: object) -> bool:
     """Whether a base-station dormancy policy unconditionally grants.
 
-    Mirrors the kernel's station fast-path declaration
-    (:class:`~repro.basestation.cell._NetworkStation`): the flag must be
-    set *and* ``decide`` must really be the accept-all implementation.
-    Only then are per-UE outcomes independent of the live cell load, the
-    precondition for running UEs out of event order.
+    The flag must be set *and* ``decide`` must really be the accept-all
+    implementation, so a subclass that overrides ``decide`` while
+    inheriting the flag is still consulted.  Only then are per-UE
+    outcomes independent of the live cell load — the precondition for
+    the scalar kernel's per-request fast path
+    (:class:`~repro.basestation.cell._NetworkStation`) and for running
+    UEs out of event order here.
     """
     from ..basestation.policies import AcceptAllDormancy
 
@@ -154,36 +157,61 @@ def station_always_grants(policy: object) -> bool:
     )
 
 
-def constant_dormancy_wait(
-    policy: RadioPolicy,
-) -> tuple[bool, float | None]:
-    """Classify a device policy for the vector path.
+def vector_eligible(policy: RadioPolicy) -> bool:
+    """Whether the vector kernel can replay a device running ``policy``.
 
-    Returns ``(eligible, wait)``: ``eligible`` is ``True`` when the
-    policy has no per-packet hooks (base-class ``observe_packet`` and
-    ``activation_delay`` — so it never buffers sessions either) and its
-    ``dormancy_wait`` is a known time-independent constant; ``wait`` is
-    that constant (``None`` = never requests fast dormancy).  Call this
-    *after* ``policy.prepare()`` — trace-trained timeouts are fixed
-    there.  Anything unrecognised falls back to the scalar kernel.
+    ``True`` when the policy has no per-packet hooks (base-class
+    ``observe_packet`` and ``activation_delay`` — so it never buffers
+    sessions either) and its ``dormancy_wait`` is a known
+    time-independent constant: the base class (never requests fast
+    dormancy), a :class:`FixedTimerPolicy` or a
+    :class:`PercentileIatPolicy`.  Judged from the policy's type alone,
+    so the answer is the same before and after ``prepare()``.
     """
     ptype = type(policy)
     if ptype.observe_packet is not RadioPolicy.observe_packet:
-        return False, None
+        return False
     if ptype.activation_delay is not RadioPolicy.activation_delay:
-        return False, None
+        return False
     wait_fn = ptype.dormancy_wait
-    if wait_fn is RadioPolicy.dormancy_wait:
-        return True, None
-    if wait_fn is FixedTimerPolicy.dormancy_wait and isinstance(
-        policy, FixedTimerPolicy
-    ):
-        return True, policy.timeout
-    if wait_fn is PercentileIatPolicy.dormancy_wait and isinstance(
-        policy, PercentileIatPolicy
-    ):
-        return True, policy.timeout
-    return False, None
+    return (
+        wait_fn is RadioPolicy.dormancy_wait
+        or (wait_fn is FixedTimerPolicy.dormancy_wait
+            and isinstance(policy, FixedTimerPolicy))
+        or (wait_fn is PercentileIatPolicy.dormancy_wait
+            and isinstance(policy, PercentileIatPolicy))
+    )
+
+
+def use_vector_kernel(
+    dormancy_policy: object, policies: Iterable[RadioPolicy]
+) -> bool:
+    """Whether a shard runs on the vector kernel rather than the scalar one.
+
+    One kernel runs the whole shard: the vector kernel when numpy
+    imports, the base station always grants
+    (:func:`station_always_grants`) and every device policy is
+    :func:`vector_eligible`; otherwise the scalar kernel.  Judged from
+    policy types, so it is asked before any ``prepare()``.
+    :meth:`~repro.basestation.cell.CellSimulator.run_shard` looks this
+    function up on the module at call time, so replacing it (e.g. with
+    ``lambda *args: False``) forces the scalar kernel.
+    """
+    return (
+        numpy_available()
+        and station_always_grants(dormancy_policy)
+        and all(vector_eligible(policy) for policy in policies)
+    )
+
+
+def _constant_wait(policy: RadioPolicy) -> float | None:
+    """A prepared eligible policy's dormancy wait (``None``: never requests).
+
+    Read after ``prepare()``: trace-trained timeouts are fixed there.
+    """
+    if type(policy).dormancy_wait is RadioPolicy.dormancy_wait:
+        return None
+    return policy.timeout
 
 
 def _materialize(trace, ue_id: int):
@@ -382,10 +410,10 @@ def _run_vector_ue(
     def do_dormancy(at: float, sched_t: float) -> None:
         nonlocal requests, was_active
         requests += 1  # always-grants station: granted == requests
-        # A zero-effective-wait dormancy (``at == sched_t``) pops right
-        # behind the arrival that scheduled it, after the kind-1 slot of
-        # its timestamp, so its ops carry the arrival kind — the same
-        # remap the scalar kernel's load log applies (see engine.run).
+        # A zero-effective-wait dormancy (``at == sched_t``) is pushed
+        # while its arrival is processed, after the kind-1 slot of that
+        # timestamp has passed, so it pops right behind that arrival: its
+        # ops carry the arrival kind to sort into that slot.
         log_kind = _ARRIVAL if at == sched_t else _DORMANCY
         if machine.request_fast_dormancy(at):
             ops.append((at, log_kind, ue_id, "switch"))
@@ -490,7 +518,6 @@ def _rebuild_load_and_samples(
     total_devices: int,
     window_s: float,
     sample_interval_s: float | None,
-    any_events: bool,
     horizon: float | None,
 ) -> tuple[CellLoad, tuple[LoadSample, ...]]:
     """Drive a fresh :class:`CellLoad` through the merged op stream.
@@ -498,16 +525,16 @@ def _rebuild_load_and_samples(
     ``ops`` must already be in global heap order.  Sample instants
     interleave exactly as SAMPLE events do: every op at ``time <= s``
     precedes the sample at ``s`` (op kinds all sort before SAMPLE), the
-    grid accumulates ``s + interval`` left-to-right, the first sample
-    exists iff the heap was primed with any real event, and sample
-    ``k+1`` exists iff a real event pops after sample ``k`` (``horizon``
-    is the latest real pop).
+    grid accumulates ``s + interval`` left-to-right, and sample ``k+1``
+    exists iff a real event pops after sample ``k`` (``horizon`` is the
+    latest real pop).  ``horizon`` is ``None`` exactly when the heap was
+    never primed with a real event, and then no sample exists at all.
     """
     load = CellLoad(total_devices=total_devices, window_s=window_s)
     samples: list[LoadSample] = []
     i = 0
     count = len(ops)
-    if sample_interval_s is not None and any_events:
+    if sample_interval_s is not None and horizon is not None:
         s = sample_interval_s
         while True:
             while i < count and ops[i][0] <= s:
@@ -527,7 +554,7 @@ def _rebuild_load_and_samples(
                     switches_last_minute=load.switches_within_window(s),
                 )
             )
-            if horizon is not None and horizon > s:
+            if horizon > s:
                 s = s + sample_interval_s
             else:
                 break
@@ -547,114 +574,35 @@ def _rebuild_load_and_samples(
 def run_shard_vector(
     simulator: "CellSimulator", devices: Sequence["DeviceSpec"]
 ) -> "CellShard":
-    """Vector-backend implementation of :meth:`CellSimulator.run_shard`.
+    """Vector-kernel implementation of :meth:`CellSimulator.run_shard`.
 
     Produces a :class:`~repro.basestation.cell.CellShard` byte-identical
-    to the scalar shard run over the same devices: eligible UEs take the
-    batch path, the rest run in one scalar kernel group, and the shared
-    cell-load state (ordered switch timeline, running peak, sample
-    series) is reconstructed by replaying both groups' load mutations in
-    exact heap order.  Callers must have checked
-    :func:`station_always_grants` and :func:`numpy_available`.
+    to the scalar shard run over the same devices: every UE takes the
+    batch path, and the shared cell-load state (ordered switch timeline,
+    running peak, sample series) is reconstructed by replaying all UEs'
+    load mutations in exact heap order.  The caller —
+    :meth:`~repro.basestation.cell.CellSimulator.run_shard` — has already
+    validated the shard, checked :func:`use_vector_kernel`, and prepared
+    and reset every policy.
     """
-    from ..basestation.cell import (
-        _LOAD_WINDOW_S,
-        _NetworkStation,
-        _shard_device_state,
-        CellShard,
-        ShardDeviceState,
-    )
-
-    if _np is None:  # pragma: no cover - callers gate on numpy_available()
-        raise RuntimeError("engine='vector' requires numpy")
-    if not devices:
-        raise ValueError("at least one device is required")
-    ids = [d.device_id for d in devices]
-    if len(set(ids)) != len(ids):
-        raise ValueError("device ids must be unique")
+    from ..basestation.cell import _LOAD_WINDOW_S, CellShard, ShardDeviceState
 
     engine = simulator.engine
     profile = engine.profile
-    dormancy_policy = simulator.dormancy_policy
-    sample_interval_s = simulator.sample_interval_s
-    dormancy_policy.reset()
-
-    # Identical per-device policy lifecycle to the scalar shard run.
-    eligible: list["DeviceSpec"] = []
-    waits: dict[int, float | None] = {}
-    fallback: list["DeviceSpec"] = []
-    for spec in devices:
-        if isinstance(spec.trace, PacketTrace):
-            spec.policy.prepare(spec.trace, profile)
-        elif getattr(spec.policy, "requires_trace", False):
-            raise ValueError(
-                f"device {spec.device_id}: policy {spec.policy.name!r} "
-                "requires the full trace in prepare() and cannot run "
-                "on a lazy packet source; materialise the trace "
-                "(PacketTrace) for this device instead"
-            )
-        else:
-            # Streaming path: profile-only binding (see RadioPolicy.bind_profile).
-            spec.policy.bind_profile(profile)
-        spec.policy.reset()
-        ok, wait = constant_dormancy_wait(spec.policy)
-        if ok:
-            eligible.append(spec)
-            waits[spec.device_id] = wait
-        else:
-            fallback.append(spec)
-
+    vt = vector_table(profile, engine.accountant.data_model)
     ops: list[_LoadOp] = []
-    states: dict[int, object] = {}
-    horizons: list[float] = []
+    states: list[ShardDeviceState] = []
+    horizon: float | None = None
     last_emitted: float | None = None
     max_now = 0.0
-
-    # Scalar kernel group: hook-bearing policies keep the event-driven
-    # path, with their load mutations captured for the global replay.
-    fb_outcome = None
-    if fallback:
-        contexts: dict[int, UeContext] = {}
-        streams: dict[int, object] = {}
-        fb_handovers: dict[int, float] = {}
-        for spec in fallback:
-            contexts[spec.device_id] = UeContext(
-                spec.device_id, profile, spec.policy, collect=False,
-                start_time=spec.attach_at,
-            )
-            streams[spec.device_id] = spec.trace
-            if spec.detach_at is not None:
-                fb_handovers[spec.device_id] = spec.detach_at
-        fb_outcome = engine.run(
-            streams,
-            contexts,
-            station=_NetworkStation(dormancy_policy),
-            load=CellLoad(total_devices=len(fallback),
-                          window_s=_LOAD_WINDOW_S),
-            sample_interval_s=None,
-            finish=False,
-            handovers=fb_handovers or None,
-            load_log=ops,
-        )
-        for spec in fallback:
-            states[spec.device_id] = _shard_device_state(
-                spec, contexts[spec.device_id]
-            )
-        last_emitted = fb_outcome.last_emitted
-        max_now = fb_outcome.end_time
-        if fb_outcome.last_event_time is not None:
-            horizons.append(fb_outcome.last_event_time)
-
-    vt = vector_table(profile, engine.accountant.data_model)
-    any_packets = False
-    for spec in eligible:
+    for spec in devices:
         outcome = _run_vector_ue(
-            spec, profile, vt, waits[spec.device_id], ops
+            spec, profile, vt, _constant_wait(spec.policy), ops
         )
         machine = outcome.machine
         (active_s, high_idle_s, idle_s, switch_j, promotions,
          timer_demotions, fast_demotions) = machine.folded_state_totals()
-        states[spec.device_id] = ShardDeviceState(
+        states.append(ShardDeviceState(
             device_id=spec.device_id,
             policy_name=spec.policy.name,
             data_j=outcome.data_j,
@@ -678,43 +626,35 @@ def run_shard_vector(
             total_session_delay_s=0.0,
             cohort=spec.cohort,
             closed=outcome.departed,
-        )
-        if outcome.packets:
-            any_packets = True
-            if last_emitted is None or outcome.last_effective > last_emitted:
-                last_emitted = outcome.last_effective
+        ))
+        if outcome.packets and (last_emitted is None
+                                or outcome.last_effective > last_emitted):
+            last_emitted = outcome.last_effective
         if machine.now > max_now:
             max_now = machine.now
-        if outcome.horizon is not None:
-            horizons.append(outcome.horizon)
+        if outcome.horizon is not None and (horizon is None
+                                            or outcome.horizon > horizon):
+            horizon = outcome.horizon
 
-    # Global load replay: merge both groups' mutations into heap order.
+    # Global load replay: merge every UE's mutations into heap order.
     ops.sort(key=_OP_KEY)
-    any_events = (
-        any_packets
-        or any(spec.detach_at is not None for spec in devices)
-        or (fb_outcome is not None
-            and fb_outcome.last_event_time is not None)
-    )
-    horizon = max(horizons) if horizons else None
     load, samples = _rebuild_load_and_samples(
         ops,
         total_devices=len(devices),
         window_s=_LOAD_WINDOW_S,
-        sample_interval_s=sample_interval_s,
-        any_events=any_events,
+        sample_interval_s=simulator.sample_interval_s,
         horizon=horizon,
     )
 
     return CellShard(
-        dormancy_policy_name=dormancy_policy.name,
+        dormancy_policy_name=simulator.dormancy_policy.name,
         profile=profile,
         trailing_time=engine.trailing_time,
-        devices=tuple(states[spec.device_id] for spec in devices),
+        devices=tuple(states),
         last_emitted=last_emitted,
         max_now=max_now,
         load=load,
         load_samples=samples,
-        sample_interval_s=sample_interval_s,
-        vector_devices=len(eligible),
+        sample_interval_s=simulator.sample_interval_s,
+        vector_devices=len(devices),
     )

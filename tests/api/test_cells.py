@@ -153,6 +153,70 @@ class TestCellPlan:
         assert "cell(s)" in _small_plan().describe()
 
 
+#: Plan files as they were written while a plan and each of its cells or
+#: metros named a kernel ("engine"/"engines").
+_LEGACY_CELL_PLAN = {
+    "carriers": ["att_hspa"],
+    "cells": [{"apps": ["im"], "chunk_s": 300.0, "devices": 4,
+               "duration_s": 120.0, "engine": "vector", "name": "legacy",
+               "seed": 0, "streaming": True}],
+    "engines": ["scalar", "vector"],
+    "name": "",
+    "policies": [{"scheme": "status_quo", "window_size": None},
+                 {"scheme": "fixed_4.5s", "window_size": None}],
+    "seeds": [], "traces": [], "window_size": 100,
+}
+_LEGACY_METRO_PLAN = {
+    "carriers": ["att_hspa"],
+    "metros": [{"chunk_s": 300.0, "devices": 8, "duration_s": 120.0,
+                "engine": "vector", "metro": "metro_4cell", "name": "",
+                "seed": 0}],
+    "name": "",
+    "policies": [{"scheme": "status_quo", "window_size": None}],
+    "seeds": [], "traces": [], "window_size": 100,
+}
+
+
+class TestLegacyPlanFiles:
+    """Each shard picks its own kernel: old kernel keys are validated, then
+    ignored."""
+
+    def test_kernel_keys_are_ignored(self, tmp_path):
+        from repro.api import metro
+
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(_LEGACY_CELL_PLAN), encoding="utf-8")
+        assert load_plan(path) == (
+            plan()
+            .cells(cell(devices=4, apps=("im",), duration=120.0,
+                        name="legacy"))
+            .carriers("att_hspa")
+            .policies("status_quo", "fixed_4.5s")
+        )
+        path.write_text(json.dumps(_LEGACY_METRO_PLAN), encoding="utf-8")
+        assert load_plan(path) == (
+            plan()
+            .metros(metro("metro_4cell", devices=8, duration=120.0))
+            .carriers("att_hspa")
+            .policies("status_quo")
+        )
+
+    @pytest.mark.parametrize("where", ("plan", "cell", "metro"))
+    def test_unknown_kernel_is_rejected(self, tmp_path, where):
+        if where == "plan":
+            data = {**_LEGACY_CELL_PLAN, "engines": ["cuda"]}
+        else:
+            data = json.loads(json.dumps(
+                _LEGACY_CELL_PLAN if where == "cell" else _LEGACY_METRO_PLAN
+            ))
+            data[f"{where}s"][0]["engine"] = "cuda"
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match="engine must be 'scalar' or "
+                                             "'vector', got 'cuda'"):
+            load_plan(path)
+
+
 class TestCellRunners:
     def test_serial_runner_runs_and_caches(self):
         runner = SerialRunner()

@@ -38,6 +38,8 @@ class TestFilter:
     def test_unknown_axis_is_an_error(self, runs):
         with pytest.raises(ValueError, match="filter axes"):
             runs.filter(flavour="strawberry")
+        with pytest.raises(ValueError, match="filter axes"):
+            runs.filter(engine="vector")
 
     def test_no_arguments_is_identity(self, runs):
         assert len(runs.filter()) == len(runs)

@@ -10,6 +10,7 @@ device counts that do not divide evenly.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -23,9 +24,11 @@ from repro.basestation import (
     merge_cell_shards,
     partition_switch_budget,
 )
+from repro.core import FixedTimerPolicy
 from repro.core.makeidle import MakeIdlePolicy
 from repro.rrc.profiles import get_profile
 from repro.sim.engine import CellLoad
+from repro.sim.vector_engine import numpy_available
 from repro.traces.streaming import stream_application_packets
 
 #: (station factory, label); every entry is shard-independent: its
@@ -94,6 +97,55 @@ class TestShardMergeExactness:
             assert merged.peak_active_devices == single.peak_active_devices
         else:
             assert merged.peak_active_devices >= single.peak_active_devices
+
+    @pytest.mark.parametrize("shards", [1, 2, 7])
+    def test_vector_kernel_shards_byte_identical(self, att_profile, shards):
+        # Fixed-timer devices under accept_all: every shard runs on the
+        # vector kernel when numpy imports, and its open partial must
+        # close exactly as the single-process run closes.
+        def devices(lo, hi):
+            return [
+                DeviceSpec(
+                    device_id=i,
+                    trace=stream_application_packets(
+                        "im", duration=400.0, seed=1000 + i, chunk_s=100.0
+                    ),
+                    policy=FixedTimerPolicy(timeout=4.5),
+                )
+                for i in range(lo, hi)
+            ]
+
+        single = CellSimulator(att_profile, AcceptAllDormancy()).run(
+            devices(0, 11)
+        )
+        partials = [
+            CellSimulator(att_profile, AcceptAllDormancy()).run_shard(
+                devices(lo, hi)
+            )
+            for lo, hi in _shard_bounds(11, shards)
+        ]
+        merged = merge_cell_shards(partials)
+        assert merged.devices == single.devices
+        assert merged.signaling == single.signaling
+        assert merged.switch_times == single.switch_times
+        expected = 11 if numpy_available() else 0
+        assert merged.vector_devices == single.vector_devices == expected
+
+    def test_unsampled_peak_is_sum_of_shard_peaks(self, att_profile):
+        # Without load samples the merge cannot tell when each shard
+        # peaked, so it reports the sum of per-shard peaks: an upper
+        # bound (DESIGN.md §2.1).
+        partials = [
+            CellSimulator(att_profile, AcceptAllDormancy()).run_shard(
+                _devices(att_profile, lo, hi)
+            )
+            for lo, hi in _shard_bounds(7, 3)
+        ]
+        assert all(p.load.peak_active_devices > 0 for p in partials)
+        merged = merge_cell_shards(partials)
+        assert merged.peak_active_devices == sum(
+            p.load.peak_active_devices for p in partials
+        )
 
     def test_shard_partials_survive_pickling(self, att_profile):
         # The runner ships shards across process boundaries; the partial
@@ -196,39 +248,19 @@ class TestMergeValidation:
         with pytest.raises(ValueError, match="different sample grids"):
             merge_cell_shards([a, b])
 
+    def test_rejects_mixed_trailing_times(self, att_profile):
+        a = CellSimulator(att_profile, AcceptAllDormancy()).run_shard(
+            _devices(att_profile, 0, 2)
+        )
+        b = CellSimulator(att_profile, AcceptAllDormancy()).run_shard(
+            _devices(att_profile, 2, 4)
+        )
+        skewed = replace(b, trailing_time=b.trailing_time + 1.0)
+        with pytest.raises(ValueError, match="different trailing times"):
+            merge_cell_shards([a, skewed])
+
 
 class TestCellLoadMerge:
-    def test_merged_combines_disjoint_loads(self):
-        a = CellLoad(total_devices=3)
-        b = CellLoad(total_devices=2)
-        for t in (1.0, 5.0):
-            a.note_switch(t)
-        b.note_switch(3.0)
-        a.activate()
-        a.activate()
-        b.activate()
-        merged = CellLoad.merged([a, b])
-        assert merged.total_devices == 5
-        assert merged.switch_times == [1.0, 3.0, 5.0]
-        assert merged.active_devices == 3
-        assert merged.peak_active_devices == 3
-        # Windowed queries work on the merged timeline.
-        assert merged.switches_within_window(6.0) == 3
-
-    def test_merged_peak_is_sum_of_peaks(self):
-        a = CellLoad(total_devices=1)
-        b = CellLoad(total_devices=1)
-        a.activate()
-        a.deactivate()
-        b.activate()  # peaks never coincide, yet the bound sums them
-        assert CellLoad.merged([a, b]).peak_active_devices == 2
-
-    def test_merged_validation(self):
-        with pytest.raises(ValueError, match="at least one CellLoad"):
-            CellLoad.merged([])
-        with pytest.raises(ValueError, match="different windows"):
-            CellLoad.merged([CellLoad(1, window_s=60.0), CellLoad(1, window_s=30.0)])
-
     def test_window_is_half_open(self):
         # Regression: a switch exactly window_s ago has aged out.
         load = CellLoad(total_devices=1)

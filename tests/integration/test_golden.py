@@ -25,13 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.reporting.golden import (
-    ENGINE_AWARE_SUITES,
-    GOLDEN_BUILDERS,
-    build_golden,
-    render_golden,
-)
-from repro.sim.vector_engine import numpy_available
+from repro.reporting.golden import GOLDEN_BUILDERS, build_golden, render_golden
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -62,34 +56,34 @@ def test_golden_records_are_byte_exact(suite):
         )
 
 
-@pytest.mark.parametrize("suite", sorted(ENGINE_AWARE_SUITES))
-def test_golden_records_are_byte_exact_under_vector_backend(suite):
-    """The vector backend reproduces every golden suite byte-for-byte.
+@pytest.mark.parametrize("suite", sorted(GOLDEN_BUILDERS))
+def test_golden_records_are_byte_exact_on_the_scalar_kernel(suite,
+                                                            scalar_kernel):
+    """Every suite again with the scalar kernel forced on every shard.
 
-    Same checked-in files, same comparison — only ``engine="vector"``
-    differs.  This is the backend contract at its sharpest: the numpy
-    kernel is not *approximately* the scalar kernel, it is the same
-    floats in the same order, including the scalar-fallback devices the
-    eligibility rules route around the folds (MakeIdle cohorts, the
-    mixed-policy scenario).
+    Same checked-in files, same comparison — only the kernel differs
+    wherever the selection rule would have picked the vector kernel.
+    This is the kernel contract at its sharpest: the numpy kernel is not
+    *approximately* the scalar kernel, it is the same floats in the same
+    order.
     """
-    if not numpy_available():
-        pytest.skip("numpy unavailable — vector backend falls back to scalar")
     path = GOLDEN_DIR / f"{suite}.json"
     expected = path.read_text(encoding="utf-8")
-    actual = render_golden(build_golden(suite, engine="vector"))
+    with scalar_kernel():
+        actual = render_golden(build_golden(suite))
     if actual != expected:
         diff = "\n".join(
             difflib.unified_diff(
                 expected.splitlines(), actual.splitlines(),
                 fromfile=f"tests/golden/{suite}.json (checked in)",
-                tofile=f"{suite} (rebuilt, engine=vector)", lineterm="", n=2,
+                tofile=f"{suite} (rebuilt, scalar kernel)", lineterm="",
+                n=2,
             )
         )
         preview = "\n".join(diff.splitlines()[:60])
         pytest.fail(
-            f"vector backend drifted from golden suite {suite!r} — the "
-            "byte-identity contract is broken; fix the backend (never "
+            f"the kernels disagree on golden suite {suite!r} — the "
+            "byte-identity contract is broken; fix the kernel (never "
             f"refresh goldens for this).\nFirst differences:\n{preview}"
         )
 

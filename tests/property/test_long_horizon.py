@@ -3,13 +3,13 @@
 Two fragilities this suite pins down (PR 5 satellites):
 
 * **Week-long shard byte-identity** — the shard merge replays the
-  single-process close (``_close_device``) as plain float arithmetic; at
+  single-process close (``_close_columns``) as plain float arithmetic; at
   ``t ≥ 604800 s`` the absolute times are ~2^19, so any hidden reliance
   on small-magnitude cancellation would surface as per-device drift
   between shard counts.  The property here holds K ∈ {1, 5} byte-equal
   over a full simulated week.  (It passes with plain summation — the
   merge performs the *same* float operations in the same order, so no
-  compensated summation is needed in ``_close_device``; if this test
+  compensated summation is needed in ``_close_columns``; if this test
   ever fails after a refactor, Kahan-compensate the close instead of
   widening the tolerance.)
 

@@ -1,24 +1,30 @@
-"""Backend parity: ``engine="vector"`` is byte-identical to the scalar kernel.
+"""Kernel parity and selection: the vector kernel is byte-identical to the scalar one.
 
-The vector backend's contract (DESIGN.md §2.3) is *equality, not
-approximation*: whatever the workload, policy, carrier or shard plan,
-``engine="vector"`` must produce the same floats in the same order as the
-scalar kernel — per-device breakdowns, signaling totals, switch times and
-load samples alike.  These tests drive that contract across:
+The vector kernel's contract (DESIGN.md §2.3) is *equality, not
+approximation*: whatever the workload, policy, carrier or shard plan, a
+run with the kernel auto-selected must produce the same floats in the
+same order as the same run with the scalar kernel forced — per-device
+breakdowns, signaling totals, switch times and load samples alike.  These
+tests drive that contract across:
 
 * the carrier × policy equivalence matrix (every profile shape, every
   standard scheme, eligible and hook-bearing alike);
-* the fallback rules — hook-bearing device policies take the per-UE
-  scalar fallback, arbitrating base stations and a missing numpy demote
-  the whole shard, and ``CellResult.vector_devices`` reports exactly who
-  ran where;
-* mixed vector/scalar shard merges (eligible and fallback devices
-  interleaved across shard boundaries);
+* the selection rule — one kernel per shard, vector only when numpy
+  imports, the station always grants and every device policy is
+  eligible, with ``CellResult.vector_devices`` reporting which ran;
+* sharded merges, where each shard picks its kernel on its own (the
+  mixed-policy scenario's cohorts, a metro's accept-all and arbitrating
+  cells);
 * randomized traces under hypothesis, where the boundary/fold split is
   exercised at adversarial burst spacings.
+
+The scalar kernel is forced with the shared ``scalar_kernel`` fixture,
+which replaces :func:`repro.sim.vector_engine.use_vector_kernel`.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings
@@ -26,46 +32,56 @@ from hypothesis import strategies as st
 
 from repro.api import PolicySpec, execute_cell
 from repro.api.cells import CellRunSpec, DormancySpec, cell
-from repro.basestation import AcceptAllDormancy, CellSimulator
+from repro.api.metro import MetroRunSpec, execute_metro, metro
+from repro.basestation import (
+    AcceptAllDormancy,
+    CellSimulator,
+    LoadAwareDormancy,
+    RateLimitedDormancy,
+    RejectAllDormancy,
+)
 from repro.basestation.cell import DeviceSpec
-from repro.core import FixedTimerPolicy
+from repro.basestation.policies import DormancyDecision
+from repro.core import (
+    FixedDelayMakeActive,
+    FixedTimerPolicy,
+    MakeIdlePolicy,
+    PercentileIatPolicy,
+    StatusQuoPolicy,
+)
 from repro.rrc.profiles import CARRIER_PROFILES, get_profile
-from repro.sim.vector_engine import numpy_available
+from repro.sim import vector_engine
 from repro.traces import Direction, Packet, PacketTrace
 
 pytestmark = pytest.mark.skipif(
-    not numpy_available(),
-    reason="numpy unavailable — vector backend falls back to scalar",
+    not vector_engine.numpy_available(),
+    reason="numpy unavailable — every shard runs on the scalar kernel",
 )
 
 #: Schemes whose policies keep the base ``observe_packet`` /
 #: ``activation_delay`` hooks and a constant dormancy wait: every device
 #: vectorizes.
 ELIGIBLE_SCHEMES = ("status_quo", "fixed_4.5s")
-#: Hook-bearing schemes: every device takes the per-UE scalar fallback.
-FALLBACK_SCHEMES = ("makeidle", "makeidle+makeactive_learn")
+#: Hook-bearing schemes: every shard runs on the scalar kernel.
+HOOK_SCHEMES = ("makeidle", "makeidle+makeactive_learn")
 
 _DEVICES = 10
 _DURATION_S = 300.0
 
 
-def _run_pair(carrier: str, scheme: str, *, dormancy=DormancySpec(),
-              shards: int = 1, scenario: str | None = None,
-              devices: int = _DEVICES):
-    """One cell spec under both backends; returns (scalar, vector)."""
-    results = {}
-    for engine in ("scalar", "vector"):
-        spec = CellRunSpec(
-            cell=cell(devices=devices, scenario=scenario,
-                      apps=None if scenario else ("im", "email", "news"),
-                      duration=_DURATION_S, engine=engine),
-            carrier=carrier,
-            policy=PolicySpec(scheme=scheme).resolved(100),
-            dormancy=dormancy,
-            shards=shards,
-        )
-        results[engine] = execute_cell(spec)
-    return results["scalar"], results["vector"]
+def _run_pair(scalar_kernel, carrier: str, scheme: str, shards: int = 1):
+    """One cell spec, forced-scalar and auto-selected; returns (scalar, auto)."""
+    spec = CellRunSpec(
+        cell=cell(devices=_DEVICES, apps=("im", "email", "news"),
+                  duration=_DURATION_S),
+        carrier=carrier,
+        policy=PolicySpec(scheme=scheme).resolved(100),
+        dormancy=DormancySpec(),
+        shards=shards,
+    )
+    with scalar_kernel():
+        scalar = execute_cell(spec)
+    return scalar, execute_cell(spec)
 
 
 class TestEquivalenceMatrix:
@@ -73,29 +89,33 @@ class TestEquivalenceMatrix:
 
     @pytest.mark.parametrize("carrier", sorted(CARRIER_PROFILES))
     @pytest.mark.parametrize("scheme", ELIGIBLE_SCHEMES)
-    def test_eligible_schemes_vectorize_and_match(self, carrier, scheme):
-        scalar, vector = _run_pair(carrier, scheme)
+    def test_eligible_schemes_vectorize_and_match(self, carrier, scheme,
+                                                  scalar_kernel):
+        scalar, vector = _run_pair(scalar_kernel, carrier, scheme)
         assert vector == scalar
         assert scalar.vector_devices == 0
         assert vector.vector_devices == _DEVICES
 
     @pytest.mark.parametrize("carrier", sorted(CARRIER_PROFILES))
-    @pytest.mark.parametrize("scheme", FALLBACK_SCHEMES)
-    def test_hook_bearing_schemes_fall_back_and_match(self, carrier, scheme):
-        scalar, vector = _run_pair(carrier, scheme)
-        assert vector == scalar
-        assert vector.vector_devices == 0
+    @pytest.mark.parametrize("scheme", HOOK_SCHEMES)
+    def test_hook_bearing_schemes_run_scalar_and_match(self, carrier, scheme,
+                                                       scalar_kernel):
+        scalar, auto = _run_pair(scalar_kernel, carrier, scheme)
+        assert auto == scalar
+        assert auto.vector_devices == 0
 
     @pytest.mark.parametrize("carrier", sorted(CARRIER_PROFILES))
-    def test_trace_trained_timeout_vectorizes_and_matches(self, carrier):
+    def test_trace_trained_timeout_vectorizes_and_matches(self, carrier,
+                                                          scalar_kernel):
         """``p95_iat`` trains its constant on the full trace in
         ``prepare()`` — eligible, but only on materialised traces (the
-        policy itself refuses lazy sources on either backend)."""
+        policy itself refuses lazy sources on either kernel)."""
         from repro.traces.streaming import stream_application_packets
 
         policy_spec = PolicySpec(scheme="p95_iat").resolved(100)
         results = {}
-        for engine in ("scalar", "vector"):
+        for kernel, context in (("scalar", scalar_kernel),
+                                ("vector", contextlib.nullcontext)):
             specs = [
                 DeviceSpec(
                     device_id=index,
@@ -107,66 +127,239 @@ class TestEquivalenceMatrix:
                 )
                 for index in range(_DEVICES)
             ]
-            simulator = CellSimulator(
-                get_profile(carrier), AcceptAllDormancy(), engine=engine,
-            )
-            results[engine] = simulator.run(specs)
+            simulator = CellSimulator(get_profile(carrier), AcceptAllDormancy())
+            with context():
+                results[kernel] = simulator.run(specs)
         assert results["vector"] == results["scalar"]
         assert results["vector"].vector_devices == _DEVICES
 
 
-class TestFallbackRules:
-    def test_arbitrating_station_demotes_the_whole_shard(self):
-        """A station that may deny requests needs live shard-global load
-        ordering, so the vector path bows out entirely."""
-        scalar, vector = _run_pair(
-            "att_hspa", "fixed_4.5s",
-            dormancy=DormancySpec("rate_limited", 10.0),
+def _packets(seed: int) -> list[Packet]:
+    """A short deterministic burst pattern, distinct per device."""
+    times = [0.5 + seed, 1.0 + seed, 7.0 + seed, 30.0 + 2 * seed, 31.5 + seed]
+    return [
+        Packet(timestamp=t, size=200 + 50 * k,
+               direction=Direction.UPLINK if k % 2 else Direction.DOWNLINK)
+        for k, t in enumerate(sorted(times))
+    ]
+
+
+def _eligible_policies():
+    return [StatusQuoPolicy(), FixedTimerPolicy(timeout=4.5),
+            PercentileIatPolicy(), FixedTimerPolicy(timeout=0.0)]
+
+
+def _one_makeidle_policies():
+    return [FixedTimerPolicy(timeout=4.5), FixedTimerPolicy(timeout=4.5),
+            MakeIdlePolicy(), FixedTimerPolicy(timeout=4.5)]
+
+
+def _one_makeactive_policies():
+    return [StatusQuoPolicy(), FixedDelayMakeActive(delay_bound=2.0),
+            FixedTimerPolicy(timeout=4.5)]
+
+
+class _DenyingAcceptAll(AcceptAllDormancy):
+    """Inherits ``always_grants`` but overrides ``decide``: it arbitrates."""
+
+    def decide(self, ue_id, time, load):
+        return DormancyDecision(granted=False, reason="denied")
+
+
+#: The selection rule, case by case: (station, device policies, numpy
+#: importable, expected kernel).
+_SELECTION_CASES = {
+    "all_eligible_accept_all": (
+        AcceptAllDormancy, _eligible_policies, True, "vector"),
+    "one_makeidle_device": (
+        AcceptAllDormancy, _one_makeidle_policies, True, "scalar"),
+    "one_makeactive_device": (
+        AcceptAllDormancy, _one_makeactive_policies, True, "scalar"),
+    "rate_limited_station": (
+        lambda: RateLimitedDormancy(min_interval_s=10.0), _eligible_policies,
+        True, "scalar"),
+    "load_aware_station": (
+        lambda: LoadAwareDormancy(max_switches_per_minute=2),
+        _eligible_policies, True, "scalar"),
+    "reject_all_station": (
+        RejectAllDormancy, _eligible_policies, True, "scalar"),
+    "accept_all_subclass_overriding_decide": (
+        _DenyingAcceptAll, _eligible_policies, True, "scalar"),
+    "numpy_missing": (
+        AcceptAllDormancy, _eligible_policies, False, "scalar"),
+}
+
+
+class TestKernelSelection:
+    @pytest.mark.parametrize("case", sorted(_SELECTION_CASES))
+    def test_selection_rule(self, case, monkeypatch, scalar_kernel):
+        station, policies, numpy_present, expected = _SELECTION_CASES[case]
+        if not numpy_present:
+            monkeypatch.setattr(vector_engine, "_np", None)
+        picked = vector_engine.use_vector_kernel(station(), policies())
+        assert ("vector" if picked else "scalar") == expected
+
+        # The shard really runs on the picked kernel, and matches the
+        # forced-scalar run record for record.
+        def run():
+            devices = [
+                DeviceSpec(
+                    device_id=index,
+                    trace=PacketTrace(_packets(index)),
+                    policy=policy,
+                )
+                for index, policy in enumerate(policies())
+            ]
+            return CellSimulator(get_profile("att_hspa"), station()).run(
+                devices)
+
+        with scalar_kernel():
+            scalar = run()
+        auto = run()
+        assert auto == scalar
+        assert auto.vector_devices == (
+            len(policies()) if expected == "vector" else 0
         )
-        assert vector == scalar
-        assert vector.vector_devices == 0
 
-    def test_missing_numpy_falls_back_silently(self, monkeypatch):
-        from repro.sim import vector_engine
+    def test_station_overriding_decide_is_consulted(self):
+        """Inheriting ``always_grants`` is not enough: a station whose
+        ``decide`` is not the accept-all one gets every request."""
+        devices = [
+            DeviceSpec(device_id=index, trace=PacketTrace(_packets(index)),
+                       policy=FixedTimerPolicy(timeout=0.5))
+            for index in range(3)
+        ]
+        result = CellSimulator(get_profile("att_hspa"),
+                               _DenyingAcceptAll()).run(devices)
+        assert result.dormancy_requests > 0
+        assert result.dormancy_denied == result.dormancy_requests
 
-        monkeypatch.setattr(vector_engine, "_np", None)
-        assert not vector_engine.numpy_available()
-        scalar, vector = _run_pair("att_hspa", "fixed_4.5s")
-        assert vector == scalar
-        assert vector.vector_devices == 0
+    def test_judged_before_prepare(self):
+        """Eligibility is a property of the policy type: an unprepared
+        trace-trained policy is already eligible."""
+        assert vector_engine.vector_eligible(PercentileIatPolicy())
+        assert not vector_engine.vector_eligible(MakeIdlePolicy())
 
-    def test_mixed_policy_scenario_splits_the_population(self):
-        """The mixed-policy scenario carries eligible and hook-bearing
-        cohorts in one cell: the split is per-device, not per-shard."""
-        scalar, vector = _run_pair(
-            "att_hspa", "fixed_4.5s", scenario="mixed_policy", devices=9,
-        )
-        assert vector == scalar
-        assert 0 < vector.vector_devices < 9
+    def test_consulted_once_per_shard(self, monkeypatch):
+        """``run_shard`` looks the rule up at call time, once per shard,
+        with the station and exactly that shard's device policies."""
+        calls = []
+        select = vector_engine.use_vector_kernel
 
+        def spy(station, policies):
+            policies = list(policies)
+            calls.append((station.name, [p.name for p in policies]))
+            return select(station, policies)
 
-class TestMixedShardMerges:
-    @pytest.mark.parametrize("scheme", ("fixed_4.5s", "makeidle"))
-    def test_sharded_vector_merge_matches_sharded_scalar(self, scheme):
-        scalar, vector = _run_pair("att_hspa", scheme, shards=3)
-        assert vector == scalar
-
-    def test_mixed_policy_sharded_interleaves_backends(self):
-        """Shards holding both eligible and fallback devices merge into
-        the same result the scalar kernel produces — and the vector
-        count sums the per-shard batch populations."""
-        scalar, vector = _run_pair(
-            "att_hspa", "fixed_4.5s", scenario="mixed_policy", devices=9,
+        monkeypatch.setattr(vector_engine, "use_vector_kernel", spy)
+        spec = CellRunSpec(
+            cell=cell(devices=_DEVICES, apps=("im", "email", "news"),
+                      duration=_DURATION_S),
+            carrier="att_hspa",
+            policy=PolicySpec(scheme="fixed_4.5s").resolved(100),
+            dormancy=DormancySpec(),
             shards=3,
         )
-        assert vector == scalar
-        assert 0 < vector.vector_devices < 9
-        # The batch population is a property of the devices, not of the
-        # shard plan: the unsharded run vectorizes the same count.
-        _, unsharded_vector = _run_pair(
-            "att_hspa", "fixed_4.5s", scenario="mixed_policy", devices=9,
+        result = execute_cell(spec)
+        assert len(calls) == 3
+        assert all(station == "accept_all" for station, _ in calls)
+        assert sum(len(names) for _, names in calls) == _DEVICES
+        assert {name for _, names in calls for name in names} == {"fixed_4.5s"}
+        assert result.vector_devices == _DEVICES
+
+
+class TestShardedMerges:
+    @pytest.mark.parametrize("scheme", ("fixed_4.5s", "makeidle"))
+    def test_sharded_merge_matches_sharded_scalar(self, scheme, scalar_kernel):
+        scalar, auto = _run_pair(scalar_kernel, "att_hspa", scheme, shards=3)
+        assert auto == scalar
+
+
+class TestMixedPolicyScenario:
+    """The ``mixed_policy`` scenario lays out 9 devices as status-quo
+    legacy handsets (0-3), hook-bearing MakeIdle+MakeActive adopters
+    (4-5) and a cohort on the policy axis (6-8): which kernel a shard
+    runs depends on the cohorts it holds."""
+
+    @staticmethod
+    def _spec(shards: int) -> CellRunSpec:
+        return CellRunSpec(
+            cell=cell(devices=9, scenario="mixed_policy",
+                      duration=_DURATION_S),
+            carrier="att_hspa",
+            policy=PolicySpec(scheme="fixed_4.5s").resolved(100),
+            dormancy=DormancySpec(),
+            shards=shards,
         )
-        assert vector.vector_devices == unsharded_vector.vector_devices
+
+    def test_unsharded_cell_runs_on_the_scalar_kernel(self, scalar_kernel):
+        spec = self._spec(1)
+        with scalar_kernel():
+            scalar = execute_cell(spec)
+        auto = execute_cell(spec)
+        assert auto == scalar
+        assert auto.vector_devices == 0
+
+    def test_shards_pick_their_kernel_independently(self, scalar_kernel):
+        """Shards [0, 3) and [6, 9) hold eligible cohorts only and
+        vectorize; shard [3, 6) holds the adopters and runs scalar."""
+        spec = self._spec(3)
+        with scalar_kernel():
+            scalar = execute_cell(spec)
+        auto = execute_cell(spec)
+        assert auto == scalar
+        assert auto.vector_devices == 6
+        # Per-device records do not depend on the shard plan either.
+        assert auto.devices == execute_cell(self._spec(1)).devices
+
+
+class TestMetroCells:
+    def test_cells_pick_their_kernel_by_station(self, scalar_kernel):
+        """``metro_4cell`` has two accept-all cells and two arbitrating
+        ones: every visit to an accept-all cell vectorizes, the others
+        run scalar, and the metro matches the forced-scalar run."""
+        spec = MetroRunSpec(
+            metro=metro("metro_4cell", devices=10, duration=900.0),
+            carrier="att_hspa",
+            policy=PolicySpec(scheme="status_quo").resolved(100),
+        )
+        with scalar_kernel():
+            scalar = execute_metro(spec)
+        auto = execute_metro(spec)
+        assert auto == scalar
+        for entry in auto.cells:
+            expected = entry.visits if entry.dormancy == "accept_all" else 0
+            assert entry.result.vector_devices == expected, entry.name
+        assert sum(entry.result.vector_devices for entry in auto.cells) > 0
+
+
+class TestEngineKeyword:
+    """``cell(engine=...)`` is validated, then ignored."""
+
+    def test_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="engine must be 'scalar' or "
+                                             "'vector', got 'cuda'"):
+            cell(devices=4, apps=("im",), duration=100.0, engine="cuda")
+
+    def test_rejects_non_string_engine(self):
+        with pytest.raises(TypeError, match="engine must be str, got int"):
+            cell(devices=4, apps=("im",), duration=100.0, engine=1)
+
+    def test_has_no_effect_on_results(self):
+        specs = {
+            engine: CellRunSpec(
+                cell=cell(devices=4, apps=("im",), duration=100.0,
+                          engine=engine),
+                carrier="att_hspa",
+                policy=PolicySpec(scheme="fixed_4.5s").resolved(100),
+                dormancy=DormancySpec(),
+            )
+            for engine in ("scalar", "vector")
+        }
+        assert specs["scalar"] == specs["vector"]
+        scalar, vector = (execute_cell(specs[e]) for e in ("scalar", "vector"))
+        assert scalar == vector
+        assert scalar.vector_devices == vector.vector_devices == 4
 
 
 def _trace_from_draw(times, sizes, uplinks) -> PacketTrace:
@@ -214,10 +407,12 @@ def _device_populations(draw):
 class TestRandomizedParity:
     @settings(max_examples=40, deadline=None)
     @given(population=_device_populations())
-    def test_random_traces_identical_under_both_backends(self, population):
+    def test_random_traces_identical_under_both_kernels(self, population,
+                                                       scalar_kernel):
         timeout, drawn = population
         results = {}
-        for engine in ("scalar", "vector"):
+        for kernel, context in (("scalar", scalar_kernel),
+                                ("vector", contextlib.nullcontext)):
             specs = [
                 DeviceSpec(
                     device_id=index,
@@ -226,9 +421,9 @@ class TestRandomizedParity:
                 )
                 for index, times, sizes, uplinks in drawn
             ]
-            simulator = CellSimulator(
-                get_profile("att_hspa"), AcceptAllDormancy(), engine=engine,
-            )
-            results[engine] = simulator.run(specs)
+            simulator = CellSimulator(get_profile("att_hspa"),
+                                      AcceptAllDormancy())
+            with context():
+                results[kernel] = simulator.run(specs)
         assert results["vector"] == results["scalar"]
         assert results["vector"].vector_devices == len(drawn)

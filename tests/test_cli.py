@@ -243,6 +243,29 @@ class TestCellSweepCommand:
         assert code == 2
         assert "dormancy" in capsys.readouterr().err
 
+    def test_plan_naming_a_kernel_still_runs(self, capsys, tmp_path):
+        # Plan files once carried a kernel choice per cell and per plan;
+        # each shard now picks its own, so the keys are only validated.
+        import json
+
+        args = ["sweep", "--cell", "--devices", "4", "--apps", "im",
+                "--carriers", "att_hspa", "--schemes", "fixed",
+                "--duration", "120"]
+        plan_path = tmp_path / "cellplan.json"
+        assert main(args + ["--save-plan", str(plan_path)]) == 0
+        first = capsys.readouterr().out
+        legacy = json.loads(plan_path.read_text(encoding="utf-8"))
+        legacy["engines"] = ["scalar", "vector"]
+        legacy["cells"][0]["engine"] = "vector"
+        plan_path.write_text(json.dumps(legacy), encoding="utf-8")
+        assert main(["sweep", "--plan", str(plan_path)]) == 0
+        assert capsys.readouterr().out == first
+
+        legacy["cells"][0]["engine"] = "cuda"
+        plan_path.write_text(json.dumps(legacy), encoding="utf-8")
+        assert main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "engine must be 'scalar' or 'vector'" in capsys.readouterr().err
+
     def test_cell_flags_without_cell_are_a_clean_error(self, capsys):
         code = main(
             ["sweep", "--apps", "im", "--carriers", "att_hspa",

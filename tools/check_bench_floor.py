@@ -7,7 +7,7 @@ Compares each gated section's freshly measured ``packets_per_sec``
 of the same key — the recorded floor — and fails when any fresh number
 drops below ``tolerance × floor``.  By default every throughput section
 with a recorded floor is gated (``single_1k``, ``sharded_100k``,
-``metro_250k`` and the vector-backend sections); pass ``--section`` one
+``metro_250k``, ``vector_1k``, ``learning_10k``); pass ``--section`` one
 or more times to gate a subset.  This is what keeps future PRs from
 silently regressing the kernel hot paths: CI snapshots the committed
 file before the benchmark overwrites it, then runs this gate.
@@ -52,8 +52,8 @@ SECTION = "single_1k"
 #: fresh run) skip cleanly, so adding one here never blocks its first
 #: commit.
 DEFAULT_SECTIONS = (
-    "single_1k", "sharded_100k", "metro_250k", "vector_1k", "vector_100k",
-    "learning_10k", "cell_1m",
+    "single_1k", "sharded_100k", "metro_250k", "vector_1k", "learning_10k",
+    "cell_1m",
 )
 KEY = "packets_per_sec"
 #: The memory-gated section and its keys (see module docstring).

@@ -25,8 +25,9 @@ Aggregates pushed down to columns replicate the old Python semantics
 exactly: per-row derived values evaluate the same IEEE-754 ops in the
 same order (numpy elementwise ops are bit-equal to their scalar
 counterparts), and cross-device float totals use a strict left fold
-(``np.add.accumulate``), matching Python's ``sum()`` — not numpy's
-pairwise ``sum`` — because the golden suites pin those totals.
+(``np.add.accumulate``; neither numpy's pairwise ``sum`` nor the builtin
+``sum()``, which compensates float additions from Python 3.12 on) because
+the golden suites pin those totals.
 
 numpy is the preferred backing store; without it the columns degrade to
 ``array.array`` (same compactness, Python-loop aggregates).
@@ -103,12 +104,13 @@ def _col_equal(a: Any, b: Any) -> bool:
 
 
 def _fold_sum(col: Any) -> float:
-    """Strict left-fold float sum — exactly ``sum(col.tolist())``.
+    """Strict left-fold float sum of ``col`` in row order (0.0 if empty).
 
-    Python's ``sum`` folds left-associatively from 0; numpy's ``sum`` is
-    pairwise and may round differently.  The golden suites pin totals
-    computed by the left fold, so the accumulate path (sequential by
-    definition) is the only numpy reduction allowed here.
+    numpy's ``sum`` is pairwise and the builtin ``sum()`` compensates
+    float additions from Python 3.12 on; either may round differently.
+    The golden suites pin totals computed by the left fold, so the
+    accumulate path (sequential by definition) is the only numpy reduction
+    allowed here.
     """
     if len(col) == 0:
         return 0.0
@@ -641,7 +643,7 @@ class DeviceTable(Sequence["DeviceResult"]):
         """Per-cohort aggregate columns, keyed by label in first-seen order.
 
         Float sums are strict left folds over the group's rows in device
-        order — exactly the per-member ``sum()`` the row-based breakdown
+        order — exactly the per-member left fold the row-based breakdown
         performed.
         """
         c = self._cols

@@ -33,6 +33,7 @@ from typing import Sequence
 from ..learning.learn_alpha import LearnAlpha, default_alpha_grid
 from ..learning.loss import DEFAULT_GAMMA, MakeActiveLoss
 from ..energy.model import TailEnergyModel
+from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
 from ..traces.bursts import bursts_per_active_period
 from ..traces.packet import PacketTrace
@@ -205,6 +206,6 @@ class LearningMakeActive(RadioPolicy):
                 time=release_time,
                 delay_used=delay_used,
                 buffered_sessions=len(arrival_times),
-                mean_session_delay=sum(delays) / len(delays),
+                mean_session_delay=left_fold(delays) / len(delays),
             )
         )

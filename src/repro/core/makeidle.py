@@ -30,9 +30,9 @@ for saving (the tail has already been mostly paid).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from ..energy.model import TailEnergyModel
+from ..energy.model import TailEnergyModel, WaitEvaluator
+from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
 from ..traces.packet import Packet, PacketTrace
 from ..traces.stats import SlidingWindowDistribution
@@ -94,7 +94,7 @@ class MakeIdlePolicy(RadioPolicy):
         self._min_samples = min_samples
         self._window = SlidingWindowDistribution(window_size)
         self._model: TailEnergyModel | None = None
-        self._candidates: tuple[float, ...] = ()
+        self._evaluator: WaitEvaluator | None = None
         self._history: list[WaitDecision] = []
 
     # -- configuration / state views -----------------------------------------------------
@@ -123,9 +123,7 @@ class MakeIdlePolicy(RadioPolicy):
 
     def prepare(self, trace: PacketTrace, profile: CarrierProfile) -> None:
         self._model = TailEnergyModel(profile)
-        threshold = self._model.t_threshold
-        step = threshold / (self._candidate_count - 1)
-        self._candidates = tuple(i * step for i in range(self._candidate_count))
+        self._evaluator = WaitEvaluator(self._model, self._candidate_count)
 
     def reset(self) -> None:
         self._window.reset()
@@ -152,24 +150,14 @@ class MakeIdlePolicy(RadioPolicy):
 
         ``f`` is the expected status-quo cost minus the expected cost of
         waiting then switching; a positive value means switching is expected
-        to pay off.
+        to pay off.  The window's samples are read now, so gaps pushed
+        through :attr:`window` count (see
+        :class:`~repro.energy.model.WaitEvaluator`).
         """
-        model = self._model
-        if model is None:
+        evaluator = self._evaluator
+        if evaluator is None:
             raise RuntimeError("MakeIdlePolicy.prepare() must be called before use")
-        gaps = self._window.samples
-        if not gaps:
-            return 0.0, 0.0
-        status_quo_cost = sum(model.tail_energy(g) for g in gaps) / len(gaps)
-        best_wait = self._candidates[0]
-        best_gain = float("-inf")
-        for wait in self._candidates:
-            cost = self._wait_then_switch_cost(wait, gaps)
-            gain = status_quo_cost - cost
-            if gain > best_gain:
-                best_gain = gain
-                best_wait = wait
-        return best_wait, best_gain
+        return evaluator.best_wait(self._window.samples)
 
     def expected_gain(self, wait: float) -> float:
         """``f(wait)`` for an arbitrary waiting time (diagnostic helper)."""
@@ -179,25 +167,16 @@ class MakeIdlePolicy(RadioPolicy):
         gaps = self._window.samples
         if not gaps:
             return 0.0
-        status_quo_cost = sum(model.tail_energy(g) for g in gaps) / len(gaps)
-        return status_quo_cost - self._wait_then_switch_cost(wait, gaps)
+        status_quo_cost = left_fold(model.tail_energy(g) for g in gaps) / len(gaps)
+        switch_cost = model.wait_energy(wait) + model.switch_energy
+        # A packet that arrives during the wait pays the tail until it
+        # arrives and no switch happens.
+        cost = left_fold(
+            model.wait_energy(g) if g <= wait else switch_cost for g in gaps
+        )
+        return status_quo_cost - cost / len(gaps)
 
     def conditional_no_packet_probability(self, wait: float) -> float:
         """The paper's ``P(t_wait)``: P(no packet in wait + t_threshold | none in wait)."""
         threshold = self.t_threshold
         return self._window.probability_no_packet(wait, threshold)
-
-    def _wait_then_switch_cost(self, wait: float, gaps: Sequence[float]) -> float:
-        """Expected cost of waiting ``wait`` seconds then demoting, under ``gaps``."""
-        model = self._model
-        assert model is not None
-        total = 0.0
-        switch_cost = model.switch_energy
-        for gap in gaps:
-            if gap <= wait:
-                # The next packet arrives before we would have switched: we
-                # pay the tail until it arrives and no switch happens.
-                total += model.wait_energy(gap)
-            else:
-                total += model.wait_energy(wait) + switch_cost
-        return total / len(gaps)

@@ -21,6 +21,7 @@ _SLOTS_SCOPE = ("src/repro/sim/", "src/repro/rrc/tables.py")
 _REPLACE_SCOPE = (
     "src/repro/sim/",
     "src/repro/traces/streaming.py",
+    "src/repro/traces/packet.py",
     "src/repro/metro/streams.py",
 )
 

@@ -1,11 +1,13 @@
 """left-fold: identity-critical modules accumulate with explicit left folds.
 
 The contract (DESIGN.md §§2.1, 5): every float total that reaches a record
-is produced by a strict left fold — ``+=`` in source order or
-``np.add.accumulate`` — because the shard merge *replays* the same IEEE-754
-additions in the same order.  ``math.fsum`` (compensated) and ``np.sum``
-(pairwise) produce different partial sums; the builtin ``sum()`` happens to
-left-fold today but hides the contract and invites a numpy swap, so inside
+is produced by a strict left fold — ``+=`` in source order,
+``repro.folds.left_fold`` or ``np.add.accumulate`` — because the shard
+merge *replays* the same IEEE-754 additions in the same order, and the
+MakeIdle and learning layers' decisions must not move between
+interpreters.  ``math.fsum`` (compensated) and ``np.sum`` (pairwise)
+produce different partial sums, and so does the builtin ``sum()`` from
+Python 3.12 on, where it compensates float additions (Neumaier); so inside
 the scoped modules every reduction must either spell the fold out or carry
 a pragma explaining why it is exempt (e.g. exact integer arithmetic).
 """
@@ -35,6 +37,9 @@ class LeftFoldRule(Rule):
         "src/repro/sim/",
         "src/repro/basestation/",
         "src/repro/metro/execution.py",
+        "src/repro/core/",
+        "src/repro/learning/",
+        "src/repro/energy/",
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

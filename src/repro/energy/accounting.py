@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
 from ..rrc.state_machine import StateInterval, SwitchEvent
 from ..rrc.states import RadioState
@@ -223,8 +224,8 @@ class DataEnergyModel:
         """Return ``(energy_j, transfer_time_s)`` summed over the trace."""
         transfers = self.packet_transfers(trace)
         return (
-            sum(t.energy_j for t in transfers),
-            sum(t.duration_s for t in transfers),
+            left_fold(t.energy_j for t in transfers),
+            left_fold(t.duration_s for t in transfers),
         )
 
 
@@ -303,19 +304,19 @@ class EnergyAccountant:
         """
         data_j, data_time = self._data_model.total_data_energy(trace)
 
-        active_time = sum(
+        active_time = left_fold(
             i.duration for i in intervals
             if i.state in (RadioState.ACTIVE, RadioState.PROMOTING)
         )
-        high_idle_time = sum(
+        high_idle_time = left_fold(
             i.duration for i in intervals if i.state is RadioState.HIGH_IDLE
         )
-        idle_time = sum(
+        idle_time = left_fold(
             i.duration for i in intervals if i.state is RadioState.IDLE
         )
-        switch_j = sum(s.energy_j for s in switches)
-        promotions = sum(1 for s in switches if s.is_promotion)
-        demotions = sum(1 for s in switches if s.is_demotion)
+        switch_j = left_fold(s.energy_j for s in switches)
+        promotions = sum(1 for s in switches if s.is_promotion)  # repro-lint: allow[left-fold] reason=integer count; exact order-independent arithmetic
+        demotions = sum(1 for s in switches if s.is_demotion)  # repro-lint: allow[left-fold] reason=integer count; exact order-independent arithmetic
 
         return assemble_breakdown(
             self._profile,

@@ -20,8 +20,9 @@ and because ``E(t)`` is non-decreasing there is a unique threshold
 ``t_threshold`` such that switching wins exactly when ``t > t_threshold``.
 
 :class:`TailEnergyModel` implements ``E(t)``, its derivative-free expected
-value under an empirical gap distribution (used by the online MakeIdle
-predictor), and the closed-form ``t_threshold``.
+value under an empirical gap distribution, and the closed-form
+``t_threshold``; :class:`WaitEvaluator` is the online MakeIdle predictor's
+search for the best waiting time under such a distribution.
 """
 
 from __future__ import annotations
@@ -29,9 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+try:  # numpy is optional: without it WaitEvaluator runs its reference loop
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is an optional dependency
+    _np = None
+
+from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
 
-__all__ = ["TailEnergyModel", "compute_t_threshold"]
+__all__ = ["TailEnergyModel", "WaitEvaluator", "compute_t_threshold"]
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ class TailEnergyModel:
         if not gap_list:
             return 0.0
         cap = self.profile.t1 + self.profile.t2
-        total = sum(self.wait_energy(min(g, cap)) for g in gap_list)
+        total = left_fold(self.wait_energy(min(g, cap)) for g in gap_list)
         return total / len(gap_list)
 
     def expected_wait_switch_energy(self, wait: float) -> float:
@@ -143,6 +150,144 @@ class TailEnergyModel:
         fast dormancy is expected to beat letting the inactivity timers run.
         """
         return self.expected_no_switch_energy(gaps) - self.expected_wait_switch_energy(wait)
+
+
+class WaitEvaluator:
+    """MakeIdle's ``t_wait`` search: every candidate against a gap window.
+
+    For each candidate wait ``w`` on the grid ``0, step, ..., t_threshold``
+    the expected gain is the status-quo cost ``mean E(g)`` minus the
+    wait-then-switch cost ``mean(E_wait(g) if g <= w else E_wait(w) +
+    E_switch)`` over the window's gaps ``g`` (optionally weighted); the
+    search returns the first candidate with the largest gain.
+
+    :meth:`best_wait` scores the whole ``candidates × gaps`` matrix in one
+    numpy pass whose decisions are byte-identical to :meth:`best_wait_loop`,
+    the candidate-by-candidate reference that runs when numpy is missing
+    (DESIGN.md §2.4 lists the rules that keep the two equal).  Build one per
+    profile; it holds no window state.
+    """
+
+    __slots__ = (
+        "candidates",
+        "_model",
+        "_switch_costs",
+        "_t1",
+        "_timeout",
+        "_p_active",
+        "_p_high_idle",
+        "_t1_energy",
+        "_full_tail",
+        "_full_tail_switch",
+        "_wait_column",
+        "_switch_column",
+    )
+
+    def __init__(self, model: TailEnergyModel, candidate_count: int) -> None:
+        if candidate_count < 2:
+            raise ValueError(f"candidate_count must be >= 2, got {candidate_count}")
+        step = model.t_threshold / (candidate_count - 1)
+        self.candidates: tuple[float, ...] = tuple(
+            i * step for i in range(candidate_count)
+        )
+        self._model = model
+        # E_wait(w) + E_switch per candidate: the cost of every gap longer
+        # than the wait, evaluated once with the model's own expressions.
+        self._switch_costs = tuple(
+            model.wait_energy(w) + model.switch_energy for w in self.candidates
+        )
+        # The profile constants of E(t), read through the same properties
+        # and combined by the same expressions as tail_energy/wait_energy.
+        p = model.profile
+        self._t1 = p.t1
+        self._timeout = p.t1 + p.t2
+        self._p_active = p.power_active_w
+        self._p_high_idle = p.power_high_idle_w
+        self._t1_energy = p.t1 * p.power_active_w
+        self._full_tail = p.t1 * p.power_active_w + p.t2 * p.power_high_idle_w
+        self._full_tail_switch = self._full_tail + p.switch_energy_j
+        if _np is not None:
+            self._wait_column = _np.array(self.candidates)[:, None]
+            self._switch_column = _np.array(self._switch_costs)[:, None]
+
+    def best_wait(
+        self, gaps: Sequence[float], weights: Sequence[float] | None = None
+    ) -> tuple[float, float]:
+        """``(t_wait*, f(t_wait*))`` under ``gaps`` (uniform unless ``weights``).
+
+        ``f`` is the expected status-quo cost minus the expected cost of
+        waiting then switching; a positive value means switching is
+        expected to pay off.  An empty window (or zero total weight) gives
+        ``(0.0, 0.0)``.
+        """
+        if _np is None:
+            return self.best_wait_loop(gaps, weights)
+        count = len(gaps)
+        if not count:
+            return 0.0, 0.0
+        g = _np.fromiter(gaps, _np.float64, count)
+        # E_wait(g) and E(g) share their first two branches (t1 <= t1 + t2).
+        ramp = _np.where(
+            g <= self._t1,
+            g * self._p_active,
+            self._t1_energy + (g - self._t1) * self._p_high_idle,
+        )
+        within = g <= self._timeout
+        wait_energy = _np.where(within, ramp, self._full_tail)
+        tail_energy = _np.where(within, ramp, self._full_tail_switch)
+        # cost[c, i]: E_wait(g_i) if the packet beats candidate c's wait,
+        # else that candidate's E_wait(w_c) + E_switch.
+        cost = _np.where(g <= self._wait_column, wait_energy, self._switch_column)
+        total_weight: float
+        if weights is None:
+            total_weight = count
+        else:
+            w = _np.fromiter(weights, _np.float64, count)
+            total_weight = float(_np.add.accumulate(w)[-1])
+            if total_weight <= 0:
+                return 0.0, 0.0
+            tail_energy = w * tail_energy
+            cost = cost * w
+        # Strict left folds in window order.  accumulate starts from the
+        # first term, not from 0 as left_fold does; that changes a total
+        # only when every term is -0.0, i.e. in an all -0.0 window, where
+        # both paths give every candidate the gain 0.0 - 0.0 == -0.0 - -0.0.
+        status_quo = float(_np.add.accumulate(tail_energy)[-1]) / total_weight
+        totals = _np.add.accumulate(cost, axis=1)[:, -1]
+        gains = status_quo - totals / total_weight
+        best = int(gains.argmax())  # the first maximum, as the strict > scan
+        return self.candidates[best], float(gains[best])
+
+    def best_wait_loop(
+        self, gaps: Sequence[float], weights: Sequence[float] | None = None
+    ) -> tuple[float, float]:
+        """The reference :meth:`best_wait`: one candidate at a time, no numpy.
+
+        Unweighted windows weigh each gap ``1.0``, which changes no float:
+        ``1.0 * x == x`` and the folded total weight is exactly ``len(gaps)``.
+        """
+        model = self._model
+        if weights is None:
+            weights = (1.0,) * len(gaps)
+        total_weight = left_fold(weights)
+        if total_weight <= 0:
+            return 0.0, 0.0
+        status_quo = (
+            left_fold(w * model.tail_energy(g) for g, w in zip(gaps, weights))
+            / total_weight
+        )
+        best_wait = self.candidates[0]
+        best_gain = float("-inf")
+        for wait, switch_cost in zip(self.candidates, self._switch_costs):
+            cost = left_fold(
+                w * (model.wait_energy(g) if g <= wait else switch_cost)
+                for g, w in zip(gaps, weights)
+            )
+            gain = status_quo - cost / total_weight
+            if gain > best_gain:
+                best_gain = gain
+                best_wait = wait
+        return best_wait, best_gain
 
 
 def compute_t_threshold(profile: CarrierProfile) -> float:

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
 from ..traces.packet import Direction, Packet, PacketTrace
 from .accounting import DataEnergyModel
@@ -70,14 +71,14 @@ class ValidationResult:
     @property
     def mean_error(self) -> float:
         """Mean signed relative error."""
-        return sum(self.errors) / len(self.errors) if self.runs else 0.0
+        return left_fold(self.errors) / len(self.errors) if self.runs else 0.0
 
     @property
     def mean_absolute_error(self) -> float:
         """Mean absolute relative error (the paper reports this to be <= 10 %)."""
         if not self.runs:
             return 0.0
-        return sum(abs(e) for e in self.errors) / len(self.errors)
+        return left_fold(abs(e) for e in self.errors) / len(self.errors)
 
     @property
     def max_absolute_error(self) -> float:

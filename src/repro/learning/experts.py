@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ..folds import left_fold
+
 __all__ = ["FixedShareExperts", "switching_kernel"]
 
 
@@ -115,7 +117,7 @@ class FixedShareExperts:
 
     def predict(self) -> float:
         """Current prediction: the weight-averaged expert value ``Σ p_t(i) T_i``."""
-        return sum(w * v for w, v in zip(self._weights, self._values))
+        return left_fold(w * v for w, v in zip(self._weights, self._values))
 
     def update(self, losses: Sequence[float]) -> float:
         """Apply one Fixed-Share update given per-expert losses.
@@ -136,7 +138,7 @@ class FixedShareExperts:
         # Exponential-weights step followed by the switching kernel, computed
         # without materialising the full kernel matrix.
         boosted = [w * math.exp(-loss) for w, loss in zip(self._weights, losses)]
-        total = sum(boosted)
+        total = left_fold(boosted)
         if total <= 0.0:
             # All losses astronomically large; fall back to uniform weights.
             self._weights = [1.0 / len(self._values)] * len(self._values)
@@ -147,11 +149,11 @@ class FixedShareExperts:
                 self._weights = boosted
             else:
                 share = self._alpha / (n - 1)
-                mass = sum(boosted)
+                mass = left_fold(boosted)
                 self._weights = [
                     (1.0 - self._alpha) * b + share * (mass - b) for b in boosted
                 ]
-                normalizer = sum(self._weights)
+                normalizer = left_fold(self._weights)
                 self._weights = [w / normalizer for w in self._weights]
 
         self._iterations += 1
@@ -169,7 +171,7 @@ class FixedShareExperts:
             raise ValueError(
                 f"expected {len(self._values)} losses, got {len(losses)}"
             )
-        mixture = sum(
+        mixture = left_fold(
             w * math.exp(-loss) for w, loss in zip(self._weights, losses)
         )
         if mixture <= 0.0:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ..folds import left_fold
 from .experts import FixedShareExperts
 
 __all__ = ["LearnAlpha", "default_alpha_grid"]
@@ -101,7 +102,7 @@ class LearnAlpha:
     @property
     def effective_alpha(self) -> float:
         """Weight-averaged switching rate currently favoured by the top layer."""
-        return sum(
+        return left_fold(
             w * learner.alpha
             for w, learner in zip(self._alpha_weights, self._sub_learners)
         )
@@ -110,7 +111,7 @@ class LearnAlpha:
 
     def predict(self) -> float:
         """The doubly weighted prediction ``T_t`` (paper Equation 3)."""
-        return sum(
+        return left_fold(
             alpha_weight * learner.predict()
             for alpha_weight, learner in zip(self._alpha_weights, self._sub_learners)
         )
@@ -134,7 +135,7 @@ class LearnAlpha:
         boosted = [
             w * math.exp(-loss) for w, loss in zip(self._alpha_weights, alpha_losses)
         ]
-        total = sum(boosted)
+        total = left_fold(boosted)
         if total <= 0.0:
             self._alpha_weights = [1.0 / len(boosted)] * len(boosted)
         else:

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..folds import left_fold
+
 __all__ = ["MakeActiveLoss", "aggregate_delay", "DEFAULT_GAMMA"]
 
 #: The paper's value for the delay-vs-batching trade-off constant.
@@ -39,7 +41,7 @@ def aggregate_delay(delay_bound: float, arrival_offsets: Sequence[float]) -> flo
     """
     if delay_bound < 0:
         raise ValueError(f"delay_bound must be non-negative, got {delay_bound}")
-    return sum(
+    return left_fold(
         delay_bound - offset
         for offset in arrival_offsets
         if 0.0 <= offset <= delay_bound

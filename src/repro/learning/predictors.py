@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from ..core.policy import RadioPolicy
-from ..energy.model import TailEnergyModel
+from ..energy.model import TailEnergyModel, WaitEvaluator
 from ..rrc.profiles import CarrierProfile
 from ..traces.packet import Packet, PacketTrace
 
@@ -271,8 +271,7 @@ class PredictiveMakeIdlePolicy(RadioPolicy):
         self._predictor = predictor
         self._candidate_count = candidate_count
         self._min_samples = min_samples
-        self._model: TailEnergyModel | None = None
-        self._candidates: tuple[float, ...] = ()
+        self._evaluator: WaitEvaluator | None = None
         self._last_packet_time: float | None = None
         self.name = name or f"makeidle[{type(predictor).__name__}]"
 
@@ -287,10 +286,9 @@ class PredictiveMakeIdlePolicy(RadioPolicy):
         self.bind_profile(profile)
 
     def bind_profile(self, profile: CarrierProfile) -> None:
-        self._model = TailEnergyModel(profile)
-        threshold = self._model.t_threshold
-        step = threshold / (self._candidate_count - 1)
-        self._candidates = tuple(i * step for i in range(self._candidate_count))
+        self._evaluator = WaitEvaluator(
+            TailEnergyModel(profile), self._candidate_count
+        )
 
     def reset(self) -> None:
         self._predictor.reset()
@@ -304,8 +302,8 @@ class PredictiveMakeIdlePolicy(RadioPolicy):
         self._last_packet_time = time
 
     def dormancy_wait(self, now: float) -> float | None:
-        model = self._model
-        if model is None:
+        evaluator = self._evaluator
+        if evaluator is None:
             raise RuntimeError(
                 "PredictiveMakeIdlePolicy.prepare() must be called before use"
             )
@@ -314,35 +312,6 @@ class PredictiveMakeIdlePolicy(RadioPolicy):
         gaps, weights = self._predictor.weighted_gaps()
         if not gaps:
             return None
-        wait, gain = _best_wait(model, self._candidates, gaps, weights)
+        wait, gain = evaluator.best_wait(gaps, weights)
         return wait if gain > 0 else None
 
-
-def _best_wait(
-    model: TailEnergyModel,
-    candidates: Sequence[float],
-    gaps: Sequence[float],
-    weights: Sequence[float],
-) -> tuple[float, float]:
-    """Weighted version of MakeIdle's argmax over candidate waiting times."""
-    total_weight = sum(weights)
-    if total_weight <= 0:
-        return 0.0, 0.0
-    status_quo = (
-        sum(w * model.tail_energy(g) for g, w in zip(gaps, weights)) / total_weight
-    )
-    switch_cost = model.switch_energy
-    best_wait = candidates[0]
-    best_gain = float("-inf")
-    for wait in candidates:
-        cost = 0.0
-        for gap, weight in zip(gaps, weights):
-            if gap <= wait:
-                cost += weight * model.wait_energy(gap)
-            else:
-                cost += weight * (model.wait_energy(wait) + switch_cost)
-        gain = status_quo - cost / total_weight
-        if gain > best_gain:
-            best_gain = gain
-            best_wait = wait
-    return best_wait, best_gain

@@ -35,18 +35,30 @@ def test_every_rule_carries_contract_and_hint():
         assert cls.scope, cls.id
 
 
-@pytest.mark.parametrize("rule_id", EXPECTED_RULES)
-def test_positive_fixture_fires(tmp_path, rule_id):
-    result = lint_source(
-        tmp_path, RULE_TARGETS[rule_id], fixture_text(rule_id, "bad")
-    )
+#: Each rule at its RULE_TARGETS path, plus further paths a widened scope
+#: must cover: left-fold the learning layer's float totals, hot-path-slots
+#: the packet copies every stream makes.
+POSITIVE_CASES = [
+    pytest.param(rule_id, RULE_TARGETS[rule_id], id=rule_id)
+    for rule_id in EXPECTED_RULES
+] + [
+    pytest.param("left-fold", "src/repro/learning/fixture_mod.py",
+                 id="left-fold-learning"),
+    pytest.param("hot-path-slots", "src/repro/traces/packet.py",
+                 id="hot-path-slots-packet"),
+]
+
+
+@pytest.mark.parametrize(("rule_id", "target"), POSITIVE_CASES)
+def test_positive_fixture_fires(tmp_path, rule_id, target):
+    result = lint_source(tmp_path, target, fixture_text(rule_id, "bad"))
     fired = {f.rule for f in result.violations}
     assert rule_id in fired
     finding = next(f for f in result.violations if f.rule == rule_id)
     assert finding.contract.startswith("DESIGN.md")
     assert finding.hint
     assert finding.line >= 1
-    assert finding.path == RULE_TARGETS[rule_id]
+    assert finding.path == target
     # context is the stripped flagged source line (baseline match key)
     assert finding.context
     assert finding.context in fixture_text(rule_id, "bad")

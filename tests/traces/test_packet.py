@@ -35,13 +35,22 @@ class TestPacket:
         shifted = packet.shifted(5.0)
         assert shifted.timestamp == pytest.approx(15.0)
         assert shifted.size == 100
+        assert shifted.direction is Direction.UPLINK
         assert shifted.flow_id == 3
         assert shifted.app == "im"
+        with pytest.raises(ValueError):
+            packet.shifted(-20.0)  # copies run the constructor's checks
 
-    def test_with_flow_and_app(self):
-        packet = Packet(1.0, 10)
-        assert packet.with_flow(7).flow_id == 7
-        assert packet.with_app("news").app == "news"
+    def test_with_flow_and_app_keep_every_other_field(self):
+        packet = Packet(1.0, 10, Direction.UPLINK, flow_id=3, app="im")
+
+        def fields(p):
+            return (p.timestamp, p.size, p.direction, p.flow_id, p.app)
+
+        assert fields(packet.with_flow(7)) == (1.0, 10, Direction.UPLINK, 7, "im")
+        assert fields(packet.with_app("news")) == (
+            1.0, 10, Direction.UPLINK, 3, "news",
+        )
 
     def test_ordering_by_timestamp(self):
         assert Packet(1.0, 10) < Packet(2.0, 5)

@@ -10,11 +10,19 @@ Usage::
 
     PYTHONPATH=src python tools/refresh_golden.py            # all suites
     PYTHONPATH=src python tools/refresh_golden.py single_ue  # one suite
+    PYTHONPATH=src python tools/refresh_golden.py --check    # compare only
+
+``--check`` rebuilds and compares without writing anything: it prints the
+first differing lines of every drifted suite and exits 1.  It needs neither
+pytest nor numpy, so it golden-checks the no-numpy fallbacks (scalar
+kernel, ``array.array`` columns, the MakeIdle reference loop) on any
+interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import sys
 from pathlib import Path
 
@@ -36,8 +44,14 @@ def main(argv: list[str] | None = None) -> int:
         "suites", nargs="*", choices=[*sorted(GOLDEN_BUILDERS), []],
         help="suites to refresh (default: all)",
     )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with the checked-in files, write nothing; exit 1 on drift",
+    )
     args = parser.parse_args(argv)
     suites = args.suites or sorted(GOLDEN_BUILDERS)
+    if args.check:
+        return check(suites)
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name in suites:
@@ -50,6 +64,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{path.relative_to(REPO_ROOT)}: {status} "
               f"({len(text)} bytes, {records} scheme entries)")
     return 0
+
+
+def check(suites: list[str]) -> int:
+    """Rebuild ``suites`` and compare with the checked-in files; 1 on drift."""
+    drifted = 0
+    for name in suites:
+        path = GOLDEN_DIR / f"{name}.json"
+        expected = path.read_text(encoding="utf-8") if path.exists() else ""
+        actual = render_golden(build_golden(name))
+        if actual == expected:
+            print(f"{path.relative_to(REPO_ROOT)}: ok")
+            continue
+        drifted += 1
+        print(f"{path.relative_to(REPO_ROOT)}: DRIFTED")
+        diff = difflib.unified_diff(
+            expected.splitlines(), actual.splitlines(),
+            fromfile=f"tests/golden/{name}.json (checked in)",
+            tofile=f"{name} (rebuilt)", lineterm="", n=1,
+        )
+        for line in list(diff)[:20]:
+            print(f"    {line}")
+    print(f"{len(suites) - drifted} of {len(suites)} suites match")
+    return 1 if drifted else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Micro-benchmark: event-kernel throughput and memory at cell scale.
 
 Records what the unified kernel delivers on the workloads the ROADMAP's
-north star cares about and writes the numbers to ``BENCH_engine.json`` at
-the repo root so the perf trajectory is tracked across PRs:
+north star cares about and writes the numbers to the gitignored
+``.benchmarks/BENCH_engine.json``; ``tools/check_bench_floor.py`` gates
+them against the floors committed in ``BENCH_engine.json`` at the repo
+root, which a benchmark run never rewrites:
 
 * ``single_1k`` — a 1000-device streamed cell in one process on the
   scalar kernel (forced, so this section's floor keeps gating it):
@@ -112,7 +114,8 @@ MILLION_SHARDS = 16
 #: Committed ceiling for the cell_1m resident set; the bench asserts it
 #: and tools/check_bench_floor.py gates the recorded value against it.
 MILLION_RSS_CEILING_MB = 440.0
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+BENCH_PATH = (Path(__file__).resolve().parent.parent / ".benchmarks"
+              / "BENCH_engine.json")
 
 
 _BENCH_SECTIONS = (
@@ -137,6 +140,7 @@ def _update_bench(section: str, record: dict) -> dict:
             data = loaded
     data["cpu_count"] = os.cpu_count()
     data[section] = record
+    BENCH_PATH.parent.mkdir(parents=True, exist_ok=True)
     BENCH_PATH.write_text(
         json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -259,7 +263,7 @@ def _measure_single_1k(benchmark) -> None:
     print_figure(
         "Engine throughput — 1k-device streamed cell",
         "\n".join(f"{key}: {value}" for key, value in record.items())
-        + f"\n(written to {BENCH_PATH.name})",
+        + f"\n(written to {BENCH_PATH.parent.name}/{BENCH_PATH.name})",
     )
 
     # Streaming keeps Python-heap peak far below one-materialised-trace-
@@ -462,7 +466,7 @@ def test_metro_250k_completes_with_handovers():
     print_figure(
         "Metro execution — 250k-UE four-cell shuffle metro",
         "\n".join(f"{key}: {value}" for key, value in record.items())
-        + f"\n(written to {BENCH_PATH.name})",
+        + f"\n(written to {BENCH_PATH.parent.name}/{BENCH_PATH.name})",
     )
 
 
@@ -502,7 +506,7 @@ def test_sharded_100k_device_cell_completes():
     print_figure(
         "Sharded execution — 100k-device streamed cell",
         "\n".join(f"{key}: {value}" for key, value in record.items())
-        + f"\n(written to {BENCH_PATH.name})",
+        + f"\n(written to {BENCH_PATH.parent.name}/{BENCH_PATH.name})",
     )
 
 
@@ -608,7 +612,7 @@ def test_vector_1k_dense_cell_speedup(scalar_kernel):
     print_figure(
         "Vector kernel — dense 1k-device cell, scalar vs vector kernel",
         "\n".join(f"{key}: {value}" for key, value in record.items())
-        + f"\n(written to {BENCH_PATH.name})",
+        + f"\n(written to {BENCH_PATH.parent.name}/{BENCH_PATH.name})",
     )
 
     # The vector kernel must beat the scalar kernel decisively on its
@@ -699,7 +703,7 @@ def test_learning_10k_device_cell_matches_and_records():
     print_figure(
         "Learning layer — 10k-device Learn-α cell, sharded vs 1 process",
         "\n".join(f"{key}: {value}" for key, value in record.items())
-        + f"\n(written to {BENCH_PATH.name})",
+        + f"\n(written to {BENCH_PATH.parent.name}/{BENCH_PATH.name})",
     )
 
 
@@ -759,7 +763,7 @@ def test_cell_1m_streamed_completes_in_bounded_memory():
     print_figure(
         "Columnar result core — 1M-device streamed cell",
         "\n".join(f"{key}: {value}" for key, value in record.items())
-        + f"\n(written to {BENCH_PATH.name})",
+        + f"\n(written to {BENCH_PATH.parent.name}/{BENCH_PATH.name})",
     )
 
     assert rss_now <= MILLION_RSS_CEILING_MB, (

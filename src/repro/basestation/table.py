@@ -36,7 +36,7 @@ numpy is the preferred backing store; without it the columns degrade to
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 try:  # pragma: no cover - exercised through both paths in CI
     import numpy as _np
@@ -689,7 +689,8 @@ class ShardTable(Sequence["ShardDeviceState"]):
     """Struct-of-arrays form of one shard's exported open device states.
 
     The columnar twin of a ``tuple[ShardDeviceState, ...]``: built row-wise
-    by the shard runners (scalar and vector), shipped across the process
+    by the scalar shard runner and column-wise by the vector one
+    (:meth:`from_columns`), shipped across the process
     boundary as a handful of arrays, and consumed column-wise by
     ``merge_cell_shards``.
     """
@@ -737,6 +738,36 @@ class ShardTable(Sequence["ShardDeviceState"]):
         cohort_codes, cohort_cats = _encode_labels([r.cohort for r in rows])
         delays = _Ragged.from_lists([r.session_delays for r in rows])
         return cls(cols, open_state, closed, policy_codes, policy_cats,
+                   cohort_codes, cohort_cats, delays)
+
+    @classmethod
+    def from_columns(
+        cls,
+        values: Mapping[str, Any],
+        open_states: Sequence[RadioState],
+        closed: Sequence[bool],
+        policy_names: Sequence[str],
+        cohorts: Sequence[str],
+    ) -> "ShardTable":
+        """Build a table from per-field columns, without row objects.
+
+        ``values`` maps float and int field names to one value per
+        device; a field it leaves out is zero for every device, and no
+        device has session delays.  That is the shape of a vector-kernel
+        shard, whose devices never buffer sessions and never learn.
+        """
+        n = len(policy_names)
+        cols: dict[str, Any] = {}
+        for name in cls._FLOAT_COLS:
+            cols[name] = _float_col(values.get(name, [0.0] * n))
+        for name in cls._INT_COLS:
+            cols[name] = _int_col(values.get(name, [0] * n))
+        open_state = _byte_col([_STATE_CODE[state] for state in open_states])
+        closed_col = _byte_col([1 if flag else 0 for flag in closed])
+        policy_codes, policy_cats = _encode_labels(policy_names)
+        cohort_codes, cohort_cats = _encode_labels(cohorts)
+        delays = _Ragged.from_lists([()] * n)
+        return cls(cols, open_state, closed_col, policy_codes, policy_cats,
                    cohort_codes, cohort_cats, delays)
 
     @classmethod

@@ -40,6 +40,10 @@ class LeftFoldRule(Rule):
         "src/repro/core/",
         "src/repro/learning/",
         "src/repro/energy/",
+        "src/repro/rrc/",
+        "src/repro/scenarios/",
+        "src/repro/metrics/",
+        "src/repro/traces/stats.py",
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

@@ -5,9 +5,10 @@ just their operands: a total is ``((0 + v0) + v1) + ...`` in iteration
 order.  The builtin ``sum()`` is that fold only up to Python 3.11 — from
 3.12 on it compensates float additions (Neumaier summation) — and
 ``math.fsum`` / ``np.sum`` round differently too.  Float totals under
-``repro.core``, ``repro.learning`` and ``repro.energy`` therefore go through
-:func:`left_fold`; the repro-lint ``left-fold`` rule keeps ``sum()`` out of
-those packages.
+``repro.core``, ``repro.learning``, ``repro.energy``, ``repro.rrc``,
+``repro.scenarios``, ``repro.metrics`` and ``repro.traces.stats`` therefore
+go through :func:`left_fold`; the repro-lint ``left-fold`` rule keeps
+``sum()`` out of those modules.
 """
 
 from __future__ import annotations

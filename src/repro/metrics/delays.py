@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..folds import left_fold
 from ..sim.results import SimulationResult
 
 __all__ = ["DelayStats", "delay_stats", "delay_stats_for_result"]
@@ -46,11 +47,11 @@ def delay_stats(delays: Iterable[float]) -> DelayStats:
     if not values:
         return DelayStats.empty()
     count = len(values)
-    mean = sum(values) / count
+    mean = left_fold(values) / count
     mid = count // 2
     median = values[mid] if count % 2 else (values[mid - 1] + values[mid]) / 2.0
     p95_index = min(count - 1, max(0, int(round(0.95 * count)) - 1))
-    delayed = sum(1 for v in values if v > 0.01)
+    delayed = sum(1 for v in values if v > 0.01)  # repro-lint: allow[left-fold] reason=integer count; exact
     return DelayStats(
         count=count,
         mean=mean,

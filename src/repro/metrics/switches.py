@@ -72,9 +72,9 @@ class SwitchStats:
 
 def switch_stats(result: SimulationResult) -> SwitchStats:
     """Count the promotions and demotions of one run by kind."""
-    promotions = sum(1 for s in result.switches if s.kind is SwitchKind.PROMOTION)
-    dormancy = sum(1 for s in result.switches if s.kind is SwitchKind.FAST_DORMANCY)
-    timer = sum(1 for s in result.switches if s.kind is SwitchKind.TIMER_DEMOTION)
+    promotions = sum(1 for s in result.switches if s.kind is SwitchKind.PROMOTION)  # repro-lint: allow[left-fold] reason=integer count; exact
+    dormancy = sum(1 for s in result.switches if s.kind is SwitchKind.FAST_DORMANCY)  # repro-lint: allow[left-fold] reason=integer count; exact
+    timer = sum(1 for s in result.switches if s.kind is SwitchKind.TIMER_DEMOTION)  # repro-lint: allow[left-fold] reason=integer count; exact
     return SwitchStats(
         promotions=promotions,
         fast_dormancy_demotions=dormancy,

@@ -1,8 +1,8 @@
 """Precomputed constant bundle for the vectorized kernel backend.
 
-The vector backend (:mod:`repro.sim.vector_engine`) processes one UE's
-whole packet array per step instead of one heap event at a time.  Every
-constant it folds into those array expressions must be the *identical*
+The vector backend (:mod:`repro.sim.vector_engine`) processes a whole
+batch of UEs' packet arrays per step instead of one heap event at a time.
+Every constant it folds into those array expressions must be the *identical*
 IEEE-754 double the scalar kernel reads per event — the byte-identity
 contract of :mod:`repro.rrc.tables` extended to the batch path — so a
 :class:`VectorTable` snapshots, per ``(profile, data-model)`` pair, the

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from ..api.spec import PolicySpec
+from ..folds import left_fold
 from ..traces.packet import Packet
 from ..traces.streaming import stream_user_day_packets
 from .archetypes import DeviceArchetype
@@ -185,10 +186,10 @@ class Scenario:
         """
         if devices < 1:
             raise ValueError(f"devices must be >= 1, got {devices}")
-        total_weight = sum(cohort.weight for cohort in self.cohorts)
+        total_weight = left_fold(cohort.weight for cohort in self.cohorts)
         quotas = [devices * cohort.weight / total_weight for cohort in self.cohorts]
         sizes = [int(quota) for quota in quotas]
-        shortfall = devices - sum(sizes)
+        shortfall = devices - sum(sizes)  # repro-lint: allow[left-fold] reason=integer count; exact
         by_remainder = sorted(
             range(len(quotas)),
             key=lambda i: (sizes[i] - quotas[i], i),

@@ -2,13 +2,34 @@
 
 :meth:`~repro.basestation.cell.CellSimulator.run_shard` runs a shard on
 this kernel whenever :func:`use_vector_kernel` says it can.  The kernel
-replays each UE in *batch*: one UE's whole packet stream is materialised
-into numpy arrays (arrival times, sizes, uplink flags), and everything the
-scalar kernel computes per heap event is computed as array expressions
-over the :class:`~repro.rrc.vector_tables.VectorTable` constants — except
-at the sparse "interesting" instants, which are replayed through the
-*real* per-UE :class:`~repro.rrc.state_machine.RrcStateMachine` so every
-float lands bit-for-bit where the scalar kernel would put it.
+replays a whole shard in *columnar batches*: every device's packet stream
+is drained, in shard order, into flat numpy arrays (arrival times, sizes,
+uplink flags) delimited by int64 offsets, and everything the scalar
+kernel computes per heap event is computed as one array expression per
+batch over the :class:`~repro.rrc.vector_tables.VectorTable` constants —
+except at the sparse "interesting" instants, which are replayed device by
+device through the *real* :class:`~repro.rrc.state_machine.RrcStateMachine`
+so every float lands bit-for-bit where the scalar kernel would put it.
+
+Shard layout
+------------
+
+A batch is the ragged layout of
+:class:`~repro.basestation.table.DeviceTable`: the ``d``-th device owns
+packets ``offsets[d]:offsets[d + 1]`` of the flat columns.  Devices are
+drained whole until a batch holds :data:`_PACKET_BUDGET` packets, so a
+shard of a million devices never holds all its packets as arrays at
+once.  Within a batch a gap ``t[i] -> t[i + 1]`` belongs to a device
+unless ``i + 1`` is an offset; those cross-device gaps are masked out of
+the order check, and every device's first packet is treated as a stream
+start by the folds and the boundary mask, so one pass over the flat
+arrays computes exactly what one pass per device would.
+
+Stream errors keep the per-device texts and their per-device order: the
+first faulty device in shard order raises — its
+:class:`~repro.sim.engine.StreamOrderError` when its stream is not
+time-ordered, else the handover-contract ``RuntimeError`` when its last
+packet is not strictly before its departure.
 
 Why byte-identity holds
 -----------------------
@@ -18,9 +39,12 @@ The scalar kernel's per-UE work for an *eligible* UE (see
 
 1. **The data-energy fold** depends only on the emitted packet sequence
    (timestamps, sizes, directions), never on RRC state.  It is a strict
-   left fold of per-packet durations/energies, so ``np.add.accumulate``
-   over elementwise float64 expressions — IEEE-754 doubles, the same ops
-   in the same order — reproduces it bit-for-bit.
+   left fold of per-packet durations/energies, so elementwise float64
+   expressions — IEEE-754 doubles, the same ops — folded per device with
+   ``np.add.accumulate`` in packet order reproduce it bit-for-bit.  The
+   devices of a batch are folded together as zero-padded rows of equal
+   length (:func:`_segment_left_fold`); the padding adds ``+ 0.0``, which
+   leaves every non-negative partial sum unchanged.
 
 2. **The RRC machine** only does real work at *boundary* instants.
    Between boundaries every packet takes the
@@ -132,6 +156,12 @@ _LoadOp = tuple[float, int, int, str]
 #: equal keys so each UE's generation order survives the global sort.
 _OP_KEY = itemgetter(0, 1, 2)
 
+#: A columnar batch closes once it holds this many packets.  Devices are
+#: drained whole and in shard order, so a batch holds at most this many
+#: packets plus one device's stream, and a shard of any device count
+#: never holds more than that as arrays at once.
+_PACKET_BUDGET = 65_536
+
 
 def numpy_available() -> bool:
     """Whether the numpy the vector kernel needs is importable."""
@@ -214,107 +244,218 @@ def _constant_wait(policy: RadioPolicy) -> float | None:
     return policy.timeout
 
 
-def _materialize(trace, ue_id: int):
-    """One UE's packet stream as ``(times, sizes, uplink)`` float64/bool arrays.
+def _drain(devices: Sequence["DeviceSpec"], first: int):
+    """Drain whole devices from ``devices[first:]`` into one columnar batch.
 
-    Walks the same block protocol the scalar kernel's arrival source
-    walks, validates time order with the scalar kernel's exact rule and
-    error text, and keeps Python-float fidelity (float64 round-trips
-    exactly).
+    Walks each stream with the block protocol the scalar kernel's arrival
+    source walks (a plain iterable is one ``list(trace)`` block), device
+    by device in shard order, until the batch holds
+    :data:`_PACKET_BUDGET` packets.  Returns ``(stop, (times, sizes,
+    uplink, offsets))``: the batch is ``devices[first:stop]`` and its
+    ``d``-th device owns packets ``offsets[d]:offsets[d + 1]`` of the
+    float64/float64/bool columns (float64 round-trips every Python float,
+    so nothing is rounded).
     """
     uplink = Direction.UPLINK  # hoisted: one load per packet, not three
-    parts_t: list[list[float]] = []
-    parts_size: list[list[int]] = []
-    parts_up: list[list[bool]] = []
-    blocks = getattr(trace, "packet_blocks", None)
-    if blocks is not None:
-        for block in blocks():
-            if not block:
-                continue
-            parts_t.append([p.timestamp for p in block])
-            parts_size.append([p.size for p in block])
-            parts_up.append([p.direction is uplink for p in block])
-    else:
-        block = list(trace)
-        if block:
-            parts_t.append([p.timestamp for p in block])
-            parts_size.append([p.size for p in block])
-            parts_up.append([p.direction is uplink for p in block])
-    if not parts_t:
-        empty = _np.empty(0, dtype=_np.float64)
-        return empty, empty, _np.empty(0, dtype=bool)
-    if len(parts_t) == 1:
-        t = _np.asarray(parts_t[0], dtype=_np.float64)
-        sizes = _np.asarray(parts_size[0], dtype=_np.float64)
-        up = _np.asarray(parts_up[0], dtype=bool)
-    else:
-        t = _np.concatenate(
-            [_np.asarray(p, dtype=_np.float64) for p in parts_t]
-        )
-        sizes = _np.concatenate(
-            [_np.asarray(p, dtype=_np.float64) for p in parts_size]
-        )
-        up = _np.concatenate([_np.asarray(p, dtype=bool) for p in parts_up])
-    if t[0] < 0.0:
+    times: list[float] = []
+    sizes: list[int] = []
+    up: list[bool] = []
+    offsets = [0]
+    stop = first
+    count = len(devices)
+    while stop < count and len(times) < _PACKET_BUDGET:
+        trace = devices[stop].trace
+        blocks = getattr(trace, "packet_blocks", None)
+        for block in blocks() if blocks is not None else (list(trace),):
+            if block:
+                times += [p.timestamp for p in block]
+                sizes += [p.size for p in block]
+                up += [p.direction is uplink for p in block]
+        offsets.append(len(times))
+        stop += 1
+    return stop, (
+        _np.array(times, dtype=_np.float64),
+        _np.array(sizes, dtype=_np.float64),
+        _np.array(up, dtype=bool),
+        _np.array(offsets, dtype=_np.int64),
+    )
+
+
+def _check_streams(specs: Sequence["DeviceSpec"], t, offsets, heads) -> None:
+    """Raise the scalar kernel's error for the batch's first faulty device.
+
+    A device is faulty when its stream is not time-ordered (its first
+    packet before 0.0, or a packet before its predecessor — gaps across
+    a device boundary are masked out) or when its last packet is not
+    strictly before its departure (the handover contract).  The first
+    faulty device in shard order raises, with its order error when it
+    has both faults: the per-device order of the checks.
+    """
+    n = t.shape[0]
+    detach = _np.array(
+        [_np.inf if spec.detach_at is None else spec.detach_at
+         for spec in specs],
+        dtype=_np.float64,
+    )
+    backwards = t[1:] < t[:-1]
+    cuts = offsets[(offsets > 0) & (offsets < n)]
+    backwards[cuts - 1] = False  # gaps into a device's first packet
+    bad_gaps = _np.flatnonzero(backwards)
+    nonempty = offsets[1:] > offsets[:-1]
+    negative = _np.zeros(nonempty.shape[0], dtype=bool)
+    negative[nonempty] = t[heads] < 0.0
+    late = _np.zeros(nonempty.shape[0], dtype=bool)
+    late[nonempty] = t[offsets[1:][nonempty] - 1] >= detach[nonempty]
+    misordered = negative.copy()
+    misordered[_np.searchsorted(offsets, bad_gaps + 1, side="right") - 1] = True
+    faulty = _np.flatnonzero(misordered | late)
+    if not faulty.shape[0]:
+        return
+    d = int(faulty[0])
+    spec = specs[d]
+    lo, hi = int(offsets[d]), int(offsets[d + 1])
+    if negative[d]:
         raise StreamOrderError(
-            f"packet stream for UE {ue_id} is not time-ordered: "
-            f"{t[0]} after 0.0"
+            f"packet stream for UE {spec.device_id} is not time-ordered: "
+            f"{float(t[lo])} after 0.0"
         )
-    bad = _np.flatnonzero(t[1:] < t[:-1])
-    if bad.size:
-        i = int(bad[0])
+    if misordered[d]:
+        i = int(bad_gaps[_np.searchsorted(bad_gaps, lo)])
         raise StreamOrderError(
-            f"packet stream for UE {ue_id} is not time-ordered: "
+            f"packet stream for UE {spec.device_id} is not time-ordered: "
             f"{float(t[i + 1])} after {float(t[i])}"
         )
-    return t, sizes, up
+    # The scalar kernel aborts on this too: the arrival pops after the
+    # handover closed the machine.
+    raise RuntimeError(
+        f"UE {spec.device_id}: packet at {float(t[hi - 1])} is not "
+        f"strictly before its departure at {spec.detach_at} "
+        "(handover contract)"
+    )
 
 
-def _data_fold(
-    t, sizes, up, vt: VectorTable
-) -> tuple[float, float]:
-    """The emitted-packet data-energy fold as array expressions.
+def _segment_left_fold(columns, starts, counts) -> list:
+    """Each device's strict left fold of every column, one pass per bucket.
 
-    Elementwise float64 mirrors of the scalar kernel's inlined
-    ``account_transfer`` arithmetic (same divisions, comparisons and
-    products), folded with ``np.add.accumulate`` — a strict left fold,
-    unlike pairwise ``np.sum`` — so the running sums accumulate in the
-    scalar kernel's order.  Returns ``(data_j, data_time_s)``.
+    ``out[c][d]`` is bit-equal to ``np.add.accumulate(col[s:s + n])[-1]``
+    with ``s, n = starts[d], counts[d]`` (``0.0`` for ``n == 0``).  Devices
+    are bucketed by length into ``(2**(k-1), 2**k]``; a bucket's runs are
+    gathered into zero-padded rows as long as its longest run and folded
+    with ``np.add.accumulate(axis=1)[:, -1]`` — sequential along each row,
+    never pairwise.  The padding is exact: ``x + 0.0 == x`` for every
+    partial sum that is not ``-0.0``, and a sum of non-negative terms
+    (durations, energies) never is.  Padding at most doubles a bucket.
     """
-    rates = _np.where(up, vt.uplink_rate, vt.downlink_rate)
-    ser = sizes / rates
-    ser = _np.where(ser < vt.min_packet_time, vt.min_packet_time, ser)
-    dur = _np.empty_like(ser)
-    dur[0] = ser[0]
-    if ser.shape[0] > 1:
-        gaps = t[1:] - t[:-1]
+    out = [_np.zeros(counts.shape[0]) for _ in columns]
+    top = int(counts.max()) if counts.shape[0] else 0
+    low, high = 0, 1
+    while low < top:
+        rows = _np.flatnonzero((counts > low) & (counts <= high))
+        if rows.shape[0]:
+            lengths = counts[rows]
+            cols = _np.arange(int(lengths.max()))
+            valid = cols < lengths[:, None]
+            index = _np.where(valid, starts[rows][:, None] + cols, 0)
+            for column, folded in zip(columns, out):
+                padded = _np.where(valid, column[index], 0.0)
+                folded[rows] = _np.add.accumulate(padded, axis=1)[:, -1]
+        low, high = high, 2 * high
+    return out
+
+
+class _Batch:
+    """One drained batch as the Python lists the per-device replay reads.
+
+    ``specs`` are the batch's devices and ``waits`` their constant
+    dormancy waits.  ``times`` are the batch's arrival times; device ``d``
+    owns ``packets[d]`` packets ``offsets[d]:offsets[d + 1]`` and the
+    boundary packets ``boundaries[bounds[d]:bounds[d + 1]]`` (ascending,
+    its first packet first).  ``dorm_fired[k]`` / ``timer_fired[k]`` say whether the gap
+    ending at boundary packet ``boundaries[k]`` fired the scheduled fast
+    dormancy / the inactivity timer (meaningless at a first packet, which
+    ends no gap).  ``data_j[d]`` / ``data_time_s[d]`` are device ``d``'s
+    data-energy fold.
+    """
+
+    __slots__ = ("specs", "waits", "times", "offsets", "packets",
+                 "boundaries", "bounds", "dorm_fired", "timer_fired",
+                 "data_j", "data_time_s")
+
+    def __init__(self, specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
+                 vt: VectorTable) -> None:
+        counts = offsets[1:] - offsets[:-1]
+        heads = offsets[:-1][counts > 0]  # each device's first packet
+        _check_streams(specs, t, offsets, heads)
+        self.specs = specs
+        self.waits = waits = [_constant_wait(spec.policy) for spec in specs]
+        n = t.shape[0]
+        prev = t[:-1]
+        nxt = t[1:]
+
+        # The data-energy fold: elementwise float64 mirrors of the scalar
+        # kernel's inlined ``account_transfer`` arithmetic (same
+        # divisions, comparisons and products), each device's first
+        # packet taking its serialisation time as every stream's first
+        # packet does, folded per device in packet order.
+        rates = _np.where(up, vt.uplink_rate, vt.downlink_rate)
+        ser = sizes / rates
+        ser = _np.where(ser < vt.min_packet_time, vt.min_packet_time, ser)
+        gaps = nxt - prev
+        dur = _np.empty_like(ser)
         dur[1:] = _np.where(gaps <= vt.burst_gap, gaps, ser[1:])
-    energy = dur * _np.where(up, vt.send_power_w, vt.recv_power_w)
-    data_time_s = float(_np.add.accumulate(dur)[-1])
-    data_j = float(_np.add.accumulate(energy)[-1])
-    return data_j, data_time_s
+        dur[heads] = ser[heads]
+        energy = dur * _np.where(up, vt.send_power_w, vt.recv_power_w)
+        data_time_s, data_j = _segment_left_fold((dur, energy),
+                                                 offsets[:-1], counts)
+
+        # Per-gap fired events and the boundary mask (see module
+        # docstring), over every gap at once: each device's constant wait
+        # is broadcast to its packets (``inf``: never requests, so its
+        # dormancy never fires), and every first packet is a boundary.
+        wait = _np.repeat(
+            _np.array([_np.inf if w is None else w for w in waits],
+                      dtype=_np.float64),
+            counts,
+        )
+        timer_fired = _np.zeros(n, dtype=bool)
+        timer_fired[1:] = (prev + vt.idle_after) <= nxt
+        dorm_fired = _np.zeros(n, dtype=bool)
+        dorm_fired[1:] = (prev + wait[:-1]) <= nxt
+        boundary = _np.empty(n, dtype=bool)
+        boundary[1:] = dorm_fired[1:] | (nxt >= (prev + vt.t1))
+        boundary[heads] = True
+        boundaries = _np.flatnonzero(boundary)
+
+        self.times = t.tolist()  # Python floats for machine calls and ops
+        self.offsets = offsets.tolist()
+        self.packets = counts.tolist()
+        self.boundaries = boundaries.tolist()
+        self.bounds = _np.searchsorted(boundaries, offsets).tolist()
+        self.dorm_fired = dorm_fired[boundaries].tolist()
+        self.timer_fired = timer_fired[boundaries].tolist()
+        self.data_j = data_j.tolist()
+        self.data_time_s = data_time_s.tolist()
 
 
 def _final_timer_pop(
-    tl: Sequence[float], idle_after: float, detach: float
+    tl: Sequence[float], lo: int, hi: int, idle_after: float, detach: float
 ) -> float | None:
     """Last pop of a departed UE's self-deferring inactivity-timer chain.
 
-    Walks the TIMER event chain exactly as the heap would: the event
-    pushed at the first arrival pops at its scheduled time; a pop before
-    the current deadline (last arrival strictly before the pop, plus
-    ``idle_after``) re-pushes at the deadline; a pop at the deadline
-    fires and the next arrival pushes afresh.  The first pop at-or-after
-    ``detach`` hits the departed guard and ends the chain — its time is
-    returned because it is still a *real* event extending the load
-    sample horizon.  Returns ``None`` when the chain ended (fired with
-    no further arrivals) before the handover.
+    ``tl[lo:hi]`` are the UE's arrival times.  Walks the TIMER event chain
+    exactly as the heap would: the event pushed at the first arrival pops
+    at its scheduled time; a pop before the current deadline (last arrival
+    strictly before the pop, plus ``idle_after``) re-pushes at the
+    deadline; a pop at the deadline fires and the next arrival pushes
+    afresh.  The first pop at-or-after ``detach`` hits the departed guard
+    and ends the chain — its time is returned because it is still a
+    *real* event extending the load sample horizon.  Returns ``None`` when
+    the chain ended (fired with no further arrivals) before the handover.
     """
-    pop = tl[0] + idle_after
-    j = 1
-    n = len(tl)
+    pop = tl[lo] + idle_after
+    j = lo + 1
     while True:
-        while j < n and tl[j] < pop:
+        while j < hi and tl[j] < pop:
             j += 1
         if pop >= detach:  # HANDOVER (kind 2) pops before TIMER (kind 3)
             return pop
@@ -323,87 +464,45 @@ def _final_timer_pop(
             pop = target  # stale: defer to the moved deadline
             continue
         # Fires before the handover; the next arrival re-arms the chain.
-        if j < n:
+        if j < hi:
             pop = tl[j] + idle_after
             j += 1
             continue
         return None
 
 
-class _VectorUeOutcome:
-    """What one vector-path UE replay produced."""
-
-    __slots__ = (
-        "machine",
-        "data_j",
-        "data_time_s",
-        "packets",
-        "requests",
-        "last_effective",
-        "horizon",
-        "departed",
-    )
-
-    def __init__(self, machine, data_j, data_time_s, packets, requests,
-                 last_effective, horizon, departed):
-        self.machine = machine
-        self.data_j = data_j
-        self.data_time_s = data_time_s
-        self.packets = packets
-        self.requests = requests
-        self.last_effective = last_effective
-        self.horizon = horizon
-        self.departed = departed
-
-
-def _run_vector_ue(
-    spec: "DeviceSpec",
-    profile,
+def _replay_ue(
+    machine: RrcStateMachine,
     vt: VectorTable,
-    wait: float | None,
+    batch: _Batch,
+    d: int,
     ops: list[_LoadOp],
-) -> _VectorUeOutcome:
-    """Replay one eligible UE: batch folds + sparse real-machine calls."""
+) -> tuple[int, float | None, float | None]:
+    """Replay device ``d`` of ``batch`` through its real state machine.
+
+    Runs the machine methods at the device's boundary instants with the
+    scalar kernel's arguments in its order, and appends the device's
+    load mutations to ``ops``.  Returns ``(dormancy requests, last
+    arrival, horizon)``, where the horizon is the device's latest real
+    event pop.  A device without packets has no last arrival, and no
+    horizon unless it departs.
+    """
+    spec = batch.specs[d]
     ue_id = spec.device_id
     detach = spec.detach_at
-    machine = RrcStateMachine(profile, start_time=spec.attach_at,
-                              fold_history=True)
-    t, sizes, up = _materialize(spec.trace, ue_id)
-    n = int(t.shape[0])
-    if n == 0:
-        horizon = None
-        if detach is not None:
-            machine.finish(detach)
-            horizon = detach
-        return _VectorUeOutcome(machine, 0.0, 0.0, 0, 0, None, horizon,
-                                detach is not None)
-    tl = t.tolist()  # Python floats for machine calls and op records
-    if detach is not None and tl[-1] >= detach:
-        # The scalar kernel aborts on this too: the arrival pops after
-        # the handover closed the machine.
-        raise RuntimeError(
-            f"UE {ue_id}: packet at {tl[-1]} is not strictly before its "
-            f"departure at {detach} (handover contract)"
-        )
+    wait = batch.waits[d]
+    lo = batch.offsets[d]
+    hi = batch.offsets[d + 1]
+    if lo == hi:
+        if detach is None:
+            return 0, None, None
+        machine.finish(detach)
+        return 0, None, detach
 
-    data_j, data_time_s = _data_fold(t, sizes, up, vt)
-
+    tl = batch.times
     t1 = vt.t1
     idle_after = vt.idle_after
     idle_state = RadioState.IDLE
-    prev = t[:-1]
-    nxt = t[1:]
-    # Per-gap fired events and the boundary mask (see module docstring).
-    timer_fires = (prev + idle_after) <= nxt
-    if wait is not None:
-        dorm_fires = (prev + wait) <= nxt
-        boundary = dorm_fires | (nxt >= (prev + t1))
-    else:
-        dorm_fires = None
-        boundary = nxt >= (prev + t1)
-    bps = [0]
-    bps.extend((_np.flatnonzero(boundary) + 1).tolist())
-
     requests = 0
     was_active = False
 
@@ -436,19 +535,22 @@ def _run_vector_ue(
     fast_forward = machine.fast_forward_activity
     notify = machine.notify_activity
     append_op = ops.append
-    for pos in range(len(bps)):
-        b = bps[pos]
-        if pos:
-            prev_b = bps[pos - 1]
-            if b - 1 > prev_b:
+    boundaries = batch.boundaries
+    dorm_fired = batch.dorm_fired
+    timer_fired = batch.timer_fired
+    first = batch.bounds[d]
+    stop = batch.bounds[d + 1]
+    for k in range(first, stop):
+        b = boundaries[k]
+        if k != first:
+            if b - 1 > boundaries[k - 1]:
                 # Packets strictly inside the t1 window of their
                 # predecessor: the fast path's pure overwrites, collapsed.
                 fast_forward(tl[b - 1])
-            g = b - 1  # the gap that made packet b a boundary
-            gt = tl[g]
-            if dorm_fires is not None and dorm_fires[g]:
+            gt = tl[b - 1]  # the gap ending at b made packet b a boundary
+            if dorm_fired[k]:
                 at = gt + wait
-                if timer_fires[g]:
+                if timer_fired[k]:
                     tt = gt + idle_after
                     # Heap order of the two fired events: (time, kind),
                     # DORMANCY (1) before TIMER (3) on equal times.
@@ -460,7 +562,7 @@ def _run_vector_ue(
                         do_timer(tt)
                 else:
                     do_dormancy(at, gt)
-            elif timer_fires[g]:
+            elif timer_fired[k]:
                 do_timer(gt + idle_after)
         tb = tl[b]
         if notify(tb):
@@ -469,9 +571,9 @@ def _run_vector_ue(
             append_op((tb, _ARRIVAL, ue_id, "act"))
             was_active = True
 
-    last = n - 1
-    if last > bps[-1]:
-        machine.fast_forward_activity(tl[last])
+    last = hi - 1
+    if last > boundaries[stop - 1]:
+        fast_forward(tl[last])
     t_last = tl[last]
 
     # Trailing events after the last packet: the scheduled dormancy and
@@ -499,7 +601,7 @@ def _run_vector_ue(
             ops.append((detach, _HANDOVER, ue_id, "deact"))
             was_active = False
         horizon = detach
-        tau = _final_timer_pop(tl, idle_after, detach)
+        tau = _final_timer_pop(tl, lo, hi, idle_after, detach)
         if tau is not None and tau > horizon:
             horizon = tau
         if wait is not None and t_last + wait > horizon:
@@ -508,9 +610,7 @@ def _run_vector_ue(
         horizon = t_last + idle_after
         if wait is not None and t_last + wait > horizon:
             horizon = t_last + wait
-
-    return _VectorUeOutcome(machine, data_j, data_time_s, n, requests,
-                            t_last, horizon, detach is not None)
+    return requests, t_last, horizon
 
 
 def _rebuild_load_and_samples(
@@ -577,64 +677,91 @@ def run_shard_vector(
     """Vector-kernel implementation of :meth:`CellSimulator.run_shard`.
 
     Produces a :class:`~repro.basestation.cell.CellShard` byte-identical
-    to the scalar shard run over the same devices: every UE takes the
-    batch path, and the shared cell-load state (ordered switch timeline,
-    running peak, sample series) is reconstructed by replaying all UEs'
-    load mutations in exact heap order.  The caller —
+    to the scalar shard run over the same devices: the shard's devices
+    are drained into columnar batches whose folds and boundary masks are
+    computed once per batch, each device's boundaries are replayed
+    through its real state machine, and the shared cell-load state
+    (ordered switch timeline, running peak, sample series) is
+    reconstructed by replaying all UEs' load mutations in exact heap
+    order.  The caller —
     :meth:`~repro.basestation.cell.CellSimulator.run_shard` — has already
     validated the shard, checked :func:`use_vector_kernel`, and prepared
     and reset every policy.
     """
-    from ..basestation.cell import _LOAD_WINDOW_S, CellShard, ShardDeviceState
+    from ..basestation.cell import _LOAD_WINDOW_S, CellShard
+    from ..basestation.table import ShardTable
 
     engine = simulator.engine
     profile = engine.profile
     vt = vector_table(profile, engine.accountant.data_model)
     ops: list[_LoadOp] = []
-    states: list[ShardDeviceState] = []
+    # The shard's device columns, filled in device order.
+    totals: list[tuple[float, float, float, float, int, int, int]] = []
+    open_states: list[RadioState] = []
+    open_since: list[float] = []
+    last_activity: list[float] = []
+    packets: list[int] = []
+    requests: list[int] = []
+    data_j: list[float] = []
+    data_time_s: list[float] = []
     horizon: float | None = None
     last_emitted: float | None = None
     max_now = 0.0
-    for spec in devices:
-        outcome = _run_vector_ue(
-            spec, profile, vt, _constant_wait(spec.policy), ops
-        )
-        machine = outcome.machine
-        (active_s, high_idle_s, idle_s, switch_j, promotions,
-         timer_demotions, fast_demotions) = machine.folded_state_totals()
-        states.append(ShardDeviceState(
-            device_id=spec.device_id,
-            policy_name=spec.policy.name,
-            data_j=outcome.data_j,
-            data_time_s=outcome.data_time_s,
-            active_time_s=active_s,
-            high_idle_time_s=high_idle_s,
-            idle_time_s=idle_s,
-            switch_j=switch_j,
-            promotions=promotions,
-            timer_demotions=timer_demotions,
-            fast_demotions=fast_demotions,
-            open_state=machine.state,
-            open_since=machine.segment_start,
-            last_activity=machine.last_activity,
-            packets=outcome.packets,
-            dormancy_requests=outcome.requests,
-            dormancy_granted=outcome.requests,
-            dormancy_denied=0,
-            session_delays=(),
-            delayed_sessions=0,
-            total_session_delay_s=0.0,
-            cohort=spec.cohort,
-            closed=outcome.departed,
-        ))
-        if outcome.packets and (last_emitted is None
-                                or outcome.last_effective > last_emitted):
-            last_emitted = outcome.last_effective
-        if machine.now > max_now:
-            max_now = machine.now
-        if outcome.horizon is not None and (horizon is None
-                                            or outcome.horizon > horizon):
-            horizon = outcome.horizon
+    first = 0
+    while first < len(devices):
+        stop, columns = _drain(devices, first)
+        batch = _Batch(devices[first:stop], *columns, vt)
+        del columns  # the batch keeps lists; free the arrays before replay
+        first = stop
+        packets += batch.packets
+        data_j += batch.data_j
+        data_time_s += batch.data_time_s
+
+        for d, spec in enumerate(batch.specs):
+            machine = RrcStateMachine(profile, start_time=spec.attach_at,
+                                      fold_history=True)
+            ue_requests, t_last, ue_horizon = _replay_ue(machine, vt, batch,
+                                                         d, ops)
+            totals.append(machine.folded_state_totals())
+            open_states.append(machine.state)
+            open_since.append(machine.segment_start)
+            last_activity.append(machine.last_activity)
+            requests.append(ue_requests)
+            if t_last is not None and (last_emitted is None
+                                       or t_last > last_emitted):
+                last_emitted = t_last
+            if machine.now > max_now:
+                max_now = machine.now
+            if ue_horizon is not None and (horizon is None
+                                           or ue_horizon > horizon):
+                horizon = ue_horizon
+
+    (active_s, high_idle_s, idle_s, switch_j, promotions, timer_demotions,
+     fast_demotions) = zip(*totals)
+    table = ShardTable.from_columns(
+        {
+            "device_id": [spec.device_id for spec in devices],
+            "data_j": data_j,
+            "data_time_s": data_time_s,
+            "active_time_s": active_s,
+            "high_idle_time_s": high_idle_s,
+            "idle_time_s": idle_s,
+            "switch_j": switch_j,
+            "promotions": promotions,
+            "timer_demotions": timer_demotions,
+            "fast_demotions": fast_demotions,
+            "open_since": open_since,
+            "last_activity": last_activity,
+            "packets": packets,
+            # An always-granting station: every request is granted.
+            "dormancy_requests": requests,
+            "dormancy_granted": requests,
+        },
+        open_states=open_states,
+        closed=[spec.detach_at is not None for spec in devices],
+        policy_names=[spec.policy.name for spec in devices],
+        cohorts=[spec.cohort for spec in devices],
+    )
 
     # Global load replay: merge every UE's mutations into heap order.
     ops.sort(key=_OP_KEY)
@@ -650,7 +777,7 @@ def run_shard_vector(
         dormancy_policy_name=simulator.dormancy_policy.name,
         profile=profile,
         trailing_time=engine.trailing_time,
-        devices=tuple(states),
+        devices=table,
         last_emitted=last_emitted,
         max_now=max_now,
         load=load,

@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..folds import left_fold
 from .packet import PacketTrace
 
 __all__ = [
@@ -68,7 +69,7 @@ class EmpiricalCdf:
     @property
     def mean(self) -> float:
         """Arithmetic mean of the samples."""
-        return sum(self._samples) / len(self._samples)
+        return left_fold(self._samples) / len(self._samples)
 
     def cdf(self, x: float) -> float:
         """Fraction of samples less than or equal to ``x``."""

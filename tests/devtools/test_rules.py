@@ -36,14 +36,17 @@ def test_every_rule_carries_contract_and_hint():
 
 
 #: Each rule at its RULE_TARGETS path, plus further paths a widened scope
-#: must cover: left-fold the learning layer's float totals, hot-path-slots
-#: the packet copies every stream makes.
+#: must cover: left-fold the learning layer's float totals and the
+#: scenario layer's cohort weight total, hot-path-slots the packet copies
+#: every stream makes.
 POSITIVE_CASES = [
     pytest.param(rule_id, RULE_TARGETS[rule_id], id=rule_id)
     for rule_id in EXPECTED_RULES
 ] + [
     pytest.param("left-fold", "src/repro/learning/fixture_mod.py",
                  id="left-fold-learning"),
+    pytest.param("left-fold", "src/repro/scenarios/fixture_mod.py",
+                 id="left-fold-scenarios"),
     pytest.param("hot-path-slots", "src/repro/traces/packet.py",
                  id="hot-path-slots-packet"),
 ]

@@ -228,6 +228,29 @@ class TestMain:
             "--floor", str(floor), "--current", str(bloated),
         ]) == gate.REGRESSION
 
+    def test_defaults_gate_fresh_numbers_against_committed_floors(
+            self, tmp_path, monkeypatch):
+        """With no paths given, the gate reads the floors from the
+        committed file and the fresh numbers from where the benchmark
+        writes them — so a benchmark run never touches the floors."""
+        assert gate.FLOOR_PATH == gate.REPO_ROOT / "BENCH_engine.json"
+        assert gate.FRESH_PATH == (gate.REPO_ROOT / ".benchmarks"
+                                   / "BENCH_engine.json")
+        monkeypatch.setattr(gate, "usable_cores", lambda: 8)
+        monkeypatch.setattr(gate, "FLOOR_PATH",
+                            _bench_file(tmp_path, "floor.json", 60_000.0))
+        monkeypatch.setattr(gate, "FRESH_PATH",
+                            _bench_file(tmp_path, "fresh.json", 10_000.0))
+        assert gate.main([]) == gate.REGRESSION
+        monkeypatch.setattr(gate, "FRESH_PATH",
+                            _bench_file(tmp_path, "fresh.json", 58_000.0))
+        assert gate.main([]) == gate.OK
+
+    def test_fresh_numbers_are_gitignored(self):
+        ignored = (gate.REPO_ROOT / ".gitignore").read_text(
+            encoding="utf-8").split()
+        assert ".benchmarks/" in ignored
+
     def test_bad_tolerance_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gate, "usable_cores", lambda: 8)
         floor = _bench_file(tmp_path, "floor.json", 60_000.0)

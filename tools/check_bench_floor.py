@@ -2,15 +2,16 @@
 """Benchmark regression gate: fresh throughput vs. the recorded floor.
 
 Compares each gated section's freshly measured ``packets_per_sec``
-(written to ``BENCH_engine.json`` by
-``benchmarks/test_engine_throughput.py``) against the *committed* value
-of the same key — the recorded floor — and fails when any fresh number
-drops below ``tolerance × floor``.  By default every throughput section
-with a recorded floor is gated (``single_1k``, ``sharded_100k``,
-``metro_250k``, ``vector_1k``, ``learning_10k``); pass ``--section`` one
-or more times to gate a subset.  This is what keeps future PRs from
-silently regressing the kernel hot paths: CI snapshots the committed
-file before the benchmark overwrites it, then runs this gate.
+(written to the gitignored ``.benchmarks/BENCH_engine.json`` by
+``benchmarks/test_engine_throughput.py``) against the value of the same
+key in the committed ``BENCH_engine.json`` — the recorded floor — and
+fails when any fresh number drops below ``tolerance × floor``.  By
+default every throughput section with a recorded floor is gated
+(``single_1k``, ``sharded_100k``, ``metro_250k``, ``vector_1k``,
+``learning_10k``); pass ``--section`` one or more times to gate a
+subset.  This is what keeps future PRs from silently regressing the
+kernel hot paths: the benchmark never writes the committed file, so CI
+runs it and then this gate with the default paths.
 
 The gate is tolerance-based and **skips cleanly** on constrained runners:
 shared CI boxes jitter by tens of percent, so the default tolerance is
@@ -21,16 +22,15 @@ the code), and ``REPRO_BENCH_GATE=skip`` force-skips.
 One section is gated on *memory* instead of throughput: ``cell_1m``
 records the resident set (``rss_now_mb``) of the million-device streamed
 cell, and its fresh value must stay under the committed
-``rss_ceiling_mb`` of the floor snapshot.  Memory does not jitter with
+``rss_ceiling_mb`` of the floor file.  Memory does not jitter with
 core contention, so this check runs even below ``--min-cores``; like the
 throughput sections it skips cleanly when the (opt-in,
 ``REPRO_BENCH_1M=1``) section is absent from the fresh run.
 
 Usage::
 
-    cp BENCH_engine.json /tmp/bench_floor.json       # before the bench run
     PYTHONPATH=src python -m pytest benchmarks/test_engine_throughput.py -q
-    python tools/check_bench_floor.py --floor /tmp/bench_floor.json
+    python tools/check_bench_floor.py    # fresh numbers vs committed floors
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The committed floors, and where the benchmark writes fresh numbers.
+FLOOR_PATH = REPO_ROOT / "BENCH_engine.json"
+FRESH_PATH = REPO_ROOT / ".benchmarks" / "BENCH_engine.json"
 
 #: Exit status meanings (documented for CI log readers).
 OK, REGRESSION, BAD_INPUT = 0, 1, 2
@@ -161,13 +164,14 @@ def gate_memory(floor_path: Path, current_path: Path) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--floor", type=Path, required=True,
-        help="BENCH_engine.json snapshot holding the recorded floor "
-             "(take it before the benchmark overwrites the file)",
+        "--floor", type=Path, default=FLOOR_PATH,
+        help="BENCH_engine.json holding the recorded floors (default: the "
+             "committed file at the repo root)",
     )
     parser.add_argument(
-        "--current", type=Path, default=REPO_ROOT / "BENCH_engine.json",
-        help="freshly written BENCH_engine.json (default: repo root)",
+        "--current", type=Path, default=FRESH_PATH,
+        help="freshly written BENCH_engine.json (default: "
+             ".benchmarks/BENCH_engine.json, where the benchmark writes)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.45,

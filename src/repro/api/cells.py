@@ -568,20 +568,17 @@ def execute_cell(spec: CellRunSpec, shards: int | None = None) -> CellResult:
 
     Module-level so :class:`~repro.api.runner.ProcessPoolRunner` can send
     it to worker processes by reference.  ``shards`` overrides the spec's
-    own shard count; with more than one shard the partitions run
-    *sequentially in this process* and merge — byte-identical per-device
-    results, no parallelism.  Cross-process parallel sharding belongs to
-    the runner layer (:class:`~repro.api.runner.ProcessPoolRunner` ships
+    own shard count; the partitions run *sequentially in this process*
+    and merge — byte-identical per-device results, no parallelism (one
+    shard is the single-process run).  Cross-process parallel sharding
+    belongs to the runner layer
+    (:class:`~repro.api.runner.ProcessPoolRunner` ships
     :func:`execute_cell_shard` calls to workers), which keeps worker-side
     execution free of nested process pools.
     """
     if shards is not None:
         spec = replace(spec, shards=shards)
-    count = spec.effective_shards
-    if count == 1:
-        profile = get_profile(spec.carrier)
-        simulator = CellSimulator(profile, spec.dormancy.build())
-        return simulator.run(spec.cell.build_devices(spec.policy))
     return merge_cell_shards(
-        [execute_cell_shard(spec, index) for index in range(count)]
+        [execute_cell_shard(spec, index)
+         for index in range(spec.effective_shards)]
     )

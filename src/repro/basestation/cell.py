@@ -93,7 +93,6 @@ __all__ = [
     "DeviceSpec",
     "DeviceTable",
     "FloatArray",
-    "ShardDeviceState",
     "ShardTable",
     "merge_cell_shards",
 ]
@@ -103,6 +102,17 @@ _LOAD_WINDOW_S = 60.0
 
 #: A device workload: a materialised trace or a lazy time-ordered source.
 TraceSource = Union[PacketTrace, Iterable[Packet]]
+
+#: The numeric columns a scalar shard exports, in the order
+#: :meth:`CellSimulator.run_shard` lists each device's values.
+_SCALAR_EXPORT = (
+    "device_id", "data_j", "data_time_s", "active_time_s",
+    "high_idle_time_s", "idle_time_s", "switch_j", "promotions",
+    "timer_demotions", "fast_demotions", "open_since", "last_activity",
+    "packets", "dormancy_requests", "dormancy_granted", "dormancy_denied",
+    "delayed_sessions", "total_session_delay_s", "learn_iterations",
+    "learn_delay_first_s", "learn_delay_final_s",
+)
 
 
 @dataclass(frozen=True)
@@ -394,62 +404,15 @@ class CellResult:
 
 
 @dataclass(frozen=True)
-class ShardDeviceState:
-    """One device's folded kernel state, exported before the timeline closes.
-
-    Everything needed to finish the device's accounting at an end time the
-    shard itself cannot know (the *global* close time of the whole cell):
-    the incremental energy totals, the open state segment with its pending
-    timer demotions (pinned down by ``open_state``, ``open_since`` and
-    ``last_activity``), and the plain counters.  :func:`_close_columns`
-    replays :meth:`~repro.rrc.state_machine.RrcStateMachine.finish` plus
-    the machine's fold-at-transition accounting
-    (:meth:`~repro.rrc.state_machine.RrcStateMachine.folded_state_totals`)
-    over these fields float op for float op — which is what makes sharded
-    per-device results byte-identical to a single-process run.
-    """
-
-    device_id: int
-    policy_name: str
-    data_j: float
-    data_time_s: float
-    active_time_s: float
-    high_idle_time_s: float
-    idle_time_s: float
-    switch_j: float
-    promotions: int
-    timer_demotions: int
-    fast_demotions: int
-    open_state: RadioState
-    open_since: float
-    last_activity: float
-    packets: int
-    dormancy_requests: int
-    dormancy_granted: int
-    dormancy_denied: int
-    session_delays: tuple[SessionDelay, ...]
-    delayed_sessions: int
-    total_session_delay_s: float
-    cohort: str = ""
-    #: Online-learning summary captured at shard export (the learner lives
-    #: and dies inside its shard, so these are already final).
-    learn_iterations: int = 0
-    learn_delay_first_s: float = 0.0
-    learn_delay_final_s: float = 0.0
-    #: True when a handover already closed this device's timeline at its
-    #: departure instant: the exported state-time totals are final and the
-    #: merge must *not* extend them to the global end time.
-    closed: bool = False
-
-
-@dataclass(frozen=True)
 class CellShard:
     """The picklable partial result of one shard's kernel run.
 
     Produced by :meth:`CellSimulator.run_shard`, consumed by
     :func:`merge_cell_shards`.  Timelines are still open: ``last_emitted``
     and ``max_now`` are this shard's contribution to the global end-time
-    resolution, and every device carries its open segment.
+    resolution, and ``devices`` holds every device's folded totals and
+    open segment as one :class:`ShardTable`, which both kernels build
+    column-wise with :meth:`ShardTable.from_columns`.
     """
 
     dormancy_policy_name: str
@@ -466,12 +429,6 @@ class CellShard:
     vector_devices: int = 0
 
     def __post_init__(self) -> None:
-        # Normalise a row tuple (the shard runners build rows; so may
-        # tests) into the columnar partial the merge layer consumes.
-        if not isinstance(self.devices, ShardTable):
-            object.__setattr__(
-                self, "devices", ShardTable.from_rows(tuple(self.devices))
-            )
         # Compact the kernel's boxed switch-time list into one float
         # column: the shard outlives the run (often crossing a process
         # boundary) and the merge only reads the finished timeline, so
@@ -641,15 +598,45 @@ class CellSimulator:
             handovers=handovers or None,
         )
 
-        shard_devices = [
-            _shard_device_state(spec, contexts[spec.device_id])
-            for spec in devices
-        ]
+        # Export every context's folded totals and open segment, in shard
+        # order, as the shard's columns.
+        numbers = []
+        open_states = []
+        closed = []
+        session_delays = []
+        for spec in devices:
+            ue = contexts[spec.device_id]
+            machine = ue.machine
+            # The learner lives and dies inside its shard, so its records
+            # are already final.
+            records = spec.policy.learning_records()
+            first_delay = final_delay = 0.0
+            if records:
+                first_delay = float(getattr(records[0], "delay_used", 0.0))
+                final_delay = float(getattr(records[-1], "delay_used", 0.0))
+            numbers.append((
+                spec.device_id, *ue.folded_totals(), ue.promotions,
+                ue.timer_demotions, ue.fast_demotions, machine.segment_start,
+                machine.last_activity, ue.packet_count, ue.dormancy_requests,
+                ue.dormancy_granted, ue.dormancy_denied, ue.delayed_sessions,
+                ue.total_delay_s, len(records), first_delay, final_delay,
+            ))
+            open_states.append(machine.state)
+            closed.append(ue.departed)
+            session_delays.append(ue.session_delays)
+        table = ShardTable.from_columns(
+            dict(zip(_SCALAR_EXPORT, zip(*numbers))),
+            open_states=open_states,
+            closed=closed,
+            policy_names=[spec.policy.name for spec in devices],
+            cohorts=[spec.cohort for spec in devices],
+            session_delays=session_delays,
+        )
         return CellShard(
             dormancy_policy_name=self._dormancy_policy.name,
             profile=profile,
             trailing_time=self._engine.trailing_time,
-            devices=tuple(shard_devices),
+            devices=table,
             last_emitted=outcome.last_emitted,
             max_now=outcome.end_time,
             load=load,
@@ -658,57 +645,25 @@ class CellSimulator:
         )
 
 
-def _shard_device_state(spec: DeviceSpec, ue: UeContext) -> ShardDeviceState:
-    """Export one scalar-kernel context's open folded state for a shard result."""
-    (data_j, data_time_s, active_time_s, high_idle_time_s,
-     idle_time_s, switch_j) = ue.folded_totals()
-    machine = ue.machine
-    records = tuple(spec.policy.learning_records())
-    first_delay = float(getattr(records[0], "delay_used", 0.0)) if records else 0.0
-    final_delay = float(getattr(records[-1], "delay_used", 0.0)) if records else 0.0
-    return ShardDeviceState(
-        device_id=spec.device_id,
-        policy_name=spec.policy.name,
-        data_j=data_j,
-        data_time_s=data_time_s,
-        active_time_s=active_time_s,
-        high_idle_time_s=high_idle_time_s,
-        idle_time_s=idle_time_s,
-        switch_j=switch_j,
-        promotions=ue.promotions,
-        timer_demotions=ue.timer_demotions,
-        fast_demotions=ue.fast_demotions,
-        open_state=machine.state,
-        open_since=machine.segment_start,
-        last_activity=machine.last_activity,
-        packets=ue.packet_count,
-        dormancy_requests=ue.dormancy_requests,
-        dormancy_granted=ue.dormancy_granted,
-        dormancy_denied=ue.dormancy_denied,
-        session_delays=tuple(ue.session_delays),
-        delayed_sessions=ue.delayed_sessions,
-        total_session_delay_s=ue.total_delay_s,
-        cohort=spec.cohort,
-        learn_iterations=len(records),
-        learn_delay_first_s=first_delay,
-        learn_delay_final_s=final_delay,
-        closed=ue.departed,
-    )
-
-
 def _close_columns(
     combined: ShardTable, profile: CarrierProfile, end_time: float
 ) -> tuple[list[float], list[float], list[float], list[int]]:
     """Close every open timeline of ``combined`` at ``end_time``.
 
-    Replays exactly what :meth:`RrcStateMachine.finish` (pending timer
-    demotions via ``_apply_timers``, then the final fold-at-transition
-    interval accounting) would have folded: the columns are pulled to
-    Python scalars once and each device runs the same boundary
-    comparisons and per-interval additions, in the same order, so the
-    closed state times are bit-equal to the single-process close at the
-    same ``end_time`` at any shard count.  Handover-closed devices pass
-    through untouched.  Returns the closed
+    A shard exports each device before its timeline closes, because only
+    the merge knows the global close time: the folded state-time totals
+    plus the open segment with its pending timer demotions, pinned down
+    by the ``open_state`` code and the ``open_since`` and
+    ``last_activity`` columns.  This replays exactly what
+    :meth:`RrcStateMachine.finish` (pending timer demotions via
+    ``_apply_timers``, then the final fold-at-transition interval
+    accounting) would have folded: the columns are pulled to Python
+    scalars once and each device runs the same boundary comparisons and
+    per-interval additions, in the same order, so the closed state times
+    are bit-equal to the single-process close at the same ``end_time`` at
+    any shard count.  Devices whose ``closed`` flag is set (a handover
+    closed them at their departure instant) pass through untouched.
+    Returns the closed
     ``(active_time_s, high_idle_time_s, idle_time_s, timer_demotions)``
     lists.
     """

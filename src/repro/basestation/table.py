@@ -14,9 +14,10 @@ facts as one contiguous column per field instead:
   every existing consumer, including the digest-pinned golden builders,
   sees the exact objects it always did.
 * :class:`ShardTable` backs ``CellShard.devices`` — the picklable partial
-  a shard worker returns.  ``merge_cell_shards`` concatenates shard
-  columns instead of chaining object tuples, and the per-device close-out
-  still runs the same scalar float ops per row (see
+  a shard worker returns.  Both shard kernels build it column by column
+  (:meth:`ShardTable.from_columns`) and it has no row views.
+  ``merge_cell_shards`` concatenates shard columns, and the per-device
+  close-out still runs the same scalar float ops per device (see
   ``docs/DESIGN.md`` §5 for why byte-identity survives the concat-merge).
 * :class:`FloatArray` is a small immutable float sequence used for
   ``CellResult.switch_times`` (potentially millions of timestamps).
@@ -50,13 +51,12 @@ from ..sim.results import SessionDelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from ..rrc.profiles import CarrierProfile
-    from .cell import DeviceResult, ShardDeviceState
+    from .cell import DeviceResult
 
 __all__ = ["DeviceTable", "FloatArray", "ShardTable"]
 
-#: Fixed state <-> small-int code mapping used by ShardTable.open_state.
-_STATES: tuple[RadioState, ...] = tuple(RadioState)
-_STATE_CODE: dict[RadioState, int] = {s: i for i, s in enumerate(_STATES)}
+#: Fixed state -> small-int code mapping used by ShardTable.open_state.
+_STATE_CODE: dict[RadioState, int] = {s: i for i, s in enumerate(RadioState)}
 
 
 # -- column primitives (numpy preferred, array.array fallback) ---------------------
@@ -685,14 +685,13 @@ class DeviceTable(Sequence["DeviceResult"]):
         return groups
 
 
-class ShardTable(Sequence["ShardDeviceState"]):
+class ShardTable:
     """Struct-of-arrays form of one shard's exported open device states.
 
-    The columnar twin of a ``tuple[ShardDeviceState, ...]``: built row-wise
-    by the scalar shard runner and column-wise by the vector one
-    (:meth:`from_columns`), shipped across the process
-    boundary as a handful of arrays, and consumed column-wise by
-    ``merge_cell_shards``.
+    One column per exported field, built by both shard kernels with
+    :meth:`from_columns`, shipped across the process boundary as a
+    handful of arrays, and read column-wise (:meth:`column` and the
+    properties below) by ``merge_cell_shards``.  There are no row views.
     """
 
     _FLOAT_COLS = (
@@ -724,23 +723,6 @@ class ShardTable(Sequence["ShardDeviceState"]):
         self._n = len(cols["device_id"])
 
     @classmethod
-    def from_rows(cls, rows: Sequence["ShardDeviceState"]) -> "ShardTable":
-        cols: dict[str, Any] = {}
-        for name in cls._FLOAT_COLS:
-            cols[name] = _float_col([getattr(r, name) for r in rows])
-        for name in cls._INT_COLS:
-            cols[name] = _int_col([getattr(r, name) for r in rows])
-        open_state = _byte_col([_STATE_CODE[r.open_state] for r in rows])
-        closed = _byte_col([1 if r.closed else 0 for r in rows])
-        policy_codes, policy_cats = _encode_labels(
-            [r.policy_name for r in rows]
-        )
-        cohort_codes, cohort_cats = _encode_labels([r.cohort for r in rows])
-        delays = _Ragged.from_lists([r.session_delays for r in rows])
-        return cls(cols, open_state, closed, policy_codes, policy_cats,
-                   cohort_codes, cohort_cats, delays)
-
-    @classmethod
     def from_columns(
         cls,
         values: Mapping[str, Any],
@@ -748,13 +730,15 @@ class ShardTable(Sequence["ShardDeviceState"]):
         closed: Sequence[bool],
         policy_names: Sequence[str],
         cohorts: Sequence[str],
+        session_delays: Sequence[Sequence[SessionDelay]],
     ) -> "ShardTable":
-        """Build a table from per-field columns, without row objects.
+        """Build a shard's table from per-field columns, in device order.
 
         ``values`` maps float and int field names to one value per
-        device; a field it leaves out is zero for every device, and no
-        device has session delays.  That is the shape of a vector-kernel
-        shard, whose devices never buffer sessions and never learn.
+        device; a field it leaves out is zero for every device (a vector
+        shard's devices never learn, buffer sessions or meet a denial).
+        ``session_delays`` holds each device's stored session-delay
+        sample, an empty row for a device that delayed nothing.
         """
         n = len(policy_names)
         cols: dict[str, Any] = {}
@@ -766,7 +750,7 @@ class ShardTable(Sequence["ShardDeviceState"]):
         closed_col = _byte_col([1 if flag else 0 for flag in closed])
         policy_codes, policy_cats = _encode_labels(policy_names)
         cohort_codes, cohort_cats = _encode_labels(cohorts)
-        delays = _Ragged.from_lists([()] * n)
+        delays = _Ragged.from_lists(session_delays)
         return cls(cols, open_state, closed_col, policy_codes, policy_cats,
                    cohort_codes, cohort_cats, delays)
 
@@ -791,85 +775,28 @@ class ShardTable(Sequence["ShardDeviceState"]):
         return cls(cols, open_state, closed, policy_codes, policy_cats,
                    cohort_codes, cohort_cats, delays)
 
-    # -- sequence protocol -----------------------------------------------------------
-
     def __len__(self) -> int:
         return self._n
 
-    def _row(self, i: int) -> "ShardDeviceState":
-        from .cell import ShardDeviceState
-
-        c = self._cols
-        offsets = self._delays.offsets
-        return ShardDeviceState(
-            device_id=int(c["device_id"][i]),
-            policy_name=self._policy_cats[self._policy_codes[i]],
-            data_j=float(c["data_j"][i]),
-            data_time_s=float(c["data_time_s"][i]),
-            active_time_s=float(c["active_time_s"][i]),
-            high_idle_time_s=float(c["high_idle_time_s"][i]),
-            idle_time_s=float(c["idle_time_s"][i]),
-            switch_j=float(c["switch_j"][i]),
-            promotions=int(c["promotions"][i]),
-            timer_demotions=int(c["timer_demotions"][i]),
-            fast_demotions=int(c["fast_demotions"][i]),
-            open_state=_STATES[self._open_state[i]],
-            open_since=float(c["open_since"][i]),
-            last_activity=float(c["last_activity"][i]),
-            packets=int(c["packets"][i]),
-            dormancy_requests=int(c["dormancy_requests"][i]),
-            dormancy_granted=int(c["dormancy_granted"][i]),
-            dormancy_denied=int(c["dormancy_denied"][i]),
-            session_delays=self._delays.row(
-                int(offsets[i]), int(offsets[i + 1])
-            ),
-            delayed_sessions=int(c["delayed_sessions"][i]),
-            total_session_delay_s=float(c["total_session_delay_s"][i]),
-            cohort=self._cohort_cats[self._cohort_codes[i]],
-            learn_iterations=int(c["learn_iterations"][i]),
-            learn_delay_first_s=float(c["learn_delay_first_s"][i]),
-            learn_delay_final_s=float(c["learn_delay_final_s"][i]),
-            closed=bool(self._closed[i]),
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(
-                self._row(i) for i in range(*index.indices(self._n))
-            )
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError("shard device index out of range")
-        return self._row(index)
-
-    def __iter__(self) -> Iterator["ShardDeviceState"]:
-        for i in range(self._n):
-            yield self._row(i)
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ShardTable):
-            if self._n != other._n:
+        if not isinstance(other, ShardTable):
+            return NotImplemented
+        if self._n != other._n:
+            return False
+        for name in self._FLOAT_COLS + self._INT_COLS:
+            if not _col_equal(self._cols[name], other._cols[name]):
                 return False
-            for name in self._FLOAT_COLS + self._INT_COLS:
-                if not _col_equal(self._cols[name], other._cols[name]):
-                    return False
-            if not _col_equal(self._open_state, other._open_state):
-                return False
-            if not _col_equal(self._closed, other._closed):
-                return False
-            if not _decoded_equal(self._policy_codes, self._policy_cats,
-                                  other._policy_codes, other._policy_cats):
-                return False
-            if not _decoded_equal(self._cohort_codes, self._cohort_cats,
-                                  other._cohort_codes, other._cohort_cats):
-                return False
-            return self._delays == other._delays
-        if isinstance(other, (tuple, list)):
-            if len(other) != self._n:
-                return False
-            return all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not _col_equal(self._open_state, other._open_state):
+            return False
+        if not _col_equal(self._closed, other._closed):
+            return False
+        if not _decoded_equal(self._policy_codes, self._policy_cats,
+                              other._policy_codes, other._policy_cats):
+            return False
+        if not _decoded_equal(self._cohort_codes, self._cohort_cats,
+                              other._cohort_codes, other._cohort_cats):
+            return False
+        return self._delays == other._delays
 
     def __hash__(self) -> int:
         return hash(("ShardTable", self._n))

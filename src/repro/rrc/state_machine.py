@@ -120,9 +120,8 @@ class RrcStateMachine:
     and switch into flat per-state totals at the moment the transition
     happens — the same ``end - start`` durations and ``energy_j`` values,
     added in the same order, so the folded totals are bit-equal to
-    summing the recorded history afterwards (which is exactly what the
-    streaming cell kernel used to do via :meth:`drain_history`), while
-    allocating no history objects at all.  Read the totals back with
+    summing the recorded history afterwards, while allocating no history
+    objects at all.  Read the totals back with
     :meth:`folded_state_totals`.
     """
 
@@ -389,29 +388,6 @@ class RrcStateMachine:
         )
         self._transition(time, RadioState.IDLE)
         return True
-
-    def drain_history(
-        self,
-    ) -> tuple[tuple[StateInterval, ...], tuple[SwitchEvent, ...]]:
-        """Return and clear the completed intervals and switches recorded so far.
-
-        Superseded on the kernel hot path by ``fold_history=True`` (the
-        machine folds at transition time instead of materialising history
-        to drain); kept for consumers that want periodic history batches.
-        Do not mix with the :attr:`intervals` / :attr:`switches` accessors
-        for final results: drained history is gone.
-        """
-        if self._fold:
-            raise RuntimeError(
-                "drain_history() is meaningless in fold_history mode: "
-                "history is folded at transition time, read it back with "
-                "folded_state_totals()"
-            )
-        intervals = tuple(self._intervals)
-        switches = tuple(self._switches)
-        self._intervals.clear()
-        self._switches.clear()
-        return intervals, switches
 
     def folded_state_totals(self) -> tuple[float, float, float, float,
                                            int, int, int]:

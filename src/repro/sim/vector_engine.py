@@ -683,7 +683,9 @@ def run_shard_vector(
     through its real state machine, and the shared cell-load state
     (ordered switch timeline, running peak, sample series) is
     reconstructed by replaying all UEs' load mutations in exact heap
-    order.  The caller —
+    order.  The device columns go to the same
+    :meth:`~repro.basestation.table.ShardTable.from_columns` the scalar
+    kernel builds its partial with.  The caller —
     :meth:`~repro.basestation.cell.CellSimulator.run_shard` — has already
     validated the shard, checked :func:`use_vector_kernel`, and prepared
     and reset every policy.
@@ -761,6 +763,8 @@ def run_shard_vector(
         closed=[spec.detach_at is not None for spec in devices],
         policy_names=[spec.policy.name for spec in devices],
         cohorts=[spec.cohort for spec in devices],
+        # Vector-eligible policies never delay a session.
+        session_delays=[()] * len(devices),
     )
 
     # Global load replay: merge every UE's mutations into heap order.

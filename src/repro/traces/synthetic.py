@@ -158,10 +158,6 @@ def _uniform(low: float, high: float) -> Callable[[random.Random], float]:
     return lambda rng: rng.uniform(low, high)
 
 
-def _exponential(mean: float) -> Callable[[random.Random], float]:
-    return lambda rng: rng.expovariate(1.0 / mean)
-
-
 def _lognormal(median: float, sigma: float) -> Callable[[random.Random], float]:
     mu = math.log(median)
     return lambda rng: rng.lognormvariate(mu, sigma)

@@ -25,10 +25,13 @@ from repro.basestation import (
     partition_switch_budget,
 )
 from repro.core import FixedTimerPolicy
+from repro.core.controller import build_scheme
 from repro.core.makeidle import MakeIdlePolicy
 from repro.rrc.profiles import get_profile
+from repro.sim import TraceSimulator
 from repro.sim.engine import CellLoad
 from repro.sim.vector_engine import numpy_available
+from repro.traces import generate_application_trace
 from repro.traces.streaming import stream_application_packets
 
 #: (station factory, label); every entry is shard-independent: its
@@ -203,6 +206,48 @@ class TestShardMergeExactness:
         assert merged.peak_active_devices == max(
             s.active_devices for s in merged.load_samples
         )
+
+
+class TestScalarShardExport:
+    def test_delay_and_learning_columns_match_single_ue_runs(
+        self, att_profile
+    ):
+        # Learners on materialised traces run on the scalar kernel; its
+        # exported session-delay and learning columns must survive the
+        # 3-shard merge exactly as an independent recorder sees them: a
+        # collect-mode single-UE run of the same trace, fresh policy.
+        scheme = "makeidle+makeactive_learn"
+        apps = ("im", "email", "news")
+        traces = [
+            generate_application_trace(apps[i % 3], duration=1800.0,
+                                       seed=300 + i)
+            for i in range(7)
+        ]
+        merged = merge_cell_shards([
+            CellSimulator(att_profile, AcceptAllDormancy()).run_shard([
+                DeviceSpec(device_id=i, trace=traces[i],
+                           policy=build_scheme(scheme))
+                for i in range(lo, hi)
+            ])
+            for lo, hi in _shard_bounds(7, 3)
+        ])
+        assert merged.vector_devices == 0
+        delayed = 0
+        for i, trace in enumerate(traces):
+            policy = build_scheme(scheme)
+            reference = TraceSimulator(att_profile).run(trace, policy)
+            records = policy.learning_records()
+            expected = tuple(
+                d for d in reference.session_delays
+                if d.release_time > d.arrival_time
+            )
+            device = merged.device(i)
+            assert device.session_delays == expected
+            assert device.learn_iterations == len(records) > 0
+            assert device.learn_delay_first_s == records[0].delay_used
+            assert device.learn_delay_final_s == records[-1].delay_used
+            delayed += len(expected)
+        assert delayed > 0
 
 
 class TestMergeValidation:

@@ -86,11 +86,6 @@ class TestInlineTransferFold:
 
 
 class TestFoldModeGuards:
-    def test_drain_history_refused_in_fold_mode(self):
-        machine = RrcStateMachine(get_profile("att_hspa"), fold_history=True)
-        with pytest.raises(RuntimeError, match="fold"):
-            machine.drain_history()
-
     def test_folded_totals_refused_without_fold_mode(self):
         machine = RrcStateMachine(get_profile("att_hspa"))
         with pytest.raises(RuntimeError, match="fold_history"):

@@ -181,7 +181,7 @@ class TestStreamErrors:
         """Device 1 starts before device 0 ends: a cross-device gap."""
         shard = self._run([PacketTrace(_packets(1.0, 90.0)),
                            PacketTrace(_packets(0.0, 2.0))])
-        assert [row.packets for row in shard.devices] == [2, 2]
+        assert shard.devices.column("packets").tolist() == [2, 2]
 
     def test_first_packet_before_zero(self):
         """Duck-typed packets skip ``Packet``'s own timestamp check."""
@@ -272,7 +272,7 @@ class TestShardShapes:
             for index, n in enumerate(lengths)
         ]
         shard = CellSimulator(get_profile("att_hspa")).run_shard(devices)
-        assert [row.packets for row in shard.devices] == list(lengths)
+        assert shard.devices.column("packets").tolist() == list(lengths)
         assert [n for batch in batches for n in batch] == list(lengths)
         for batch in batches:
             # Every device but the last was taken below the budget.

@@ -118,8 +118,9 @@ class DiskCacheTier:
 
     #: Bump when the pickled payload layout (or anything that affects the
     #: byte-compatibility of stored results) changes: old files then read
-    #: as version mismatches, i.e. clean misses.
-    FORMAT_VERSION = 1
+    #: as version mismatches, i.e. clean misses.  Format 2: cell results
+    #: carry their folded ``CellSummary``.
+    FORMAT_VERSION = 2
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self._dir = Path(directory) if directory is not None else default_cache_dir()

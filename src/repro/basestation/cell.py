@@ -48,7 +48,6 @@ partitioning).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from ..core.policy import RadioPolicy
@@ -79,6 +78,7 @@ from .table import (
     FloatArray,
     ShardTable,
     _float_col,
+    _fold_sum,
     _int_col,
     _np,
     derive_tail_columns,
@@ -88,6 +88,7 @@ __all__ = [
     "CellResult",
     "CellShard",
     "CellSimulator",
+    "CellSummary",
     "CohortBreakdown",
     "DeviceResult",
     "DeviceSpec",
@@ -281,6 +282,58 @@ class CohortBreakdown:
 
 
 @dataclass(frozen=True)
+class CellSummary:
+    """The cell-wide aggregates of one :class:`CellResult`, folded once.
+
+    :meth:`of` runs every fold a records query reads — the energy left
+    fold, the integer totals, the peak-switch sweep, the learning summary
+    and the cohort groups — from the result's columns.  The result builds
+    it when it is made and pickles it, so a result loaded from the disk
+    cache answers its aggregate accessors without folding anything.
+    """
+
+    total_energy_j: float
+    total_packets: int
+    dormancy_requests: int
+    dormancy_denied: int
+    peak_switches_per_minute: int
+    learning: dict[str, float | int]
+    cohorts: dict[str, CohortBreakdown]
+
+    @classmethod
+    def of(cls, devices: DeviceTable, switch_times: FloatArray) -> "CellSummary":
+        """Fold ``devices`` and ``switch_times`` into one summary."""
+        totals = devices.row_totals()
+        cohorts = {}
+        for cohort, group in devices.cohort_groups(totals).items():
+            cohorts[cohort] = CohortBreakdown(
+                cohort=cohort,
+                devices=int(group["devices"]),
+                energy_j=float(group["energy_j"]),
+                switches=int(group["promotions"]) + int(group["demotions"]),
+                promotions=int(group["promotions"]),
+                demotions=int(group["demotions"]),
+                packets=int(group["packets"]),
+                dormancy_requests=int(group["dormancy_requests"]),
+                dormancy_denied=int(group["dormancy_denied"]),
+                delayed_sessions=int(group["delayed_sessions"]),
+                total_session_delay_s=float(group["total_session_delay_s"]),
+                learn_iterations=int(group["learn_iterations"]),
+            )
+        return cls(
+            total_energy_j=_fold_sum(totals),
+            total_packets=devices.int_total("packets"),
+            dormancy_requests=devices.int_total("dormancy_requests"),
+            dormancy_denied=devices.int_total("dormancy_denied"),
+            peak_switches_per_minute=peak_per_window(
+                switch_times.tolist(), _LOAD_WINDOW_S, presorted=True
+            ),
+            learning=devices.learning_summary(),
+            cohorts=cohorts,
+        )
+
+
+@dataclass(frozen=True)
 class CellResult:
     """Aggregate outcome of a cell simulation.
 
@@ -289,7 +342,11 @@ class CellResult:
     familiar :class:`DeviceResult` rows on demand, and a plain sequence of
     rows passed to the constructor is normalised into a table.  The
     cell-wide aggregates push down to column operations that replicate the
-    row-based left-fold sums bit for bit (see ``docs/DESIGN.md`` §5).
+    row-based left-fold sums bit for bit (see ``docs/DESIGN.md`` §5), and
+    run once, when the result is made: ``summary`` (a
+    :class:`CellSummary`) holds them, pickles with the result, and is what
+    the aggregate accessors read.  ``switch_times`` is time-ordered (the
+    peak sweep relies on it).
     """
 
     dormancy_policy_name: str
@@ -304,6 +361,8 @@ class CellResult:
     #: Diagnostic only and excluded from equality: both kernels produce
     #: byte-identical results, so a vector result *equals* its scalar twin.
     vector_devices: int = field(default=0, compare=False)
+    #: The cell-wide aggregates, folded once by ``__post_init__``.
+    summary: CellSummary = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.devices, DeviceTable):
@@ -314,11 +373,14 @@ class CellResult:
             object.__setattr__(
                 self, "switch_times", FloatArray(self.switch_times)
             )
+        object.__setattr__(
+            self, "summary", CellSummary.of(self.devices, self.switch_times)
+        )
 
-    @cached_property
+    @property
     def total_energy_j(self) -> float:
         """Energy summed over every device, joules (columnar left fold)."""
-        return self.devices.total_energy_j()
+        return self.summary.total_energy_j
 
     @property
     def total_switches(self) -> int:
@@ -328,17 +390,17 @@ class CellResult:
     @property
     def total_packets(self) -> int:
         """Packets transferred summed over every device."""
-        return self.devices.int_total("packets")
+        return self.summary.total_packets
 
     @property
     def dormancy_requests(self) -> int:
         """Fast-dormancy requests summed over every device."""
-        return self.devices.int_total("dormancy_requests")
+        return self.summary.dormancy_requests
 
     @property
     def dormancy_denied(self) -> int:
         """Denied fast-dormancy requests summed over every device."""
-        return self.devices.int_total("dormancy_denied")
+        return self.summary.dormancy_denied
 
     @property
     def denial_rate(self) -> float:
@@ -346,17 +408,16 @@ class CellResult:
         requests = self.dormancy_requests
         return self.dormancy_denied / requests if requests else 0.0
 
-    @cached_property
+    @property
     def peak_switches_per_minute(self) -> int:
         """Largest number of switches observed in any 60-second window.
 
-        Computed (and the underlying timestamps sorted) once on first
-        access; repeated reads are O(1).  The two-pointer sweep itself
-        stays scalar so its float comparisons match the pinned golden
-        values exactly.
+        Computed once, when the result is made, by the scalar two-pointer
+        sweep :func:`~repro.metrics.switches.peak_per_window` over the
+        time-ordered ``switch_times`` (no sort), so its float comparisons
+        match the pinned golden values exactly.
         """
-        return peak_per_window(self.switch_times.sorted().tolist(),
-                               _LOAD_WINDOW_S, presorted=True)
+        return self.summary.peak_switches_per_minute
 
     def device(self, device_id: int) -> DeviceResult:
         """Return the result for one device id (O(1) after the first call)."""
@@ -378,29 +439,16 @@ class CellResult:
         labelled, so the cohort totals partition the cell totals exactly
         (a conservation law asserted by the property tests).  Group sums
         are columnar but fold left over the group's rows in device order,
-        matching the row-based sums bit for bit.
+        matching the row-based sums bit for bit.  Read from ``summary``.
         """
-        breakdown: dict[str, CohortBreakdown] = {}
-        for cohort, group in self.devices.cohort_groups().items():
-            breakdown[cohort] = CohortBreakdown(
-                cohort=cohort,
-                devices=int(group["devices"]),
-                energy_j=float(group["energy_j"]),
-                switches=int(group["promotions"]) + int(group["demotions"]),
-                promotions=int(group["promotions"]),
-                demotions=int(group["demotions"]),
-                packets=int(group["packets"]),
-                dormancy_requests=int(group["dormancy_requests"]),
-                dormancy_denied=int(group["dormancy_denied"]),
-                delayed_sessions=int(group["delayed_sessions"]),
-                total_session_delay_s=float(group["total_session_delay_s"]),
-                learn_iterations=int(group["learn_iterations"]),
-            )
-        return breakdown
+        return dict(self.summary.cohorts)
 
     def learning_summary(self) -> dict[str, float | int]:
-        """Cell-wide learning-curve summary (see ``DeviceTable.learning_summary``)."""
-        return self.devices.learning_summary()
+        """Cell-wide learning-curve summary (see ``DeviceTable.learning_summary``).
+
+        Read from ``summary``.
+        """
+        return dict(self.summary.learning)
 
 
 @dataclass(frozen=True)

@@ -239,12 +239,6 @@ class FloatArray(Sequence[float]):
         """The values as a plain list of Python floats."""
         return self._data.tolist()
 
-    def sorted(self) -> "FloatArray":
-        """A sorted copy (values only — equal floats are interchangeable)."""
-        if _np is not None:
-            return FloatArray(_np.sort(self._data))
-        return FloatArray(array("d", sorted(self._data)))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FloatArray):
             return _col_equal(self._data, other._data)
@@ -369,7 +363,7 @@ class DeviceTable(Sequence["DeviceResult"]):
 
     __slots__ = (
         "_cols", "_policy_codes", "_policy_cats", "_cohort_codes",
-        "_cohort_cats", "_delays", "_n", "_id_index", "_totals",
+        "_cohort_cats", "_delays", "_n", "_id_index",
     )
 
     def __init__(
@@ -389,7 +383,18 @@ class DeviceTable(Sequence["DeviceResult"]):
         self._delays = delays
         self._n = len(cols["device_id"])
         self._id_index: dict[int, int] | None = None
-        self._totals = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The id index is a lookup cache, rebuilt on demand: leaving it
+        # out keeps a stored table's bytes independent of which lookups
+        # ran before the store.
+        return {name: getattr(self, name)
+                for name in self.__slots__ if name != "_id_index"}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._id_index = None
 
     # -- construction ----------------------------------------------------------------
 
@@ -576,28 +581,25 @@ class DeviceTable(Sequence["DeviceResult"]):
 
     # -- columnar aggregates ---------------------------------------------------------
 
-    def _row_totals(self):
-        """Per-device total energies, left-associated like ``total_j``."""
-        if self._totals is None:
-            c = self._cols
-            if _np is not None:
-                self._totals = (
-                    c["data_j"] + c["active_tail_j"] + c["high_idle_tail_j"]
-                    + c["idle_j"] + c["switch_j"]
-                )
-            else:
-                self._totals = array("d", (
-                    d + a + h + i + s
-                    for d, a, h, i, s in zip(
-                        c["data_j"], c["active_tail_j"],
-                        c["high_idle_tail_j"], c["idle_j"], c["switch_j"],
-                    )
-                ))
-        return self._totals
+    def row_totals(self):
+        """Per-device total energies, left-associated like ``total_j``.
 
-    def total_energy_j(self) -> float:
-        """``sum(row.total_energy_j for row in table)``, pushed down."""
-        return _fold_sum(self._row_totals())
+        ``_fold_sum`` of this column is ``sum(row.total_energy_j for row
+        in table)``, pushed down.
+        """
+        c = self._cols
+        if _np is not None:
+            return (
+                c["data_j"] + c["active_tail_j"] + c["high_idle_tail_j"]
+                + c["idle_j"] + c["switch_j"]
+            )
+        return array("d", (
+            d + a + h + i + s
+            for d, a, h, i, s in zip(
+                c["data_j"], c["active_tail_j"],
+                c["high_idle_tail_j"], c["idle_j"], c["switch_j"],
+            )
+        ))
 
     def int_total(self, column: str) -> int:
         """Exact integer column total (packets, dormancy counters, ...)."""
@@ -639,9 +641,11 @@ class DeviceTable(Sequence["DeviceResult"]):
             "mean_delay_final_s": final / learners if learners else 0.0,
         }
 
-    def cohort_groups(self) -> dict[str, dict[str, float | int]]:
+    def cohort_groups(self, totals: Any) -> dict[str, dict[str, float | int]]:
         """Per-cohort aggregate columns, keyed by label in first-seen order.
 
+        ``totals`` is this table's :meth:`row_totals` column, which the
+        caller has usually computed already for the cell's energy total.
         Float sums are strict left folds over the group's rows in device
         order — exactly the per-member left fold the row-based breakdown
         performed.
@@ -652,7 +656,7 @@ class DeviceTable(Sequence["DeviceResult"]):
             if _np is not None:
                 mask = self._cohort_codes == code
                 count = int(mask.sum())  # repro-lint: allow[left-fold] reason=boolean mask count; exact integer arithmetic
-                energy = _fold_sum(self._row_totals()[mask])
+                energy = _fold_sum(totals[mask])
                 delay = _fold_sum(c["total_session_delay_s"][mask])
                 ints = {
                     name: int(c[name][mask].sum()) if count else 0  # repro-lint: allow[left-fold] reason=integer columns; exact arithmetic
@@ -664,7 +668,6 @@ class DeviceTable(Sequence["DeviceResult"]):
                 idx = [i for i, v in enumerate(self._cohort_codes)
                        if v == code]
                 count = len(idx)
-                totals = self._row_totals()
                 energy = 0.0
                 delay = 0.0
                 for i in idx:  # strict left fold in device order (DESIGN.md §5)

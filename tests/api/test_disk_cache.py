@@ -6,17 +6,26 @@ re-simulate, atomic writes under concurrent writers, and the LRU bound
 on the in-memory tier spilling to disk instead of forgetting.
 """
 
+import copyreg
+import io
 import pickle
 import threading
 
 import pytest
 
+from repro.api import SerialRunner, plan
 from repro.api.cache import (
     CacheStats,
     DiskCacheTier,
     ResultCache,
     default_cache_dir,
 )
+from repro.api.cells import cell
+from repro.api.metro import metro
+from repro.basestation import cell as cell_module
+from repro.basestation.cell import CellResult
+from repro.basestation.table import DeviceTable
+from repro.metrics import switches as switches_module
 
 
 def _key(i=0):
@@ -195,3 +204,134 @@ class TestCacheStatsCompat:
         assert stats.disk_hits == 0
         assert stats.lookups == 5
         assert stats.hit_rate == pytest.approx(0.6)
+
+
+def _office_plan():
+    """A 2-shard office_day cell whose records carry cohorts and learners."""
+    return (plan()
+            .cells(cell(devices=24, scenario="office_day", duration=300.0,
+                        seed=5))
+            .carriers("att_hspa")
+            .policies("status_quo", "makeidle+makeactive_learn")
+            .shards(2))
+
+
+def _metro_plan():
+    return (plan()
+            .metros(metro("metro_4cell", devices=40, duration=120.0,
+                          seed=3, chunk_s=60.0))
+            .carriers("att_hspa")
+            .policies("fixed_4.5s"))
+
+
+def _without_from_cache(records):
+    return [{k: v for k, v in row.items() if k != "from_cache"}
+            for row in records]
+
+
+class _Format1Pickler(pickle.Pickler):
+    """Pickles a ``DeviceTable`` with the slot state format 1 stored."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not DeviceTable:
+            return NotImplemented
+        slots = {name: getattr(obj, name) for name in DeviceTable.__slots__}
+        slots["_totals"] = None
+        return copyreg.__newobj__, (DeviceTable,), (None, slots)
+
+
+def _format_1_bytes(payload):
+    buffer = io.BytesIO()
+    _Format1Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    return buffer.getvalue()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a warm read recomputed a cell aggregate")
+
+
+class TestWarmReads:
+    """A result served from disk answers its records from stored numbers."""
+
+    @pytest.mark.parametrize("make_plan", [_office_plan, _metro_plan],
+                             ids=["office_day", "metro_4cell"])
+    def test_warm_records_recompute_nothing(self, tmp_path, monkeypatch,
+                                            make_plan):
+        cold = SerialRunner(cache=ResultCache(disk=tmp_path)).run(make_plan())
+        cold_records = cold.to_records()
+        if make_plan is _office_plan:
+            # The plan must exercise the cohort and learning columns.
+            assert all(row.get("cohorts") for row in cold_records)
+            assert any(row.get("learning_devices") for row in cold_records)
+
+        for module in (switches_module, cell_module):
+            monkeypatch.setattr(module, "peak_per_window", _refuse)
+        for name in ("cohort_groups", "learning_summary", "int_total",
+                     "row_totals"):
+            monkeypatch.setattr(DeviceTable, name, _refuse)
+
+        warm = SerialRunner(cache=ResultCache(disk=tmp_path)).run(make_plan())
+        stats = warm.cache_stats
+        assert stats.disk_hits == len(cold.records)
+        assert stats.misses == 0
+        assert _without_from_cache(warm.to_records()) == _without_from_cache(
+            cold_records
+        )
+
+    def test_format_1_file_is_a_clean_miss_that_heals(self, tmp_path):
+        cold = SerialRunner(cache=ResultCache(disk=tmp_path)).run(
+            _office_plan()
+        )
+        record = cold.records[-1]
+        key = record.spec.cache_key
+        tier = DiskCacheTier(tmp_path)
+        path = tier.path_for(key)
+        # What the format-1 tier wrote: the result without a summary, its
+        # table pickled by ``object.__reduce_ex__`` as a ``(None, slots)``
+        # state that still has the deleted ``_totals`` slot.  The current
+        # ``DeviceTable.__setstate__`` cannot read that state, so the file
+        # fails while unpickling, before the format check.
+        state = dict(vars(record.result))
+        del state["summary"]
+        stale = object.__new__(CellResult)
+        vars(stale).update(state)
+        path.write_bytes(_format_1_bytes(
+            {"format": 1, "key": repr(key), "result": stale}
+        ))
+        with pytest.raises(Exception):
+            pickle.loads(path.read_bytes())
+
+        assert tier.load(key) is None
+        assert not path.exists()
+
+        cache = ResultCache(disk=tmp_path)
+        healed = SerialRunner(cache=cache).run(_office_plan())
+        assert cache.misses == 1  # only the stale slot re-simulated
+        assert path.exists()
+        loaded = DiskCacheTier(tmp_path).load(key)
+        assert loaded == record.result
+        assert loaded.summary == record.result.summary
+        assert healed.to_records() == cold.to_records()
+
+
+class TestStoredBytes:
+    def test_pickle_does_not_depend_on_earlier_reads(self):
+        runs = SerialRunner().run(_office_plan())
+        result = runs.records[-1].result
+        before = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        device_id = result.devices[3].device_id
+        assert result.device(device_id).device_id == device_id
+        assert result.cohort_breakdown()
+        runs.to_records()
+        after = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        assert after == before
+
+    def test_round_trip_rebuilds_the_id_index(self):
+        result = SerialRunner().run(_office_plan()).records[-1].result
+        device_id = result.devices[5].device_id
+        result.device(device_id)
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy == result
+        assert copy.device(device_id) == result.device(device_id)
+        with pytest.raises(KeyError):
+            copy.device(10**9)

@@ -8,6 +8,9 @@ from repro.basestation import (
     DeviceSpec,
     RejectAllDormancy,
 )
+from repro.api import SerialRunner, plan
+from repro.api.cells import cell
+from repro.api.metro import metro
 from repro.basestation.policies import RateLimitedDormancy
 from repro.core import (
     CombinedPolicy,
@@ -15,6 +18,7 @@ from repro.core import (
     MakeIdlePolicy,
     StatusQuoPolicy,
 )
+from repro.metrics.switches import peak_per_window
 from repro.sim import TraceSimulator
 from repro.traces import (
     Packet,
@@ -217,3 +221,39 @@ class TestStreamingCell:
                           policy=StatusQuoPolicy())
         with pytest.raises(ValueError):
             CellSimulator(att_profile).run([spec])
+
+
+def _assert_time_ordered(results):
+    timelines = [list(result.switch_times) for result in results]
+    assert any(timelines)
+    for result, times in zip(results, timelines):
+        assert times == sorted(times)
+        # The sorting sweep agrees with the stored, presorted one.
+        assert result.peak_switches_per_minute == peak_per_window(times, 60.0)
+
+
+class TestSwitchTimeline:
+    """``switch_times`` is time-ordered, so the stored peak skips a sort."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_cell_timelines_are_time_ordered(self, shards):
+        runs = SerialRunner().run(
+            plan()
+            .cells(cell(devices=30, scenario="office_day", duration=600.0,
+                        seed=11))
+            .carriers("att_hspa")
+            .policies("status_quo", "makeidle")
+            .shards(shards)
+        )
+        _assert_time_ordered([record.result for record in runs.records])
+
+    def test_metro_cell_timelines_are_time_ordered(self):
+        runs = SerialRunner().run(
+            plan()
+            .metros(metro("metro_4cell", devices=40, duration=180.0, seed=3,
+                          chunk_s=60.0))
+            .carriers("att_hspa")
+            .policies("makeidle")
+        )
+        _assert_time_ordered([entry.result for record in runs.records
+                              for entry in record.result.cells])

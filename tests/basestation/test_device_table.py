@@ -10,6 +10,7 @@ import pytest
 
 from repro.basestation import DeviceTable, FloatArray
 from repro.basestation.cell import CellSimulator, DeviceResult, DeviceSpec
+from repro.basestation.table import _fold_sum
 from repro.core import MakeIdlePolicy
 from repro.energy.accounting import EnergyBreakdown
 from repro.rrc.profiles import get_profile
@@ -99,7 +100,7 @@ class TestDeviceTableSequence:
         table = DeviceTable.from_rows(())
         assert len(table) == 0
         assert tuple(table) == ()
-        assert table.total_energy_j() == 0.0
+        assert _fold_sum(table.row_totals()) == 0.0
         assert table.cohorts() == ()
 
     def test_by_id(self):
@@ -115,9 +116,10 @@ class TestColumnarAggregates:
         table = result.devices
         assert isinstance(table, DeviceTable)
         rows = tuple(table)
-        assert table.total_energy_j() == sum(
+        assert _fold_sum(table.row_totals()) == sum(
             r.total_energy_j for r in rows
         )
+        assert result.total_energy_j == sum(r.total_energy_j for r in rows)
         assert table.int_total("packets") == sum(r.packets for r in rows)
         assert table.int_total("promotions") == sum(
             r.breakdown.promotions for r in rows
@@ -126,7 +128,7 @@ class TestColumnarAggregates:
     def test_cohort_groups_match_row_grouping(self):
         result = _cell_result()
         table = result.devices
-        groups = table.cohort_groups()
+        groups = table.cohort_groups(table.row_totals())
         assert set(groups) == {"even", "odd"}
         for label, group in groups.items():
             members = [r for r in table if r.cohort == label]
@@ -151,9 +153,8 @@ class TestFloatArray:
         assert values == [3.0, 1.0, 2.0]
         assert all(type(v) is float for v in values)
 
-    def test_equality_with_lists_and_sorting(self):
+    def test_equality_with_lists(self):
         arr = FloatArray([3.0, 1.0, 2.0])
         assert arr == [3.0, 1.0, 2.0]
-        assert arr.sorted() == [1.0, 2.0, 3.0]
         assert len(arr) == 3
         assert arr[1] == 1.0

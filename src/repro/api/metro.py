@@ -4,9 +4,9 @@ The metro analogue of :mod:`repro.api.cells`: :class:`MetroSpec` is the
 plan-axis entry (a topology plus a UE population), :class:`MetroRunSpec`
 one executable grid point, and :func:`execute_metro` /
 :func:`execute_metro_cell_shard` the serial and fan-out execution units.
-Hierarchical sharding means a runner splits a metro run into
-``n_cells × shards`` independent tasks — each a UE-block shard of one
-cell — and merges them through
+A runner splits a metro run into ``effective_shards`` independent
+UE-block tasks — each walks its UEs' timelines once and returns every
+cell's partial for the block — and merges them through
 :func:`repro.metro.execution.merge_metro_shards`.
 """
 
@@ -19,7 +19,7 @@ from typing import Any, Mapping
 from ..metro.execution import (
     MetroResult,
     merge_metro_shards,
-    run_metro_cell_shard,
+    run_metro_block,
 )
 from ..metro.presets import METRO_BUILDERS, get_metro
 from ..metro.topology import Metro
@@ -126,10 +126,10 @@ class MetroSpec:
 class MetroRunSpec:
     """One metro grid point: population × carrier × device policy × shards.
 
-    ``shards`` is the *per-cell* shard count of the hierarchical
-    partition: the runner executes ``n_cells × effective_shards``
-    independent tasks.  There is no run-level dormancy axis — station
-    policies belong to the metro's cells.
+    ``shards`` is the UE-block count of the hierarchical partition: the
+    runner executes ``effective_shards`` independent block tasks, each
+    returning one partial per cell.  There is no run-level dormancy axis
+    — station policies belong to the metro's cells.
     """
 
     metro: MetroSpec
@@ -145,7 +145,7 @@ class MetroRunSpec:
 
     @property
     def effective_shards(self) -> int:
-        """Per-cell shard count actually executed (≤ one UE per shard)."""
+        """UE-block count actually executed (≤ one UE per block)."""
         return min(self.shards, self.metro.devices)
 
     @property
@@ -197,37 +197,34 @@ def metro(name_or_metro: str | Metro, devices: int = 1000,
                      seed=seed, name=name, chunk_s=chunk_s)
 
 
-def execute_metro_cell_shard(
-    spec: MetroRunSpec, cell_index: int, shard_index: int
-):
-    """Run one (cell, UE-block) task of a metro run — the fan-out unit.
+def execute_metro_cell_shard(spec: MetroRunSpec, shard_index: int):
+    """Run UE block ``shard_index`` of a metro run — the fan-out unit.
 
     Module-level and driven purely by the picklable spec, so the process
-    pool can ship every task of one metro run to different workers.
-    Returns ``None`` when the block contributes no visits to the cell.
+    pool can ship every block of one metro run to a different worker.
+    Returns a tuple with one partial per cell, ``None`` where the block
+    contributes no visits to that cell.
     """
     ms = spec.metro
-    return run_metro_cell_shard(
-        ms.metro, cell_index, ms.devices, ms.duration_s, ms.seed, ms.chunk_s,
+    return run_metro_block(
+        ms.metro, ms.devices, ms.duration_s, ms.seed, ms.chunk_s,
         spec.policy, spec.carrier, spec.effective_shards, shard_index,
     )
 
 
 def merge_metro_run(spec: MetroRunSpec, partials) -> MetroResult:
-    """Merge the flat task list of :func:`execute_metro_cell_shard` calls.
+    """Merge the per-block results of :func:`execute_metro_cell_shard` calls.
 
-    ``partials`` is ordered cell-major: task ``(ci, si)`` at index
-    ``ci * effective_shards + si`` — the order the runner submitted them.
+    ``partials`` holds one per-cell tuple per UE block, in block order —
+    the order the runner submitted them.  Transposed, they are the
+    cell-major shard lists :func:`merge_metro_shards` takes.
     """
     k = spec.effective_shards
-    expected = spec.n_cells * k
-    if len(partials) != expected:
+    if len(partials) != k:
         raise ValueError(
-            f"expected {expected} partials ({spec.n_cells} cells × {k} "
-            f"shards), got {len(partials)}"
+            f"expected {k} block partials, got {len(partials)}"
         )
-    shards_by_cell = [partials[ci * k:(ci + 1) * k]
-                      for ci in range(spec.n_cells)]
+    shards_by_cell = list(zip(*partials, strict=True))
     return merge_metro_shards(spec.metro.metro, spec.metro.devices,
                               shards_by_cell)
 
@@ -235,16 +232,14 @@ def merge_metro_run(spec: MetroRunSpec, partials) -> MetroResult:
 def execute_metro(spec: MetroRunSpec, shards: int | None = None) -> MetroResult:
     """Materialise and run one metro spec — the serial reference path.
 
-    All ``n_cells × shards`` tasks run sequentially in this process and
-    merge; cross-process parallelism belongs to the runner layer, which
-    ships :func:`execute_metro_cell_shard` calls to workers instead.
+    All ``effective_shards`` block tasks run sequentially in this process
+    and merge; cross-process parallelism belongs to the runner layer,
+    which ships :func:`execute_metro_cell_shard` calls to workers instead.
     """
     if shards is not None:
         spec = replace(spec, shards=shards)
-    k = spec.effective_shards
     partials = [
-        execute_metro_cell_shard(spec, ci, si)
-        for ci in range(spec.n_cells)
-        for si in range(k)
+        execute_metro_cell_shard(spec, si)
+        for si in range(spec.effective_shards)
     ]
     return merge_metro_run(spec, partials)

@@ -242,15 +242,14 @@ class ProcessPoolRunner(_BaseRunner):
 
         # Phase 2: simulate the misses (pool only when it can actually help).
         # A sharded cell spec fans out into one task per shard — and a metro
-        # spec into one task per (cell, shard) — so a single big run can
-        # occupy every worker; the partials are merged back here in the
-        # parent (see repro.basestation.cell / repro.metro.execution).
+        # spec into one task per UE block, which returns every cell's
+        # partial for the block — so a single big run can occupy every
+        # worker; the partials are merged back here in the parent (see
+        # repro.basestation.cell / repro.metro.execution).
         def _task_count(spec: AnySpec) -> int:
-            if isinstance(spec, MetroRunSpec):
-                return spec.n_cells * spec.effective_shards
-            return (
-                spec.effective_shards if isinstance(spec, CellRunSpec) else 1
-            )
+            if isinstance(spec, (CellRunSpec, MetroRunSpec)):
+                return spec.effective_shards
+            return 1
 
         fresh: dict[Hashable, AnyResult] = {}
         total_tasks = sum(_task_count(spec) for spec in pending.values())
@@ -268,21 +267,17 @@ class ProcessPoolRunner(_BaseRunner):
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures: dict[Hashable, object] = {}
                 for key, spec in pending.items():
-                    if isinstance(spec, MetroRunSpec):
-                        # Cell-major task order: merge_metro_run relies on
-                        # partial (ci, si) sitting at index ci * shards + si.
-                        futures[key] = [
-                            pool.submit(
-                                execute_metro_cell_shard, spec, ci, si
-                            )
-                            for ci in range(spec.n_cells)
-                            for si in range(spec.effective_shards)
-                        ]
-                        continue
                     count = _task_count(spec)
                     if count > 1:
+                        # Shard order: both merges take the partials in
+                        # the order of their shard (UE block) index.
+                        shard_task = (
+                            execute_metro_cell_shard
+                            if isinstance(spec, MetroRunSpec)
+                            else execute_cell_shard
+                        )
                         futures[key] = [
-                            pool.submit(execute_cell_shard, spec, index)
+                            pool.submit(shard_task, spec, index)
                             for index in range(count)
                         ]
                     else:

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated metro topology presets (commuter_2cell, "
              "metro_4cell, ...): sweep multi-cell metros with mobility and "
              "mid-stream handover; composes with --devices, --shards "
-             "(per-cell), --carriers and --schemes",
+             "(UE blocks), --carriers and --schemes",
     )
     sweep.add_argument(
         "--devices", type=int, default=None,

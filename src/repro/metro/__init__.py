@@ -17,9 +17,8 @@ the topology, mobility and execution layers they drive.
 from .execution import (
     MetroCellResult,
     MetroResult,
-    build_metro_shard_devices,
     merge_metro_shards,
-    run_metro_cell_shard,
+    run_metro_block,
     workload_seed,
 )
 from .mobility import (
@@ -42,13 +41,12 @@ __all__ = [
     "MetroResult",
     "MobilityModel",
     "ShuffleMobility",
-    "build_metro_shard_devices",
     "get_metro",
     "merge_metro_shards",
     "metro_names",
     "mobility_from_dict",
     "mobility_seed",
-    "run_metro_cell_shard",
+    "run_metro_block",
     "windowed_stream",
     "workload_seed",
 ]

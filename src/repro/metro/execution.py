@@ -1,4 +1,4 @@
-"""Hierarchical metro execution: cells × shards → merged metro result.
+"""Hierarchical metro execution: UE blocks × cells → merged metro result.
 
 A metro run is the cell machinery applied twice over:
 
@@ -9,10 +9,14 @@ A metro run is the cell machinery applied twice over:
    handover is the kernel's handover event (closing the visit with the
    exact ``finish`` float ops); the arrival side is the next visit's
    device, starting Idle — the RRC-release model of DESIGN.md §4.
-2. **Within a cell** — the visit population is partitioned into the
-   usual contiguous UE-index shards and run through
-   :meth:`~repro.basestation.cell.CellSimulator.run_shard` /
+2. **Within a cell** — the UE population is partitioned into the usual
+   contiguous UE-index blocks, and each cell's visits from one block run
+   through :meth:`~repro.basestation.cell.CellSimulator.run_shard`, then
    :func:`~repro.basestation.cell.merge_cell_shards` unchanged.
+
+The task unit is one UE block (:func:`run_metro_block`): it walks each
+of its UEs' timelines once and returns every cell's partial for the
+block, so a metro run has as many tasks as blocks.
 
 The one metro-specific merge step is the *global* end time: a cell's
 merge may only close open timelines at the end time of the whole metro
@@ -20,7 +24,7 @@ merge may only close open timelines at the end time of the whole metro
 ``(last_emitted, max_now)`` pair is injected into one shard per cell
 before the per-cell merges run.  Because visit membership, workloads and
 timelines are pure functions of the global UE index and the metro seed,
-results are byte-identical at any cell-shard count.
+results are byte-identical at any block count.
 
 Visit device ids encode ``(UE, visit ordinal)`` as
 ``ordinal * population + index``, so ``device_id % population`` recovers
@@ -60,9 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "MetroCellResult",
     "MetroResult",
-    "build_metro_shard_devices",
     "merge_metro_shards",
-    "run_metro_cell_shard",
+    "run_metro_block",
     "workload_seed",
 ]
 
@@ -78,87 +81,14 @@ def workload_seed(seed: int, index: int) -> int:
     return zlib.crc32(f"metroapp/{seed}/{index}".encode("ascii"))
 
 
-def build_metro_shard_devices(
+#: One cell visit of a UE: ``(index, ordinal, enter, leave, home)``, where
+#: ``leave`` is ``None`` for a UE's last visit and ``home`` is the slot of
+#: the cell its timeline starts in.
+_Visit = tuple[int, int, float, Optional[float], int]
+
+
+def run_metro_block(
     metro: Metro,
-    cell_index: int,
-    devices: int,
-    duration_s: float,
-    seed: int,
-    chunk_s: float,
-    policy: "PolicySpec",
-    start: int,
-    stop: int,
-) -> list[DeviceSpec]:
-    """Visit devices of UE block ``[start, stop)`` inside one cell.
-
-    Walks each UE's residency timeline (a pure function of its *global*
-    index and the metro seed) and materialises one windowed
-    :class:`DeviceSpec` per visit to ``metro.cells[cell_index]``.  A UE's
-    workload and cohort come from its **home cell** — the cell its
-    timeline starts in — and move with it: the home scenario's cohort
-    stream, or the metro application mix under the hashed
-    :func:`workload_seed`.
-    """
-    cell = metro.cells[cell_index]
-    target = cell.name
-    specs: list[DeviceSpec] = []
-    for index in range(start, stop):
-        moves = metro.timeline(index, seed, duration_s)
-        visits: list[tuple[int, float, Optional[float]]] = []
-        for ordinal, (name, enter) in enumerate(moves):
-            if name != target:
-                continue
-            nxt = ordinal + 1
-            leave = moves[nxt][1] if nxt < len(moves) else None
-            visits.append((ordinal, enter, leave))
-        if not visits:
-            continue
-        home = metro.cells[metro.cell_index(moves[0][0])]
-        if home.scenario is not None:
-            cohort = home.scenario.cohort_at(index, devices)
-            cohort_label = cohort.label
-            device_policy = cohort.policy if cohort.policy is not None else policy
-
-            def fresh_stream(scenario=home.scenario, cohort=cohort, index=index):
-                return scenario.cohort_stream(
-                    cohort, index, duration_s, seed, chunk_s
-                )
-        else:
-            app = metro.apps[index % len(metro.apps)]
-            device_seed = workload_seed(seed, index)
-            cohort_label = ""
-            device_policy = policy
-
-            def fresh_stream(app=app, device_seed=device_seed):
-                return stream_application_packets(
-                    app, duration=duration_s, seed=device_seed, chunk_s=chunk_s
-                )
-
-        for ordinal, enter, leave in visits:
-            if enter == 0.0 and leave is None:  # repro-lint: allow[float-eq] reason=timeline-start boundary: enter is constructed as literal 0.0 for the first visit
-                # Whole-horizon stay: no window needed.
-                source = fresh_stream()
-            else:
-                source = windowed_stream(
-                    fresh_stream(), enter,
-                    leave if leave is not None else math.inf,
-                )
-            specs.append(
-                DeviceSpec(
-                    device_id=ordinal * devices + index,
-                    trace=source,
-                    policy=device_policy.build(),
-                    cohort=cohort_label,
-                    attach_at=enter,
-                    detach_at=leave,
-                )
-            )
-    return specs
-
-
-def run_metro_cell_shard(
-    metro: Metro,
-    cell_index: int,
     devices: int,
     duration_s: float,
     seed: int,
@@ -167,15 +97,21 @@ def run_metro_cell_shard(
     carrier: str,
     shards: int,
     shard_index: int,
-) -> CellShard | None:
-    """Run UE-block shard ``shard_index`` of one metro cell.
+) -> tuple[CellShard | None, ...]:
+    """Run UE block ``shard_index`` through every cell of the metro.
 
-    Returns ``None`` when the block contributes no visits to the cell
-    (the merge skips empty partials).  The station policy is the cell's
-    own; ``load_aware`` budgets are partitioned proportionally to the
-    UE-block sizes — the same documented approximation as single-cell
-    sharding, with block size standing in for the (timeline-dependent)
-    visit count.
+    Walks each UE's residency timeline (a pure function of its *global*
+    index and the metro seed) once, filing its visits by cell.  Then,
+    cell by cell in metro order, it builds that cell's windowed device
+    specs (:func:`_visit_devices`) and runs them on the cell's own
+    simulator, so each cell sees its visits in (UE index, visit ordinal)
+    order.  Returns one partial per cell, ``None`` where the block
+    contributes no visits (the merge skips empty partials).
+
+    Each station policy is its cell's own; ``load_aware`` budgets are
+    partitioned proportionally to the UE-block sizes — the same
+    documented approximation as single-cell sharding, with block size
+    standing in for the (timeline-dependent) visit count.
     """
     sizes = shard_sizes(devices, shards)
     if not 0 <= shard_index < len(sizes):
@@ -183,21 +119,90 @@ def run_metro_cell_shard(
             f"shard index {shard_index} out of range [0, {len(sizes)})"
         )
     begin = sum(sizes[:shard_index])  # repro-lint: allow[left-fold] reason=integer shard offsets; exact order-independent arithmetic
-    specs = build_metro_shard_devices(
-        metro, cell_index, devices, duration_s, seed, chunk_s, policy,
-        begin, begin + sizes[shard_index],
-    )
-    if not specs:
-        return None
-    dormancy = metro.cells[cell_index].dormancy or DormancySpec()
-    simulator = CellSimulator(
-        get_profile(carrier),
-        _shard_dormancy_policy(dormancy, sizes, shard_index),
-        load_sample_interval_s=(
-            SHARD_SAMPLE_INTERVAL_S if len(sizes) > 1 else None
-        ),
-    )
-    return simulator.run_shard(specs)
+    slots = {name: slot for slot, name in enumerate(metro.cell_names)}
+    visits: list[list[_Visit]] = [[] for _ in metro.cells]
+    for index in range(begin, begin + sizes[shard_index]):
+        moves = metro.timeline(index, seed, duration_s)
+        home = slots[moves[0][0]]
+        for ordinal, (name, enter) in enumerate(moves):
+            nxt = ordinal + 1
+            leave = moves[nxt][1] if nxt < len(moves) else None
+            visits[slots[name]].append((index, ordinal, enter, leave, home))
+
+    profile = get_profile(carrier)
+    partials: list[CellShard | None] = []
+    for cell, cell_visits in zip(metro.cells, visits):
+        if not cell_visits:
+            partials.append(None)
+            continue
+        simulator = CellSimulator(
+            profile,
+            _shard_dormancy_policy(
+                cell.dormancy or DormancySpec(), sizes, shard_index
+            ),
+            load_sample_interval_s=(
+                SHARD_SAMPLE_INTERVAL_S if len(sizes) > 1 else None
+            ),
+        )
+        # A cell's device specs live only for its own run, so one cell's
+        # streams and policies are alive at a time.
+        partials.append(simulator.run_shard(_visit_devices(
+            metro, cell_visits, devices, duration_s, seed, chunk_s, policy
+        )))
+    return tuple(partials)
+
+
+def _visit_devices(
+    metro: Metro,
+    visits: Sequence[_Visit],
+    devices: int,
+    duration_s: float,
+    seed: int,
+    chunk_s: float,
+    policy: "PolicySpec",
+) -> list[DeviceSpec]:
+    """One windowed :class:`DeviceSpec` per ``(index, ordinal, enter,
+    leave, home)`` visit.
+
+    A UE's workload and cohort come from its **home cell** — the cell its
+    timeline starts in — and move with it: the home scenario's cohort
+    stream, or the metro application mix under the hashed
+    :func:`workload_seed`.  Every visit replays the window of a fresh
+    full-horizon stream.
+    """
+    specs: list[DeviceSpec] = []
+    for index, ordinal, enter, leave, home in visits:
+        scenario = metro.cells[home].scenario
+        if scenario is not None:
+            cohort = scenario.cohort_at(index, devices)
+            cohort_label = cohort.label
+            device_policy = cohort.policy if cohort.policy is not None else policy
+            source = scenario.cohort_stream(
+                cohort, index, duration_s, seed, chunk_s
+            )
+        else:
+            cohort_label = ""
+            device_policy = policy
+            source = stream_application_packets(
+                metro.apps[index % len(metro.apps)], duration=duration_s,
+                seed=workload_seed(seed, index), chunk_s=chunk_s,
+            )
+        if enter != 0.0 or leave is not None:  # repro-lint: allow[float-eq] reason=timeline-start boundary: enter is constructed as literal 0.0 for the first visit
+            # Not a whole-horizon stay: replay only the visit's window.
+            source = windowed_stream(
+                source, enter, leave if leave is not None else math.inf
+            )
+        specs.append(
+            DeviceSpec(
+                device_id=ordinal * devices + index,
+                trace=source,
+                policy=device_policy.build(),
+                cohort=cohort_label,
+                attach_at=enter,
+                detach_at=leave,
+            )
+        )
+    return specs
 
 
 @dataclass(frozen=True)

@@ -197,3 +197,49 @@ class TestPoolClamp:
             assert a.result.devices == b.result.devices
             assert a.result.signaling == b.result.signaling
             assert a.result.load_samples == b.result.load_samples
+
+    @staticmethod
+    def _metro_plan():
+        from repro.api import metro
+
+        return (plan()
+                .metros(metro("metro_4cell", devices=40, duration=600.0,
+                              seed=2))
+                .carriers("att_hspa")
+                .policies("makeidle")
+                .shards(3))
+
+    def test_forced_pool_branch_matches_serial_metro(self, monkeypatch):
+        """Each UE-block reply carries one CellShard per cell across the
+        process boundary, and the merged records equal the serial run."""
+        import repro.api.runner as runner_mod
+        from repro.api import execute_metro_cell_shard
+
+        spec = self._metro_plan().build()[0]
+        replies = [execute_metro_cell_shard(spec, i) for i in range(3)]
+        assert all(len(cells) == 4 and None not in cells
+                   for cells in replies)
+
+        serial = SerialRunner().run(self._metro_plan())
+        monkeypatch.setattr(runner_mod, "usable_cpu_count", lambda: 4)
+        pooled = ProcessPoolRunner(jobs=2).run(self._metro_plan())
+        assert pooled.execution.pool_used is True
+        rows = {"serial": serial.to_records(), "pooled": pooled.to_records()}
+        for row in (*rows["serial"], *rows["pooled"]):
+            for column in ("from_cache", "pool_jobs", "pool_clamped"):
+                row.pop(column, None)
+        assert rows["pooled"] == rows["serial"]
+
+    def test_merge_metro_run_counts_block_partials(self):
+        from repro.api.metro import execute_metro_cell_shard, merge_metro_run
+
+        spec = self._metro_plan().build()[0]
+        replies = [execute_metro_cell_shard(spec, i) for i in range(3)]
+        for wrong in (replies[:2], replies + replies[:1]):
+            with pytest.raises(ValueError, match="expected 3 block partials"):
+                merge_metro_run(spec, wrong)
+        with pytest.raises(ValueError, match=r"zip\(\) argument"):
+            merge_metro_run(spec, [replies[0][:3], *replies[1:]])
+        assert merge_metro_run(spec, replies) == SerialRunner().run(
+            self._metro_plan()
+        ).records[0].result

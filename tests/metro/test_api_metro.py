@@ -180,3 +180,46 @@ class TestMetroPlanAxis:
         p = self._metro_plan().shards(2)
         clone = ExperimentPlan.from_dict(p.to_dict())
         assert clone.build() == p.build()
+
+
+class TestBlockMajorExecution:
+    """A UE-block task walks each UE's mobility timeline exactly once."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("name, duration", [
+        ("metro_4cell", 1800.0),
+        ("commuter_2cell", 32_400.0),
+    ])
+    def test_each_timeline_walked_once(self, monkeypatch, name, duration,
+                                       shards):
+        import repro.metro.execution as execution
+        from repro.api import execute_metro
+        from repro.metro import CommuterMobility
+
+        walks: list[int] = []
+        for model in (ShuffleMobility, CommuterMobility):
+            def counted(self, index, *args, _moves=model.moves):
+                walks.append(index)
+                return _moves(self, index, *args)
+
+            monkeypatch.setattr(model, "moves", counted)
+        syntheses: list[int] = []
+        synthesise = execution.stream_application_packets
+
+        def counted_stream(*args, **kwargs):
+            syntheses.append(kwargs["seed"])
+            return synthesise(*args, **kwargs)
+
+        monkeypatch.setattr(execution, "stream_application_packets",
+                            counted_stream)
+
+        result = execute_metro(MetroRunSpec(
+            metro=metro(name, devices=40, duration=duration, seed=3),
+            carrier="att_hspa",
+            policy=PolicySpec(scheme="fixed_4.5s").resolved(100),
+            shards=shards,
+        ))
+        assert result.handovers > 0
+        assert sorted(walks) == list(range(40))
+        # One synthesis per visit: the block pass adds no stream.
+        assert len(syntheses) == sum(entry.visits for entry in result.cells)

@@ -30,6 +30,7 @@ for saving (the tail has already been mostly paid).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..energy.model import TailEnergyModel, WaitEvaluator
 from ..folds import left_fold
@@ -142,6 +143,41 @@ class MakeIdlePolicy(RadioPolicy):
         decision = WaitDecision(now, wait if gain > 0 else None, gain)
         self._history.append(decision)
         return decision.wait
+
+    def dormancy_waits(self, times: Sequence[float]) -> list[float | None]:
+        """``observe_packet``, then ``dormancy_wait``, at every one of ``times``.
+
+        Returns the waits those calls would return, in order, and leaves
+        :attr:`window` and :attr:`wait_history` as they would: the window
+        records the same gaps (``t[k] - t[k-1]``), and every packet gets
+        its ``WaitDecision(time, wait, gain)``.  The decision at a packet
+        sees the window's last ``min(seen, window_size)`` of the ``seen``
+        gaps observed by then and is warm iff that count reaches
+        ``min_samples``; the warm decisions are scored together by
+        :meth:`WaitEvaluator.best_waits`.  The vector cell kernel replays
+        a device's wait sequence from here (:mod:`repro.sim.vector_engine`).
+        """
+        evaluator = self._evaluator
+        if evaluator is None:
+            raise RuntimeError("MakeIdlePolicy.prepare() must be called before use")
+        gaps = list(self._window.samples)
+        gaps += self._window.observe_all(times)
+        # The decision at times[k] has seen first_seen + k gaps.
+        first_seen = len(gaps) - len(times) + 1
+        cold = len(times)
+        if self._window_size >= self._min_samples:
+            cold = min(cold, max(0, self._min_samples - first_seen))
+        waits, gains = evaluator.best_waits(
+            gaps, first_seen + cold, self._window_size
+        )
+        history = self._history
+        decided: list[float | None] = [None] * cold
+        history.extend(WaitDecision(time, None, 0.0) for time in times[:cold])
+        for time, wait, gain in zip(times[cold:], waits, gains):
+            chosen = wait if gain > 0 else None
+            history.append(WaitDecision(time, chosen, gain))
+            decided.append(chosen)
+        return decided
 
     # -- the decision computation ------------------------------------------------------------
 

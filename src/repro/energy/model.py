@@ -40,6 +40,10 @@ from ..rrc.profiles import CarrierProfile
 
 __all__ = ["TailEnergyModel", "WaitEvaluator", "compute_t_threshold"]
 
+#: :meth:`WaitEvaluator.best_waits` scores at most this many windows per
+#: numpy pass, so a device of any length holds a bounded cost matrix.
+_WINDOW_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class TailEnergyModel:
@@ -164,7 +168,9 @@ class WaitEvaluator:
     :meth:`best_wait` scores the whole ``candidates × gaps`` matrix in one
     numpy pass whose decisions are byte-identical to :meth:`best_wait_loop`,
     the candidate-by-candidate reference that runs when numpy is missing
-    (DESIGN.md §2.4 lists the rules that keep the two equal).  Build one per
+    (DESIGN.md §2.4 lists the rules that keep the two equal).
+    :meth:`best_waits` scores every window a sliding window slides through
+    in one pass, bit-equal to :meth:`best_wait` on each.  Build one per
     profile; it holds no window state.
     """
 
@@ -225,19 +231,9 @@ class WaitEvaluator:
         count = len(gaps)
         if not count:
             return 0.0, 0.0
-        g = _np.fromiter(gaps, _np.float64, count)
-        # E_wait(g) and E(g) share their first two branches (t1 <= t1 + t2).
-        ramp = _np.where(
-            g <= self._t1,
-            g * self._p_active,
-            self._t1_energy + (g - self._t1) * self._p_high_idle,
+        tail_energy, cost = self._gap_costs(
+            _np.fromiter(gaps, _np.float64, count)
         )
-        within = g <= self._timeout
-        wait_energy = _np.where(within, ramp, self._full_tail)
-        tail_energy = _np.where(within, ramp, self._full_tail_switch)
-        # cost[c, i]: E_wait(g_i) if the packet beats candidate c's wait,
-        # else that candidate's E_wait(w_c) + E_switch.
-        cost = _np.where(g <= self._wait_column, wait_energy, self._switch_column)
         total_weight: float
         if weights is None:
             total_weight = count
@@ -257,6 +253,83 @@ class WaitEvaluator:
         gains = status_quo - totals / total_weight
         best = int(gains.argmax())  # the first maximum, as the strict > scan
         return self.candidates[best], float(gains[best])
+
+    def best_waits(
+        self, gaps: Sequence[float], first: int, window_size: int
+    ) -> tuple[list[float], list[float]]:
+        """:meth:`best_wait` over each window a sliding window passes through.
+
+        Window ``e``, for ``e = first .. len(gaps)``, is the last
+        ``min(e, window_size)`` of the first ``e`` gaps: what a window of
+        ``window_size`` holds once it has seen ``e`` gaps.  Returns every
+        window's ``t_wait*`` and ``f(t_wait*)``, each bit-equal to
+        :meth:`best_wait` on that window; ``first`` must be at least 1.
+        Without numpy each window goes through :meth:`best_wait_loop`.
+
+        With numpy, windows are scored :data:`_WINDOW_CHUNK` at a time.
+        ``window_size`` zero columns ahead of the first gap make every
+        window exactly ``window_size`` terms long, and each position of
+        the window is added to all of the chunk's totals at once, as one
+        contiguous slice: a strict left fold in window order from ``0.0``.
+        Leading zeros change nothing (``0.0 + 0.0 == 0.0``), and ``0.0 + x
+        == x`` for the first real term, so each total is the one
+        ``best_wait``'s accumulate reaches.
+        """
+        stop = len(gaps) + 1
+        if _np is None:
+            scored = [
+                self.best_wait_loop(gaps[max(0, end - window_size):end])
+                for end in range(first, stop)
+            ]
+            return [wait for wait, _ in scored], [gain for _, gain in scored]
+        waits: list[float] = []
+        gains: list[float] = []
+        candidates = self.candidates
+        for start in range(first, stop, _WINDOW_CHUNK):
+            count = min(_WINDOW_CHUNK, stop - start)
+            # Local column j holds gap start - window_size + j; the
+            # window ending at gap e spans columns e - start + [0, size).
+            low = max(0, start - window_size)
+            high = start + count - 1
+            tail_energy, cost = self._gap_costs(
+                _np.fromiter(gaps[low:high], _np.float64, high - low)
+            )
+            # Row 0 folds the status quo, rows 1.. the candidates' costs.
+            terms = _np.zeros((cost.shape[0] + 1, window_size + count - 1))
+            offset = low - start + window_size
+            terms[0, offset:] = tail_energy
+            terms[1:, offset:] = cost
+            totals = _np.zeros((terms.shape[0], count))
+            # Positions whose slice is all padding would add 0.0 to 0.0.
+            for position in range(max(0, offset - count + 1), window_size):
+                totals += terms[:, position:position + count]
+            sizes = _np.minimum(_np.arange(start, start + count), window_size)
+            status_quo = totals[0] / sizes
+            scored = status_quo - totals[1:] / sizes
+            best = scored.argmax(axis=0)  # the first maximum of each window
+            waits += [candidates[index] for index in best.tolist()]
+            gains += scored[best, _np.arange(count)].tolist()
+        return waits, gains
+
+    def _gap_costs(self, g):
+        """Per-gap ``(E(g), cost)`` arrays for the gap column ``g``.
+
+        ``cost[c, i]`` is ``E_wait(g_i)`` if a packet ``g_i`` seconds later
+        beats candidate ``c``'s wait, else that candidate's
+        ``E_wait(w_c) + E_switch``.  The one copy of the per-gap
+        expressions :meth:`best_wait` and :meth:`best_waits` score with.
+        """
+        # E_wait(g) and E(g) share their first two branches (t1 <= t1 + t2).
+        ramp = _np.where(
+            g <= self._t1,
+            g * self._p_active,
+            self._t1_energy + (g - self._t1) * self._p_high_idle,
+        )
+        within = g <= self._timeout
+        wait_energy = _np.where(within, ramp, self._full_tail)
+        tail_energy = _np.where(within, ramp, self._full_tail_switch)
+        cost = _np.where(g <= self._wait_column, wait_energy, self._switch_column)
+        return tail_energy, cost
 
     def best_wait_loop(
         self, gaps: Sequence[float], weights: Sequence[float] | None = None

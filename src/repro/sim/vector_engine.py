@@ -52,20 +52,22 @@ The scalar kernel's per-UE work for an *eligible* UE (see
    path (pure overwrites of ``now``/``last_activity``), which
    :meth:`~repro.rrc.state_machine.RrcStateMachine.fast_forward_activity`
    collapses into one step.  Boundary instants are computed as array
-   comparisons over the same ``t + const`` sums the scalar kernel pushes
-   into its heap:
+   comparisons over the same ``t + wait`` and ``t + const`` sums the
+   scalar kernel pushes into its heap (no wait depends on RRC state: a
+   MakeIdle wait depends only on the device's packet times):
 
    * a packet is a boundary when the previous gap fired a scheduled fast
-     dormancy (``t[i] + wait <= t[i+1]``: the dormancy event pops before
-     the arrival, equality included because DORMANCY sorts before
-     ARRIVAL) or when it left the ``t1`` window (``t[i+1] >= t[i] + t1``);
+     dormancy (``t[i] + wait[i] <= t[i+1]``, with ``wait[i]`` the wait
+     decided after packet ``i``: the dormancy event pops before the
+     arrival, equality included because DORMANCY sorts before ARRIVAL)
+     or when it left the ``t1`` window (``t[i+1] >= t[i] + t1``);
    * an inactivity-timer expiry fires inside a gap when
      ``t[i] + idle_after <= t[i+1]`` (the self-deferring TIMER event pops
      at exactly the deadline; equality included, TIMER sorts before
      ARRIVAL) — and after the last packet, unconditionally at
      ``t_last + idle_after``;
    * a handover cuts the trailing events exactly as the heap does:
-     the trailing dormancy still fires iff ``t_last + wait <= detach``
+     the trailing dormancy still fires iff ``t_last + wait[last] <= detach``
      (DORMANCY sorts before HANDOVER), the trailing timer iff
      ``t_last + idle_after < detach`` (HANDOVER sorts before TIMER), then
      the machine is closed with the same
@@ -87,10 +89,12 @@ The scalar kernel's per-UE work for an *eligible* UE (see
    driven through the merged ops, and the periodic
    :class:`~repro.sim.engine.LoadSample` chain is re-run on the same
    grid: sample *k+1* exists iff some real event pops after sample *k*,
-   so the chain horizon is the latest real pop — for a UE that is
-   ``t_last + max(wait, idle_after)``, or for a departed UE the latest of
-   its handover instant, its last (stale) dormancy pop and the final pop
-   of its self-deferring timer chain.
+   so the chain horizon is the latest real pop.  Every scheduled dormancy
+   pops, stale or not, so for a UE that is the later of its latest
+   dormancy pop ``max_k(t_k + wait[k])`` (``t_last + wait`` for a
+   constant wait) and ``t_last + idle_after`` — or, for a departed UE,
+   of that dormancy pop, its handover instant and the final pop of its
+   self-deferring timer chain.
 
 Kernel selection
 ----------------
@@ -99,13 +103,18 @@ The kernel is chosen per shard, all or nothing (:func:`use_vector_kernel`):
 numpy must import, the base-station policy must grant every dormancy
 request unconditionally (request arbitration observes the live
 interleaved load, which a per-UE replay cannot see), and every device
-policy must be :func:`vector_eligible` — the base-class
+policy must be :func:`vector_eligible`.  That is a plain
+:class:`~repro.core.makeidle.MakeIdlePolicy`, whose decisions depend only
+on its own packet times, so each batch computes a device's whole wait
+sequence up front (:meth:`~repro.core.makeidle.MakeIdlePolicy.dormancy_waits`)
+before its boundary mask; or a policy with the base-class
 ``observe_packet`` and ``activation_delay`` hooks (no per-packet hooks,
 no MakeActive buffering) and a ``dormancy_wait`` that is a known
 constant: the base class (never requests dormancy), a
 :class:`~repro.core.baselines.FixedTimerPolicy`, or a
 :class:`~repro.core.baselines.PercentileIatPolicy` (whose constant is
-trained in ``prepare``).  Any other shard runs on the scalar kernel.  The
+trained in ``prepare``).  Either way each packet carries one wait in the
+batch's wait column.  Any other shard runs on the scalar kernel.  The
 choice is surfaced as ``CellShard.vector_devices`` /
 ``CellResult.vector_devices``.
 """
@@ -121,6 +130,7 @@ except ImportError:  # pragma: no cover - exercised via numpy_available()
     _np = None
 
 from ..core.baselines import FixedTimerPolicy, PercentileIatPolicy
+from ..core.makeidle import MakeIdlePolicy
 from ..core.policy import RadioPolicy
 from ..rrc.state_machine import RrcStateMachine
 from ..rrc.states import RadioState
@@ -162,6 +172,8 @@ _OP_KEY = itemgetter(0, 1, 2)
 #: never holds more than that as arrays at once.
 _PACKET_BUDGET = 65_536
 
+_INF = float("inf")
+
 
 def numpy_available() -> bool:
     """Whether the numpy the vector kernel needs is importable."""
@@ -190,15 +202,20 @@ def station_always_grants(policy: object) -> bool:
 def vector_eligible(policy: RadioPolicy) -> bool:
     """Whether the vector kernel can replay a device running ``policy``.
 
-    ``True`` when the policy has no per-packet hooks (base-class
-    ``observe_packet`` and ``activation_delay`` — so it never buffers
-    sessions either) and its ``dormancy_wait`` is a known
-    time-independent constant: the base class (never requests fast
-    dormancy), a :class:`FixedTimerPolicy` or a
-    :class:`PercentileIatPolicy`.  Judged from the policy's type alone,
-    so the answer is the same before and after ``prepare()``.
+    ``True`` for a plain :class:`MakeIdlePolicy` (by exact type: its
+    whole wait sequence is computed from its packet times up front, see
+    :meth:`MakeIdlePolicy.dormancy_waits`), and for a policy with no
+    per-packet hooks (base-class ``observe_packet`` and
+    ``activation_delay`` — so it never buffers sessions either) whose
+    ``dormancy_wait`` is a known time-independent constant: the base
+    class (never requests fast dormancy), a :class:`FixedTimerPolicy` or
+    a :class:`PercentileIatPolicy`.  A MakeIdle subclass, which may
+    override any hook, is not eligible.  Judged from the policy's type
+    alone, so the answer is the same before and after ``prepare()``.
     """
     ptype = type(policy)
+    if ptype is MakeIdlePolicy:
+        return True
     if ptype.observe_packet is not RadioPolicy.observe_packet:
         return False
     if ptype.activation_delay is not RadioPolicy.activation_delay:
@@ -235,13 +252,42 @@ def use_vector_kernel(
 
 
 def _constant_wait(policy: RadioPolicy) -> float | None:
-    """A prepared eligible policy's dormancy wait (``None``: never requests).
+    """A prepared constant-wait policy's wait (``None``: never requests).
 
     Read after ``prepare()``: trace-trained timeouts are fixed there.
     """
     if type(policy).dormancy_wait is RadioPolicy.dormancy_wait:
         return None
     return policy.timeout
+
+
+def _wait_column(specs: Sequence["DeviceSpec"], times: list[float],
+                 offsets: list[int], counts):
+    """Every packet's dormancy wait: what its policy answers after it.
+
+    ``inf`` means no request.  A constant-wait device's packets all carry
+    its constant; a MakeIdle device's carry its decisions, computed from
+    its packet times in one pass (:meth:`MakeIdlePolicy.dormancy_waits`),
+    which also leaves the policy as the scalar kernel would.
+    """
+    constants: list[float] = []
+    sequenced: list[int] = []
+    for d, spec in enumerate(specs):
+        policy = spec.policy
+        if type(policy) is MakeIdlePolicy:
+            sequenced.append(d)
+            constants.append(_INF)  # overwritten below
+        else:
+            wait = _constant_wait(policy)
+            constants.append(_INF if wait is None else wait)
+    column = _np.repeat(_np.array(constants, dtype=_np.float64), counts)
+    for d in sequenced:
+        lo, hi = offsets[d], offsets[d + 1]
+        column[lo:hi] = [
+            _INF if wait is None else wait
+            for wait in specs[d].policy.dormancy_waits(times[lo:hi])
+        ]
+    return column
 
 
 def _drain(devices: Sequence["DeviceSpec"], first: int):
@@ -366,28 +412,35 @@ def _segment_left_fold(columns, starts, counts) -> list:
 class _Batch:
     """One drained batch as the Python lists the per-device replay reads.
 
-    ``specs`` are the batch's devices and ``waits`` their constant
-    dormancy waits.  ``times`` are the batch's arrival times; device ``d``
-    owns ``packets[d]`` packets ``offsets[d]:offsets[d + 1]`` and the
-    boundary packets ``boundaries[bounds[d]:bounds[d + 1]]`` (ascending,
-    its first packet first).  ``dorm_fired[k]`` / ``timer_fired[k]`` say whether the gap
+    ``specs`` are the batch's devices.  ``times`` are the batch's arrival
+    times; device ``d`` owns ``packets[d]`` packets
+    ``offsets[d]:offsets[d + 1]`` and the boundary packets
+    ``boundaries[bounds[d]:bounds[d + 1]]`` (ascending, its first packet
+    first).  ``dorm_fired[k]`` / ``timer_fired[k]`` say whether the gap
     ending at boundary packet ``boundaries[k]`` fired the scheduled fast
-    dormancy / the inactivity timer (meaningless at a first packet, which
-    ends no gap).  ``data_j[d]`` / ``data_time_s[d]`` are device ``d``'s
+    dormancy / the inactivity timer, and ``gap_waits[k]`` is the wait
+    decided at the packet that opens that gap (all meaningless at a first
+    packet, which ends no gap).  ``last_waits[d]`` is the wait decided at
+    device ``d``'s last packet and ``last_dormancy[d]`` its latest
+    scheduled dormancy pop, ``max_k(t_k + w_k)`` (``inf`` / ``-inf``: no
+    request).  ``data_j[d]`` / ``data_time_s[d]`` are device ``d``'s
     data-energy fold.
     """
 
-    __slots__ = ("specs", "waits", "times", "offsets", "packets",
-                 "boundaries", "bounds", "dorm_fired", "timer_fired",
-                 "data_j", "data_time_s")
+    __slots__ = ("specs", "times", "offsets", "packets", "boundaries",
+                 "bounds", "dorm_fired", "timer_fired", "gap_waits",
+                 "last_waits", "last_dormancy", "data_j", "data_time_s")
 
     def __init__(self, specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
                  vt: VectorTable) -> None:
         counts = offsets[1:] - offsets[:-1]
-        heads = offsets[:-1][counts > 0]  # each device's first packet
+        nonempty = counts > 0
+        heads = offsets[:-1][nonempty]  # each device's first packet
         _check_streams(specs, t, offsets, heads)
         self.specs = specs
-        self.waits = waits = [_constant_wait(spec.policy) for spec in specs]
+        # Python floats for MakeIdle decisions, machine calls and ops.
+        self.times = t.tolist()
+        self.offsets = offsets.tolist()
         n = t.shape[0]
         prev = t[:-1]
         nxt = t[1:]
@@ -409,14 +462,10 @@ class _Batch:
                                                  offsets[:-1], counts)
 
         # Per-gap fired events and the boundary mask (see module
-        # docstring), over every gap at once: each device's constant wait
-        # is broadcast to its packets (``inf``: never requests, so its
-        # dormancy never fires), and every first packet is a boundary.
-        wait = _np.repeat(
-            _np.array([_np.inf if w is None else w for w in waits],
-                      dtype=_np.float64),
-            counts,
-        )
+        # docstring), over every gap at once: each packet carries the wait
+        # decided after it (``inf``: no request, so no dormancy fires),
+        # and every first packet is a boundary.
+        wait = _wait_column(specs, self.times, self.offsets, counts)
         timer_fired = _np.zeros(n, dtype=bool)
         timer_fired[1:] = (prev + vt.idle_after) <= nxt
         dorm_fired = _np.zeros(n, dtype=bool)
@@ -425,14 +474,22 @@ class _Batch:
         boundary[1:] = dorm_fired[1:] | (nxt >= (prev + vt.t1))
         boundary[heads] = True
         boundaries = _np.flatnonzero(boundary)
+        # Every scheduled dormancy pops, stale or not: the latest pop is
+        # the largest t_k + w_k, which is t_last + w only for constant w.
+        last_waits = _np.full(counts.shape[0], _np.inf)
+        last_waits[nonempty] = wait[offsets[1:][nonempty] - 1]
+        last_dormancy = _np.full(counts.shape[0], -_np.inf)
+        last_dormancy[nonempty] = _np.maximum.reduceat(
+            _np.where(wait < _np.inf, t + wait, -_np.inf), heads)
 
-        self.times = t.tolist()  # Python floats for machine calls and ops
-        self.offsets = offsets.tolist()
         self.packets = counts.tolist()
         self.boundaries = boundaries.tolist()
         self.bounds = _np.searchsorted(boundaries, offsets).tolist()
         self.dorm_fired = dorm_fired[boundaries].tolist()
         self.timer_fired = timer_fired[boundaries].tolist()
+        self.gap_waits = wait[boundaries - 1].tolist()
+        self.last_waits = last_waits.tolist()
+        self.last_dormancy = last_dormancy.tolist()
         self.data_j = data_j.tolist()
         self.data_time_s = data_time_s.tolist()
 
@@ -490,7 +547,6 @@ def _replay_ue(
     spec = batch.specs[d]
     ue_id = spec.device_id
     detach = spec.detach_at
-    wait = batch.waits[d]
     lo = batch.offsets[d]
     hi = batch.offsets[d + 1]
     if lo == hi:
@@ -538,6 +594,7 @@ def _replay_ue(
     boundaries = batch.boundaries
     dorm_fired = batch.dorm_fired
     timer_fired = batch.timer_fired
+    gap_waits = batch.gap_waits
     first = batch.bounds[d]
     stop = batch.bounds[d + 1]
     for k in range(first, stop):
@@ -549,7 +606,7 @@ def _replay_ue(
                 fast_forward(tl[b - 1])
             gt = tl[b - 1]  # the gap ending at b made packet b a boundary
             if dorm_fired[k]:
-                at = gt + wait
+                at = gt + gap_waits[k]
                 if timer_fired[k]:
                     tt = gt + idle_after
                     # Heap order of the two fired events: (time, kind),
@@ -580,7 +637,8 @@ def _replay_ue(
     # the final timer-chain pop, cut by a handover exactly as the heap
     # tie-breaks them (see module docstring).
     trailing: list[tuple[float, int]] = []
-    if wait is not None:
+    wait = batch.last_waits[d]
+    if wait < _INF:
         at = t_last + wait
         if detach is None or at <= detach:
             trailing.append((at, _DORMANCY))
@@ -604,12 +662,10 @@ def _replay_ue(
         tau = _final_timer_pop(tl, lo, hi, idle_after, detach)
         if tau is not None and tau > horizon:
             horizon = tau
-        if wait is not None and t_last + wait > horizon:
-            horizon = t_last + wait
     else:
         horizon = t_last + idle_after
-        if wait is not None and t_last + wait > horizon:
-            horizon = t_last + wait
+    if batch.last_dormancy[d] > horizon:
+        horizon = batch.last_dormancy[d]
     return requests, t_last, horizon
 
 

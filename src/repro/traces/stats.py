@@ -163,6 +163,29 @@ class SlidingWindowDistribution:
             self._gaps.append(gap)
         self._last_timestamp = timestamp
 
+    def observe_all(self, timestamps: Sequence[float]) -> list[float]:
+        """:meth:`observe` each of ``timestamps``, in order, in one call.
+
+        Returns every gap recorded, oldest first, including any the window
+        has already dropped again.  A decreasing timestamp raises
+        :meth:`observe`'s error and records nothing.
+        """
+        gaps: list[float] = []
+        last = self._last_timestamp
+        for timestamp in timestamps:
+            if last is not None:
+                gap = timestamp - last
+                if gap < 0:
+                    raise ValueError(
+                        "packet timestamps must be non-decreasing: "
+                        f"{timestamp} < {last}"
+                    )
+                gaps.append(gap)
+            last = timestamp
+        self._gaps.extend(gaps)
+        self._last_timestamp = last
+        return gaps
+
     def observe_gap(self, gap: float) -> None:
         """Record an inter-arrival gap directly (used when replaying gaps)."""
         if gap < 0:

@@ -3,7 +3,10 @@
 The numpy pass must take the same decisions as the candidate-by-candidate
 loop that runs without numpy — not close ones: the same ``(wait, gain)``
 bit for bit, as Python floats, because the golden suites pin MakeIdle's
-choices and every record downstream of them.
+choices and every record downstream of them.  The same holds for the
+sequence pass the vector kernel replays (``MakeIdlePolicy.dormancy_waits``):
+a whole device's decisions at once must equal the policy driven packet
+by packet.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from repro.core import MakeIdlePolicy
 from repro.energy import model as model_module
 from repro.energy.model import TailEnergyModel, WaitEvaluator
 from repro.rrc import CARRIER_PROFILES
-from repro.traces import PacketTrace
+from repro.traces import Direction, Packet, PacketTrace
 
 pytest.importorskip("numpy")
 
@@ -108,3 +111,88 @@ def test_candidate_grid_spans_zero_to_t_threshold(any_profile):
     assert evaluator.candidates[-1] == pytest.approx(model.t_threshold)
     with pytest.raises(ValueError):
         WaitEvaluator(model, 1)
+
+
+@st.composite
+def packet_times(draw):
+    """0–300 packet times, many gaps on the cost matrix's branch points."""
+    key = draw(st.sampled_from(CARRIERS))
+    profile = CARRIER_PROFILES[key]
+    gap = st.one_of(
+        st.sampled_from((0.0, profile.t1, profile.t1 + profile.t2,
+                         *EVALUATORS[key].candidates)),
+        st.floats(min_value=0.0, max_value=120.0),
+    )
+    count = draw(st.integers(min_value=0, max_value=300))
+    gaps = draw(st.lists(gap, min_size=max(0, count - 1),
+                         max_size=max(0, count - 1)))
+    now = draw(st.floats(min_value=0.0, max_value=50.0))
+    times = [now] if count else []
+    for step in gaps:
+        now = now + step
+        times.append(now)
+    split = draw(st.integers(min_value=0, max_value=count))
+    chunk = draw(st.sampled_from((1, 7, model_module._WINDOW_CHUNK)))
+    return key, times, split, chunk
+
+
+def _decisions(policy):
+    decisions = []
+    for decision in policy.wait_history:
+        assert type(decision.time) is float
+        assert type(decision.expected_gain) is float
+        assert decision.wait is None or type(decision.wait) is float
+        decisions.append((
+            decision.time.hex(),
+            None if decision.wait is None else decision.wait.hex(),
+            decision.expected_gain.hex(),
+        ))
+    return decisions
+
+
+def _window_state(policy, times):
+    """The window's gaps, then its gaps after one more (later) packet."""
+    state = [gap.hex() for gap in policy.window.samples]
+    policy.window.observe((times[-1] if times else 0.0) + 1.0)
+    return state, [gap.hex() for gap in policy.window.samples]
+
+
+@pytest.mark.parametrize("numpy_path", [True, False], ids=["numpy", "loop"])
+@pytest.mark.parametrize("min_samples", [2, 5])
+@pytest.mark.parametrize("window_size", [2, 5, 100])
+@settings(max_examples=25, deadline=None)
+@given(drawn=packet_times())
+def test_sequence_pass_matches_the_policy_packet_by_packet(
+    drawn, window_size, min_samples, numpy_path
+):
+    """``dormancy_waits`` over a whole device equals observe_packet then
+    dormancy_wait per packet: waits, ``float.hex`` gains, history and the
+    window left behind.  ``window_size=2, min_samples=5`` never warms up.
+    The pass also resumes from a window it left (two calls split at
+    ``split``), scores its windows in chunks of any size, and without
+    numpy scores each window with the loop."""
+    key, times, split, chunk = drawn
+    profile = CARRIER_PROFILES[key]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "_WINDOW_CHUNK", chunk)
+        if not numpy_path:
+            patch.setattr(model_module, "_np", None)
+        reference = MakeIdlePolicy(window_size=window_size,
+                                   min_samples=min_samples)
+        reference.prepare(PacketTrace([]), profile)
+        expected = []
+        for time in times:
+            reference.observe_packet(time, Packet(time, 100, Direction.UPLINK))
+            expected.append(reference.dormancy_wait(time))
+        policy = MakeIdlePolicy(window_size=window_size,
+                                min_samples=min_samples)
+        policy.prepare(PacketTrace([]), profile)
+        waits = (policy.dormancy_waits(times[:split])
+                 + policy.dormancy_waits(times[split:]))
+    assert [None if w is None else w.hex() for w in waits] == [
+        None if w is None else w.hex() for w in expected
+    ]
+    assert _decisions(policy) == _decisions(reference)
+    if window_size < min_samples:
+        assert all(w is None for w in waits)
+    assert _window_state(policy, times) == _window_state(reference, times)

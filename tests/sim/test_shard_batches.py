@@ -10,21 +10,32 @@ batch.  These tests pin what that layout must not change:
   first faulty device raises, its order error before its handover error;
 * shards that mix constant waits, hold no packets at all, single-packet
   devices or packet-less visits, and shards split into many batches, are
-  equal to the forced-scalar run.
+  equal to the forced-scalar run;
+* a metro of MakeIdle UEs, whose per-packet waits vary and whose stale
+  dormancies outlive their departures, is equal to its forced-scalar run.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import pickle
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import PolicySpec
+from repro.api.metro import MetroRunSpec, execute_metro, metro
 from repro.basestation import AcceptAllDormancy, CellSimulator
 from repro.basestation.cell import DeviceSpec
-from repro.core import FixedTimerPolicy, PercentileIatPolicy, StatusQuoPolicy
+from repro.core import (
+    FixedTimerPolicy,
+    MakeIdlePolicy,
+    PercentileIatPolicy,
+    StatusQuoPolicy,
+)
 from repro.rrc.profiles import get_profile
 from repro.sim import vector_engine
 from repro.sim.engine import StreamOrderError
@@ -305,6 +316,32 @@ class TestShardShapes:
             assert vector == scalar
             assert vector.vector_devices == 6
 
+    def test_stale_dormancy_extends_a_departed_horizon(self, scalar_kernel):
+        """A MakeIdle UE decides a 1.04 s wait at 36.05 s and none at its
+        last packet (36.25 s), then departs at 36.3 s.  The stale dormancy
+        still pops at 37.09 s, after the timer's last pop (36.6 s), so the
+        sample chain reaches 54.9 s: the horizon is ``max_k(t_k + w_k)``,
+        not ``t_last + w_last``."""
+        times = (0.0, 20.0, 26.0, 30.0, 34.0, 34.2, 34.25, 35.05, 36.05,
+                 36.25)
+        results = {}
+        for kernel, context in (("scalar", scalar_kernel),
+                                ("vector", contextlib.nullcontext)):
+            policy = MakeIdlePolicy(window_size=5, min_samples=2)
+            device = DeviceSpec(0, PacketTrace(_packets(*times)), policy,
+                                detach_at=36.3)
+            simulator = CellSimulator(get_profile("att_hspa"),
+                                      AcceptAllDormancy(),
+                                      load_sample_interval_s=18.3)
+            with context():
+                results[kernel] = simulator.run([device])
+            assert [d.wait for d in policy.wait_history[-2:]] == [
+                1.0442377064742738, None]
+        assert results["vector"] == results["scalar"]
+        assert results["vector"].vector_devices == 1
+        assert [s.time for s in results["vector"].load_samples] == [
+            18.3, 36.6, 36.6 + 18.3]
+
     def test_packetless_devices_with_and_without_departure(self,
                                                            scalar_kernel):
         def build():
@@ -324,3 +361,36 @@ class TestShardShapes:
         scalar, vector = _both_kernels(scalar_kernel, build)
         assert vector == scalar
         assert vector.vector_devices == 5
+
+
+class TestMetroMakeIdle:
+    """MakeIdle UEs crossing ``metro_4cell``: the accept-all cells replay
+    each visit's wait sequence, and a departed UE's load-sample horizon
+    is its latest scheduled dormancy ``max_k(t_k + w_k)``, not the one
+    after its last packet."""
+
+    @staticmethod
+    def _without_vector_counts(result):
+        return dataclasses.replace(result, cells=tuple(
+            dataclasses.replace(entry, result=dataclasses.replace(
+                entry.result, vector_devices=0))
+            for entry in result.cells
+        ))
+
+    @pytest.mark.parametrize("blocks", (1, 3))
+    def test_matches_the_scalar_kernel(self, blocks, scalar_kernel):
+        spec = MetroRunSpec(
+            metro=metro("metro_4cell", devices=600, duration=1800.0,
+                        seed=3, chunk_s=300.0),
+            carrier="att_hspa",
+            policy=PolicySpec(scheme="makeidle").resolved(100),
+            shards=blocks,
+        )
+        with scalar_kernel():
+            scalar = execute_metro(spec)
+        auto = execute_metro(spec)
+        assert auto == scalar
+        assert pickle.dumps(self._without_vector_counts(auto)) == (
+            pickle.dumps(scalar))
+        assert sum(entry.result.vector_devices for entry in auto.cells) > 0
+        assert auto.handovers > 0

@@ -59,11 +59,12 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: Schemes whose policies keep the base ``observe_packet`` /
-#: ``activation_delay`` hooks and a constant dormancy wait: every device
+#: ``activation_delay`` hooks and a constant dormancy wait, or are plain
+#: MakeIdle (its wait sequence is computed up front): every device
 #: vectorizes.
-ELIGIBLE_SCHEMES = ("status_quo", "fixed_4.5s")
+ELIGIBLE_SCHEMES = ("status_quo", "fixed_4.5s", "makeidle")
 #: Hook-bearing schemes: every shard runs on the scalar kernel.
-HOOK_SCHEMES = ("makeidle", "makeidle+makeactive_learn")
+HOOK_SCHEMES = ("makeidle+makeactive_learn",)
 
 _DEVICES = 10
 _DURATION_S = 300.0
@@ -154,6 +155,19 @@ def _one_makeidle_policies():
             MakeIdlePolicy(), FixedTimerPolicy(timeout=4.5)]
 
 
+class _OverridingMakeIdle(MakeIdlePolicy):
+    """A MakeIdle subclass whose ``dormancy_wait`` is its own."""
+
+    def dormancy_wait(self, now):
+        wait = super().dormancy_wait(now)
+        return None if wait is None else wait + 0.25
+
+
+def _one_overriding_makeidle_policies():
+    return [FixedTimerPolicy(timeout=4.5), _OverridingMakeIdle(min_samples=2),
+            FixedTimerPolicy(timeout=4.5)]
+
+
 def _one_makeactive_policies():
     return [StatusQuoPolicy(), FixedDelayMakeActive(delay_bound=2.0),
             FixedTimerPolicy(timeout=4.5)]
@@ -172,7 +186,9 @@ _SELECTION_CASES = {
     "all_eligible_accept_all": (
         AcceptAllDormancy, _eligible_policies, True, "vector"),
     "one_makeidle_device": (
-        AcceptAllDormancy, _one_makeidle_policies, True, "scalar"),
+        AcceptAllDormancy, _one_makeidle_policies, True, "vector"),
+    "one_makeidle_subclass_overriding_dormancy_wait": (
+        AcceptAllDormancy, _one_overriding_makeidle_policies, True, "scalar"),
     "one_makeactive_device": (
         AcceptAllDormancy, _one_makeactive_policies, True, "scalar"),
     "rate_limited_station": (
@@ -236,9 +252,10 @@ class TestKernelSelection:
 
     def test_judged_before_prepare(self):
         """Eligibility is a property of the policy type: an unprepared
-        trace-trained policy is already eligible."""
+        trace-trained policy or MakeIdle is already eligible."""
         assert vector_engine.vector_eligible(PercentileIatPolicy())
-        assert not vector_engine.vector_eligible(MakeIdlePolicy())
+        assert vector_engine.vector_eligible(MakeIdlePolicy())
+        assert not vector_engine.vector_eligible(_OverridingMakeIdle())
 
     def test_consulted_once_per_shard(self, monkeypatch):
         """``run_shard`` looks the rule up at call time, once per shard,

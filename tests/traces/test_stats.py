@@ -81,6 +81,10 @@ class TestSlidingWindowDistribution:
         for t in (0.0, 1.0, 3.0, 6.0):
             window.observe(t)
         assert window.samples == (1.0, 2.0, 3.0)
+        batched = SlidingWindowDistribution(window_size=10)
+        assert batched.observe_all([0.0, 1.0]) == [1.0]
+        assert batched.observe_all([3.0, 6.0]) == [2.0, 3.0]
+        assert batched.samples == window.samples
 
     def test_window_slides(self):
         window = SlidingWindowDistribution(window_size=3)
@@ -93,6 +97,9 @@ class TestSlidingWindowDistribution:
         window.observe(5.0)
         with pytest.raises(ValueError):
             window.observe(4.0)
+        with pytest.raises(ValueError, match="4.0 < 6.0"):
+            window.observe_all([6.0, 4.0])
+        assert window.samples == ()  # the failed batch recorded nothing
 
     def test_observe_gap_direct(self):
         window = SlidingWindowDistribution()

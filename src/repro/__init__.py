@@ -55,13 +55,7 @@ from .api import (
     RunSet,
     RunSpec,
     SerialRunner,
-)
-from .config import (
-    ExperimentConfig,
-    WorkloadConfig,
-    load_config,
     load_plan,
-    save_config,
     save_plan,
 )
 from .core import (
@@ -136,7 +130,6 @@ __all__ = [
     "DeviceArchetype",
     "DevicePowerBudget",
     "DiurnalShape",
-    "ExperimentConfig",
     "Scenario",
     "ExperimentPlan",
     "ProcessPoolRunner",
@@ -150,7 +143,6 @@ __all__ = [
     "TailEnderPolicy",
     "TailTheftPolicy",
     "TopHintPolicy",
-    "WorkloadConfig",
     "DataEnergyModel",
     "Direction",
     "EnergyAccountant",
@@ -178,12 +170,10 @@ __all__ = [
     "get_profile",
     "get_scenario",
     "lifetime_extension",
-    "load_config",
     "load_plan",
     "project_lifetime",
     "read_pcap",
     "read_tcpdump",
-    "save_config",
     "save_plan",
     "signaling_load",
     "standard_policies",

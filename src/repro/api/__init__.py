@@ -15,7 +15,8 @@ policy.  This package gives that sweep a first-class lifecycle::
         print(cell, {s: f"{r.saved_percent:.1f}%" for s, r in table.items()})
     runs.to_csv("sweep.csv")
 
-* :func:`plan` / :class:`ExperimentPlan` — fluent, immutable grid declaration;
+* :func:`plan` / :class:`ExperimentPlan` — fluent, immutable grid
+  declaration, persisted as JSON with :func:`save_plan` / :func:`load_plan`;
 * :class:`TraceSpec` / :class:`PolicySpec` / :class:`RunSpec` — picklable
   descriptions of each grid cell (helpers :func:`app`, :func:`user`,
   :func:`pcap`, :func:`tcpdump`, :func:`inline`, :func:`scheme`);
@@ -60,7 +61,7 @@ from .metro import (
     metro,
 )
 from ..metro import Metro, MetroCell, MetroResult, get_metro
-from .plan import EmptyAxisError, ExperimentPlan, plan
+from .plan import EmptyAxisError, ExperimentPlan, load_plan, plan, save_plan
 from .runner import (
     PoolExecution,
     ProcessPoolRunner,
@@ -124,9 +125,11 @@ __all__ = [
     "get_metro",
     "get_scenario",
     "inline",
+    "load_plan",
     "metro",
     "pcap",
     "plan",
+    "save_plan",
     "scheme",
     "shard_sizes",
     "tcpdump",

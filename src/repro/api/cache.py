@@ -220,9 +220,9 @@ class ResultCache:
 
     A *miss* is recorded when a result is first computed and stored; a *hit*
     whenever a later lookup is served without simulating — from memory or,
-    failing that, from the optional persistent tier.  ``get_or_run`` is
-    the serial fast path; the process-pool runner uses ``lookup`` / ``put``
-    so it can batch the misses into one executor submission.
+    failing that, from the optional persistent tier.  Both runners count
+    through ``lookup`` / ``put``, so they can batch the misses of a plan;
+    ``get_or_run`` is the one-key form of the same two steps.
 
     ``max_entries`` bounds the in-memory tier with LRU eviction (least
     recently *used*, so a long sweep's hot baselines survive), keeping
@@ -331,8 +331,7 @@ class ResultCache:
         """Return the cached result without touching the counters.
 
         Consults both tiers (a disk result is promoted to memory) but
-        counts neither hits nor misses — the pool runner's dedup pass
-        uses this so its phase-3 bookkeeping owns the counter semantics.
+        counts neither hits nor misses: an inspection, not a lookup.
         """
         result = self._entries.get(key)
         if result is not None:

@@ -36,6 +36,7 @@ from ..basestation.policies import (
     RejectAllDormancy,
     partition_switch_budget,
 )
+from ..dictform import strict_fields
 from ..rrc.profiles import get_profile
 from ..scenarios.scenario import Scenario
 from ..traces.packet import PacketTrace
@@ -68,6 +69,10 @@ DORMANCY_SCHEMES: tuple[str, ...] = (
     "rate_limited",
     "load_aware",
 )
+
+#: The keys :meth:`CellSpec.to_dict` writes (``apps`` or ``scenario``).
+_CELL_FIELDS = ("devices", "duration_s", "seed", "name", "streaming",
+                "chunk_s", "apps", "scenario")
 
 #: Seed stride between devices of one cell, so every device's workload is
 #: distinct but the whole population is reproducible from one seed.
@@ -135,8 +140,11 @@ class DormancySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DormancySpec":
-        """Re-create a spec from :meth:`to_dict` output."""
-        return cls(**dict(data))
+        """Re-create a spec from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        return cls(**strict_fields(data, ("scheme", "param"), "dormancy"))
 
 
 @dataclass(frozen=True)
@@ -356,9 +364,11 @@ class CellSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellSpec":
-        """Re-create a spec from :meth:`to_dict` output."""
-        payload = dict(data)
-        check_legacy_engine(payload.pop("engine", "scalar"))
+        """Re-create a spec from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        payload = strict_fields(data, _CELL_FIELDS, "cell")
         payload["apps"] = tuple(payload.get("apps", ()))
         scenario = payload.get("scenario")
         if scenario is not None:
@@ -444,11 +454,10 @@ class CellRunSpec:
 def check_legacy_engine(engine: Any) -> None:
     """Validate a legacy kernel choice, which is then ignored.
 
-    ``cell(engine=...)`` and the ``engine``/``engines`` keys of older plan
-    files still name a kernel.  Every shard now runs on the kernel
-    :func:`repro.sim.vector_engine.use_vector_kernel` picks, and both
-    kernels produce byte-identical results, so the value only has to be
-    one the old knob accepted.
+    ``cell(engine=...)`` still names a kernel.  Every shard now runs on
+    the kernel :func:`repro.sim.vector_engine.use_vector_kernel` picks,
+    and both kernels produce byte-identical results, so the value only
+    has to be one the old knob accepted.
     """
     if not isinstance(engine, str):
         raise TypeError(f"engine must be str, got {type(engine).__name__}")

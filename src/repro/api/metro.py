@@ -16,6 +16,7 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
+from ..dictform import strict_fields
 from ..metro.execution import (
     MetroResult,
     merge_metro_shards,
@@ -24,7 +25,6 @@ from ..metro.execution import (
 from ..metro.presets import METRO_BUILDERS, get_metro
 from ..metro.topology import Metro
 from ..rrc.profiles import get_profile
-from .cells import check_legacy_engine
 from .spec import PolicySpec
 
 __all__ = [
@@ -116,8 +116,15 @@ class MetroSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetroSpec":
-        payload = dict(data)
-        check_legacy_engine(payload.pop("engine", "scalar"))
+        """Re-create a spec from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        payload = strict_fields(
+            data,
+            ("metro", "devices", "duration_s", "seed", "chunk_s", "name"),
+            "metro",
+        )
         payload["metro"] = get_metro(payload["metro"])
         return cls(**payload)
 

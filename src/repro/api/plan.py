@@ -22,8 +22,12 @@ anything itself — hand it to a :class:`~repro.api.runner.SerialRunner` or
 :class:`~repro.api.runset.RunSet`.
 
 Plans round-trip through plain dicts (:meth:`ExperimentPlan.to_dict` /
-:meth:`ExperimentPlan.from_dict`); :mod:`repro.config` builds JSON file
-persistence on top of that so a sweep is reproducible from a config file.
+:meth:`ExperimentPlan.from_dict`) and JSON files (:func:`save_plan` /
+:func:`load_plan`), so a sweep is reproducible from a plan file.  The plan
+is the only experiment format, and a file is read strictly:
+:meth:`~ExperimentPlan.from_dict` builds through the same fluent methods
+(and so the same validation) as a plan written in Python, and every key
+that no ``to_dict`` writes raises a ``ValueError`` naming it.
 
 A plan can instead sweep *device populations* against a base station: the
 cell axes (:meth:`ExperimentPlan.cells` / :meth:`ExperimentPlan.dormancy`)
@@ -34,16 +38,29 @@ the same cache (see :mod:`repro.api.cells`).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..dictform import strict_fields
 from ..rrc.profiles import get_profile
 from ..traces.packet import PacketTrace
-from .cells import CellRunSpec, CellSpec, DormancySpec, check_legacy_engine
+from .cells import CellRunSpec, CellSpec, DormancySpec
 from .metro import MetroRunSpec, MetroSpec, metro as metro_spec
 from .spec import PolicySpec, RunSpec, TraceSpec, user as user_spec
 
-__all__ = ["EmptyAxisError", "ExperimentPlan", "plan"]
+__all__ = [
+    "EmptyAxisError",
+    "ExperimentPlan",
+    "load_plan",
+    "plan",
+    "save_plan",
+]
+
+#: The keys :meth:`ExperimentPlan.to_dict` writes.
+_PLAN_FIELDS = ("name", "traces", "carriers", "policies", "seeds",
+                "window_size", "cells", "dormancy", "shards", "metros")
 
 
 class EmptyAxisError(ValueError):
@@ -75,20 +92,6 @@ def _as_policy_spec(entry: PolicySpec | str) -> PolicySpec:
     raise TypeError(
         f"policy axis entries must be PolicySpec or str, got {type(entry).__name__}"
     )
-
-
-def _validated_shard_counts(counts: Iterable[int]) -> tuple[int, ...]:
-    """Validate shard-count axis entries (shared by .shards and from_dict)."""
-    validated = []
-    for count in counts:
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise TypeError(
-                f"shard counts must be int, got {type(count).__name__}"
-            )
-        if count < 1:
-            raise ValueError(f"shard counts must be >= 1, got {count}")
-        validated.append(count)
-    return tuple(validated)
 
 
 def _as_dormancy_spec(entry: DormancySpec | str) -> DormancySpec:
@@ -250,10 +253,14 @@ class ExperimentPlan:
         ``docs/DESIGN.md``), so sweeping several counts is mainly useful
         for benchmarking the execution path itself.
         """
-        return replace(
-            self,
-            shard_counts=self.shard_counts + _validated_shard_counts(counts),
-        )
+        for count in counts:
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise TypeError(
+                    f"shard counts must be int, got {type(count).__name__}"
+                )
+            if count < 1:
+                raise ValueError(f"shard counts must be >= 1, got {count}")
+        return replace(self, shard_counts=self.shard_counts + counts)
 
     def carriers(self, *keys: str) -> "ExperimentPlan":
         """Append carrier axis entries (keys or aliases, validated eagerly)."""
@@ -493,31 +500,50 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentPlan":
-        """Re-create a plan from :meth:`to_dict` output."""
-        for engine in data.get("engines", ()):
-            check_legacy_engine(engine)
-        return cls(
-            trace_specs=tuple(
-                TraceSpec.from_dict(t) for t in data.get("traces", ())
-            ),
-            carrier_keys=tuple(data.get("carriers", ())),
-            policy_specs=tuple(
-                PolicySpec.from_dict(p) for p in data.get("policies", ())
-            ),
-            seeds=tuple(data.get("seeds", ())),
-            default_window=int(data.get("window_size", 100)),
-            name=str(data.get("name", "")),
-            cell_specs=tuple(
-                CellSpec.from_dict(c) for c in data.get("cells", ())
-            ),
-            dormancy_specs=tuple(
-                DormancySpec.from_dict(d) for d in data.get("dormancy", ())
-            ),
-            shard_counts=_validated_shard_counts(data.get("shards", ())),
-            metro_specs=tuple(
-                MetroSpec.from_dict(m) for m in data.get("metros", ())
-            ),
+        """Re-create a plan from :meth:`to_dict` output.
+
+        Builds through the fluent methods, so a plan read from a file is
+        validated (and its carrier aliases normalised) exactly like one
+        declared in Python; any key ``to_dict`` does not write raises.
+        """
+        data = strict_fields(data, _PLAN_FIELDS, "plan")
+        return (
+            cls()
+            .traces(*(TraceSpec.from_dict(t) for t in data.get("traces", ())))
+            .carriers(*data.get("carriers", ()))
+            .policies(
+                *(PolicySpec.from_dict(p) for p in data.get("policies", ()))
+            )
+            .repeat(seeds=data.get("seeds", ()))
+            .window_size(int(data.get("window_size", 100)))
+            .labelled(str(data.get("name", "")))
+            .cells(*(CellSpec.from_dict(c) for c in data.get("cells", ())))
+            .dormancy(
+                *(DormancySpec.from_dict(d) for d in data.get("dormancy", ()))
+            )
+            .shards(*data.get("shards", ()))
+            .metros(*(MetroSpec.from_dict(m) for m in data.get("metros", ())))
         )
+
+
+def save_plan(plan: ExperimentPlan, path: str | Path) -> None:
+    """Write ``plan`` to a JSON file that :func:`load_plan` reads back equal.
+
+    The plan's axes, seeds and window size round-trip exactly; inline
+    traces, custom policy factories and inline metros refuse
+    serialisation.
+    """
+    Path(path).write_text(
+        json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+
+
+def load_plan(path: str | Path) -> ExperimentPlan:
+    """Read a plan file through :meth:`ExperimentPlan.from_dict` (strictly)."""
+    return ExperimentPlan.from_dict(
+        json.loads(Path(path).read_text(encoding="utf-8"))
+    )
 
 
 def plan() -> ExperimentPlan:

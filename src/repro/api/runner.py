@@ -24,7 +24,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Hashable, Protocol, Sequence, Union, runtime_checkable
+from typing import (
+    Hashable,
+    Iterator,
+    Protocol,
+    Sequence,
+    Union,
+    runtime_checkable,
+)
 
 from ..basestation.cell import CellResult, merge_cell_shards
 from ..metro.execution import MetroResult
@@ -129,7 +136,15 @@ def _as_specs(plan: ExperimentPlan | Sequence[AnySpec]) -> tuple[AnySpec, ...]:
 
 
 class _BaseRunner:
-    """Shared cache plumbing of the concrete backends."""
+    """The run lifecycle and cache bookkeeping both backends share.
+
+    Both count through this one path, so a plan reports the same
+    ``(hits, misses, disk_hits)`` from either backend.  Each unique cell is
+    looked up once, in plan order, with :meth:`ResultCache.lookup` (a
+    memory or disk hit); each miss is simulated by the backend's
+    :meth:`_execute` and stored with :meth:`ResultCache.put` (one miss);
+    every later appearance of a cell in the same plan is one more hit.
+    """
 
     def __init__(self, cache: ResultCache | None = None) -> None:
         self._cache = cache if cache is not None else ResultCache()
@@ -146,6 +161,66 @@ class _BaseRunner:
             after.disk_hits - before.disk_hits,
         )
 
+    def _execution(
+        self, pending: dict[Hashable, AnySpec]
+    ) -> PoolExecution | None:
+        """How this backend will execute ``pending`` (``None``: in-process)."""
+        return None
+
+    def _execute(
+        self, pending: dict[Hashable, AnySpec], execution: PoolExecution | None
+    ) -> Iterator[tuple[Hashable, AnyResult]]:
+        """Simulate every pending cell, yielding ``(key, result)`` in order."""
+        for key, spec in pending.items():
+            yield key, execute_spec(spec)
+
+    def run(self, plan: ExperimentPlan | Sequence[AnySpec]) -> RunSet:
+        """Execute every grid cell and return the results in plan order."""
+        specs = _as_specs(plan)
+        keys = [spec.cache_key for spec in specs]
+        before = self._cache.stats
+
+        # Phase 1: look each unique cell up once.  Holding a reference to
+        # each cached result keeps it reachable for phase 3 even if a
+        # bounded cache evicts it while this run stores new entries.
+        held: dict[Hashable, AnyResult] = {}
+        pending: dict[Hashable, AnySpec] = {}
+        for spec, key in zip(specs, keys):
+            if key in held or key in pending:
+                continue
+            result = self._cache.lookup(key)
+            if result is None:
+                pending[key] = spec
+            else:
+                held[key] = result
+
+        # Phase 2: simulate the misses, storing each as it arrives.
+        execution = self._execution(pending)
+        fresh: dict[Hashable, AnyResult] = {}
+        for key, result in self._execute(pending, execution):
+            self._cache.put(key, result)
+            fresh[key] = result
+
+        # Phase 3: assemble records in plan order.  A cell's first
+        # appearance was counted in phase 1 (hit) or by put() (miss);
+        # every later one is a hit.
+        records: list[RunRecord] = []
+        first_use = set(held) | set(fresh)
+        for spec, key in zip(specs, keys):
+            if key in first_use:
+                first_use.discard(key)
+                from_cache = key in held
+                result = held[key] if from_cache else fresh[key]
+            else:
+                result = self._cache.lookup(key)
+                if result is None:  # evicted mid-run by a bounded cache
+                    result = held[key] if key in held else fresh[key]
+                from_cache = True
+            records.append(
+                RunRecord(spec=spec, result=result, from_cache=from_cache)
+            )
+        return RunSet(records, self._delta(before), execution=execution)
+
 
 class SerialRunner(_BaseRunner):
     """Execute every spec in order in the calling process.
@@ -153,18 +228,6 @@ class SerialRunner(_BaseRunner):
     The reference backend: simplest, always available, and the semantics
     yardstick the parallel backend is tested against.
     """
-
-    def run(self, plan: ExperimentPlan | Sequence[AnySpec]) -> RunSet:
-        """Execute the plan's cells one after another."""
-        specs = _as_specs(plan)
-        before = self._cache.stats
-        records: list[RunRecord] = []
-        for spec in specs:
-            key = spec.cache_key
-            cached = key in self._cache
-            result = self._cache.get_or_run(key, lambda s=spec: execute_spec(s))
-            records.append(RunRecord(spec=spec, result=result, from_cache=cached))
-        return RunSet(records, self._delta(before))
 
 
 class ProcessPoolRunner(_BaseRunner):
@@ -220,107 +283,71 @@ class ProcessPoolRunner(_BaseRunner):
         """
         return min(self._jobs, self.usable_cores)
 
-    def run(self, plan: ExperimentPlan | Sequence[AnySpec]) -> RunSet:
-        """Execute the plan, fanning unique uncached cells out to the pool."""
-        specs = _as_specs(plan)
-        before = self._cache.stats
-
-        # Phase 1: one representative spec per unique, uncached cell.  Holding
-        # a reference to each pre-cached result keeps it reachable for phase 3
-        # even if a bounded cache evicts it while this run stores new entries.
-        pending: dict[Hashable, AnySpec] = {}
-        held: dict[Hashable, AnyResult] = {}
-        for spec in specs:
-            key = spec.cache_key
-            if key in pending or key in held:
-                continue
-            existing = self._cache.peek(key)
-            if existing is not None:
-                held[key] = existing
-            else:
-                pending[key] = spec
-
-        # Phase 2: simulate the misses (pool only when it can actually help).
-        # A sharded cell spec fans out into one task per shard — and a metro
-        # spec into one task per UE block, which returns every cell's
-        # partial for the block — so a single big run can occupy every
-        # worker; the partials are merged back here in the parent (see
-        # repro.basestation.cell / repro.metro.execution).
-        def _task_count(spec: AnySpec) -> int:
-            if isinstance(spec, (CellRunSpec, MetroRunSpec)):
-                return spec.effective_shards
-            return 1
-
-        fresh: dict[Hashable, AnyResult] = {}
+    def _execution(self, pending: dict[Hashable, AnySpec]) -> PoolExecution:
+        # The pool runs only when it can actually help: more than one task
+        # and more than one usable worker.
         total_tasks = sum(_task_count(spec) for spec in pending.values())
         effective_jobs = self.effective_jobs
-        pool_used = total_tasks > 1 and effective_jobs > 1 and bool(pending)
-        if not pool_used:
-            # One task, one usable worker, or a pool the cores cannot
-            # feed: execute_spec runs everything (a sharded spec's
-            # partitions included) sequentially in-process — same merged
-            # result, no pool overhead.
-            for key, spec in pending.items():
-                fresh[key] = execute_spec(spec)
-        else:
-            workers = min(effective_jobs, total_tasks)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures: dict[Hashable, object] = {}
-                for key, spec in pending.items():
-                    count = _task_count(spec)
-                    if count > 1:
-                        # Shard order: both merges take the partials in
-                        # the order of their shard (UE block) index.
-                        shard_task = (
-                            execute_metro_cell_shard
-                            if isinstance(spec, MetroRunSpec)
-                            else execute_cell_shard
-                        )
-                        futures[key] = [
-                            pool.submit(shard_task, spec, index)
-                            for index in range(count)
-                        ]
-                    else:
-                        futures[key] = pool.submit(execute_spec, spec)
-                for key, future in futures.items():
-                    if isinstance(future, list):
-                        partials = [shard.result() for shard in future]
-                        spec = pending[key]
-                        if isinstance(spec, MetroRunSpec):
-                            fresh[key] = merge_metro_run(spec, partials)
-                        else:
-                            fresh[key] = merge_cell_shards(partials)
-                    else:
-                        fresh[key] = future.result()
-        for key, result in fresh.items():
-            self._cache.put(key, result)
-
-        # Phase 3: assemble records in plan order.  The first appearance of a
-        # freshly simulated cell is the miss already counted by put(); every
-        # other lookup — duplicates within the plan or pre-cached cells — is
-        # a hit, exactly as the serial backend would count it.  The local
-        # `fresh` map keeps this run's results reachable even if a bounded
-        # cache evicted them mid-run.
-        records: list[RunRecord] = []
-        first_use = set(fresh)
-        for spec in specs:
-            key = spec.cache_key
-            if key in first_use:
-                first_use.discard(key)
-                result = fresh[key]
-                from_cache = False
-            else:
-                result = self._cache.lookup(key)
-                if result is None:  # evicted mid-run by a bounded cache
-                    result = fresh[key] if key in fresh else held[key]
-                from_cache = True
-            records.append(RunRecord(spec=spec, result=result, from_cache=from_cache))
-        return RunSet(records, self._delta(before), execution=PoolExecution(
+        return PoolExecution(
             requested_jobs=self._jobs,
             usable_cores=self.usable_cores,
             effective_jobs=effective_jobs,
-            pool_used=pool_used,
-        ))
+            pool_used=total_tasks > 1 and effective_jobs > 1,
+        )
+
+    def _execute(
+        self, pending: dict[Hashable, AnySpec], execution: PoolExecution | None
+    ) -> Iterator[tuple[Hashable, AnyResult]]:
+        """Fan the pending cells out to the pool.
+
+        A sharded cell spec fans out into one task per shard — and a metro
+        spec into one task per UE block, which returns every cell's
+        partial for the block — so a single big run can occupy every
+        worker; the partials are merged back here in the parent (see
+        repro.basestation.cell / repro.metro.execution).  Without the pool
+        everything (a sharded spec's partitions included) runs
+        sequentially in-process: same merged result, no pool overhead.
+        """
+        if execution is None or not execution.pool_used:
+            yield from super()._execute(pending, execution)
+            return
+        total_tasks = sum(_task_count(spec) for spec in pending.values())
+        workers = min(execution.effective_jobs, total_tasks)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures: dict[Hashable, object] = {}
+            for key, spec in pending.items():
+                count = _task_count(spec)
+                if count > 1:
+                    # Shard order: both merges take the partials in the
+                    # order of their shard (UE block) index.
+                    shard_task = (
+                        execute_metro_cell_shard
+                        if isinstance(spec, MetroRunSpec)
+                        else execute_cell_shard
+                    )
+                    futures[key] = [
+                        pool.submit(shard_task, spec, index)
+                        for index in range(count)
+                    ]
+                else:
+                    futures[key] = pool.submit(execute_spec, spec)
+            for key, future in futures.items():
+                if isinstance(future, list):
+                    partials = [shard.result() for shard in future]
+                    spec = pending[key]
+                    if isinstance(spec, MetroRunSpec):
+                        yield key, merge_metro_run(spec, partials)
+                    else:
+                        yield key, merge_cell_shards(partials)
+                else:
+                    yield key, future.result()
+
+
+def _task_count(spec: AnySpec) -> int:
+    """Pool tasks one spec fans out into: its shards (UE blocks), or one."""
+    if isinstance(spec, (CellRunSpec, MetroRunSpec)):
+        return spec.effective_shards
+    return 1
 
 
 #: Module-level runner shared by the thin experiment drivers, so repeated

@@ -21,9 +21,9 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
-from ..config import KNOWN_SCHEMES
-from ..core.controller import build_scheme
+from ..core.controller import KNOWN_SCHEMES, build_scheme
 from ..core.policy import RadioPolicy
+from ..dictform import strict_fields
 from ..rrc.profiles import get_profile
 from ..sim.results import SimulationResult
 from ..sim.simulator import TraceSimulator
@@ -45,6 +45,9 @@ __all__ = [
 #: Trace kinds whose workload is regenerated from a seed (so ``repeat(seeds=...)``
 #: produces genuinely different traffic) as opposed to fixed external data.
 _SEEDED_KINDS = ("application", "user")
+
+#: The keys :meth:`TraceSpec.to_dict` writes (an inline trace has none).
+_TRACE_FIELDS = ("kind", "name", "user_id", "path", "duration_s", "seed")
 
 
 def _trace_digest(trace: PacketTrace) -> str:
@@ -92,6 +95,8 @@ class TraceSpec:
             raise ValueError(f"a {self.kind} trace spec requires a file path")
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if self.user_id < 1:
+            raise ValueError(f"user_id must be >= 1, got {self.user_id}")
         if self.kind == "application":
             from ..traces.synthetic import APPLICATION_PROFILES
 
@@ -187,19 +192,15 @@ class TraceSpec:
                 "an inline TraceSpec holds a concrete PacketTrace and cannot "
                 "be serialised; describe the workload by kind instead"
             )
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "user_id": self.user_id,
-            "path": self.path,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, key) for key in _TRACE_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceSpec":
-        """Re-create a spec from :meth:`to_dict` output."""
-        return cls(**dict(data))
+        """Re-create a spec from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        return cls(**strict_fields(data, _TRACE_FIELDS, "trace"))
 
 
 @dataclass(frozen=True)
@@ -280,8 +281,11 @@ class PolicySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
-        """Re-create a spec from :meth:`to_dict` output."""
-        return cls(**dict(data))
+        """Re-create a spec from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        return cls(**strict_fields(data, ("scheme", "window_size"), "policy"))
 
 
 @dataclass(frozen=True)

@@ -495,8 +495,8 @@ class _NetworkStation(DormancyStation):
 
     def __init__(self, policy: DormancyPolicy) -> None:
         self._policy = policy
-        # Propagate the policy's unconditional-grant declaration so the
-        # kernel can skip per-request snapshots.
+        # An unconditionally granting policy lets the kernel skip
+        # per-request snapshots.
         self.always_grants = vector_engine.station_always_grants(policy)
 
     def decide(self, ue_id: int, time: float, load: CellLoad) -> bool:

@@ -64,14 +64,6 @@ class DormancyPolicy:
     #: Name used in result tables.
     name: str = "dormancy_policy"
 
-    #: Declare ``True`` only when :meth:`decide` grants unconditionally and
-    #: keeps no per-request state.  The simulation kernel then skips
-    #: building a :class:`CellLoadSnapshot` per request — decisions and
-    #: counters are identical, the snapshot was just never looked at.  A
-    #: subclass that overrides :meth:`decide` with any real logic must
-    #: leave (or reset) this to ``False``.
-    always_grants: bool = False
-
     def decide(
         self, device_id: int, request_time: float, load: CellLoadSnapshot
     ) -> DormancyDecision:
@@ -83,10 +75,15 @@ class DormancyPolicy:
 
 
 class AcceptAllDormancy(DormancyPolicy):
-    """The paper's assumption: every request is granted immediately."""
+    """The paper's assumption: every request is granted immediately.
+
+    A station whose ``decide`` is this one grants unconditionally and keeps
+    no per-request state, so the kernels skip the per-request
+    :class:`CellLoadSnapshot` and may replay its devices independently
+    (:func:`repro.sim.vector_engine.station_always_grants`).
+    """
 
     name = "accept_all"
-    always_grants = True
 
     def decide(
         self, device_id: int, request_time: float, load: CellLoadSnapshot

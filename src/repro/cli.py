@@ -36,16 +36,14 @@ from .analysis.experiments import (
     run_schemes,
 )
 from .analysis.figures import format_table
-from .config import KNOWN_SCHEMES
+from .api.spec import TraceSpec
+from .core.controller import KNOWN_SCHEMES
 from .energy.validation import run_validation
 from .metrics.savings import savings_table
 from .rrc.profiles import CARRIER_ORDER, CARRIER_PROFILES, get_profile
 from .reporting.render import write_csv
-from .traces.pcap import read_pcap
 from .traces.stats import summarize_trace
-from .traces.synthetic import APPLICATION_NAMES, generate_application_trace
-from .traces.tcpdump import read_tcpdump
-from .traces.users import user_trace
+from .traces.synthetic import APPLICATION_NAMES
 
 __all__ = ["build_parser", "main"]
 
@@ -235,25 +233,21 @@ def _cmd_carriers() -> int:
     return 0
 
 
-def _load_simulate_trace(args: argparse.Namespace):
+def _simulate_trace_spec(args: argparse.Namespace) -> TraceSpec:
     if args.pcap:
-        return read_pcap(args.pcap)
+        return TraceSpec(kind="pcap", path=args.pcap)
     if args.tcpdump:
-        return read_tcpdump(args.tcpdump).trace
+        return TraceSpec(kind="tcpdump", path=args.tcpdump)
     if args.user is not None:
-        return user_trace(
-            args.population,
-            args.user,
-            hours_per_day=args.duration / 3600.0,
-            seed=args.seed,
-        )
-    app = args.app or "email"
-    return generate_application_trace(app, duration=args.duration, seed=args.seed)
+        return TraceSpec(kind="user", name=args.population, user_id=args.user,
+                         duration_s=args.duration, seed=args.seed)
+    return TraceSpec(kind="application", name=args.app or "email",
+                     duration_s=args.duration, seed=args.seed)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     profile = get_profile(args.carrier)
-    trace = _load_simulate_trace(args)
+    trace = _simulate_trace_spec(args).build()
     results = run_schemes(trace, profile, window_size=args.window_size)
     baseline = results.pop("status_quo")
     table = savings_table(results, baseline)
@@ -314,8 +308,7 @@ def _split_csv_arg(value: str) -> list[str]:
 
 def _build_sweep_plan(args: argparse.Namespace):
     """Translate the ``sweep`` arguments into an ExperimentPlan."""
-    from .api import cell as cell_spec, plan as new_plan
-    from .config import load_plan
+    from .api import cell as cell_spec, load_plan, plan as new_plan
 
     if args.plan:
         return load_plan(args.plan)
@@ -426,8 +419,7 @@ def _sweep_cache(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .api import ProcessPoolRunner, SerialRunner
-    from .config import save_plan
+    from .api import ProcessPoolRunner, SerialRunner, save_plan
 
     try:
         sweep_plan = _build_sweep_plan(args)
@@ -695,10 +687,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
-    if args.format == "pcap":
-        trace = read_pcap(args.path)
-    else:
-        trace = read_tcpdump(args.path).trace
+    trace = TraceSpec(kind=args.format, path=args.path).build()
     summary = summarize_trace(trace)
     print(f"trace: {trace.name}")
     print(f"packets:        {summary.packet_count}")

@@ -10,7 +10,7 @@ evaluation figures.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..learning.predictors import (
     DecayedHistogramPredictor,
@@ -27,6 +27,7 @@ from .policy import RadioPolicy, StatusQuoPolicy
 
 __all__ = [
     "CombinedPolicy",
+    "KNOWN_SCHEMES",
     "build_scheme",
     "standard_policies",
     "SCHEME_ORDER",
@@ -106,6 +107,39 @@ class CombinedPolicy(RadioPolicy):
         self._active.on_release(release_time, arrival_times)
 
 
+#: Every scheme :func:`build_scheme` knows, mapped to a builder that takes
+#: the MakeIdle window size: the status-quo baseline, the paper's six
+#: comparison schemes, and the predictor-ablation MakeIdle variants
+#: (decayed histogram / exponential rate) that the learning tournament
+#: sweeps alongside them.  Result tables list schemes in this order.
+_SCHEME_BUILDERS: dict[str, Callable[[int], RadioPolicy]] = {
+    "status_quo": lambda window: StatusQuoPolicy(),
+    "fixed_4.5s": lambda window: FixedTimerPolicy(4.5),
+    "p95_iat": lambda window: PercentileIatPolicy(95.0),
+    "makeidle": lambda window: MakeIdlePolicy(window_size=window),
+    "oracle": lambda window: OraclePolicy(),
+    "makeidle+makeactive_learn": lambda window: CombinedPolicy(
+        MakeIdlePolicy(window_size=window),
+        LearningMakeActive(),
+        name="makeidle+makeactive_learn",
+    ),
+    "makeidle+makeactive_fixed": lambda window: CombinedPolicy(
+        MakeIdlePolicy(window_size=window),
+        FixedDelayMakeActive(),
+        name="makeidle+makeactive_fixed",
+    ),
+    "makeidle_hist": lambda window: PredictiveMakeIdlePolicy(
+        DecayedHistogramPredictor(), name="makeidle_hist"
+    ),
+    "makeidle_rate": lambda window: PredictiveMakeIdlePolicy(
+        ExponentialRatePredictor(), name="makeidle_rate"
+    ),
+}
+
+#: Scheme names understood by :func:`build_scheme`, in table order.
+KNOWN_SCHEMES: tuple[str, ...] = tuple(_SCHEME_BUILDERS)
+
+
 def build_scheme(scheme: str, window_size: int = 100) -> RadioPolicy:
     """Build exactly one scheme's policy — a fresh instance on every call.
 
@@ -115,37 +149,11 @@ def build_scheme(scheme: str, window_size: int = 100) -> RadioPolicy:
     construction work and — crucially for the online learners — owns a
     learner instance no other UE (or shard) shares.
     """
-    if scheme == "status_quo":
-        return StatusQuoPolicy()
-    if scheme == "fixed_4.5s":
-        return FixedTimerPolicy(4.5)
-    if scheme == "p95_iat":
-        return PercentileIatPolicy(95.0)
-    if scheme == "makeidle":
-        return MakeIdlePolicy(window_size=window_size)
-    if scheme == "oracle":
-        return OraclePolicy()
-    if scheme == "makeidle+makeactive_learn":
-        return CombinedPolicy(
-            MakeIdlePolicy(window_size=window_size),
-            LearningMakeActive(),
-            name="makeidle+makeactive_learn",
-        )
-    if scheme == "makeidle+makeactive_fixed":
-        return CombinedPolicy(
-            MakeIdlePolicy(window_size=window_size),
-            FixedDelayMakeActive(),
-            name="makeidle+makeactive_fixed",
-        )
-    if scheme == "makeidle_hist":
-        return PredictiveMakeIdlePolicy(
-            DecayedHistogramPredictor(), name="makeidle_hist"
-        )
-    if scheme == "makeidle_rate":
-        return PredictiveMakeIdlePolicy(
-            ExponentialRatePredictor(), name="makeidle_rate"
-        )
-    raise ValueError(f"unknown scheme {scheme!r}")
+    try:
+        builder = _SCHEME_BUILDERS[scheme]
+    except KeyError:
+        raise ValueError(f"unknown scheme {scheme!r}") from None
+    return builder(window_size)
 
 
 def standard_policies(window_size: int = 100) -> dict[str, RadioPolicy]:

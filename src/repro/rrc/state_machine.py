@@ -103,7 +103,8 @@ class RrcStateMachine:
       assumes the request is always granted).
 
     Finally :meth:`finish` closes the timeline at the end of the trace.
-    Times must be non-decreasing across calls.
+    The radio starts Idle at ``start_time``, and times must be
+    non-decreasing across calls.
 
     Timer thresholds and switch costs are read from the profile's
     precomputed :class:`~repro.rrc.tables.TransitionTable` (bound to plain
@@ -126,7 +127,6 @@ class RrcStateMachine:
     """
 
     def __init__(self, profile: CarrierProfile, start_time: float = 0.0,
-                 initial_state: RadioState = RadioState.IDLE,
                  fold_history: bool = False) -> None:
         self._profile = profile
         table = transition_table(profile)
@@ -138,7 +138,7 @@ class RrcStateMachine:
         self._promotion_delay_s = table.promotion_delay_s
         self._demotion_energy_j = table.demotion_energy_j
         self._demotion_delay_s = table.demotion_delay_s
-        self._state = initial_state
+        self._state = RadioState.IDLE
         self._segment_start = start_time
         self._last_activity = start_time
         self._now = start_time
@@ -296,21 +296,13 @@ class RrcStateMachine:
         self._apply_timers(time)
         self._now = time
 
-    def notify_activity(self, time: float, reset_timer: bool = True) -> bool:
-        """Record data activity at ``time``.
+    def notify_activity(self, time: float) -> bool:
+        """Record data activity at ``time`` (trace time of the packet).
 
         Applies pending timer demotions first, then promotes the radio if it
         was Idle (recording a promotion switch) and finally returns the radio
-        to Active.  Returns ``True`` when the activity caused a promotion.
-
-        Parameters
-        ----------
-        time:
-            Trace time of the packet.
-        reset_timer:
-            Whether the activity resets the inactivity timer (always true
-            for real packets; policies may inject synthetic "keep-alive"
-            activity that should not).
+        to Active, restarting the inactivity timer.  Returns ``True`` when
+        the activity caused a promotion.
         """
         # Fast path: an Active radio whose t1 timer has not expired sees
         # no demotion and no promotion — only the clock and the activity
@@ -323,8 +315,7 @@ class RrcStateMachine:
             and self._now <= time < self._last_activity + self._t1
         ):
             self._now = time
-            if reset_timer:
-                self._last_activity = time
+            self._last_activity = time
             return False
         self._check_time(time)
         self._apply_timers(time)
@@ -345,8 +336,7 @@ class RrcStateMachine:
             # paper does not count it as a signalling switch.
             self._transition(time, RadioState.ACTIVE)
         self._now = time
-        if reset_timer:
-            self._last_activity = time
+        self._last_activity = time
         return promoted
 
     def fast_forward_activity(self, time: float) -> None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..dictform import strict_fields
+
 __all__ = [
     "ARCHETYPES",
     "DeviceArchetype",
@@ -74,8 +76,13 @@ class DeviceArchetype:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DeviceArchetype":
-        """Re-create an archetype from :meth:`to_dict` output."""
-        payload = dict(data)
+        """Re-create an archetype from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        payload = strict_fields(
+            data, ("name", "apps", "intensity", "description"), "archetype"
+        )
         payload["apps"] = tuple(payload.get("apps", ()))
         return cls(**payload)
 

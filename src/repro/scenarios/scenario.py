@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from ..api.spec import PolicySpec
+from ..dictform import strict_fields
 from ..folds import left_fold
 from ..traces.packet import Packet
 from ..traces.streaming import stream_user_day_packets
@@ -110,7 +111,12 @@ class Cohort:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Cohort":
-        """Re-create a cohort from :meth:`to_dict` output."""
+        """Re-create a cohort from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        data = strict_fields(data, ("archetype", "weight", "policy", "name"),
+                             "cohort")
         policy = data.get("policy")
         return cls(
             archetype=DeviceArchetype.from_dict(data["archetype"]),
@@ -273,7 +279,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Re-create a scenario from :meth:`to_dict` output."""
+        """Re-create a scenario from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        data = strict_fields(data, ("name", "description", "cohorts", "shape"),
+                             "scenario")
         shape = data.get("shape")
         return cls(
             name=str(data.get("name", "")),

@@ -23,6 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..dictform import strict_fields
+
 __all__ = [
     "DIURNAL_SHAPES",
     "DiurnalShape",
@@ -134,7 +136,11 @@ class DiurnalShape:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DiurnalShape":
-        """Re-create a shape from :meth:`to_dict` output."""
+        """Re-create a shape from :meth:`to_dict` output.
+
+        A key that :meth:`to_dict` does not write raises ``ValueError``.
+        """
+        data = strict_fields(data, ("name", "segments", "period_s"), "shape")
         return cls(
             name=str(data.get("name", "")),
             segments=tuple(

@@ -6,9 +6,11 @@ replays a whole shard in *columnar batches*: every device's packet stream
 is drained, in shard order, into flat numpy arrays (arrival times, sizes,
 uplink flags) delimited by int64 offsets, and everything the scalar
 kernel computes per heap event is computed as one array expression per
-batch over the :class:`~repro.rrc.vector_tables.VectorTable` constants —
-except at the sparse "interesting" instants, which are replayed device by
-device through the *real* :class:`~repro.rrc.state_machine.RrcStateMachine`
+batch over the constants the scalar kernel reads (the profile's
+:class:`~repro.rrc.tables.TransitionTable` and the engine's
+:class:`~repro.energy.accounting.DataEnergyModel`) — except at the
+sparse "interesting" instants, which are replayed device by device
+through the *real* :class:`~repro.rrc.state_machine.RrcStateMachine`
 so every float lands bit-for-bit where the scalar kernel would put it.
 
 Shard layout
@@ -132,9 +134,10 @@ except ImportError:  # pragma: no cover - exercised via numpy_available()
 from ..core.baselines import FixedTimerPolicy, PercentileIatPolicy
 from ..core.makeidle import MakeIdlePolicy
 from ..core.policy import RadioPolicy
+from ..energy.accounting import DataEnergyModel
 from ..rrc.state_machine import RrcStateMachine
 from ..rrc.states import RadioState
-from ..rrc.vector_tables import VectorTable, vector_table
+from ..rrc.tables import TransitionTable, transition_table
 from ..traces.packet import Direction
 from .engine import CellLoad, LoadSample, StreamOrderError
 
@@ -183,20 +186,16 @@ def numpy_available() -> bool:
 def station_always_grants(policy: object) -> bool:
     """Whether a base-station dormancy policy unconditionally grants.
 
-    The flag must be set *and* ``decide`` must really be the accept-all
-    implementation, so a subclass that overrides ``decide`` while
-    inheriting the flag is still consulted.  Only then are per-UE
-    outcomes independent of the live cell load — the precondition for
-    the scalar kernel's per-request fast path
-    (:class:`~repro.basestation.cell._NetworkStation`) and for running
-    UEs out of event order here.
+    Derived from the policy's type: its ``decide`` must be the accept-all
+    implementation, so a subclass that overrides ``decide`` is consulted
+    on every request.  Only then are per-UE outcomes independent of the
+    live cell load — the precondition for the scalar kernel's
+    per-request fast path (:class:`~repro.basestation.cell._NetworkStation`)
+    and for running UEs out of event order here.
     """
     from ..basestation.policies import AcceptAllDormancy
 
-    return (
-        bool(getattr(policy, "always_grants", False))
-        and type(policy).decide is AcceptAllDormancy.decide
-    )
+    return type(policy).decide is AcceptAllDormancy.decide
 
 
 def vector_eligible(policy: RadioPolicy) -> bool:
@@ -432,7 +431,7 @@ class _Batch:
                  "last_waits", "last_dormancy", "data_j", "data_time_s")
 
     def __init__(self, specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
-                 vt: VectorTable) -> None:
+                 table: TransitionTable, model: DataEnergyModel) -> None:
         counts = offsets[1:] - offsets[:-1]
         nonempty = counts > 0
         heads = offsets[:-1][nonempty]  # each device's first packet
@@ -450,14 +449,15 @@ class _Batch:
         # divisions, comparisons and products), each device's first
         # packet taking its serialisation time as every stream's first
         # packet does, folded per device in packet order.
-        rates = _np.where(up, vt.uplink_rate, vt.downlink_rate)
+        rates = _np.where(up, model.uplink_rate, model.downlink_rate)
         ser = sizes / rates
-        ser = _np.where(ser < vt.min_packet_time, vt.min_packet_time, ser)
+        ser = _np.where(ser < model.min_packet_time, model.min_packet_time,
+                        ser)
         gaps = nxt - prev
         dur = _np.empty_like(ser)
-        dur[1:] = _np.where(gaps <= vt.burst_gap, gaps, ser[1:])
+        dur[1:] = _np.where(gaps <= model.burst_gap, gaps, ser[1:])
         dur[heads] = ser[heads]
-        energy = dur * _np.where(up, vt.send_power_w, vt.recv_power_w)
+        energy = dur * _np.where(up, model.send_power_w, model.recv_power_w)
         data_time_s, data_j = _segment_left_fold((dur, energy),
                                                  offsets[:-1], counts)
 
@@ -467,11 +467,11 @@ class _Batch:
         # and every first packet is a boundary.
         wait = _wait_column(specs, self.times, self.offsets, counts)
         timer_fired = _np.zeros(n, dtype=bool)
-        timer_fired[1:] = (prev + vt.idle_after) <= nxt
+        timer_fired[1:] = (prev + table.idle_after) <= nxt
         dorm_fired = _np.zeros(n, dtype=bool)
         dorm_fired[1:] = (prev + wait[:-1]) <= nxt
         boundary = _np.empty(n, dtype=bool)
-        boundary[1:] = dorm_fired[1:] | (nxt >= (prev + vt.t1))
+        boundary[1:] = dorm_fired[1:] | (nxt >= (prev + table.t1))
         boundary[heads] = True
         boundaries = _np.flatnonzero(boundary)
         # Every scheduled dormancy pops, stale or not: the latest pop is
@@ -530,7 +530,7 @@ def _final_timer_pop(
 
 def _replay_ue(
     machine: RrcStateMachine,
-    vt: VectorTable,
+    table: TransitionTable,
     batch: _Batch,
     d: int,
     ops: list[_LoadOp],
@@ -556,8 +556,8 @@ def _replay_ue(
         return 0, None, detach
 
     tl = batch.times
-    t1 = vt.t1
-    idle_after = vt.idle_after
+    t1 = table.t1
+    idle_after = table.idle_after
     idle_state = RadioState.IDLE
     requests = 0
     was_active = False
@@ -751,7 +751,8 @@ def run_shard_vector(
 
     engine = simulator.engine
     profile = engine.profile
-    vt = vector_table(profile, engine.accountant.data_model)
+    table = transition_table(profile)
+    model = engine.accountant.data_model
     ops: list[_LoadOp] = []
     # The shard's device columns, filled in device order.
     totals: list[tuple[float, float, float, float, int, int, int]] = []
@@ -768,7 +769,7 @@ def run_shard_vector(
     first = 0
     while first < len(devices):
         stop, columns = _drain(devices, first)
-        batch = _Batch(devices[first:stop], *columns, vt)
+        batch = _Batch(devices[first:stop], *columns, table, model)
         del columns  # the batch keeps lists; free the arrays before replay
         first = stop
         packets += batch.packets
@@ -778,8 +779,8 @@ def run_shard_vector(
         for d, spec in enumerate(batch.specs):
             machine = RrcStateMachine(profile, start_time=spec.attach_at,
                                       fold_history=True)
-            ue_requests, t_last, ue_horizon = _replay_ue(machine, vt, batch,
-                                                         d, ops)
+            ue_requests, t_last, ue_horizon = _replay_ue(machine, table,
+                                                         batch, d, ops)
             totals.append(machine.folded_state_totals())
             open_states.append(machine.state)
             open_since.append(machine.segment_start)

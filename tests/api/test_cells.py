@@ -16,10 +16,11 @@ from repro.api import (
     cell,
     dormancy,
     execute_spec,
+    load_plan,
     plan,
+    save_plan,
 )
 from repro.basestation.cell import CellResult
-from repro.config import load_plan, save_plan
 
 
 def _small_plan():
@@ -154,13 +155,12 @@ class TestCellPlan:
 
 
 #: Plan files as they were written while a plan and each of its cells or
-#: metros named a kernel ("engine"/"engines").
+#: metros named a kernel ("engine"/"engines"), without those keys.
 _LEGACY_CELL_PLAN = {
     "carriers": ["att_hspa"],
     "cells": [{"apps": ["im"], "chunk_s": 300.0, "devices": 4,
-               "duration_s": 120.0, "engine": "vector", "name": "legacy",
-               "seed": 0, "streaming": True}],
-    "engines": ["scalar", "vector"],
+               "duration_s": 120.0, "name": "legacy", "seed": 0,
+               "streaming": True}],
     "name": "",
     "policies": [{"scheme": "status_quo", "window_size": None},
                  {"scheme": "fixed_4.5s", "window_size": None}],
@@ -169,8 +169,7 @@ _LEGACY_CELL_PLAN = {
 _LEGACY_METRO_PLAN = {
     "carriers": ["att_hspa"],
     "metros": [{"chunk_s": 300.0, "devices": 8, "duration_s": 120.0,
-                "engine": "vector", "metro": "metro_4cell", "name": "",
-                "seed": 0}],
+                "metro": "metro_4cell", "name": "", "seed": 0}],
     "name": "",
     "policies": [{"scheme": "status_quo", "window_size": None}],
     "seeds": [], "traces": [], "window_size": 100,
@@ -178,10 +177,9 @@ _LEGACY_METRO_PLAN = {
 
 
 class TestLegacyPlanFiles:
-    """Each shard picks its own kernel: old kernel keys are validated, then
-    ignored."""
+    """Each shard picks its own kernel: old kernel keys are unknown keys."""
 
-    def test_kernel_keys_are_ignored(self, tmp_path):
+    def test_files_without_kernel_keys_load(self, tmp_path):
         from repro.api import metro
 
         path = tmp_path / "plan.json"
@@ -201,19 +199,22 @@ class TestLegacyPlanFiles:
             .policies("status_quo")
         )
 
+    @pytest.mark.parametrize("engine", ("vector", "cuda"))
     @pytest.mark.parametrize("where", ("plan", "cell", "metro"))
-    def test_unknown_kernel_is_rejected(self, tmp_path, where):
+    def test_kernel_keys_are_rejected(self, tmp_path, where, engine):
         if where == "plan":
-            data = {**_LEGACY_CELL_PLAN, "engines": ["cuda"]}
+            data = {**_LEGACY_CELL_PLAN, "engines": ["scalar", engine]}
+            key = "engines"
         else:
             data = json.loads(json.dumps(
                 _LEGACY_CELL_PLAN if where == "cell" else _LEGACY_METRO_PLAN
             ))
-            data[f"{where}s"][0]["engine"] = "cuda"
+            data[f"{where}s"][0]["engine"] = engine
+            key = "engine"
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(ValueError, match="engine must be 'scalar' or "
-                                             "'vector', got 'cuda'"):
+        with pytest.raises(ValueError,
+                           match=f"unknown {where} key\\(s\\) '{key}'"):
             load_plan(path)
 
 

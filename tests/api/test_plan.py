@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -10,7 +12,9 @@ from repro.api import (
     PolicySpec,
     TraceSpec,
     inline,
+    load_plan,
     plan,
+    save_plan,
 )
 from repro.core import SCHEME_ORDER
 from repro.traces import Packet, PacketTrace
@@ -153,6 +157,166 @@ class TestPaperSweepDeclarations:
             TraceSpec(kind="teleport")
         with pytest.raises(ValueError):
             inline(None)  # type: ignore[arg-type]
+        with pytest.raises(ValueError):
+            TraceSpec(kind="application", name="netflix")
+        with pytest.raises(ValueError):
+            TraceSpec(kind="user", name="mars_base")
+        with pytest.raises(ValueError):
+            TraceSpec(duration_s=0.0)
+        with pytest.raises(ValueError, match="user_id must be >= 1"):
+            TraceSpec(kind="user", name="verizon_3g", user_id=0)
+
+    @pytest.mark.parametrize("kind", ("default", "user", "tcpdump"))
+    def test_trace_spec_builds_deterministically(self, kind, tmp_path):
+        if kind == "default":
+            spec = TraceSpec()
+        elif kind == "user":
+            spec = TraceSpec(kind="user", name="verizon_3g", user_id=1,
+                             duration_s=1800.0)
+        else:
+            log = tmp_path / "log.txt"
+            log.write_text(
+                "0.0 IP 10.0.0.2.1 > 8.8.8.8.53: tcp 100\n"
+                "5.0 IP 8.8.8.8.53 > 10.0.0.2.1: tcp 200\n",
+                encoding="utf-8",
+            )
+            spec = TraceSpec(kind="tcpdump", path=str(log))
+        trace = spec.build()
+        assert len(trace) > 0
+        if kind == "tcpdump":
+            assert len(trace) == 2
+        assert spec.build() == trace
+
+
+class TestPlanPersistence:
+    def test_save_and_load_plan_round_trip(self, tmp_path):
+        from repro.api import plan
+        from repro.api import load_plan, save_plan
+
+        original = (plan()
+                    .apps("email", duration=900.0, seed=3)
+                    .carriers("att_hspa", "verizon_lte")
+                    .policies("status_quo", "makeidle")
+                    .window_size(40)
+                    .repeat(seeds=(0, 1))
+                    .labelled("persisted"))
+        path = tmp_path / "plan.json"
+        save_plan(original, path)
+        restored = load_plan(path)
+        assert restored == original
+        assert restored.build() == original.build()
+
+    def test_load_plan_rejects_non_object(self, tmp_path):
+        import pytest
+
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2, 3]", encoding="utf-8")
+        from repro.api import load_plan
+
+        with pytest.raises(ValueError):
+            load_plan(path)
+
+
+def _plan_files():
+    """One saved plan per workload kind, as plain JSON dicts."""
+    return {
+        "single_ue": (plan().apps("im", duration=300.0)
+                      .carriers("att_hspa").policies("status_quo", "makeidle")),
+        "office_day": (plan().scenarios("office_day", devices=4,
+                                        duration=120.0)
+                       .carriers("att_hspa").policies("status_quo")
+                       .dormancy("rate_limited").shards(2)),
+        "mixed_policy": (plan().scenarios("mixed_policy", devices=4,
+                                          duration=120.0)
+                         .carriers("att_hspa").policies("status_quo")),
+        "metro": (plan().metros("metro_4cell", devices=8, duration=120.0)
+                  .carriers("att_hspa").policies("status_quo")),
+    }
+
+
+#: Where an unknown key goes: (plan file, path to the entry, key).
+_UNKNOWN_KEYS = {
+    "plan": ("single_ue", (), "carrier"),
+    "plan_engines": ("office_day", (), "engines"),
+    "plan_engine": ("office_day", (), "engine"),
+    "trace": ("single_ue", ("traces", 0), "durations"),
+    "policy": ("single_ue", ("policies", 0), "window"),
+    "cell": ("office_day", ("cells", 0), "devcies"),
+    "cell_engine": ("office_day", ("cells", 0), "engine"),
+    "dormancy": ("office_day", ("dormancy", 0), "params"),
+    "metro": ("metro", ("metros", 0), "mobility"),
+    "metro_engine": ("metro", ("metros", 0), "engine"),
+    "scenario": ("office_day", ("cells", 0, "scenario"), "cohort"),
+    "cohort": ("office_day", ("cells", 0, "scenario", "cohorts", 0),
+               "weights"),
+    "cohort_policy": ("mixed_policy",
+                      ("cells", 0, "scenario", "cohorts", 0, "policy"),
+                      "factory"),
+    "archetype": ("office_day",
+                  ("cells", 0, "scenario", "cohorts", 0, "archetype"),
+                  "intensities"),
+    "shape": ("office_day", ("cells", 0, "scenario", "shape"), "segment"),
+}
+
+
+def _with_unknown_key(where: str) -> tuple[dict, str]:
+    name, path, key = _UNKNOWN_KEYS[where]
+    data = json.loads(json.dumps(_plan_files()[name].to_dict()))
+    entry = data
+    for step in path:
+        entry = entry[step]
+    entry[key] = "vector" if key.startswith("engine") else 1
+    return data, key
+
+
+class TestStrictPlanFiles:
+    """A plan file is read through the same validators as a plan built in
+    Python, and any key no ``to_dict`` writes is refused by name."""
+
+    @pytest.mark.parametrize("name", sorted(_plan_files()))
+    def test_saved_plans_load_back_equal(self, name, tmp_path):
+        original = _plan_files()[name]
+        path = tmp_path / "plan.json"
+        save_plan(original, path)
+        assert load_plan(path) == original
+
+    def test_carrier_alias_matches_the_fluent_method(self, tmp_path):
+        declared = (plan().apps("im", duration=300.0).carriers("lte")
+                    .policies("status_quo", "makeidle"))
+        data = declared.to_dict()
+        data["carriers"] = ["lte"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        loaded = load_plan(path)
+        assert loaded == declared
+        assert ([s.cache_key for s in loaded.build()]
+                == [s.cache_key for s in declared.build()])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("window_size", 1, "window_size must be >= 2"),
+        ("shards", [0], "shard counts must be >= 1"),
+    ])
+    def test_fluent_validation_applies(self, field, value, message):
+        data = _plan_files()["office_day"].to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_dict(data)
+
+    @pytest.mark.parametrize("where", sorted(_UNKNOWN_KEYS))
+    def test_unknown_key_is_named(self, where, tmp_path):
+        data, key = _with_unknown_key(where)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"unknown .*'{key}'") as info:
+            load_plan(path)
+        assert "\n" not in str(info.value)
+
+    def test_entry_must_be_an_object(self):
+        data = _plan_files()["office_day"].to_dict()
+        data["cells"] = [4]
+        with pytest.raises(ValueError, match="cell entry must be a JSON "
+                                             "object, got int"):
+            ExperimentPlan.from_dict(data)
 
 
 def _tail_free_policy():

@@ -243,3 +243,67 @@ class TestPoolClamp:
         assert merge_metro_run(spec, replies) == SerialRunner().run(
             self._metro_plan()
         ).records[0].result
+
+
+class TestCacheCounters:
+    """Both runners count hits, misses and disk hits through one path."""
+
+    @staticmethod
+    def _plan(kind):
+        from repro.api import cell, metro
+
+        if kind == "single_ue":
+            # Two identical seeds: every cell appears twice.
+            return (plan().apps("im", duration=300.0)
+                    .carriers("att_hspa").policies("status_quo", "fixed_4.5s")
+                    .repeat(seeds=(5, 5)))
+        if kind == "cell":
+            # status_quo ignores the station: one cell for both dormancies.
+            return (plan()
+                    .cells(cell(devices=4, apps=("im",), duration=120.0))
+                    .carriers("att_hspa").policies("status_quo", "fixed_4.5s")
+                    .dormancy("accept_all", "reject_all").shards(2))
+        return (plan()
+                .metros(metro("metro_4cell", devices=16, duration=120.0,
+                              chunk_s=60.0))
+                .carriers("att_hspa").policies("status_quo", "fixed_4.5s")
+                .shards(2).repeat(seeds=(3, 3)))
+
+    @pytest.mark.parametrize("kind", ("single_ue", "cell", "metro"))
+    def test_runners_count_alike(self, kind, tmp_path, monkeypatch):
+        import repro.api.runner as runner_mod
+
+        # Four usable cores: jobs=2 forces the pool branch (as TestPoolClamp
+        # does), jobs=1 runs in-process.
+        monkeypatch.setattr(runner_mod, "usable_cpu_count", lambda: 4)
+        backends = {
+            "serial": SerialRunner,
+            "pool_inline": lambda cache: ProcessPoolRunner(jobs=1, cache=cache),
+            "pool_forced": lambda cache: ProcessPoolRunner(jobs=2, cache=cache),
+        }
+        p = self._plan(kind)
+        seen = {}
+        for name, make in backends.items():
+            disk = tmp_path / name
+            runner = make(ResultCache(disk=disk))
+            cold = runner.run(p)
+            warm_memory = runner.run(p)
+            warm_disk = make(ResultCache(disk=disk)).run(p)
+            if name == "pool_forced":
+                assert cold.execution.pool_used is True
+            seen[name] = [
+                ((runs.cache_stats.hits, runs.cache_stats.misses,
+                  runs.cache_stats.disk_hits),
+                 [r.from_cache for r in runs])
+                for runs in (cold, warm_memory, warm_disk)
+            ]
+        assert seen["pool_inline"] == seen["serial"]
+        assert seen["pool_forced"] == seen["serial"]
+        total = len(p)
+        unique = len({spec.cache_key for spec in p.build()})
+        assert unique < total
+        assert [counts for counts, _ in seen["serial"]] == [
+            (total - unique, unique, 0),
+            (total, 0, 0),
+            (total, 0, unique),
+        ]

@@ -12,6 +12,7 @@ from repro.core import (
     RadioPolicy,
     standard_policies,
 )
+from repro.core.controller import KNOWN_SCHEMES, build_scheme
 from repro.traces import Packet
 
 
@@ -115,3 +116,30 @@ class TestStandardPolicies:
         first = standard_policies()
         second = standard_policies()
         assert first["makeidle"] is not second["makeidle"]
+
+
+class TestBuildScheme:
+    def test_known_schemes_pinned(self):
+        assert KNOWN_SCHEMES == (
+            "status_quo",
+            "fixed_4.5s",
+            "p95_iat",
+            "makeidle",
+            "oracle",
+            "makeidle+makeactive_learn",
+            "makeidle+makeactive_fixed",
+            "makeidle_hist",
+            "makeidle_rate",
+        )
+        assert set(standard_policies()) <= set(KNOWN_SCHEMES)
+
+    def test_every_known_scheme_builds_a_fresh_named_policy(self):
+        for scheme in KNOWN_SCHEMES:
+            policy = build_scheme(scheme, window_size=42)
+            assert policy.name == scheme
+            assert build_scheme(scheme) is not policy
+        assert build_scheme("makeidle", window_size=42).window_size == 42
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme 'magic'"):
+            build_scheme("magic")

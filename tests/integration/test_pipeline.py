@@ -1,62 +1,55 @@
-"""End-to-end pipeline tests: config -> simulation -> metrics -> report.
+"""End-to-end pipeline tests: plan file -> simulation -> metrics -> report.
 
 These exercise the path a downstream user takes: describe an experiment as
-an :class:`~repro.config.ExperimentConfig`, run the configured schemes
-through the simulator, and render the outcome with the reporting layer —
-all without touching any module internals.
+an :class:`~repro.api.plan.ExperimentPlan`, save it to a JSON plan file and
+load it back, run the planned schemes, and render the outcome with the
+reporting layer — all without touching any module internals.
 """
 
 import json
 
 import pytest
 
-from repro.config import ExperimentConfig, WorkloadConfig, load_config, save_config
-from repro.core import StatusQuoPolicy, standard_policies
+from repro.api import ExperimentPlan, SerialRunner, load_plan, plan, save_plan
 from repro.metrics import savings_table
 from repro.reporting import csv_rows, format_markdown_table, headline_report
 from repro.rrc import get_profile, signaling_load
-from repro.sim import TraceSimulator
 
 
-def run_experiment(config: ExperimentConfig):
-    """Run one configured experiment and return (baseline, {scheme: result})."""
-    profile = get_profile(config.carrier)
-    trace = config.workload.build_trace()
-    simulator = TraceSimulator(profile)
-    policies = standard_policies(window_size=config.window_size)
-    baseline = simulator.run(trace, StatusQuoPolicy())
-    results = {
-        scheme: simulator.run(trace, policies[scheme])
-        for scheme in config.schemes
-        if scheme != "status_quo"
-    }
+def run_experiment(experiment: ExperimentPlan):
+    """Run one planned experiment and return (baseline, {scheme: result})."""
+    results = {record.scheme: record.result
+               for record in SerialRunner().run(experiment)}
+    baseline = results.pop("status_quo")
     return baseline, results
 
 
-class TestConfiguredPipeline:
+class TestPlannedPipeline:
     @pytest.fixture
-    def config(self):
-        return ExperimentConfig(
-            carrier="att_hspa",
-            workload=WorkloadConfig(kind="application", name="im",
-                                    duration_s=900.0, seed=4),
-            schemes=("status_quo", "makeidle", "oracle"),
-            window_size=50,
-            label="pipeline-test",
-        )
+    def planned(self):
+        return (plan()
+                .apps("im", duration=900.0, seed=4)
+                .carriers("att_hspa")
+                .policies("status_quo", "makeidle", "oracle")
+                .window_size(50)
+                .labelled("pipeline-test"))
 
-    def test_config_round_trip_then_run(self, tmp_path, config):
+    @pytest.fixture
+    def experiment(self, tmp_path, planned):
         path = tmp_path / "experiment.json"
-        save_config(config, path)
-        loaded = load_config(path)
-        baseline, results = run_experiment(loaded)
+        save_plan(planned, path)
+        return load_plan(path)
+
+    def test_plan_round_trip_then_run(self, planned, experiment):
+        assert experiment == planned
+        baseline, results = run_experiment(experiment)
         assert set(results) == {"makeidle", "oracle"}
         assert baseline.total_energy_j > 0
         for result in results.values():
             assert result.total_energy_j > 0
 
-    def test_metrics_and_report_from_results(self, config):
-        baseline, results = run_experiment(config)
+    def test_metrics_and_report_from_results(self, experiment):
+        baseline, results = run_experiment(experiment)
         table = savings_table(results, baseline)
         assert table["oracle"].saved_percent >= table["makeidle"].saved_percent - 1.0
 
@@ -73,10 +66,12 @@ class TestConfiguredPipeline:
         text = csv_rows(records)
         assert text.splitlines()[0] == "scheme,saved_percent"
 
-    def test_signaling_load_comparison(self, config):
-        baseline, results = run_experiment(config)
-        profile = get_profile(config.carrier)
-        duration = config.workload.duration_s
+    def test_signaling_load_comparison(self, experiment):
+        baseline, results = run_experiment(experiment)
+        (carrier,) = experiment.carrier_keys
+        profile = get_profile(carrier)
+        (trace,) = experiment.trace_specs
+        duration = trace.duration_s
         baseline_load = signaling_load(
             baseline.switches, duration, technology=profile.technology
         )
@@ -88,19 +83,19 @@ class TestConfiguredPipeline:
         assert baseline_load.fast_dormancy_demotions == 0
         assert makeidle_load.messages > 0
 
-    def test_headline_report_from_measured_savings(self, config):
-        baseline, results = run_experiment(config)
+    def test_headline_report_from_measured_savings(self, experiment):
+        baseline, results = run_experiment(experiment)
         saving = 100.0 * results["makeidle"].energy_saved_fraction(baseline)
         report = headline_report({"makeidle_3g_savings_high": saving})
         assert "makeidle_3g_savings_high" in report
         assert "headline claims reproduced" in report
 
-    def test_config_json_is_human_editable(self, tmp_path, config):
+    def test_plan_json_is_human_editable(self, tmp_path, planned):
         path = tmp_path / "experiment.json"
-        save_config(config, path)
+        save_plan(planned, path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        data["carrier"] = "verizon_lte"
+        data["carriers"] = ["verizon_lte"]
         path.write_text(json.dumps(data), encoding="utf-8")
-        edited = load_config(path)
-        assert edited.carrier == "verizon_lte"
-        assert edited.workload == config.workload
+        edited = load_plan(path)
+        assert edited.carrier_keys == ("verizon_lte",)
+        assert edited.trace_specs == planned.trace_specs

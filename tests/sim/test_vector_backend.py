@@ -174,7 +174,7 @@ def _one_makeactive_policies():
 
 
 class _DenyingAcceptAll(AcceptAllDormancy):
-    """Inherits ``always_grants`` but overrides ``decide``: it arbitrates."""
+    """Overrides ``AcceptAllDormancy.decide``: it arbitrates."""
 
     def decide(self, ue_id, time, load):
         return DormancyDecision(granted=False, reason="denied")
@@ -238,7 +238,7 @@ class TestKernelSelection:
         )
 
     def test_station_overriding_decide_is_consulted(self):
-        """Inheriting ``always_grants`` is not enough: a station whose
+        """Subclassing ``AcceptAllDormancy`` is not enough: a station whose
         ``decide`` is not the accept-all one gets every request."""
         devices = [
             DeviceSpec(device_id=index, trace=PacketTrace(_packets(index)),

@@ -243,9 +243,9 @@ class TestCellSweepCommand:
         assert code == 2
         assert "dormancy" in capsys.readouterr().err
 
-    def test_plan_naming_a_kernel_still_runs(self, capsys, tmp_path):
+    def test_plan_naming_a_kernel_is_a_clean_error(self, capsys, tmp_path):
         # Plan files once carried a kernel choice per cell and per plan;
-        # each shard now picks its own, so the keys are only validated.
+        # each shard now picks its own, so the keys are unknown keys.
         import json
 
         args = ["sweep", "--cell", "--devices", "4", "--apps", "im",
@@ -253,18 +253,42 @@ class TestCellSweepCommand:
                 "--duration", "120"]
         plan_path = tmp_path / "cellplan.json"
         assert main(args + ["--save-plan", str(plan_path)]) == 0
-        first = capsys.readouterr().out
-        legacy = json.loads(plan_path.read_text(encoding="utf-8"))
-        legacy["engines"] = ["scalar", "vector"]
-        legacy["cells"][0]["engine"] = "vector"
-        plan_path.write_text(json.dumps(legacy), encoding="utf-8")
-        assert main(["sweep", "--plan", str(plan_path)]) == 0
-        assert capsys.readouterr().out == first
+        capsys.readouterr()
+        saved = json.loads(plan_path.read_text(encoding="utf-8"))
+        for key, edit in (
+            ("engines", lambda d: d.update(engines=["scalar", "vector"])),
+            ("engine", lambda d: d["cells"][0].update(engine="vector")),
+        ):
+            legacy = json.loads(json.dumps(saved))
+            edit(legacy)
+            plan_path.write_text(json.dumps(legacy), encoding="utf-8")
+            assert main(["sweep", "--plan", str(plan_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"'{key}'" in err
 
-        legacy["cells"][0]["engine"] = "cuda"
-        plan_path.write_text(json.dumps(legacy), encoding="utf-8")
+    @pytest.mark.parametrize("edit", ["top_level", "cell", "window_size"])
+    def test_strict_plan_file_errors_are_clean(self, edit, capsys, tmp_path):
+        import json
+
+        plan_path = tmp_path / "cellplan.json"
+        assert main(["sweep", "--cell", "--devices", "4", "--apps", "im",
+                     "--carriers", "att_hspa", "--schemes", "fixed",
+                     "--duration", "120", "--save-plan", str(plan_path)]) == 0
+        capsys.readouterr()
+        data = json.loads(plan_path.read_text(encoding="utf-8"))
+        if edit == "top_level":
+            data["carrier"] = "lte"
+        elif edit == "cell":
+            data["cells"][0]["devcies"] = 40
+        else:
+            data["window_size"] = 1
+        plan_path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["sweep", "--plan", str(plan_path)]) == 2
-        assert "engine must be 'scalar' or 'vector'" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_cell_flags_without_cell_are_a_clean_error(self, capsys):
         code = main(

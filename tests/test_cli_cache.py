@@ -61,3 +61,20 @@ class TestSweepCacheDir:
         second = capsys.readouterr()
         assert "simulated: 2" in _stats_line(second.err)
         assert second.out == first.out
+
+
+class TestShardedSweepCacheDir:
+    def test_warm_pool_sweep_counts_disk_hits(self, capsys, tmp_path):
+        sweep = ["sweep", "--cell", "--devices", "4", "--apps", "im",
+                 "--carriers", "att_hspa", "--schemes", "fixed",
+                 "--duration", "120", "--shards", "2",
+                 "--cache-dir", str(tmp_path / "cache")]
+        assert main(sweep) == 0
+        first = capsys.readouterr()
+        assert "simulated: 2" in _stats_line(first.err)
+        assert main(sweep) == 0
+        second = capsys.readouterr()
+        line = _stats_line(second.err)
+        assert "simulated: 0" in line
+        assert "disk hits: 2" in line
+        assert second.out == first.out

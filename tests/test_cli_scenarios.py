@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.api import load_plan
 from repro.cli import main
-from repro.config import load_plan
 from repro.scenarios import scenario_names
 
 

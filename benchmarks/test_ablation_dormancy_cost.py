@@ -12,28 +12,27 @@ from __future__ import annotations
 from conftest import print_figure, run_once
 
 from repro.analysis import format_table
-from repro.core import MakeIdlePolicy, StatusQuoPolicy
-from repro.rrc import SENSITIVITY_FRACTIONS, dormancy_fraction_sweep, get_profile
-from repro.sim import TraceSimulator
+from repro.core import MakeIdlePolicy
+from repro.energy.sensitivity import (
+    DEFAULT_DORMANCY_FRACTIONS,
+    dormancy_cost_sensitivity,
+)
+from repro.rrc import get_profile
 from repro.traces import user_trace
 
 
 def _sweep():
-    base_profile = get_profile("att_hspa")
     trace = user_trace("verizon_3g", 1, hours_per_day=0.4, seed=0)
-    savings = {}
-    for fraction, profile in dormancy_fraction_sweep(base_profile).items():
-        simulator = TraceSimulator(profile)
-        baseline = simulator.run(trace, StatusQuoPolicy())
-        result = simulator.run(trace, MakeIdlePolicy(window_size=100))
-        savings[fraction] = 100.0 * result.energy_saved_fraction(baseline)
-    return savings
+    sweep = dormancy_cost_sensitivity(trace, get_profile("att_hspa"),
+                                      MakeIdlePolicy)
+    return {point.parameter: 100.0 * point.energy_saved_fraction
+            for point in sweep.points}
 
 
 def test_ablation_dormancy_cost(benchmark):
     savings = run_once(benchmark, _sweep)
 
-    rows = [[f"{fraction:.0%}", savings[fraction]] for fraction in SENSITIVITY_FRACTIONS]
+    rows = [[f"{fraction:.0%}", savings[fraction]] for fraction in DEFAULT_DORMANCY_FRACTIONS]
     print_figure(
         "Ablation — MakeIdle savings vs fast-dormancy cost fraction (AT&T profile)",
         format_table(["dormancy cost fraction", "energy saved %"], rows),

@@ -9,7 +9,6 @@ from .experiments import (
     headline_savings,
     learning_curve,
     run_schemes,
-    run_status_quo,
     twait_series,
     user_study,
     window_size_sweep,
@@ -28,7 +27,6 @@ __all__ = [
     "headline_savings",
     "learning_curve",
     "run_schemes",
-    "run_status_quo",
     "twait_series",
     "user_study",
     "window_size_sweep",

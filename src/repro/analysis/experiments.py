@@ -1,18 +1,24 @@
 """Experiment drivers: one thin plan declaration per paper table/figure family.
 
-These drivers used to hand-roll their own simulation loops; they are now
-declarative wrappers over the unified experiment API of :mod:`repro.api` —
-each builds an :class:`~repro.api.plan.ExperimentPlan` over the workload ×
-carrier × policy grid of its figure, hands it to a runner, and reshapes the
+Each driver builds an :class:`~repro.api.plan.ExperimentPlan` over the
+workload × carrier × policy grid of its figure, runs it, and reshapes the
 resulting :class:`~repro.api.runset.RunSet` into the result types the
-benchmarks and figures consume.  Their signatures and return shapes are
-unchanged, so they remain usable directly from notebooks and scripts.
+benchmarks and figures consume.  The plan is the driver's only execution
+path: a driver that takes a :class:`CarrierProfile` declares
+``.carriers(profile.key)`` and runs the plan through one helper.
 
-All drivers share one process-wide :func:`~repro.api.runner.default_runner`
-(pass ``runner=`` to override, e.g. with a
-:class:`~repro.api.runner.ProcessPoolRunner`), so the status-quo baseline of
-a given (trace, carrier) pair is simulated once and reused across drivers
-instead of once per figure.
+* A registered profile runs on a runner: ``runner=`` if given, else the
+  process-wide :func:`~repro.api.runner.default_runner`, so the
+  status-quo baseline of a (trace, carrier) pair is simulated once and
+  reused across drivers instead of once per figure.
+* An ablated variant — a registered key carrying other values, such as
+  ``get_profile("att_hspa").with_dormancy_fraction(0.1)`` or
+  :func:`~repro.rrc.drx.profile_with_drx` — would share that carrier's
+  cache keys, so the same grid runs spec by spec on
+  ``TraceSimulator(profile)`` and nothing is stored in any cache.
+* A profile whose key the registry does not know raises the registry's
+  ``KeyError`` from ``.carriers()``; such a carrier runs on
+  :class:`~repro.sim.simulator.TraceSimulator` directly.
 
 Two drivers remain direct simulator calls by design: :func:`twait_series`
 and :func:`learning_curve` inspect the *internal state* of one policy
@@ -28,18 +34,19 @@ laptop while preserving the qualitative shape of the paper's results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..api import PolicySpec, Runner, default_runner, inline, plan
-from ..api.runset import RunSet
-from ..core.controller import SCHEME_ORDER, build_scheme, standard_policies
+from ..api.plan import ExperimentPlan
+from ..api.runset import RunRecord, RunSet
+from ..api.spec import build_trace
+from ..core.controller import SCHEME_ORDER, build_scheme
 from ..core.makeactive import LearningMakeActive, LearningRecord
 from ..core.makeidle import WaitDecision
-from ..core.policy import RadioPolicy
 from ..energy.accounting import EnergyBreakdown
 from ..energy.model import TailEnergyModel
 from ..metrics.confusion import ConfusionCounts, confusion_for_result
-from ..metrics.delays import DelayStats, delay_stats_for_result
+from ..metrics.delays import DelayStats, delay_stats, delay_stats_for_result
 from ..metrics.savings import SavingsReport, savings_table
 from ..rrc.profiles import CARRIER_ORDER, CarrierProfile, get_profile
 from ..sim.simulator import TraceSimulator
@@ -50,7 +57,6 @@ from ..traces.users import user_ids
 
 __all__ = [
     "run_schemes",
-    "run_status_quo",
     "application_energy_breakdowns",
     "application_savings",
     "user_study",
@@ -70,67 +76,46 @@ CONFUSION_SCHEMES: tuple[str, ...] = ("fixed_4.5s", "p95_iat", "makeidle")
 _ALL_SCHEMES: tuple[str, ...] = ("status_quo",) + SCHEME_ORDER
 
 
-def _registered_key(profile: CarrierProfile) -> str | None:
-    """The profile's carrier key if it matches the registered table, else ``None``.
-
-    Drivers accept arbitrary (possibly ablated) :class:`CarrierProfile`
-    objects; only profiles identical to a registered one can be described by
-    a plan's carrier axis, so anything else falls back to direct simulation.
-    """
-    try:
-        registered = get_profile(profile.key)
-    except KeyError:
-        return None
-    return profile.key if registered == profile else None
-
-
 def _runner(runner: Runner | None) -> Runner:
     return runner if runner is not None else default_runner()
 
 
-def run_status_quo(
-    trace: PacketTrace,
-    profile: CarrierProfile,
-    runner: Runner | None = None,
-) -> SimulationResult:
-    """Simulate ``trace`` under the carrier's default inactivity timers."""
-    key = _registered_key(profile)
-    if key is None:
-        return TraceSimulator(profile).run(trace, build_scheme("status_quo"))
-    p = plan().traces(inline(trace)).carriers(key).policies("status_quo")
-    return _runner(runner).run(p).records[0].result
+def _run(p: ExperimentPlan, profile: CarrierProfile,
+         runner: Runner | None) -> RunSet:
+    """Run a driver's plan, declared with ``.carriers(profile.key)``.
+
+    A registered profile runs on the runner.  An ablated variant of a
+    registered carrier runs the same grid spec by spec on
+    ``TraceSimulator(profile)``, uncached: its results must not land under
+    the registered carrier's cache keys.
+    """
+    if profile == get_profile(profile.key):
+        return _runner(runner).run(p)
+    simulator = TraceSimulator(profile)
+    return RunSet([
+        RunRecord(spec=spec, result=simulator.run(build_trace(spec.trace),
+                                                  spec.policy.build()))
+        for spec in p.build()
+    ])
 
 
 def run_schemes(
     trace: PacketTrace,
     profile: CarrierProfile,
-    schemes: Mapping[str, RadioPolicy] | None = None,
     window_size: int = 100,
     runner: Runner | None = None,
 ) -> dict[str, SimulationResult]:
     """Simulate ``trace`` under the status quo plus every compared scheme.
 
     Returns a dict keyed by scheme name, with ``"status_quo"`` always
-    included first so callers can normalise against it.  An explicit
-    ``schemes`` mapping of live policy instances bypasses the plan API (the
-    instances may be stateful or unreconstructable from a spec).
+    included first so callers can normalise against it.
     """
-    key = _registered_key(profile)
-    if schemes is not None or key is None:
-        simulator = TraceSimulator(profile)
-        results: dict[str, SimulationResult] = {
-            "status_quo": simulator.run(trace, build_scheme("status_quo"))
-        }
-        policies = schemes if schemes is not None else standard_policies(window_size)
-        for name, policy in policies.items():
-            results[name] = simulator.run(trace, policy)
-        return results
     p = (plan()
          .traces(inline(trace))
-         .carriers(key)
+         .carriers(profile.key)
          .policies(*_ALL_SCHEMES)
          .window_size(window_size))
-    return {r.scheme: r.result for r in _runner(runner).run(p)}
+    return {r.scheme: r.result for r in _run(p, profile, runner)}
 
 
 # ----------------------------------------------------------------------------------
@@ -145,23 +130,12 @@ def application_energy_breakdowns(
     runner: Runner | None = None,
 ) -> dict[str, EnergyBreakdown]:
     """Status-quo energy breakdown (data / DCH tail / FACH tail / switch) per app."""
-    key = _registered_key(profile)
-    if key is None:
-        simulator = TraceSimulator(profile)
-        from ..traces.synthetic import generate_application_trace
-
-        return {
-            a: simulator.run(
-                generate_application_trace(a, duration=duration, seed=seed),
-                build_scheme("status_quo"),
-            ).breakdown
-            for a in apps
-        }
     p = (plan()
          .apps(*apps, duration=duration, seed=seed)
-         .carriers(key)
+         .carriers(profile.key)
          .policies("status_quo"))
-    return {r.trace_label: r.result.breakdown for r in _runner(runner).run(p)}
+    return {r.trace_label: r.result.breakdown
+            for r in _run(p, profile, runner)}
 
 
 # ----------------------------------------------------------------------------------
@@ -177,23 +151,12 @@ def application_savings(
     runner: Runner | None = None,
 ) -> dict[str, dict[str, SavingsReport]]:
     """Energy saved by each scheme on each application trace (Figure 9)."""
-    key = _registered_key(profile)
-    if key is None:
-        from ..traces.synthetic import generate_application_trace
-
-        table: dict[str, dict[str, SavingsReport]] = {}
-        for a in apps:
-            trace = generate_application_trace(a, duration=duration, seed=seed)
-            results = run_schemes(trace, profile, window_size=window_size)
-            baseline = results.pop("status_quo")
-            table[a] = savings_table(results, baseline)
-        return table
     p = (plan()
          .apps(*apps, duration=duration, seed=seed)
-         .carriers(key)
+         .carriers(profile.key)
          .policies(*_ALL_SCHEMES)
          .window_size(window_size))
-    savings = _runner(runner).run(p).savings()
+    savings = _run(p, profile, runner).savings()
     return {trace: table for (trace, _carrier, _seed), table in savings.items()}
 
 
@@ -258,40 +221,12 @@ def user_study(
     """
     threshold = TailEnergyModel(profile).t_threshold
     selected = tuple(users) if users is not None else user_ids(population)
-    key = _registered_key(profile)
-    if key is None:
-        from ..traces.users import user_trace
-
-        outcome: dict[int, UserStudyResult] = {}
-        for uid in selected:
-            trace = user_trace(population, uid, hours_per_day=hours_per_day,
-                               seed=seed)
-            results = run_schemes(trace, profile, window_size=window_size)
-            baseline = results.pop("status_quo")
-            outcome[uid] = UserStudyResult(
-                user_id=uid,
-                savings=savings_table(results, baseline),
-                confusion={
-                    s: confusion_for_result(results[s], threshold)
-                    for s in CONFUSION_SCHEMES if s in results
-                },
-                delays={
-                    s: delay_stats_for_result(results[s], only_delayed=True)
-                    for s in ("makeidle+makeactive_learn",
-                              "makeidle+makeactive_fixed")
-                    if s in results
-                },
-                status_quo_energy_j=baseline.total_energy_j,
-                status_quo_switches=baseline.switch_count,
-            )
-        return outcome
     p = (plan()
          .users(population, selected, hours_per_day=hours_per_day, seed=seed)
-         .carriers(key)
+         .carriers(profile.key)
          .policies(*_ALL_SCHEMES)
          .window_size(window_size))
-    runs = _runner(runner).run(p)
-    cells = runs.group_by("trace")
+    cells = _run(p, profile, runner).group_by("trace")
     return {
         uid: _study_outcome(uid, cells[f"{population}:user{uid}"], threshold)
         for uid in selected
@@ -351,27 +286,14 @@ def _comparison_row(carrier_key: str, runs: RunSet) -> CarrierComparisonRow:
                  if total_baseline_switches else float(count))
         for scheme, count in per_scheme_switches.items()
     }
-    mean_delay = {}
-    median_delay = {}
-    for scheme, values in pooled_delays.items():
-        ordered = sorted(values)
-        if ordered:
-            mean_delay[scheme] = sum(ordered) / len(ordered)
-            mid = len(ordered) // 2
-            median_delay[scheme] = (
-                ordered[mid]
-                if len(ordered) % 2
-                else (ordered[mid - 1] + ordered[mid]) / 2.0
-            )
-        else:
-            mean_delay[scheme] = 0.0
-            median_delay[scheme] = 0.0
+    pooled_stats = {scheme: delay_stats(values)
+                    for scheme, values in pooled_delays.items()}
     return CarrierComparisonRow(
         carrier_key=carrier_key,
         saved_percent=saved_percent,
         switches_normalized=switches_normalized,
-        mean_delay_s=mean_delay,
-        median_delay_s=median_delay,
+        mean_delay_s={s: stats.mean for s, stats in pooled_stats.items()},
+        median_delay_s={s: stats.median for s, stats in pooled_stats.items()},
     )
 
 
@@ -418,23 +340,13 @@ def window_size_sweep(
 ) -> dict[int, ConfusionCounts]:
     """False/missed switch rates of MakeIdle as a function of window size ``n``."""
     threshold = TailEnergyModel(profile).t_threshold
-    key = _registered_key(profile)
-    if key is None:
-        simulator = TraceSimulator(profile)
-        return {
-            n: confusion_for_result(
-                simulator.run(trace, build_scheme("makeidle", n)), threshold
-            )
-            for n in window_sizes
-        }
     p = (plan()
          .traces(inline(trace))
-         .carriers(key)
+         .carriers(profile.key)
          .policies(*(PolicySpec("makeidle", window_size=n) for n in window_sizes)))
-    runs = _runner(runner).run(p)
     return {
         r.spec.policy.window_size: confusion_for_result(r.result, threshold)
-        for r in runs
+        for r in _run(p, profile, runner)
     }
 
 

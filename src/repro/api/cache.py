@@ -32,7 +32,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Union
+from typing import TYPE_CHECKING, Hashable, Iterator, Union
 
 from ..sim.results import SimulationResult
 
@@ -220,9 +220,10 @@ class ResultCache:
 
     A *miss* is recorded when a result is first computed and stored; a *hit*
     whenever a later lookup is served without simulating — from memory or,
-    failing that, from the optional persistent tier.  Both runners count
-    through ``lookup`` / ``put``, so they can batch the misses of a plan;
-    ``get_or_run`` is the one-key form of the same two steps.
+    failing that, from the optional persistent tier.  The cache is read
+    and written through ``lookup`` / ``put`` only: both runners look each
+    unique cell of a plan up once, batch the misses, and ``put`` each
+    result as it arrives.
 
     ``max_entries`` bounds the in-memory tier with LRU eviction (least
     recently *used*, so a long sweep's hot baselines survive), keeping
@@ -303,40 +304,6 @@ class ResultCache:
         return iter(self._entries)
 
     # -- access ----------------------------------------------------------------------
-
-    def get_or_run(
-        self, key: Hashable, run: Callable[[], CachedResult]
-    ) -> CachedResult:
-        """Return the cached result for ``key``, computing it via ``run`` once."""
-        try:
-            result = self._entries[key]
-        except KeyError:
-            result = self._disk_load(key)
-            if result is not None:
-                self._hits += 1
-                self._disk_hits += 1
-                return result
-            result = run()
-            self._entries[key] = result
-            self._misses += 1
-            if self._disk is not None:
-                self._disk.store(key, result)
-            self._evict_overflow()
-            return result
-        self._hits += 1
-        self._touch(key)
-        return result
-
-    def peek(self, key: Hashable) -> CachedResult | None:
-        """Return the cached result without touching the counters.
-
-        Consults both tiers (a disk result is promoted to memory) but
-        counts neither hits nor misses: an inspection, not a lookup.
-        """
-        result = self._entries.get(key)
-        if result is not None:
-            return result
-        return self._disk_load(key)
 
     def lookup(self, key: Hashable) -> CachedResult | None:
         """Return the cached result and count a hit, or ``None`` without counting."""

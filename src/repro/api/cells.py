@@ -70,9 +70,13 @@ DORMANCY_SCHEMES: tuple[str, ...] = (
     "load_aware",
 )
 
-#: The keys :meth:`CellSpec.to_dict` writes (``apps`` or ``scenario``).
-_CELL_FIELDS = ("devices", "duration_s", "seed", "name", "streaming",
-                "chunk_s", "apps", "scenario")
+#: The keys :meth:`CellSpec.to_dict` writes (``apps`` or ``scenario``),
+#: with their JSON types (see :mod:`repro.dictform`).
+_CELL_FIELDS = {
+    "devices": "integer", "duration_s": "number", "seed": "integer",
+    "name": "string", "streaming": "boolean", "chunk_s": "number",
+    "apps": "list[string]", "scenario": "object?",
+}
 
 #: Seed stride between devices of one cell, so every device's workload is
 #: distinct but the whole population is reproducible from one seed.
@@ -144,7 +148,9 @@ class DormancySpec:
 
         A key that :meth:`to_dict` does not write raises ``ValueError``.
         """
-        return cls(**strict_fields(data, ("scheme", "param"), "dormancy"))
+        return cls(**strict_fields(
+            data, {"scheme": "string", "param": "number?"}, "dormancy"
+        ))
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,8 @@ class MetroSpec:
         """
         payload = strict_fields(
             data,
-            ("metro", "devices", "duration_s", "seed", "chunk_s", "name"),
+            {"metro": "string", "devices": "integer", "duration_s": "number",
+             "seed": "integer", "chunk_s": "number", "name": "string"},
             "metro",
         )
         payload["metro"] = get_metro(payload["metro"])

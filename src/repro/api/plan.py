@@ -58,9 +58,14 @@ __all__ = [
     "save_plan",
 ]
 
-#: The keys :meth:`ExperimentPlan.to_dict` writes.
-_PLAN_FIELDS = ("name", "traces", "carriers", "policies", "seeds",
-                "window_size", "cells", "dormancy", "shards", "metros")
+#: The keys :meth:`ExperimentPlan.to_dict` writes, with their JSON types
+#: (see :mod:`repro.dictform`); each axis entry is read by its own spec.
+_PLAN_FIELDS = {
+    "name": "string", "traces": "list", "carriers": "list[string]",
+    "policies": "list", "seeds": "list[integer]", "window_size": "integer",
+    "cells": "list", "dormancy": "list", "shards": "list[integer]",
+    "metros": "list",
+}
 
 
 class EmptyAxisError(ValueError):
@@ -515,8 +520,8 @@ class ExperimentPlan:
                 *(PolicySpec.from_dict(p) for p in data.get("policies", ()))
             )
             .repeat(seeds=data.get("seeds", ()))
-            .window_size(int(data.get("window_size", 100)))
-            .labelled(str(data.get("name", "")))
+            .window_size(data.get("window_size", 100))
+            .labelled(data.get("name", ""))
             .cells(*(CellSpec.from_dict(c) for c in data.get("cells", ())))
             .dormancy(
                 *(DormancySpec.from_dict(d) for d in data.get("dormancy", ()))

@@ -46,8 +46,12 @@ __all__ = [
 #: produces genuinely different traffic) as opposed to fixed external data.
 _SEEDED_KINDS = ("application", "user")
 
-#: The keys :meth:`TraceSpec.to_dict` writes (an inline trace has none).
-_TRACE_FIELDS = ("kind", "name", "user_id", "path", "duration_s", "seed")
+#: The keys :meth:`TraceSpec.to_dict` writes (an inline trace has none),
+#: with their JSON types (see :mod:`repro.dictform`).
+_TRACE_FIELDS = {
+    "kind": "string", "name": "string", "user_id": "integer",
+    "path": "string", "duration_s": "number", "seed": "integer",
+}
 
 
 def _trace_digest(trace: PacketTrace) -> str:
@@ -285,7 +289,9 @@ class PolicySpec:
 
         A key that :meth:`to_dict` does not write raises ``ValueError``.
         """
-        return cls(**strict_fields(data, ("scheme", "window_size"), "policy"))
+        return cls(**strict_fields(
+            data, {"scheme": "string", "window_size": "integer?"}, "policy"
+        ))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ writing any Python:
 
 Every command prints plain text to stdout; ``--csv PATH`` additionally
 writes machine-readable output where it makes sense, and ``sweep --json``
-emits the full record set as JSON.
+emits the full record set as JSON.  Bad input to any command prints one
+``error: ...`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -421,26 +422,20 @@ def _sweep_cache(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .api import ProcessPoolRunner, SerialRunner, save_plan
 
-    try:
-        sweep_plan = _build_sweep_plan(args)
-        if args.save_plan:
-            save_plan(sweep_plan, args.save_plan)
-            print(f"wrote plan to {args.save_plan}", file=sys.stderr)
-        # Sharded cells need the pool even at --jobs 1: cross-process
-        # sharding is the point of --shards, so default to one worker per
-        # shard unless --jobs asks for more.
-        max_shards = max(sweep_plan.shard_counts, default=1)
-        jobs = args.jobs if args.jobs > 1 else max_shards
-        cache = _sweep_cache(args)
-        runner = (ProcessPoolRunner(jobs=jobs, cache=cache) if jobs > 1
-                  else SerialRunner(cache=cache))
-        print(sweep_plan.describe(), file=sys.stderr)
-        runs = runner.run(sweep_plan)
-    except (KeyError, ValueError, OSError) as exc:
-        # Bad workloads/carriers/schemes, an unreadable --plan file, or a
-        # plan with an empty axis: report cleanly instead of a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sweep_plan = _build_sweep_plan(args)
+    if args.save_plan:
+        save_plan(sweep_plan, args.save_plan)
+        print(f"wrote plan to {args.save_plan}", file=sys.stderr)
+    # Sharded cells need the pool even at --jobs 1: cross-process
+    # sharding is the point of --shards, so default to one worker per
+    # shard unless --jobs asks for more.
+    max_shards = max(sweep_plan.shard_counts, default=1)
+    jobs = args.jobs if args.jobs > 1 else max_shards
+    cache = _sweep_cache(args)
+    runner = (ProcessPoolRunner(jobs=jobs, cache=cache) if jobs > 1
+              else SerialRunner(cache=cache))
+    print(sweep_plan.describe(), file=sys.stderr)
+    runs = runner.run(sweep_plan)
     records = runs.to_records()
 
     if args.json is not None:
@@ -700,25 +695,31 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for the ``repro-rrc`` console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "carriers":
-        return _cmd_carriers()
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "apps":
-        return _cmd_apps(args)
-    if args.command == "compare-carriers":
-        return _cmd_compare_carriers(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "trace-info":
+    """Entry point for the ``repro-rrc`` console script.
+
+    Bad input to any command — an unknown user, workload, carrier or
+    scheme, a non-positive duration, an unreadable capture or plan file, a
+    plan with an empty axis — prints one ``error: ...`` line on stderr and
+    exits 2 instead of a traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "carriers":
+            return _cmd_carriers()
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "apps":
+            return _cmd_apps(args)
+        if args.command == "compare-carriers":
+            return _cmd_compare_carriers(args)
+        if args.command == "validate":
+            return _cmd_validate(args)
         return _cmd_trace_info(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    except (KeyError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

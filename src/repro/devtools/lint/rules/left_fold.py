@@ -44,6 +44,7 @@ class LeftFoldRule(Rule):
         "src/repro/scenarios/",
         "src/repro/metrics/",
         "src/repro/traces/stats.py",
+        "src/repro/analysis/",
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

@@ -1,4 +1,13 @@
-"""RRC substrate: radio states, carrier profiles, state machine, fast dormancy."""
+"""RRC substrate: radio states, carrier profiles, state machine, signalling.
+
+Fast dormancy has one cost model: :class:`CarrierProfile`'s
+``demotion_delay_s``, ``demotion_energy_j`` and ``switch_energy_j``, charged
+at ``dormancy_fraction`` of the measured radio-off cost (the paper's 50 %
+default; :meth:`CarrierProfile.with_dormancy_fraction` for the Section 6.1
+sensitivity check, which :func:`repro.energy.sensitivity.dormancy_cost_sensitivity`
+runs).  Whether a request is granted is the base station's call
+(:mod:`repro.basestation.policies`).
+"""
 
 from .drx import (
     DEFAULT_LTE_DRX,
@@ -7,11 +16,6 @@ from .drx import (
     drx_timeline,
     effective_tail_power,
     profile_with_drx,
-)
-from .fast_dormancy import (
-    SENSITIVITY_FRACTIONS,
-    FastDormancyModel,
-    dormancy_fraction_sweep,
 )
 from .signaling import (
     LTE_SIGNALING_COSTS,
@@ -52,15 +56,12 @@ __all__ = [
     "CARRIER_PROFILES",
     "CarrierProfile",
     "DEFAULT_DORMANCY_FRACTION",
-    "FastDormancyModel",
     "RadioState",
     "RrcStateMachine",
-    "SENSITIVITY_FRACTIONS",
     "StateInterval",
     "SwitchEvent",
     "SwitchKind",
     "Technology",
-    "dormancy_fraction_sweep",
     "get_profile",
     "state_name",
 ]

@@ -81,7 +81,10 @@ class DeviceArchetype:
         A key that :meth:`to_dict` does not write raises ``ValueError``.
         """
         payload = strict_fields(
-            data, ("name", "apps", "intensity", "description"), "archetype"
+            data,
+            {"name": "string", "apps": "list[string]", "intensity": "number",
+             "description": "string"},
+            "archetype",
         )
         payload["apps"] = tuple(payload.get("apps", ()))
         return cls(**payload)

@@ -115,8 +115,12 @@ class Cohort:
 
         A key that :meth:`to_dict` does not write raises ``ValueError``.
         """
-        data = strict_fields(data, ("archetype", "weight", "policy", "name"),
-                             "cohort")
+        data = strict_fields(
+            data,
+            {"archetype": "object", "weight": "number", "policy": "object?",
+             "name": "string"},
+            "cohort",
+        )
         policy = data.get("policy")
         return cls(
             archetype=DeviceArchetype.from_dict(data["archetype"]),
@@ -283,8 +287,12 @@ class Scenario:
 
         A key that :meth:`to_dict` does not write raises ``ValueError``.
         """
-        data = strict_fields(data, ("name", "description", "cohorts", "shape"),
-                             "scenario")
+        data = strict_fields(
+            data,
+            {"name": "string", "description": "string", "cohorts": "list",
+             "shape": "object?"},
+            "scenario",
+        )
         shape = data.get("shape")
         return cls(
             name=str(data.get("name", "")),

@@ -140,7 +140,12 @@ class DiurnalShape:
 
         A key that :meth:`to_dict` does not write raises ``ValueError``.
         """
-        data = strict_fields(data, ("name", "segments", "period_s"), "shape")
+        data = strict_fields(
+            data,
+            {"name": "string", "segments": "list[list[number]]",
+             "period_s": "number"},
+            "shape",
+        )
         return cls(
             name=str(data.get("name", "")),
             segments=tuple(

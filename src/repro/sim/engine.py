@@ -561,8 +561,6 @@ class SimulationEngine:
     ----------
     profile:
         Carrier profile shared by every UE (timers, powers, switch costs).
-    data_model:
-        Optional custom :class:`~repro.energy.accounting.DataEnergyModel`.
     session_idle_gap:
         Quiet time after which a flow's next packet counts as a new session
         (MakeActive eligibility); defaults to the carrier's ``t1 + t2``.
@@ -574,12 +572,11 @@ class SimulationEngine:
     def __init__(
         self,
         profile: CarrierProfile,
-        data_model: DataEnergyModel | None = None,
         session_idle_gap: float | None = None,
         trailing_time: float | None = None,
     ) -> None:
         self._profile = profile
-        self._accountant = EnergyAccountant(profile, data_model)
+        self._accountant = EnergyAccountant(profile)
         self._session_idle_gap = (
             session_idle_gap
             if session_idle_gap is not None
@@ -617,28 +614,10 @@ class SimulationEngine:
 
         ``policy.prepare``/``reset`` must already have been called (the
         façade owns policy lifecycle).  Produces results byte-identical to
-        the pre-kernel single-UE loop.
+        the pre-kernel single-UE loop.  An empty trace needs no special
+        case: :func:`resolve_end_time` closes a run that never emits at its
+        last processed event, t=0 here (DESIGN.md §1.5).
         """
-        if not trace:
-            # A never-promoted radio has no tail: close the timeline at t=0
-            # rather than charging trailing time from an Idle machine.
-            machine = RrcStateMachine(self._profile, start_time=0.0)
-            machine.finish(0.0)
-            empty = PacketTrace((), name=trace.name)
-            return SimulationResult(
-                policy_name=policy.name,
-                profile_key=self._profile.key,
-                trace_name=trace.name,
-                breakdown=self._accountant.account(
-                    empty, machine.intervals, machine.switches
-                ),
-                intervals=tuple(machine.intervals),
-                switches=(),
-                effective_trace=empty,
-                gap_decisions=(),
-                session_delays=(),
-            )
-
         ue = UeContext(0, self._profile, policy, collect=True)
         outcome = self.run({0: trace}, {0: ue})
         machine = ue.machine

@@ -53,13 +53,15 @@ Tie-breaks and degenerate inputs
   time cancels the demotion.
 * An **empty trace** produces a well-defined zero run: a zero-duration
   timeline, no switches, no energy.  No trailing tail is charged, because a
-  radio that never left Idle has no tail to pay.
+  radio that never left Idle has no tail to pay.  This is the kernel's
+  ordinary end-time rule, not a special case: a run that never emits a
+  packet closes at its last processed event, which for an empty trace is
+  t=0.
 """
 
 from __future__ import annotations
 
 from ..core.policy import RadioPolicy
-from ..energy.accounting import DataEnergyModel
 from ..rrc.profiles import CarrierProfile
 from ..rrc.state_machine import SwitchEvent
 from ..rrc.states import RadioState
@@ -73,13 +75,15 @@ __all__ = ["TraceSimulator"]
 class TraceSimulator:
     """Replays packet traces against the RRC machine under a control policy.
 
+    Any :class:`CarrierProfile` runs here, including ablated variants of a
+    registered carrier and profiles the registry does not know; the plan
+    API's runners and cache take registered carriers only, and the figure
+    drivers run an ablated variant's grid here, uncached.
+
     Parameters
     ----------
     profile:
         Carrier profile providing timers, powers and switch costs.
-    data_model:
-        Optional custom :class:`~repro.energy.accounting.DataEnergyModel`;
-        by default one is built from the profile.
     session_idle_gap:
         Quiet time after which a flow's next packet counts as a *new
         session* (and is therefore eligible for MakeActive delaying).
@@ -92,13 +96,11 @@ class TraceSimulator:
     def __init__(
         self,
         profile: CarrierProfile,
-        data_model: DataEnergyModel | None = None,
         session_idle_gap: float | None = None,
         trailing_time: float | None = None,
     ) -> None:
         self._engine = SimulationEngine(
             profile,
-            data_model=data_model,
             session_idle_gap=session_idle_gap,
             trailing_time=trailing_time,
         )

@@ -139,15 +139,12 @@ class TestDiskCacheTier:
 class TestResultCacheDiskTier:
     def test_second_cache_hits_without_running(self, tmp_path):
         first = ResultCache(disk=tmp_path)
-        assert first.get_or_run(_key(), lambda: "fresh") == "fresh"
+        assert first.lookup(_key()) is None
+        first.put(_key(), "fresh")
         assert (first.hits, first.misses) == (0, 1)
 
         second = ResultCache(disk=tmp_path)
-
-        def boom():
-            raise AssertionError("should have been served from disk")
-
-        assert second.get_or_run(_key(), boom) == "fresh"
+        assert second.lookup(_key()) == "fresh"
         assert (second.hits, second.misses) == (1, 0)
         assert second.disk_hits == 1
         assert second.stats.disk_hits == 1
@@ -158,26 +155,20 @@ class TestResultCacheDiskTier:
         assert cache.lookup(_key()) == "stored"
         assert (cache.hits, cache.disk_hits) == (1, 1)
 
-    def test_peek_counts_nothing(self, tmp_path):
-        ResultCache(disk=tmp_path).put(_key(), "stored")
-        cache = ResultCache(disk=tmp_path)
-        assert cache.peek(_key()) == "stored"
-        assert (cache.hits, cache.misses, cache.disk_hits) == (0, 0, 0)
-
     def test_eviction_spills_to_disk_not_oblivion(self, tmp_path):
         cache = ResultCache(max_entries=2, disk=tmp_path)
         for i in range(4):
             cache.put(_key(i), f"result{i}")
         assert len(cache) == 2  # memory stays bounded...
         for i in range(4):     # ...but nothing is forgotten
-            assert cache.get_or_run(_key(i), lambda: "rerun") == f"result{i}"
+            assert cache.lookup(_key(i)) == f"result{i}"
 
     def test_clear_preserves_the_disk_tier(self, tmp_path):
         cache = ResultCache(disk=tmp_path)
         cache.put(_key(), "kept")
         cache.clear()
         assert len(cache) == 0
-        assert cache.get_or_run(_key(), lambda: "rerun") == "kept"
+        assert cache.lookup(_key()) == "kept"
         assert cache.disk_hits == 1
 
 

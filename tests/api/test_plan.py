@@ -269,6 +269,44 @@ def _with_unknown_key(where: str) -> tuple[dict, str]:
     return data, key
 
 
+#: Where a value of the wrong JSON type goes, at least one per entry kind:
+#: (entry kind, plan file, path to the entry, key, value).
+_WRONG_TYPES = {
+    "plan": ("plan", "single_ue", (), "window_size", "100"),
+    "plan_seeds": ("plan", "single_ue", (), "seeds", ["x"]),
+    "plan_carriers": ("plan", "single_ue", (), "carriers", [7]),
+    "trace": ("trace", "single_ue", ("traces", 0), "duration_s", None),
+    "policy": ("policy", "single_ue", ("policies", 0), "window_size", "5"),
+    "cell": ("cell", "office_day", ("cells", 0), "devices", "4"),
+    "cell_streaming": ("cell", "office_day", ("cells", 0), "streaming", 1),
+    "dormancy": ("dormancy", "office_day", ("dormancy", 0), "param", "5"),
+    "metro": ("metro", "metro", ("metros", 0), "devices", 8.0),
+    "scenario": ("scenario", "office_day", ("cells", 0, "scenario"),
+                 "name", 3),
+    "cohort": ("cohort", "office_day",
+               ("cells", 0, "scenario", "cohorts", 0), "weight", True),
+    "cohort_policy": ("policy", "mixed_policy",
+                      ("cells", 0, "scenario", "cohorts", 0, "policy"),
+                      "window_size", 5.5),
+    "archetype": ("archetype", "office_day",
+                  ("cells", 0, "scenario", "cohorts", 0, "archetype"),
+                  "apps", "im"),
+    "shape": ("shape", "office_day", ("cells", 0, "scenario", "shape"),
+              "segments", [[7.0, "x"]]),
+}
+
+
+def _with_wrong_type(where: str) -> dict:
+    _kind, name, path, key, value = _WRONG_TYPES[where]
+    data = json.loads(json.dumps(_plan_files()[name].to_dict()))
+    entry = data
+    for step in path:
+        entry = entry[step]
+    assert key in entry
+    entry[key] = value
+    return data
+
+
 class TestStrictPlanFiles:
     """A plan file is read through the same validators as a plan built in
     Python, and any key no ``to_dict`` writes is refused by name."""
@@ -310,6 +348,17 @@ class TestStrictPlanFiles:
         with pytest.raises(ValueError, match=f"unknown .*'{key}'") as info:
             load_plan(path)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("where", sorted(_WRONG_TYPES))
+    def test_wrong_type_is_named(self, where, tmp_path):
+        kind, _name, _path, key, value = _WRONG_TYPES[where]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(_with_wrong_type(where)), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_plan(path)
+        message = str(info.value)
+        assert message.startswith(f"{kind} key '{key}' must be ")
+        assert message.endswith(f"got {value!r}")
 
     def test_entry_must_be_an_object(self):
         data = _plan_files()["office_day"].to_dict()

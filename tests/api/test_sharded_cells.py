@@ -137,7 +137,10 @@ class TestShardsAxis:
 
     def test_from_dict_applies_the_same_validation(self):
         base = self._plan().to_dict()
-        with pytest.raises(TypeError, match="must be int"):
+        # A wrong JSON type is refused when the plan is read, as a
+        # ValueError naming the key, before the fluent method sees it.
+        with pytest.raises(ValueError, match=r"plan key 'shards' must be "
+                                             r"list\[integer\], got \[2\.5\]"):
             plan().from_dict({**base, "shards": [2.5]})
         with pytest.raises(ValueError, match=">= 1"):
             plan().from_dict({**base, "shards": [0]})

@@ -36,9 +36,9 @@ def test_every_rule_carries_contract_and_hint():
 
 
 #: Each rule at its RULE_TARGETS path, plus further paths a widened scope
-#: must cover: left-fold the learning layer's float totals and the
-#: scenario layer's cohort weight total, hot-path-slots the packet copies
-#: every stream makes.
+#: must cover: left-fold the learning layer's float totals, the
+#: scenario layer's cohort weight total and the figure drivers' pooled
+#: delays, hot-path-slots the packet copies every stream makes.
 POSITIVE_CASES = [
     pytest.param(rule_id, RULE_TARGETS[rule_id], id=rule_id)
     for rule_id in EXPECTED_RULES
@@ -47,6 +47,8 @@ POSITIVE_CASES = [
                  id="left-fold-learning"),
     pytest.param("left-fold", "src/repro/scenarios/fixture_mod.py",
                  id="left-fold-scenarios"),
+    pytest.param("left-fold", "src/repro/analysis/fixture_mod.py",
+                 id="left-fold-analysis"),
     pytest.param("hot-path-slots", "src/repro/traces/packet.py",
                  id="hot-path-slots-packet"),
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import run_schemes
-from repro.core import standard_policies
+from repro.api import PolicySpec, SerialRunner, inline, plan
 from repro.energy import TailEnergyModel
 from repro.metrics import (
     confusion_for_result,
@@ -144,18 +144,15 @@ class TestPcapPipeline:
         restored = read_pcap(path, device_address="10.0.0.2")
         assert len(restored) == len(trace)
 
-        policies = standard_policies(window_size=50)
-        original = run_schemes(trace, profile, schemes={"makeidle": policies["makeidle"]})
-        replayed = run_schemes(
-            restored, profile, schemes={"makeidle": standard_policies(50)["makeidle"]}
+        def makeidle_saving(workload):
+            p = (plan().traces(inline(workload)).carriers(profile.key)
+                 .policies("status_quo", PolicySpec("makeidle", window_size=50)))
+            baseline, makeidle = (r.result for r in SerialRunner().run(p))
+            return makeidle.energy_saved_fraction(baseline)
+
+        assert makeidle_saving(restored) == pytest.approx(
+            makeidle_saving(trace), abs=0.08
         )
-        original_saving = original["makeidle"].energy_saved_fraction(
-            original["status_quo"]
-        )
-        replayed_saving = replayed["makeidle"].energy_saved_fraction(
-            replayed["status_quo"]
-        )
-        assert replayed_saving == pytest.approx(original_saving, abs=0.08)
 
 
 class TestLteVersus3g:

@@ -74,6 +74,15 @@ class TestDerivedQuantities:
             any_profile.demotion_energy_j + any_profile.promotion_energy_j
         )
 
+    def test_default_dormancy_fraction_is_half(self, any_profile):
+        assert any_profile.dormancy_fraction == pytest.approx(0.5)
+        assert any_profile.demotion_energy_j == pytest.approx(
+            0.5 * any_profile.radio_off_energy_j
+        )
+        assert any_profile.demotion_delay_s == pytest.approx(
+            0.5 * any_profile.radio_off_delay_s
+        )
+
     def test_dormancy_fraction_scales_demotion(self, att_profile):
         half = att_profile
         tenth = att_profile.with_dormancy_fraction(0.1)

@@ -94,6 +94,26 @@ class TestTraceInfoCommand:
         assert "duration" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--user", "99"],
+    ["compare-carriers", "--users", "99"],
+    ["simulate", "--duration", "0"],
+    ["apps", "--duration", "0"],
+    ["compare-carriers", "--hours", "0"],
+    ["trace-info", "/nonexistent"],
+    ["simulate", "--pcap", "/nonexistent"],
+], ids=" ".join)
+def test_bad_input_is_a_clean_error(argv, capsys):
+    # Every command reports bad input the way sweep does: one error line
+    # on stderr and exit status 2, never a traceback.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 class TestSweepCommand:
     def test_basic_grid_with_aliases(self, capsys):
         code = main(
@@ -267,7 +287,19 @@ class TestCellSweepCommand:
             assert err.startswith("error: ")
             assert f"'{key}'" in err
 
-    @pytest.mark.parametrize("edit", ["top_level", "cell", "window_size"])
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(carrier="lte"),
+        lambda d: d["cells"][0].update(devcies=40),
+        lambda d: d.update(window_size=1),
+        lambda d: d["cells"][0].update(devices="4"),
+        lambda d: d["cells"][0].update(duration_s=None),
+        lambda d: d["policies"][0].update(window_size="5"),
+        lambda d: d.update(carriers=[7]),
+        lambda d: d.update(seeds=["x"]),
+        lambda d: d.update(window_size="100"),
+    ], ids=["top_level", "cell", "window_size", "devices_string",
+            "duration_null", "policy_window_string", "carrier_number",
+            "seed_string", "window_size_string"])
     def test_strict_plan_file_errors_are_clean(self, edit, capsys, tmp_path):
         import json
 
@@ -277,12 +309,7 @@ class TestCellSweepCommand:
                      "--duration", "120", "--save-plan", str(plan_path)]) == 0
         capsys.readouterr()
         data = json.loads(plan_path.read_text(encoding="utf-8"))
-        if edit == "top_level":
-            data["carrier"] = "lte"
-        elif edit == "cell":
-            data["cells"][0]["devcies"] = 40
-        else:
-            data["window_size"] = 1
+        edit(data)
         plan_path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["sweep", "--plan", str(plan_path)]) == 2
         captured = capsys.readouterr()

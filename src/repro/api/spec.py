@@ -64,6 +64,15 @@ def _trace_digest(trace: PacketTrace) -> str:
     return digest.hexdigest()
 
 
+def _file_digest(path: str) -> str:
+    """SHA-256 of a file's bytes, read now."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """How to (re)build one packet trace.
@@ -137,8 +146,13 @@ class TraceSpec:
         Two specs with equal fingerprints build identical traces, so their
         simulations can share one cached result.  Inline traces are digested
         packet by packet (exact — float repr round-trips); the digest is
-        memoised on the spec so repeated key accesses stay O(1).
+        memoised on the spec so repeated key accesses stay O(1).  A capture
+        file is keyed on a SHA-256 of its bytes, read on every access and
+        never memoised: a file rewritten at the same path is a new key
+        even for a spec that was keyed before the rewrite.
         """
+        if self.kind in ("pcap", "tcpdump"):
+            return (self.kind, self.path, _file_digest(self.path))
         cached = getattr(self, "_fingerprint_memo", None)
         if cached is not None:
             return cached
@@ -147,11 +161,9 @@ class TraceSpec:
         elif self.kind == "user":
             fingerprint = ("user", self.name, self.user_id, self.duration_s,
                            self.seed)
-        elif self.kind == "inline":
+        else:
             assert self.trace is not None
             fingerprint = ("inline", self.trace.name, _trace_digest(self.trace))
-        else:
-            fingerprint = (self.kind, self.path)
         object.__setattr__(self, "_fingerprint_memo", fingerprint)
         return fingerprint
 

@@ -339,23 +339,6 @@ class RrcStateMachine:
         self._last_activity = time
         return promoted
 
-    def fast_forward_activity(self, time: float) -> None:
-        """Collapse a run of fast-path activity updates into one step.
-
-        Precondition (caller-verified, not rechecked here): the machine is
-        Active and unfinished, and every skipped activity instant — up to
-        and including ``time`` — lay strictly inside the ``t1`` window of
-        its predecessor, so each one would have taken the
-        :meth:`notify_activity` fast path.  That path only overwrites
-        ``now`` and ``last_activity`` (no folds, no switches, no float
-        arithmetic), so applying the whole run at once is byte-identical
-        to applying it packet by packet.  The vector backend
-        (:mod:`repro.sim.vector_engine`) uses this to replay an
-        intra-burst packet run in O(1).
-        """
-        self._now = time
-        self._last_activity = time
-
     def request_fast_dormancy(self, time: float) -> bool:
         """Demote the radio to Idle at ``time`` via fast dormancy.
 

@@ -8,10 +8,12 @@ uplink flags) delimited by int64 offsets, and everything the scalar
 kernel computes per heap event is computed as one array expression per
 batch over the constants the scalar kernel reads (the profile's
 :class:`~repro.rrc.tables.TransitionTable` and the engine's
-:class:`~repro.energy.accounting.DataEnergyModel`) — except at the
-sparse "interesting" instants, which are replayed device by device
-through the *real* :class:`~repro.rrc.state_machine.RrcStateMachine`
-so every float lands bit-for-bit where the scalar kernel would put it.
+:class:`~repro.energy.accounting.DataEnergyModel`).  That includes the
+RRC machine's work at the sparse "boundary" instants: every transition
+there is a comparison between the same IEEE-754 sums the
+:class:`~repro.rrc.state_machine.RrcStateMachine` and the event heap
+evaluate, so every float lands bit-for-bit where the scalar kernel puts
+it, and no per-device state machine runs.
 
 Shard layout
 ------------
@@ -31,7 +33,10 @@ Stream errors keep the per-device texts and their per-device order: the
 first faulty device in shard order raises — its
 :class:`~repro.sim.engine.StreamOrderError` when its stream is not
 time-ordered, else the handover-contract ``RuntimeError`` when its last
-packet is not strictly before its departure.
+packet is not strictly before its departure.  After those checks, the
+first device whose first packet precedes its ``attach_at`` raises the
+machine's ``ValueError`` ("events must be non-decreasing in time"), as
+the scalar kernel's machine does.
 
 Why byte-identity holds
 -----------------------
@@ -51,12 +56,12 @@ The scalar kernel's per-UE work for an *eligible* UE (see
 2. **The RRC machine** only does real work at *boundary* instants.
    Between boundaries every packet takes the
    :meth:`~repro.rrc.state_machine.RrcStateMachine.notify_activity` fast
-   path (pure overwrites of ``now``/``last_activity``), which
-   :meth:`~repro.rrc.state_machine.RrcStateMachine.fast_forward_activity`
-   collapses into one step.  Boundary instants are computed as array
-   comparisons over the same ``t + wait`` and ``t + const`` sums the
-   scalar kernel pushes into its heap (no wait depends on RRC state: a
-   MakeIdle wait depends only on the device's packet times):
+   path (pure overwrites of ``now``/``last_activity``), so a device's
+   timeline is pinned down by its boundary packets alone.  Boundary
+   instants are computed as array comparisons over the same ``t + wait``
+   and ``t + const`` sums the scalar kernel pushes into its heap (no wait
+   depends on RRC state: a MakeIdle wait depends only on the device's
+   packet times):
 
    * a packet is a boundary when the previous gap fired a scheduled fast
      dormancy (``t[i] + wait[i] <= t[i+1]``, with ``wait[i]`` the wait
@@ -72,31 +77,39 @@ The scalar kernel's per-UE work for an *eligible* UE (see
      the trailing dormancy still fires iff ``t_last + wait[last] <= detach``
      (DORMANCY sorts before HANDOVER), the trailing timer iff
      ``t_last + idle_after < detach`` (HANDOVER sorts before TIMER), then
-     the machine is closed with the same
-     :meth:`~repro.rrc.state_machine.RrcStateMachine.finish` call.
+     the open segment is folded up to ``detach``, as
+     :meth:`~repro.rrc.state_machine.RrcStateMachine.finish` does.
 
-   At each such instant the real machine methods run with the same
-   arguments in the same order as the scalar kernel's handlers, so the
-   fold-at-transition accounting — including the threshold-instant timer
-   folds and their one-ulp ``(t+t1)+t2`` vs ``t+(t1+t2)`` corner — is
-   reproduced exactly rather than re-derived.
+   Each boundary is one *row*, and each device with packets has one
+   trailing row for the events after its last packet (:class:`_Rows`).
+   At a row the machine has been Active since the device's previous
+   boundary packet, and its last activity ``gt`` is the packet before
+   the gap.  Four instants decide the row: the machine's
+   ``demote_at = gt + t1`` and ``idle_at = demote_at + t2``, and the
+   heap's TIMER pop ``gt + idle_after`` and DORMANCY pop ``gt + wait``.
+   They are kept apart because ``(gt + t1) + t2`` and ``gt + (t1 + t2)``
+   differ by an ulp in a sizeable share of gaps.  Every transition, state
+   duration, switch energy, counter and load op of the row is a
+   comparison among them (``docs/DESIGN.md`` §2.3), and each device's
+   totals are left folds over its rows: the machine's own
+   fold-at-transition order, with ``+ 0.0`` where a state does not occur.
 
 3. **Cell-load bookkeeping** is order-sensitive but replayable: every
    load mutation the scalar kernel performs is keyed by its popped event
-   ``(time, kind, ue_id)``.  Each UE's mutations are derived analytically
-   at the instants above, and a stable sort on ``(time, kind, ue_id)``
-   interleaves all UEs' streams in exact heap order (the heap breaks ties
-   the same way, and equal full keys only occur within one UE's
-   consecutive ops).  A fresh :class:`~repro.sim.engine.CellLoad` is
-   driven through the merged ops, and the periodic
-   :class:`~repro.sim.engine.LoadSample` chain is re-run on the same
-   grid: sample *k+1* exists iff some real event pops after sample *k*,
-   so the chain horizon is the latest real pop.  Every scheduled dormancy
-   pops, stale or not, so for a UE that is the later of its latest
-   dormancy pop ``max_k(t_k + wait[k])`` (``t_last + wait`` for a
-   constant wait) and ``t_last + idle_after`` — or, for a departed UE,
-   of that dormancy pop, its handover instant and the final pop of its
-   self-deferring timer chain.
+   ``(time, kind, ue_id)``.  Each row writes its mutations into fixed op
+   slots in the order the scalar handlers perform them, and one stable
+   ``np.lexsort`` on ``(time, kind, ue_id)`` interleaves all UEs' ops in
+   exact heap order (the heap breaks ties the same way, and equal full
+   keys only occur within one UE's consecutive ops).  The
+   :class:`~repro.sim.engine.CellLoad` is rebuilt from the sorted
+   columns, and the periodic :class:`~repro.sim.engine.LoadSample` chain
+   is re-run on the same grid: sample *k+1* exists iff some real event
+   pops after sample *k*, so the chain horizon is the latest real pop.
+   Every scheduled dormancy pops, stale or not, so for a UE that is the
+   later of its latest dormancy pop ``max_k(t_k + wait[k])``
+   (``t_last + wait`` for a constant wait) and ``t_last + idle_after`` —
+   or, for a departed UE, of that dormancy pop, its handover instant and
+   the final pop of its self-deferring timer chain.
 
 Kernel selection
 ----------------
@@ -123,7 +136,6 @@ choice is surfaced as ``CellShard.vector_devices`` /
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 try:  # numpy is an optional accelerator, never a hard dependency
@@ -135,7 +147,6 @@ from ..core.baselines import FixedTimerPolicy, PercentileIatPolicy
 from ..core.makeidle import MakeIdlePolicy
 from ..core.policy import RadioPolicy
 from ..energy.accounting import DataEnergyModel
-from ..rrc.state_machine import RrcStateMachine
 from ..rrc.states import RadioState
 from ..rrc.tables import TransitionTable, transition_table
 from ..traces.packet import Direction
@@ -154,20 +165,18 @@ __all__ = [
 
 #: Event-kind tie-break priorities, mirroring :class:`~repro.sim.engine.EventKind`
 #: (plain ints: these key the replayed load-op ordering).
-_RELEASE = 0
 _DORMANCY = 1
 _HANDOVER = 2
 _TIMER = 3
 _ARRIVAL = 4
 
-#: One load mutation: ``(event_time, event_kind, ue_id, op)`` with ``op``
-#: one of ``"act"`` / ``"deact"`` / ``"switch"``, keyed by the event the
-#: scalar kernel would pop to perform it.
-_LoadOp = tuple[float, int, int, str]
+#: Load-op codes of the op column: what one op does to the cell load.
+_ACT = 1
+_DEACT = -1
+_SWITCH = 0
 
-#: Heap order over merged load ops: ``(time, kind, ue_id)``, stable for
-#: equal keys so each UE's generation order survives the global sort.
-_OP_KEY = itemgetter(0, 1, 2)
+#: The states a device's open segment can be in, indexed by state code.
+_OPEN_STATES = (RadioState.ACTIVE, RadioState.HIGH_IDLE, RadioState.IDLE)
 
 #: A columnar batch closes once it holds this many packets.  Devices are
 #: drained whole and in shard order, so a batch holds at most this many
@@ -326,22 +335,19 @@ def _drain(devices: Sequence["DeviceSpec"], first: int):
     )
 
 
-def _check_streams(specs: Sequence["DeviceSpec"], t, offsets, heads) -> None:
+def _check_streams(specs: Sequence["DeviceSpec"], t, offsets, heads,
+                   detach) -> None:
     """Raise the scalar kernel's error for the batch's first faulty device.
 
     A device is faulty when its stream is not time-ordered (its first
     packet before 0.0, or a packet before its predecessor — gaps across
     a device boundary are masked out) or when its last packet is not
-    strictly before its departure (the handover contract).  The first
-    faulty device in shard order raises, with its order error when it
-    has both faults: the per-device order of the checks.
+    strictly before its departure ``detach[d]`` (the handover contract;
+    ``inf`` when it stays).  The first faulty device in shard order
+    raises, with its order error when it has both faults: the per-device
+    order of the checks.
     """
     n = t.shape[0]
-    detach = _np.array(
-        [_np.inf if spec.detach_at is None else spec.detach_at
-         for spec in specs],
-        dtype=_np.float64,
-    )
     backwards = t[1:] < t[:-1]
     cuts = offsets[(offsets > 0) & (offsets < n)]
     backwards[cuts - 1] = False  # gaps into a device's first packet
@@ -408,90 +414,133 @@ def _segment_left_fold(columns, starts, counts) -> list:
     return out
 
 
-class _Batch:
-    """One drained batch as the Python lists the per-device replay reads.
+def _segment_counts(values, bounds):
+    """Each segment's integer total of ``values[bounds[d]:bounds[d + 1]]``.
 
-    ``specs`` are the batch's devices.  ``times`` are the batch's arrival
-    times; device ``d`` owns ``packets[d]`` packets
-    ``offsets[d]:offsets[d + 1]`` and the boundary packets
-    ``boundaries[bounds[d]:bounds[d + 1]]`` (ascending, its first packet
-    first).  ``dorm_fired[k]`` / ``timer_fired[k]`` say whether the gap
-    ending at boundary packet ``boundaries[k]`` fired the scheduled fast
-    dormancy / the inactivity timer, and ``gap_waits[k]`` is the wait
-    decided at the packet that opens that gap (all meaningless at a first
-    packet, which ends no gap).  ``last_waits[d]`` is the wait decided at
-    device ``d``'s last packet and ``last_dormancy[d]`` its latest
-    scheduled dormancy pop, ``max_k(t_k + w_k)`` (``inf`` / ``-inf``: no
-    request).  ``data_j[d]`` / ``data_time_s[d]`` are device ``d``'s
-    data-energy fold.
+    An integer prefix sum (``np.add.accumulate``) is exact, so each
+    segment's count is the difference of two prefixes.
+    """
+    prefix = _np.zeros(values.shape[0] + 1, dtype=_np.int64)
+    _np.add.accumulate(values, dtype=_np.int64, out=prefix[1:])
+    return prefix[bounds[1:]] - prefix[bounds[:-1]]
+
+
+class _Rows:
+    """The RRC machine's work over a set of replay rows, as arrays.
+
+    A row is the stretch of one device's timeline after the packet that
+    opens a gap.  The machine has been Active since ``s`` (the device's
+    previous boundary packet), its last activity is ``gt`` (the packet
+    that opens the gap) and ``wait`` is the dormancy wait decided there.
+    Four instants decide the row, each with the expression the machine or
+    the event heap evaluates: ``a1 = gt + t1`` (the machine's
+    ``demote_at``), ``a2 = a1 + t2`` (its ``idle_at``; ``a1`` itself
+    without a FACH state), ``tt = gt + idle_after`` (the TIMER pop) and
+    ``at = gt + wait`` (the DORMANCY pop, ``inf`` without a request).
+    ``tt`` and ``a2`` are never interchangeable: ``(gt + t1) + t2`` and
+    ``gt + (t1 + t2)`` differ by an ulp in a sizeable share of gaps, and
+    a TIMER pop below ``idle_at`` finds the machine in FACH.
     """
 
-    __slots__ = ("specs", "times", "offsets", "packets", "boundaries",
-                 "bounds", "dorm_fired", "timer_fired", "gap_waits",
-                 "last_waits", "last_dormancy", "data_j", "data_time_s")
+    __slots__ = ("table", "gt", "s", "a1", "a2", "tt", "at", "fd", "idle",
+                 "active_s", "high_idle_s", "idle_s", "timer_demotions",
+                 "timer_deact", "dorm_deact", "timer_only_deact", "deacts",
+                 "dorm_kind", "_end", "_closes", "_dch_closed",
+                 "_idle_start")
 
-    def __init__(self, specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
-                 table: TransitionTable, model: DataEnergyModel) -> None:
-        counts = offsets[1:] - offsets[:-1]
-        nonempty = counts > 0
-        heads = offsets[:-1][nonempty]  # each device's first packet
-        _check_streams(specs, t, offsets, heads)
-        self.specs = specs
-        # Python floats for MakeIdle decisions, machine calls and ops.
-        self.times = t.tolist()
-        self.offsets = offsets.tolist()
-        n = t.shape[0]
-        prev = t[:-1]
-        nxt = t[1:]
+    def __init__(self, table: TransitionTable, gt, s, wait) -> None:
+        self.table = table
+        self.gt = gt
+        self.s = s
+        self.a1 = gt + table.t1
+        self.a2 = self.a1 + table.t2 if table.has_high_idle else self.a1
+        self.tt = gt + table.idle_after
+        self.at = gt + wait
 
-        # The data-energy fold: elementwise float64 mirrors of the scalar
-        # kernel's inlined ``account_transfer`` arithmetic (same
-        # divisions, comparisons and products), each device's first
-        # packet taking its serialisation time as every stream's first
-        # packet does, folded per device in packet order.
-        rates = _np.where(up, model.uplink_rate, model.downlink_rate)
-        ser = sizes / rates
-        ser = _np.where(ser < model.min_packet_time, model.min_packet_time,
-                        ser)
-        gaps = nxt - prev
-        dur = _np.empty_like(ser)
-        dur[1:] = _np.where(gaps <= model.burst_gap, gaps, ser[1:])
-        dur[heads] = ser[heads]
-        energy = dur * _np.where(up, model.send_power_w, model.recv_power_w)
-        data_time_s, data_j = _segment_left_fold((dur, energy),
-                                                 offsets[:-1], counts)
+    def run(self, dorm, timer, end, closes) -> None:
+        """Resolve every row up to ``end``, its last processed event.
 
-        # Per-gap fired events and the boundary mask (see module
-        # docstring), over every gap at once: each packet carries the wait
-        # decided after it (``inf``: no request, so no dormancy fires),
-        # and every first packet is a boundary.
-        wait = _wait_column(specs, self.times, self.offsets, counts)
-        timer_fired = _np.zeros(n, dtype=bool)
-        timer_fired[1:] = (prev + table.idle_after) <= nxt
-        dorm_fired = _np.zeros(n, dtype=bool)
-        dorm_fired[1:] = (prev + wait[:-1]) <= nxt
-        boundary = _np.empty(n, dtype=bool)
-        boundary[1:] = dorm_fired[1:] | (nxt >= (prev + table.t1))
-        boundary[heads] = True
-        boundaries = _np.flatnonzero(boundary)
-        # Every scheduled dormancy pops, stale or not: the latest pop is
-        # the largest t_k + w_k, which is t_last + w only for constant w.
-        last_waits = _np.full(counts.shape[0], _np.inf)
-        last_waits[nonempty] = wait[offsets[1:][nonempty] - 1]
-        last_dormancy = _np.full(counts.shape[0], -_np.inf)
-        last_dormancy[nonempty] = _np.maximum.reduceat(
-            _np.where(wait < _np.inf, t + wait, -_np.inf), heads)
+        ``dorm`` / ``timer`` say whether the row's DORMANCY / TIMER event
+        pops by ``end``; ``closes`` whether the segment open at ``end`` is
+        folded there (an arrival or a handover ends it, while a device
+        that stays leaves it open for the shard merge).  Sets each state's
+        duration (``0.0`` where the state does not occur), the request's
+        outcome, the timer-demotion count and the load-op slot masks.
+        """
+        a1, a2, tt, at = self.a1, self.a2, self.tt, self.at
+        # A granted request demotes unless the timers reached Idle first,
+        # and leaves DCH itself when it comes before demote_at.
+        fd = dorm & (at < a2)
+        fd_dch = fd & (at < a1)
+        past_a1 = end >= a1
+        past_a2 = end >= a2
+        idle = fd | past_a2
+        if self.table.has_high_idle:
+            fach = ~fd_dch & past_a1  # FACH entered at a1
+        else:
+            fach = _np.zeros_like(fd)
+        idle_start = _np.where(fd, at, a2)
+        self.fd = fd
+        self.idle = idle
+        self.active_s = _np.where(fd_dch, at, _np.minimum(a1, end)) - self.s
+        self.high_idle_s = _np.where(
+            fach & (idle | closes),
+            _np.where(fd, at, _np.minimum(a2, end)) - a1, 0.0)
+        self.idle_s = _np.where(idle & closes, end - idle_start, 0.0)
+        self.timer_demotions = ((~fd_dch & past_a1).astype(_np.int64)
+                                + (fach & ~fd & past_a2))
+        # The load-op slots, in the order the scalar handlers perform
+        # them.  A TIMER pop below idle_at finds FACH and logs nothing; a
+        # dormancy deactivates unless the timer already did; a zero
+        # effective wait pops right behind the arrival that scheduled it,
+        # so its ops carry the arrival kind.
+        timer_idle = tt >= a2
+        self.timer_deact = timer & dorm & (tt < at) & timer_idle
+        self.dorm_deact = dorm & ~self.timer_deact
+        self.timer_only_deact = timer & ~dorm & timer_idle
+        self.deacts = dorm | self.timer_only_deact
+        self.dorm_kind = _np.where(at == self.gt, _ARRIVAL, _DORMANCY)
+        self._end = end
+        self._closes = closes
+        self._dch_closed = fd_dch | past_a1
+        self._idle_start = idle_start
 
-        self.packets = counts.tolist()
-        self.boundaries = boundaries.tolist()
-        self.bounds = _np.searchsorted(boundaries, offsets).tolist()
-        self.dorm_fired = dorm_fired[boundaries].tolist()
-        self.timer_fired = timer_fired[boundaries].tolist()
-        self.gap_waits = wait[boundaries - 1].tolist()
-        self.last_waits = last_waits.tolist()
-        self.last_dormancy = last_dormancy.tolist()
-        self.data_j = data_j.tolist()
-        self.data_time_s = data_time_s.tolist()
+    def open_segment(self):
+        """The state each row is in at ``end`` and since when.
+
+        Returns ``(code, since)``, ``code`` indexing :data:`_OPEN_STATES`.
+        A segment folded at ``end`` restarts there, as ``finish`` leaves
+        it.
+        """
+        code = _np.where(self.idle, 2, _np.where(self._dch_closed, 1, 0))
+        since = _np.where(
+            self._closes, self._end,
+            _np.where(self.idle, self._idle_start,
+                      _np.where(self._dch_closed, self.a1, self.s)))
+        return code.astype(_np.int8), since
+
+
+def _op_columns(ue, slots):
+    """A block of rows' load ops as ``(time, kind, ue_id, op)`` columns.
+
+    ``slots`` lists every row's op slots in the order the scalar handlers
+    perform them, as ``(valid, time, kind, op)``.  Rows stay in order and
+    a row's slots stay together, so each UE's ops keep their generation
+    order, which is what the stable sort preserves among equal keys.
+    """
+    rows, width = ue.shape[0], len(slots)
+    valid = _np.empty((rows, width), dtype=bool)
+    when = _np.empty((rows, width))
+    kind = _np.empty((rows, width), dtype=_np.int8)
+    op = _np.empty((rows, width), dtype=_np.int8)
+    for j, (slot_valid, slot_when, slot_kind, slot_op) in enumerate(slots):
+        valid[:, j] = slot_valid
+        when[:, j] = slot_when
+        kind[:, j] = slot_kind
+        op[:, j] = slot_op
+    keep = valid.ravel()
+    return (when.ravel()[keep], kind.ravel()[keep],
+            _np.repeat(ue, width)[keep], op.ravel()[keep])
 
 
 def _final_timer_pop(
@@ -528,202 +577,255 @@ def _final_timer_pop(
         return None
 
 
-def _replay_ue(
-    machine: RrcStateMachine,
-    table: TransitionTable,
-    batch: _Batch,
-    d: int,
-    ops: list[_LoadOp],
-) -> tuple[int, float | None, float | None]:
-    """Replay device ``d`` of ``batch`` through its real state machine.
+def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
+                  table: TransitionTable, model: DataEnergyModel):
+    """Replay one drained batch: its devices' columns and its load ops.
 
-    Runs the machine methods at the device's boundary instants with the
-    scalar kernel's arguments in its order, and appends the device's
-    load mutations to ``ops``.  Returns ``(dormancy requests, last
-    arrival, horizon)``, where the horizon is the device's latest real
-    event pop.  A device without packets has no last arrival, and no
-    horizon unless it departs.
+    Returns ``(columns, ops, horizon, last_emitted, max_now)``.
+    ``columns`` maps shard-table fields (plus ``open_code``, an index
+    into :data:`_OPEN_STATES`, and ``closed``) to one value per device;
+    ``ops`` are the batch's ``(time, kind, ue_id, op)`` columns, every
+    UE's in generation order.  The scalars are the batch's latest real
+    event pop (``-inf``: none), its latest packet (``None``: none) and
+    the latest clock any of its machines reached.
     """
-    spec = batch.specs[d]
-    ue_id = spec.device_id
-    detach = spec.detach_at
-    lo = batch.offsets[d]
-    hi = batch.offsets[d + 1]
-    if lo == hi:
-        if detach is None:
-            return 0, None, None
-        machine.finish(detach)
-        return 0, None, detach
+    ids = _np.array([spec.device_id for spec in specs], dtype=_np.int64)
+    attach = _np.array([spec.attach_at for spec in specs], dtype=_np.float64)
+    departs = _np.array([spec.detach_at is not None for spec in specs],
+                        dtype=bool)
+    detach = _np.array(
+        [_INF if spec.detach_at is None else spec.detach_at
+         for spec in specs],
+        dtype=_np.float64,
+    )
+    counts = offsets[1:] - offsets[:-1]
+    nonempty = counts > 0
+    heads = offsets[:-1][nonempty]  # each device's first packet
+    lasts = offsets[1:][nonempty] - 1  # and its last
+    _check_streams(specs, t, offsets, heads, detach)
+    early = _np.flatnonzero(t[heads] < attach[nonempty])
+    if early.shape[0]:
+        # The machine refuses a first packet before its start time.
+        d = int(_np.flatnonzero(nonempty)[early[0]])
+        raise ValueError(
+            "events must be non-decreasing in time: "
+            f"{float(t[heads[early[0]]])} < {specs[d].attach_at}"
+        )
+    n = t.shape[0]
+    prev = t[:-1]
+    nxt = t[1:]
 
-    tl = batch.times
-    t1 = table.t1
-    idle_after = table.idle_after
-    idle_state = RadioState.IDLE
-    requests = 0
-    was_active = False
+    # The data-energy fold: elementwise float64 mirrors of the scalar
+    # kernel's inlined ``account_transfer`` arithmetic (same divisions,
+    # comparisons and products), each device's first packet taking its
+    # serialisation time as every stream's first packet does, folded per
+    # device in packet order.
+    rates = _np.where(up, model.uplink_rate, model.downlink_rate)
+    ser = sizes / rates
+    ser = _np.where(ser < model.min_packet_time, model.min_packet_time, ser)
+    gaps = nxt - prev
+    dur = _np.empty_like(ser)
+    dur[1:] = _np.where(gaps <= model.burst_gap, gaps, ser[1:])
+    dur[heads] = ser[heads]
+    energy = dur * _np.where(up, model.send_power_w, model.recv_power_w)
+    data_time_s, data_j = _segment_left_fold((dur, energy), offsets[:-1],
+                                             counts)
 
-    def do_dormancy(at: float, sched_t: float) -> None:
-        nonlocal requests, was_active
-        requests += 1  # always-grants station: granted == requests
-        # A zero-effective-wait dormancy (``at == sched_t``) is pushed
-        # while its arrival is processed, after the kind-1 slot of that
-        # timestamp has passed, so it pops right behind that arrival: its
-        # ops carry the arrival kind to sort into that slot.
-        log_kind = _ARRIVAL if at == sched_t else _DORMANCY
-        if machine.request_fast_dormancy(at):
-            ops.append((at, log_kind, ue_id, "switch"))
-        active = machine.state is not idle_state
-        if active != was_active:
-            ops.append((at, log_kind, ue_id, "act" if active else "deact"))
-            was_active = active
+    # Per-gap fired events and the boundary mask (see module docstring),
+    # over every gap at once: each packet carries the wait decided after
+    # it (``inf``: no request, so no dormancy fires), and every first
+    # packet is a boundary.
+    times = t.tolist()  # Python floats for MakeIdle and the timer chains
+    wait = _wait_column(specs, times, offsets.tolist(), counts)
+    timer_fired = _np.zeros(n, dtype=bool)
+    timer_fired[1:] = (prev + table.idle_after) <= nxt
+    dorm_fired = _np.zeros(n, dtype=bool)
+    dorm_fired[1:] = (prev + wait[:-1]) <= nxt
+    boundary = _np.empty(n, dtype=bool)
+    boundary[1:] = dorm_fired[1:] | (nxt >= (prev + table.t1))
+    boundary[heads] = True
+    b = _np.flatnonzero(boundary)
+    # Device d's boundary rows are b[bounds[d]:bounds[d + 1]], its first
+    # packet first.
+    bounds = _np.searchsorted(b, offsets)
+    per_device = bounds[1:] - bounds[:-1]
+    first = _np.zeros(b.shape[0], dtype=bool)
+    first[bounds[:-1][nonempty]] = True
+    later = ~first
 
-    def do_timer(at: float) -> None:
-        nonlocal was_active
-        machine.advance_to(at)
-        active = machine.state is not idle_state
-        if active != was_active:
-            ops.append((at, _TIMER, ue_id, "act" if active else "deact"))
-            was_active = active
+    # Boundary rows.  A later boundary ends a gap that opened at b - 1,
+    # with DCH held since the previous boundary packet; a first row is
+    # Idle from attach_at to the first packet, then a promotion.
+    tb = t[b]
+    s = _np.empty_like(tb)
+    s[1:] = tb[:-1]
+    s[:1] = tb[:1]
+    dorm_rows = dorm_fired[b] & later
+    rows = _Rows(table, t[b - 1], s, wait[b - 1])
+    rows.run(dorm_rows, timer_fired[b] & later, tb, True)
+    rows.active_s[first] = 0.0
+    rows.high_idle_s[first] = 0.0
+    rows.idle_s[first] = t[heads] - attach[nonempty]
+    rows.timer_demotions[first] = 0
+    promoted = rows.idle | first
+    pairs = _np.empty((b.shape[0], 2))  # switch energies in time order
+    pairs[:, 0] = _np.where(rows.fd, table.demotion_energy_j, 0.0)
+    pairs[:, 1] = _np.where(promoted, table.promotion_energy_j, 0.0)
 
-    # Bound methods and list handles hoisted out of the boundary loop:
-    # the loop body runs once per boundary packet and these lookups are
-    # its only non-arithmetic overhead.
-    fast_forward = machine.fast_forward_activity
-    notify = machine.notify_activity
-    append_op = ops.append
-    boundaries = batch.boundaries
-    dorm_fired = batch.dorm_fired
-    timer_fired = batch.timer_fired
-    gap_waits = batch.gap_waits
-    first = batch.bounds[d]
-    stop = batch.bounds[d + 1]
-    for k in range(first, stop):
-        b = boundaries[k]
-        if k != first:
-            if b - 1 > boundaries[k - 1]:
-                # Packets strictly inside the t1 window of their
-                # predecessor: the fast path's pure overwrites, collapsed.
-                fast_forward(tl[b - 1])
-            gt = tl[b - 1]  # the gap ending at b made packet b a boundary
-            if dorm_fired[k]:
-                at = gt + gap_waits[k]
-                if timer_fired[k]:
-                    tt = gt + idle_after
-                    # Heap order of the two fired events: (time, kind),
-                    # DORMANCY (1) before TIMER (3) on equal times.
-                    if tt < at:
-                        do_timer(tt)
-                        do_dormancy(at, gt)
-                    else:
-                        do_dormancy(at, gt)
-                        do_timer(tt)
-                else:
-                    do_dormancy(at, gt)
-            elif timer_fired[k]:
-                do_timer(gt + idle_after)
-        tb = tl[b]
-        if notify(tb):
-            append_op((tb, _ARRIVAL, ue_id, "switch"))
-        if not was_active:
-            append_op((tb, _ARRIVAL, ue_id, "act"))
-            was_active = True
+    # Trailing rows: the scheduled dormancy and the final timer pop after
+    # each last packet, cut by a departure as the heap tie-breaks them,
+    # up to the last event the device processes.
+    dep = departs[nonempty]
+    det = detach[nonempty]
+    last_wait = wait[lasts]
+    tail = _Rows(table, t[lasts], tb[bounds[1:][nonempty] - 1], last_wait)
+    tail_dorm = (last_wait < _INF) & (tail.at <= det)
+    end = _np.where(dep, det,
+                    _np.where(tail_dorm, _np.maximum(tail.tt, tail.at),
+                              tail.tt))
+    tail.run(tail_dorm, tail.tt < det, end, dep)
 
-    last = hi - 1
-    if last > boundaries[stop - 1]:
-        fast_forward(tl[last])
-    t_last = tl[last]
+    # Per-device folds over the boundary rows, then one more left-fold
+    # step: the trailing row of each device with packets, and the Idle
+    # stretch of a departing device without packets.
+    active_s, high_idle_s, idle_s = _segment_left_fold(
+        (rows.active_s, rows.high_idle_s, rows.idle_s), bounds[:-1],
+        per_device)
+    (switch_j,) = _segment_left_fold((pairs.ravel(),), 2 * bounds[:-1],
+                                     2 * per_device)
+    active_s[nonempty] += tail.active_s
+    high_idle_s[nonempty] += tail.high_idle_s
+    idle_s[nonempty] += tail.idle_s
+    bare = departs & ~nonempty
+    idle_s[bare] += detach[bare] - attach[bare]
+    switch_j[nonempty] += _np.where(tail.fd, table.demotion_energy_j, 0.0)
+    timer_demotions = _segment_counts(rows.timer_demotions, bounds)
+    timer_demotions[nonempty] += tail.timer_demotions
+    fast_demotions = _segment_counts(rows.fd, bounds)
+    fast_demotions[nonempty] += tail.fd
+    requests = _segment_counts(dorm_rows, bounds)
+    requests[nonempty] += tail_dorm
 
-    # Trailing events after the last packet: the scheduled dormancy and
-    # the final timer-chain pop, cut by a handover exactly as the heap
-    # tie-breaks them (see module docstring).
-    trailing: list[tuple[float, int]] = []
-    wait = batch.last_waits[d]
-    if wait < _INF:
-        at = t_last + wait
-        if detach is None or at <= detach:
-            trailing.append((at, _DORMANCY))
-    tt = t_last + idle_after
-    if detach is None or tt < detach:
-        trailing.append((tt, _TIMER))
-    if len(trailing) == 2:
-        trailing.sort()
-    for etime, ekind in trailing:
-        if ekind == _DORMANCY:
-            do_dormancy(etime, t_last)
-        else:
-            do_timer(etime)
+    # Open segments: a departed machine is closed at detach_at, a device
+    # without packets is still Idle since attach_at.
+    tail_code, tail_since = tail.open_segment()
+    open_code = _np.full(ids.shape[0], 2, dtype=_np.int8)
+    open_code[nonempty] = tail_code
+    open_since = _np.where(departs, detach, attach)
+    open_since[nonempty] = tail_since
+    last_activity = attach.copy()
+    last_activity[nonempty] = t[lasts]
+    now = _np.where(departs, detach, attach)
+    now[nonempty] = end
 
-    if detach is not None:
-        machine.finish(detach)
-        if was_active:
-            ops.append((detach, _HANDOVER, ue_id, "deact"))
-            was_active = False
-        horizon = detach
-        tau = _final_timer_pop(tl, lo, hi, idle_after, detach)
-        if tau is not None and tau > horizon:
-            horizon = tau
-    else:
-        horizon = t_last + idle_after
-    if batch.last_dormancy[d] > horizon:
-        horizon = batch.last_dormancy[d]
-    return requests, t_last, horizon
+    # The sample horizon: every device's latest real event pop.  Every
+    # scheduled dormancy pops, stale or not: the latest pop is the
+    # largest t_k + w_k, which is t_last + w only for constant w.
+    horizon = _np.where(departs, detach, -_INF)
+    if heads.shape[0]:
+        last_dormancy = _np.maximum.reduceat(
+            _np.where(wait < _INF, t + wait, -_INF), heads)
+        horizon[nonempty] = _np.maximum(_np.where(dep, det, tail.tt),
+                                        last_dormancy)
+    chained = _np.flatnonzero(departs & nonempty)
+    if chained.shape[0]:
+        pops = [
+            _final_timer_pop(times, lo, hi, table.idle_after, leave)
+            for lo, hi, leave in zip(offsets[chained].tolist(),
+                                     offsets[chained + 1].tolist(),
+                                     detach[chained].tolist())
+        ]
+        horizon[chained] = _np.maximum(
+            horizon[chained],
+            [-_INF if pop is None else pop for pop in pops])
+
+    boundary_ops = _op_columns(_np.repeat(ids, per_device), (
+        (rows.timer_deact, rows.tt, _TIMER, _DEACT),
+        (rows.fd, rows.at, rows.dorm_kind, _SWITCH),
+        (rows.dorm_deact, rows.at, rows.dorm_kind, _DEACT),
+        (rows.timer_only_deact, rows.tt, _TIMER, _DEACT),
+        (promoted, tb, _ARRIVAL, _SWITCH),
+        (rows.deacts | first, tb, _ARRIVAL, _ACT),
+    ))
+    trailing_ops = _op_columns(ids[nonempty], (
+        (tail.timer_deact, tail.tt, _TIMER, _DEACT),
+        (tail.fd, tail.at, tail.dorm_kind, _SWITCH),
+        (tail.dorm_deact, tail.at, tail.dorm_kind, _DEACT),
+        (tail.timer_only_deact, tail.tt, _TIMER, _DEACT),
+        (dep & ~tail.deacts, det, _HANDOVER, _DEACT),
+    ))
+    ops = tuple(_np.concatenate(pair)
+                for pair in zip(boundary_ops, trailing_ops))
+
+    columns = {
+        "device_id": ids,
+        "data_j": data_j,
+        "data_time_s": data_time_s,
+        "active_time_s": active_s,
+        "high_idle_time_s": high_idle_s,
+        "idle_time_s": idle_s,
+        "switch_j": switch_j,
+        "promotions": _segment_counts(promoted, bounds),
+        "timer_demotions": timer_demotions,
+        "fast_demotions": fast_demotions,
+        "open_since": open_since,
+        "last_activity": last_activity,
+        "packets": counts,
+        "dormancy_requests": requests,
+        "open_code": open_code,
+        "closed": departs,
+    }
+    last_emitted = float(t[lasts].max()) if lasts.shape[0] else None
+    return (columns, ops, float(horizon.max()), last_emitted,
+            float(now.max()))
 
 
 def _rebuild_load_and_samples(
-    ops: list[_LoadOp],
+    when,
+    op,
     total_devices: int,
     window_s: float,
     sample_interval_s: float | None,
     horizon: float | None,
 ) -> tuple[CellLoad, tuple[LoadSample, ...]]:
-    """Drive a fresh :class:`CellLoad` through the merged op stream.
+    """Rebuild the shard's :class:`CellLoad` and samples from its load ops.
 
-    ``ops`` must already be in global heap order.  Sample instants
-    interleave exactly as SAMPLE events do: every op at ``time <= s``
-    precedes the sample at ``s`` (op kinds all sort before SAMPLE), the
-    grid accumulates ``s + interval`` left-to-right, and sample ``k+1``
-    exists iff a real event pops after sample ``k`` (``horizon`` is the
-    latest real pop).  ``horizon`` is ``None`` exactly when the heap was
-    never primed with a real event, and then no sample exists at all.
+    ``when`` / ``op`` are the merged ops in global heap order (``op``:
+    :data:`_ACT`, :data:`_DEACT` or :data:`_SWITCH`).  The active count
+    is their running sum and its peak the running maximum; the switch
+    timeline is the switch ops' times.  Sample instants interleave
+    exactly as SAMPLE events do: every op at ``time <= s`` precedes the
+    sample at ``s`` (op kinds all sort before SAMPLE), the grid
+    accumulates ``s + interval`` left-to-right, and sample ``k+1`` exists
+    iff a real event pops after sample ``k`` (``horizon`` is the latest
+    real pop).  ``horizon`` is ``None`` exactly when the heap was never
+    primed with a real event, and then no sample exists at all.  Each
+    sample's switch count prunes the window with the comparison
+    :meth:`CellLoad.switches_within_window` makes.
     """
     load = CellLoad(total_devices=total_devices, window_s=window_s)
+    active = _np.zeros(op.shape[0] + 1, dtype=_np.int64)
+    _np.add.accumulate(op, dtype=_np.int64, out=active[1:])
+    load.active_devices = int(active[-1])
+    load.peak_active_devices = int(active.max())
+    switches = when[op == _SWITCH]
+    load.switch_times = switches
+    if sample_interval_s is None or horizon is None:
+        return load, ()
+    grid = [sample_interval_s]
+    while horizon > grid[-1]:
+        grid.append(grid[-1] + sample_interval_s)
+    instants = _np.array(grid)
+    applied = _np.searchsorted(when, instants, side="right")
+    noted = _np.searchsorted(switches, instants, side="right").tolist()
+    recent = switches[:noted[-1]].tolist()
     samples: list[LoadSample] = []
-    i = 0
-    count = len(ops)
-    if sample_interval_s is not None and horizon is not None:
-        s = sample_interval_s
-        while True:
-            while i < count and ops[i][0] <= s:
-                op = ops[i]
-                kind = op[3]
-                if kind == "act":
-                    load.activate()
-                elif kind == "deact":
-                    load.deactivate()
-                else:
-                    load.note_switch(op[0])
-                i += 1
-            samples.append(
-                LoadSample(
-                    time=s,
-                    active_devices=load.active_devices,
-                    switches_last_minute=load.switches_within_window(s),
-                )
-            )
-            if horizon > s:
-                s = s + sample_interval_s
-            else:
-                break
-    while i < count:
-        op = ops[i]
-        kind = op[3]
-        if kind == "act":
-            load.activate()
-        elif kind == "deact":
-            load.deactivate()
-        else:
-            load.note_switch(op[0])
-        i += 1
+    start = 0
+    for s, active_now, count in zip(grid, active[applied].tolist(), noted):
+        while start < count and s - recent[start] >= window_s:
+            start += 1
+        samples.append(LoadSample(time=s, active_devices=active_now,
+                                  switches_last_minute=count - start))
     return load, tuple(samples)
 
 
@@ -734,12 +836,11 @@ def run_shard_vector(
 
     Produces a :class:`~repro.basestation.cell.CellShard` byte-identical
     to the scalar shard run over the same devices: the shard's devices
-    are drained into columnar batches whose folds and boundary masks are
-    computed once per batch, each device's boundaries are replayed
-    through its real state machine, and the shared cell-load state
-    (ordered switch timeline, running peak, sample series) is
-    reconstructed by replaying all UEs' load mutations in exact heap
-    order.  The device columns go to the same
+    are drained into columnar batches whose folds, boundary rows and load
+    ops are computed once per batch (:func:`_replay_batch`), and the
+    shared cell-load state (ordered switch timeline, running peak, sample
+    series) is rebuilt from all UEs' load ops, put in exact heap order by
+    one stable ``np.lexsort``.  The device columns go to the same
     :meth:`~repro.basestation.table.ShardTable.from_columns` the scalar
     kernel builds its partial with.  The caller —
     :meth:`~repro.basestation.cell.CellSimulator.run_shard` — has already
@@ -753,92 +854,62 @@ def run_shard_vector(
     profile = engine.profile
     table = transition_table(profile)
     model = engine.accountant.data_model
-    ops: list[_LoadOp] = []
-    # The shard's device columns, filled in device order.
-    totals: list[tuple[float, float, float, float, int, int, int]] = []
-    open_states: list[RadioState] = []
-    open_since: list[float] = []
-    last_activity: list[float] = []
-    packets: list[int] = []
-    requests: list[int] = []
-    data_j: list[float] = []
-    data_time_s: list[float] = []
-    horizon: float | None = None
+    parts = []
+    ops = []
+    horizon = -_INF
     last_emitted: float | None = None
     max_now = 0.0
     first = 0
     while first < len(devices):
-        stop, columns = _drain(devices, first)
-        batch = _Batch(devices[first:stop], *columns, table, model)
-        del columns  # the batch keeps lists; free the arrays before replay
+        stop, drained = _drain(devices, first)
+        columns, batch_ops, batch_horizon, batch_last, batch_now = (
+            _replay_batch(devices[first:stop], *drained, table, model))
+        del drained  # free the packet arrays before the next batch
         first = stop
-        packets += batch.packets
-        data_j += batch.data_j
-        data_time_s += batch.data_time_s
+        parts.append(columns)
+        ops.append(batch_ops)
+        horizon = max(horizon, batch_horizon)
+        if batch_last is not None and (last_emitted is None
+                                       or batch_last > last_emitted):
+            last_emitted = batch_last
+        max_now = max(max_now, batch_now)
 
-        for d, spec in enumerate(batch.specs):
-            machine = RrcStateMachine(profile, start_time=spec.attach_at,
-                                      fold_history=True)
-            ue_requests, t_last, ue_horizon = _replay_ue(machine, table,
-                                                         batch, d, ops)
-            totals.append(machine.folded_state_totals())
-            open_states.append(machine.state)
-            open_since.append(machine.segment_start)
-            last_activity.append(machine.last_activity)
-            requests.append(ue_requests)
-            if t_last is not None and (last_emitted is None
-                                       or t_last > last_emitted):
-                last_emitted = t_last
-            if machine.now > max_now:
-                max_now = machine.now
-            if ue_horizon is not None and (horizon is None
-                                           or ue_horizon > horizon):
-                horizon = ue_horizon
+    columns = {name: _np.concatenate([part[name] for part in parts])
+               for name in parts[0]}
+    del parts
+    when, kind, ue_id, op = (_np.concatenate(column) for column in zip(*ops))
+    del ops
+    # Global load replay: one stable sort puts every UE's ops in heap
+    # order, keeping each UE's generation order among equal keys.
+    order = _np.lexsort((ue_id, kind, when))
+    load, samples = _rebuild_load_and_samples(
+        when[order],
+        op[order],
+        total_devices=len(devices),
+        window_s=_LOAD_WINDOW_S,
+        sample_interval_s=simulator.sample_interval_s,
+        horizon=None if horizon == -_INF else horizon,
+    )
 
-    (active_s, high_idle_s, idle_s, switch_j, promotions, timer_demotions,
-     fast_demotions) = zip(*totals)
-    table = ShardTable.from_columns(
-        {
-            "device_id": [spec.device_id for spec in devices],
-            "data_j": data_j,
-            "data_time_s": data_time_s,
-            "active_time_s": active_s,
-            "high_idle_time_s": high_idle_s,
-            "idle_time_s": idle_s,
-            "switch_j": switch_j,
-            "promotions": promotions,
-            "timer_demotions": timer_demotions,
-            "fast_demotions": fast_demotions,
-            "open_since": open_since,
-            "last_activity": last_activity,
-            "packets": packets,
-            # An always-granting station: every request is granted.
-            "dormancy_requests": requests,
-            "dormancy_granted": requests,
-        },
-        open_states=open_states,
-        closed=[spec.detach_at is not None for spec in devices],
+    open_code = columns.pop("open_code")
+    closed = columns.pop("closed")
+    # An always-granting station grants every request.
+    columns["dormancy_granted"] = columns["dormancy_requests"].copy()
+    shard_table = ShardTable.from_columns(
+        columns,
+        open_states=list(map(_OPEN_STATES.__getitem__, open_code.tolist())),
+        closed=closed.tolist(),
         policy_names=[spec.policy.name for spec in devices],
         cohorts=[spec.cohort for spec in devices],
         # Vector-eligible policies never delay a session.
         session_delays=[()] * len(devices),
     )
 
-    # Global load replay: merge every UE's mutations into heap order.
-    ops.sort(key=_OP_KEY)
-    load, samples = _rebuild_load_and_samples(
-        ops,
-        total_devices=len(devices),
-        window_s=_LOAD_WINDOW_S,
-        sample_interval_s=simulator.sample_interval_s,
-        horizon=horizon,
-    )
-
     return CellShard(
         dormancy_policy_name=simulator.dormancy_policy.name,
         profile=profile,
         trailing_time=engine.trailing_time,
-        devices=table,
+        devices=shard_table,
         last_emitted=last_emitted,
         max_now=max_now,
         load=load,

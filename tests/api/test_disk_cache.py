@@ -330,3 +330,53 @@ class TestStoredBytes:
         assert copy.device(device_id) == result.device(device_id)
         with pytest.raises(KeyError):
             copy.device(10**9)
+
+
+
+class TestCaptureFileKeys:
+    """A capture file is keyed on its bytes: a file rewritten at the same
+    path misses the disk cache, even through one plan object reused in
+    one process (a key memoised on the spec would stay stale)."""
+
+    @staticmethod
+    def _fresh_energy(path):
+        from repro.core import StatusQuoPolicy
+        from repro.rrc.profiles import get_profile
+        from repro.sim.simulator import TraceSimulator
+        from repro.traces.pcap import read_pcap
+
+        return TraceSimulator(get_profile("att_hspa")).run(
+            read_pcap(path), StatusQuoPolicy()).total_energy_j
+
+    def test_rewritten_file_misses_and_unchanged_file_hits(self, tmp_path):
+        from repro.api import pcap
+        from repro.traces.pcap import write_pcap
+        from repro.traces.synthetic import generate_application_trace
+
+        capture = tmp_path / "capture.pcap"
+        write_pcap(capture, generate_application_trace("im", duration=600.0,
+                                                       seed=1))
+        sweep = (plan().traces(pcap(str(capture))).carriers("att_hspa")
+                 .policies("status_quo"))
+
+        def run():
+            runner = SerialRunner(
+                cache=ResultCache(disk=DiskCacheTier(tmp_path / "cache")))
+            runs = runner.run(sweep)
+            (record,) = list(runs)
+            return runs.cache_stats, record.result.total_energy_j
+
+        stats, before = run()
+        assert (stats.misses, stats.disk_hits) == (1, 0)
+        assert before == self._fresh_energy(capture)
+
+        write_pcap(capture, generate_application_trace(
+            "email", duration=600.0, seed=2))
+        stats, after = run()
+        assert (stats.misses, stats.disk_hits) == (1, 0)
+        assert after == self._fresh_energy(capture)
+        assert after != before
+
+        stats, again = run()
+        assert (stats.misses, stats.disk_hits) == (0, 1)
+        assert again == after

@@ -25,6 +25,7 @@ which replaces :func:`repro.sim.vector_engine.use_vector_kernel`.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,8 @@ from repro.core import (
     StatusQuoPolicy,
 )
 from repro.rrc.profiles import CARRIER_PROFILES, get_profile
+from repro.rrc.states import RadioState
+from repro.rrc.tables import transition_table
 from repro.sim import vector_engine
 from repro.traces import Direction, Packet, PacketTrace
 
@@ -444,3 +447,198 @@ class TestRandomizedParity:
                 results[kernel] = simulator.run(specs)
         assert results["vector"] == results["scalar"]
         assert results["vector"].vector_devices == len(drawn)
+
+
+#: Two carriers with a FACH state and two without.
+_PARITY_CARRIERS = ("att_hspa", "tmobile_3g", "verizon_3g", "verizon_lte")
+
+
+@st.composite
+def _shard_cases(draw):
+    """One eligible shard under any RRC shape, sampled or not.
+
+    Each device runs fixed-timer, status-quo or plain MakeIdle; gaps mix
+    free floats with the carrier's own thresholds (``t1``, ``t2``,
+    ``idle_after``) so dormancies, timer pops and arrivals tie, and first
+    packets spread over [0, 100) s so the ``(t + t1) + t2`` vs
+    ``t + (t1 + t2)`` ulp corner is common.  Some devices attach at their
+    first packet, and some depart after their last one, on a threshold
+    or off it.
+    """
+    # Floats with full random mantissas: hypothesis favours short floats,
+    # which hit the ulp corner less often.
+    def spread(top):
+        return st.integers(min_value=0, max_value=10**12 - 1).map(
+            lambda k: k * (top * 1e-12))
+
+    carrier = draw(st.sampled_from(_PARITY_CARRIERS))
+    profile = get_profile(carrier)
+    table = transition_table(profile)
+    thresholds = (table.t1, table.t2, table.idle_after, 4.5, 0.5, 0.0)
+    interval = draw(st.sampled_from((None, 1.0, 5.0, 7.3)))
+    devices = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        policy = draw(st.sampled_from(("fixed", "status_quo", "makeidle")))
+        timeout = draw(st.sampled_from((0.0, 0.5, 4.5, table.t1, 12.0)))
+        n_packets = draw(st.integers(min_value=0, max_value=10))
+        now = draw(spread(100.0))
+        times = []
+        for gap in draw(st.lists(
+                st.one_of(st.floats(min_value=0.0, max_value=30.0),
+                          spread(30.0), st.sampled_from(thresholds)),
+                min_size=n_packets, max_size=n_packets)):
+            now = now + gap
+            times.append(now)
+        attach = 0.0
+        if times and draw(st.booleans()):
+            attach = times[0]
+        detach = None
+        if draw(st.booleans()):
+            last = times[-1] if times else attach
+            leave = last + draw(st.one_of(
+                st.floats(min_value=1e-3, max_value=30.0),
+                st.sampled_from((table.t1, table.idle_after, timeout)),
+            ))
+            if leave > last:
+                detach = leave
+        sizes = draw(st.lists(st.integers(min_value=0, max_value=3000),
+                              min_size=n_packets, max_size=n_packets))
+        uplinks = draw(st.lists(st.booleans(), min_size=n_packets,
+                                max_size=n_packets))
+        devices.append((policy, timeout, times, sizes, uplinks, attach,
+                        detach))
+    return carrier, interval, devices
+
+
+def _parity_policy(kind: str, timeout: float):
+    if kind == "fixed":
+        return FixedTimerPolicy(timeout=timeout)
+    if kind == "status_quo":
+        return StatusQuoPolicy()
+    return MakeIdlePolicy(window_size=5, min_samples=2)
+
+
+def _hexed(values):
+    return [value.hex() if isinstance(value, float) else value
+            for value in values]
+
+
+def _shard_view(shard):
+    """Everything a shard partial carries, floats as ``float.hex``."""
+    table = shard.devices
+    names = type(table)._FLOAT_COLS + type(table)._INT_COLS
+    return {
+        "columns": {name: _hexed(table.column(name).tolist())
+                    for name in names},
+        "open_states": table.open_state_codes.tolist(),
+        "closed": table.closed_flags.tolist(),
+        "last_emitted": (None if shard.last_emitted is None
+                         else shard.last_emitted.hex()),
+        "max_now": float(shard.max_now).hex(),
+        "active": shard.load.active_devices,
+        "peak": shard.load.peak_active_devices,
+        "switch_times": _hexed(shard.load.switch_times.tolist()),
+        "samples": [(sample.time.hex(), sample.active_devices,
+                     sample.switches_last_minute)
+                    for sample in shard.load_samples],
+    }
+
+
+def _run_shard_both(scalar_kernel, carrier, interval, build):
+    """``build()``'s shard run forced-scalar and auto-selected.
+
+    Returns ``(scalar, vector)`` outcomes: a shard, or the raised error.
+    """
+    outcomes = {}
+    for kernel, context in (("scalar", scalar_kernel),
+                            ("vector", contextlib.nullcontext)):
+        simulator = CellSimulator(get_profile(carrier), AcceptAllDormancy(),
+                                  load_sample_interval_s=interval)
+        with context():
+            try:
+                outcomes[kernel] = simulator.run_shard(build())
+            except Exception as exc:  # compared across kernels below
+                outcomes[kernel] = exc
+    return outcomes["scalar"], outcomes["vector"]
+
+
+def _assert_same_error(scalar, vector):
+    assert isinstance(scalar, Exception) and isinstance(vector, Exception)
+    assert type(vector) is type(scalar)
+    assert str(vector) == str(scalar)
+
+
+class TestShardParity:
+    """Shard partials, not merged results: every column, the open
+    segments, the end-time observations, and the load replay — active
+    count, peak, switch timeline and samples, so load-op order is
+    compared through the samples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_shard_cases())
+    def test_every_rrc_shape(self, case, scalar_kernel):
+        carrier, interval, drawn = case
+
+        def build():
+            return [
+                DeviceSpec(
+                    device_id=index,
+                    trace=_trace_from_draw(times, sizes, uplinks),
+                    policy=_parity_policy(kind, timeout),
+                    attach_at=attach,
+                    detach_at=detach,
+                )
+                for index, (kind, timeout, times, sizes, uplinks, attach,
+                            detach) in enumerate(drawn)
+            ]
+
+        scalar, vector = _run_shard_both(scalar_kernel, carrier, interval,
+                                         build)
+        if isinstance(scalar, Exception) or isinstance(vector, Exception):
+            _assert_same_error(scalar, vector)
+            return
+        assert vector.vector_devices == len(drawn)
+        assert scalar.vector_devices == 0
+        assert _shard_view(vector) == _shard_view(scalar)
+
+    def test_first_packet_before_attach(self, scalar_kernel):
+        def build():
+            return [DeviceSpec(0, PacketTrace([
+                Packet(2.0, 100, Direction.UPLINK),
+                Packet(5.0, 100, Direction.DOWNLINK),
+            ]), FixedTimerPolicy(timeout=4.5), attach_at=3.0)]
+
+        assert vector_engine.use_vector_kernel(
+            AcceptAllDormancy(), [spec.policy for spec in build()])
+        scalar, vector = _run_shard_both(scalar_kernel, "att_hspa", None,
+                                         build)
+        _assert_same_error(scalar, vector)
+        assert isinstance(vector, ValueError)
+        assert str(vector) == (
+            "events must be non-decreasing in time: 2.0 < 3.0")
+
+    def test_timer_pop_one_ulp_below_idle_at(self, scalar_kernel):
+        """att_hspa's ``gt + idle_after`` falls one ulp below
+        ``(gt + t1) + t2`` here: the timer pops in FACH, so the device
+        stays open in FACH since ``demote_at`` and counted active."""
+        arrival = 66.9730401440221
+        table = transition_table(get_profile("att_hspa"))
+        demote_at = arrival + table.t1
+        idle_at = demote_at + table.t2
+        assert arrival + table.idle_after == math.nextafter(idle_at, 0.0)
+
+        def build():
+            return [DeviceSpec(
+                0, PacketTrace([Packet(arrival, 100, Direction.UPLINK)]),
+                StatusQuoPolicy())]
+
+        scalar, vector = _run_shard_both(scalar_kernel, "att_hspa", 5.0,
+                                         build)
+        assert vector.vector_devices == 1
+        assert _shard_view(vector) == _shard_view(scalar)
+        high_idle = list(RadioState).index(RadioState.HIGH_IDLE)
+        assert vector.devices.open_state_codes.tolist() == [high_idle]
+        assert vector.devices.column("open_since").tolist() == [demote_at]
+        assert vector.load.active_devices == 1
+        assert vector.load_samples[-1].time > arrival + table.idle_after
+        assert vector.load_samples[-1].active_devices == 1

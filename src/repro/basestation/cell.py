@@ -649,7 +649,7 @@ class CellSimulator:
         # Export every context's folded totals and open segment, in shard
         # order, as the shard's columns.
         numbers = []
-        open_states = []
+        open_codes = []
         closed = []
         session_delays = []
         for spec in devices:
@@ -669,12 +669,12 @@ class CellSimulator:
                 ue.dormancy_granted, ue.dormancy_denied, ue.delayed_sessions,
                 ue.total_delay_s, len(records), first_delay, final_delay,
             ))
-            open_states.append(machine.state)
+            open_codes.append(ShardTable.state_code(machine.state))
             closed.append(ue.departed)
             session_delays.append(ue.session_delays)
         table = ShardTable.from_columns(
             dict(zip(_SCALAR_EXPORT, zip(*numbers))),
-            open_states=open_states,
+            open_codes=open_codes,
             closed=closed,
             policy_names=[spec.policy.name for spec in devices],
             cohorts=[spec.cohort for spec in devices],

@@ -729,7 +729,7 @@ class ShardTable:
     def from_columns(
         cls,
         values: Mapping[str, Any],
-        open_states: Sequence[RadioState],
+        open_codes: Sequence[int],
         closed: Sequence[bool],
         policy_names: Sequence[str],
         cohorts: Sequence[str],
@@ -740,6 +740,8 @@ class ShardTable:
         ``values`` maps float and int field names to one value per
         device; a field it leaves out is zero for every device (a vector
         shard's devices never learn, buffer sessions or meet a denial).
+        ``open_codes`` holds each device's open state as its
+        :meth:`state_code`, and ``closed`` its handover-closed flag.
         ``session_delays`` holds each device's stored session-delay
         sample, an empty row for a device that delayed nothing.
         """
@@ -749,8 +751,8 @@ class ShardTable:
             cols[name] = _float_col(values.get(name, [0.0] * n))
         for name in cls._INT_COLS:
             cols[name] = _int_col(values.get(name, [0] * n))
-        open_state = _byte_col([_STATE_CODE[state] for state in open_states])
-        closed_col = _byte_col([1 if flag else 0 for flag in closed])
+        open_state = _byte_col(open_codes)
+        closed_col = _byte_col(closed)
         policy_codes, policy_cats = _encode_labels(policy_names)
         cohort_codes, cohort_cats = _encode_labels(cohorts)
         delays = _Ragged.from_lists(session_delays)
@@ -854,6 +856,7 @@ class ShardTable:
             return int((ids >= bound).sum())  # repro-lint: allow[left-fold] reason=boolean mask count; exact integer arithmetic
         return sum(1 for v in ids if v >= bound)  # repro-lint: allow[left-fold] reason=integer count; exact arithmetic
 
-    def state_code(self, state: RadioState) -> int:
+    @staticmethod
+    def state_code(state: RadioState) -> int:
         """The small-int code of ``state`` in the open-state column."""
         return _STATE_CODE[state]

@@ -5,9 +5,11 @@ global index and the metro seed); a *visit* to a cell sees only the
 packets whose timestamps fall inside the visit window ``[start, stop)``.
 :func:`windowed_stream` produces that slice without materialising the
 whole workload, and — crucially for kernel throughput — preserves the
-``packet_blocks()`` block protocol when the underlying stream offers it,
-so windowed chunked workloads still take the engine's inline arrival
-fast path.
+block protocols when the underlying stream offers them: a window over a
+``packet_blocks()`` source walks blocks on the scalar kernel, and one
+over a source that also has ``column_blocks()`` hands the vector kernel
+column blocks, so no ``Packet`` is built for it
+(:mod:`repro.traces.streaming`).
 
 Regenerating the full stream for every visit and slicing it (rather
 than generating per-visit streams) is deliberate: the packet sequence a
@@ -21,7 +23,7 @@ import math
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
-from ..traces.packet import Packet
+from ..traces.packet import Columns, Packet, packet_columns
 
 __all__ = ["windowed_stream"]
 
@@ -30,8 +32,9 @@ def windowed_stream(source: Iterable[Packet], start: float,
                     stop: float = math.inf) -> Iterable[Packet]:
     """Restrict ``source`` to packets with ``start <= timestamp < stop``.
 
-    Returns a block-capable stream (with ``packet_blocks()``) when
-    ``source`` has one, else a plain filtering iterator.  ``source``
+    Returns a block-capable stream (with ``packet_blocks()``, and with
+    ``column_blocks()`` too when ``source`` has both) when ``source`` has
+    ``packet_blocks()``, else a plain filtering iterator.  ``source``
     must be time-ordered, which every generator in :mod:`repro.traces`
     guarantees.
     """
@@ -40,6 +43,8 @@ def windowed_stream(source: Iterable[Packet], start: float,
     if stop <= start:
         raise ValueError(f"window stop ({stop}) must be > start ({start})")
     if getattr(source, "packet_blocks", None) is not None:
+        if getattr(source, "column_blocks", None) is not None:
+            return _WindowedColumnStream(source, start, stop)
         return _WindowedBlockStream(source, start, stop)
     return _windowed_iter(source, start, stop)
 
@@ -100,6 +105,46 @@ class _WindowedBlockStream:
         packet = self._buffer[self._index]
         self._index += 1
         return packet
+
+
+class _WindowedColumnStream(_WindowedBlockStream):
+    """A block window that also cuts its source's column blocks."""
+
+    __slots__ = ()
+
+    def column_blocks(self) -> Iterator[Columns]:
+        """The window's packets as ``(times, sizes, uplink)`` blocks.
+
+        Cuts each source block with ``bisect_left`` on its time column,
+        as :meth:`packet_blocks` cuts packets.  A buffer the packet view
+        left partly read comes out first; the source's views share one
+        cursor, so the rest follows from its column blocks.
+        """
+        if self._index < len(self._buffer):
+            rest = self._buffer[self._index:]
+            self._buffer = ()
+            self._index = 0
+            yield packet_columns(rest)
+        start, stop = self._start, self._stop
+        for times, sizes, uplink in self._source.column_blocks():
+            if not times:
+                continue
+            if times[-1] < start:
+                continue
+            lo = 0
+            if times[0] < start:
+                lo = bisect_left(times, start)
+            hi = len(times)
+            past_stop = times[-1] >= stop
+            if past_stop:
+                hi = bisect_left(times, stop, lo)
+            if lo < hi:
+                if lo == 0 and hi == len(times):
+                    yield times, sizes, uplink
+                else:
+                    yield times[lo:hi], sizes[lo:hi], uplink[lo:hi]
+            if past_stop:
+                return
 
 
 def _timestamp(packet: Packet) -> float:

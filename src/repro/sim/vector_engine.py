@@ -147,9 +147,8 @@ from ..core.baselines import FixedTimerPolicy, PercentileIatPolicy
 from ..core.makeidle import MakeIdlePolicy
 from ..core.policy import RadioPolicy
 from ..energy.accounting import DataEnergyModel
-from ..rrc.states import RadioState
 from ..rrc.tables import TransitionTable, transition_table
-from ..traces.packet import Direction
+from ..traces.packet import Columns, packet_columns
 from .engine import CellLoad, LoadSample, StreamOrderError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -174,9 +173,6 @@ _ARRIVAL = 4
 _ACT = 1
 _DEACT = -1
 _SWITCH = 0
-
-#: The states a device's open segment can be in, indexed by state code.
-_OPEN_STATES = (RadioState.ACTIVE, RadioState.HIGH_IDLE, RadioState.IDLE)
 
 #: A columnar batch closes once it holds this many packets.  Devices are
 #: drained whole and in shard order, so a batch holds at most this many
@@ -298,19 +294,36 @@ def _wait_column(specs: Sequence["DeviceSpec"], times: list[float],
     return column
 
 
+def _column_blocks(source) -> Iterable[Columns]:
+    """A device source's packets as ``(times, sizes, uplink)`` blocks.
+
+    A generated stream's ``column_blocks()`` builds no packet.  A source
+    without them is read through its ``packet_blocks()``, or as one
+    ``list(source)`` block.
+    """
+    columns = getattr(source, "column_blocks", None)
+    if columns is not None:
+        return columns()
+    blocks = getattr(source, "packet_blocks", None)
+    return map(packet_columns,
+               blocks() if blocks is not None else (list(source),))
+
+
 def _drain(devices: Sequence["DeviceSpec"], first: int):
     """Drain whole devices from ``devices[first:]`` into one columnar batch.
 
-    Walks each stream with the block protocol the scalar kernel's arrival
-    source walks (a plain iterable is one ``list(trace)`` block), device
-    by device in shard order, until the batch holds
-    :data:`_PACKET_BUDGET` packets.  Returns ``(stop, (times, sizes,
-    uplink, offsets))``: the batch is ``devices[first:stop]`` and its
-    ``d``-th device owns packets ``offsets[d]:offsets[d + 1]`` of the
-    float64/float64/bool columns (float64 round-trips every Python float,
-    so nothing is rounded).
+    Reads each stream's column blocks (:func:`_column_blocks`: every
+    generated stream, a ``PacketTrace`` and a window over either offer
+    them, so no ``Packet`` is built), device by device in shard order,
+    until the batch holds :data:`_PACKET_BUDGET` packets.  Packets are
+    not checked on the way: :func:`_check_streams` checks the times, and
+    generated sizes are checked once per train shape
+    (:class:`~repro.traces.synthetic.PacketTrainSpec`).  Returns
+    ``(stop, (times, sizes, uplink, offsets))``: the batch is
+    ``devices[first:stop]`` and its ``d``-th device owns packets
+    ``offsets[d]:offsets[d + 1]`` of the float64/float64/bool columns
+    (float64 round-trips every Python float, so nothing is rounded).
     """
-    uplink = Direction.UPLINK  # hoisted: one load per packet, not three
     times: list[float] = []
     sizes: list[int] = []
     up: list[bool] = []
@@ -318,13 +331,11 @@ def _drain(devices: Sequence["DeviceSpec"], first: int):
     stop = first
     count = len(devices)
     while stop < count and len(times) < _PACKET_BUDGET:
-        trace = devices[stop].trace
-        blocks = getattr(trace, "packet_blocks", None)
-        for block in blocks() if blocks is not None else (list(trace),):
-            if block:
-                times += [p.timestamp for p in block]
-                sizes += [p.size for p in block]
-                up += [p.direction is uplink for p in block]
+        for block_times, block_sizes, block_up in _column_blocks(
+                devices[stop].trace):
+            times += block_times
+            sizes += block_sizes
+            up += block_up
         offsets.append(len(times))
         stop += 1
     return stop, (
@@ -508,9 +519,9 @@ class _Rows:
     def open_segment(self):
         """The state each row is in at ``end`` and since when.
 
-        Returns ``(code, since)``, ``code`` indexing :data:`_OPEN_STATES`.
-        A segment folded at ``end`` restarts there, as ``finish`` leaves
-        it.
+        Returns ``(code, since)``, ``code`` 0/1/2 for Active/High-idle/
+        Idle: the shard table's open-state codes.  A segment folded at
+        ``end`` restarts there, as ``finish`` leaves it.
         """
         code = _np.where(self.idle, 2, _np.where(self._dch_closed, 1, 0))
         since = _np.where(
@@ -582,8 +593,8 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
     """Replay one drained batch: its devices' columns and its load ops.
 
     Returns ``(columns, ops, horizon, last_emitted, max_now)``.
-    ``columns`` maps shard-table fields (plus ``open_code``, an index
-    into :data:`_OPEN_STATES`, and ``closed``) to one value per device;
+    ``columns`` maps shard-table fields (plus ``open_code``, the shard
+    table's open-state code, and ``closed``) to one value per device;
     ``ops`` are the batch's ``(time, kind, ue_id, op)`` columns, every
     UE's in generation order.  The scalars are the batch's latest real
     event pop (``-inf``: none), its latest packet (``None``: none) and
@@ -897,8 +908,8 @@ def run_shard_vector(
     columns["dormancy_granted"] = columns["dormancy_requests"].copy()
     shard_table = ShardTable.from_columns(
         columns,
-        open_states=list(map(_OPEN_STATES.__getitem__, open_code.tolist())),
-        closed=closed.tolist(),
+        open_codes=open_code,
+        closed=closed,
         policy_names=[spec.policy.name for spec in devices],
         cohorts=[spec.cohort for spec in devices],
         # Vector-eligible policies never delay a session.

@@ -39,6 +39,7 @@ from .pcap import PcapError, PcapReader, PcapWriter, read_pcap, write_pcap
 from .streaming import (
     ChunkedPacketStream,
     RateEnvelope,
+    UserDayStream,
     merge_packet_streams,
     stream_application_packets,
     stream_user_day_packets,
@@ -55,6 +56,7 @@ from .synthetic import (
     APPLICATION_PROFILES,
     ApplicationProfile,
     PacketTrainSpec,
+    application_columns,
     generate_application_packets,
     generate_application_trace,
     generate_mixed_trace,
@@ -89,6 +91,7 @@ __all__ = [
     "split_train_test",
     "ChunkedPacketStream",
     "RateEnvelope",
+    "UserDayStream",
     "stream_application_packets",
     "stream_user_day_packets",
     "thin_by_fraction",
@@ -108,6 +111,7 @@ __all__ = [
     "TraceSummary",
     "USER_POPULATIONS",
     "UserProfile",
+    "application_columns",
     "bursts_per_active_period",
     "generate_application_packets",
     "generate_application_trace",

@@ -12,6 +12,11 @@ frozen dataclass and a :class:`PacketTrace` is an immutable, time-sorted
 sequence of packets with convenience accessors for the quantities the
 algorithms need (inter-arrival times, duration, byte counts, per-flow and
 per-direction views).
+
+The synthetic generators produce packets as columns first
+(:func:`packets_from_columns` builds the packets), and the vector kernel
+reads ``(times, sizes, uplink)`` column blocks (:func:`packet_columns`
+makes them from packets); see :mod:`repro.traces.streaming`.
 """
 
 from __future__ import annotations
@@ -19,13 +24,17 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
+    "Columns",
     "Direction",
     "Packet",
     "PacketTrace",
     "merge_traces",
+    "packet_columns",
+    "packets_from_columns",
 ]
 
 
@@ -93,8 +102,7 @@ class Packet:
             )
 
     # The copies below construct the packet directly: ``dataclasses.replace``
-    # runs the same __post_init__ checks at more than twice the cost, and
-    # with_flow runs once per packet of every multi-app stream.
+    # runs the same __post_init__ checks at more than twice the cost.
 
     def shifted(self, offset: float) -> "Packet":
         """Return a copy of this packet with ``offset`` added to its timestamp."""
@@ -110,6 +118,35 @@ class Packet:
     def with_app(self, app: str) -> "Packet":
         """Return a copy of this packet tagged with application label ``app``."""
         return Packet(self.timestamp, self.size, self.direction, self.flow_id, app)
+
+
+#: A column block: ``(times, sizes, uplink)``, one row per packet, in time
+#: order (``uplink`` holds ``direction is Direction.UPLINK``).
+Columns = tuple[Sequence[float], Sequence[int], Sequence[bool]]
+
+#: Packet direction by uplink flag: ``_DIRECTIONS[True]`` is uplink.
+_DIRECTIONS = (Direction.DOWNLINK, Direction.UPLINK)
+
+
+def packets_from_columns(
+    times: Iterable[float],
+    sizes: Iterable[int],
+    uplink: Iterable[bool],
+    flow_ids: Iterable[int],
+    app: str,
+) -> list[Packet]:
+    """One :class:`Packet` per row of the columns, all labelled ``app``."""
+    return list(map(Packet, times, sizes, map(_DIRECTIONS.__getitem__, uplink),
+                    flow_ids, repeat(app)))
+
+
+def packet_columns(packets: Sequence[Packet]) -> Columns:
+    """The ``(times, sizes, uplink)`` column block of a packet sequence."""
+    return (
+        [p.timestamp for p in packets],
+        [p.size for p in packets],
+        [p.direction is Direction.UPLINK for p in packets],
+    )
 
 
 class PacketTrace(Sequence[Packet]):
@@ -144,6 +181,10 @@ class PacketTrace(Sequence[Packet]):
         :mod:`repro.traces.streaming` for the chunked counterpart).
         """
         yield self._packets
+
+    def column_blocks(self) -> Iterator[Columns]:
+        """The vector kernel's column protocol: the trace is one block."""
+        yield packet_columns(self._packets)
 
     def __getitem__(self, index):  # type: ignore[override]
         if isinstance(index, slice):

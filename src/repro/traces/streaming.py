@@ -6,9 +6,8 @@ bounded by the number of attached devices — provided the workloads
 themselves are generated lazily.  This module supplies those lazy sources.
 
 A streamed workload is produced **chunk by chunk**: each chunk of
-``chunk_s`` seconds is synthesised with the existing (deterministic)
-generators, yielded packet by packet, and discarded before the next chunk
-is built.  Peak memory is therefore one chunk per *currently generating*
+``chunk_s`` seconds is synthesised as columns by the (deterministic)
+generator, handed out, and discarded before the next chunk is built.  Peak memory is therefore one chunk per *currently generating*
 device rather than one full trace per device, and a 10k-device cell over
 hours of traffic streams in a few megabytes.
 
@@ -20,17 +19,35 @@ the energy model (inter-arrival mix, burst shapes) are unchanged; see
 ``docs/DESIGN.md`` ("substitution rule") for why statistically equivalent
 regeneration is the contract throughout this library.
 
-Block protocol (the kernel fast path)
--------------------------------------
+Block protocols (the kernel fast paths)
+---------------------------------------
 
-Application streams additionally expose :meth:`ChunkedPacketStream.packet_blocks`:
-an iterator of **chunk-local packet lists** (each chunk's packets, already
-shifted to absolute stream time, as one plain list).  The kernel walks
-these arrays with list indexing instead of resuming a Python generator
-frame per packet — the same packets in the same order, delivered without
-the per-``next()`` interpreter overhead (see ``docs/DESIGN.md`` "hot
-path").  Sources that don't implement the protocol (plain generators,
-merged streams) keep working through the per-packet iterator path.
+Every generated stream hands out its packets in **column blocks**.  The
+one synthesis loop, :func:`~repro.traces.synthetic.application_columns`,
+emits each chunk as ``(times, sizes, uplink, flow_ids)`` lists, and a
+stream offers two views of them that share one cursor:
+
+* ``column_blocks()`` yields ``(times, sizes, uplink)`` per chunk.  The
+  vector kernel (:func:`repro.sim.vector_engine._drain`) reads these and
+  builds no :class:`~repro.traces.packet.Packet`.
+* ``packet_blocks()`` (and ``next()``) build a chunk's packets on demand,
+  for the scalar kernel, which walks chunk-local lists by index.
+
+A packet buffer that ``next()`` left partly consumed comes out first, as
+columns or as packets, so mixing the views never drops or repeats a
+packet.  A later chunk's times are ``t + offset`` (the addition
+``Packet.shifted`` makes), so every stream is time-ordered across chunks:
+a chunk's local times are below its length, and
+``fl(off + local) <= fl(off + length)``, the next chunk's offset.
+
+A user-day stream (:func:`stream_user_day_packets`) merges its
+applications' chunked streams.  Its packet view is ``heapq.merge`` over
+them, after each application's flow column has been offset.  Its one
+column block is every application's columns concatenated in application
+order and stable-sorted by time: for time-ordered inputs that is
+``heapq.merge``'s documented equivalent, ``sorted(chain(...))``, earlier
+application first on ties.  A materialised
+:class:`~repro.traces.packet.PacketTrace` is one block of either kind.
 """
 
 from __future__ import annotations
@@ -39,8 +56,12 @@ import heapq
 import zlib
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .packet import Packet
-from .synthetic import generate_application_packets
+from .packet import Columns, Packet, packet_columns, packets_from_columns
+from .synthetic import (
+    ApplicationProfile,
+    _resolve_application_profile,
+    application_columns,
+)
 
 #: A traffic-rate envelope: absolute stream time (seconds) -> positive
 #: session-rate multiplier.  Scenario diurnal shapes
@@ -50,6 +71,7 @@ RateEnvelope = Callable[[float], float]
 __all__ = [
     "ChunkedPacketStream",
     "RateEnvelope",
+    "UserDayStream",
     "merge_packet_streams",
     "stream_application_packets",
     "stream_user_day_packets",
@@ -84,14 +106,15 @@ def _app_stream_seed(seed: int, index: int) -> int:
 class ChunkedPacketStream:
     """One application's packets, lazily generated ``chunk_s`` at a time.
 
-    Behaves as a plain packet iterator (``next()`` / ``for`` — drop-in
-    for the generator this used to be) *and* exposes
-    :meth:`packet_blocks` for consumers that can walk chunk-local arrays
-    directly.  Both views share one cursor over the same underlying chunk
-    sequence, so mixing them never duplicates or drops packets.
+    Behaves as a plain packet iterator (``next()`` / ``for``) *and*
+    exposes the two block views of the module docstring:
+    :meth:`column_blocks` and :meth:`packet_blocks`.  All three share one
+    cursor over the same chunk sequence, so mixing them never duplicates
+    or drops packets.  ``flow_offset`` is added to every flow id (a
+    user-day stream's per-application flow range).
     """
 
-    __slots__ = ("_chunks", "_buf", "_idx")
+    __slots__ = ("_app", "_flow_offset", "_chunks", "_buf", "_idx")
 
     def __init__(
         self,
@@ -100,31 +123,33 @@ class ChunkedPacketStream:
         seed: int,
         chunk_s: float,
         envelope: RateEnvelope | None,
+        flow_offset: int = 0,
     ) -> None:
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
         if chunk_s <= 0:
             raise ValueError(f"chunk_s must be positive, got {chunk_s}")
-        self._chunks = self._generate_chunks(name, duration, seed, chunk_s,
+        profile = _resolve_application_profile(name)
+        self._app = profile.name
+        self._flow_offset = flow_offset
+        self._chunks = self._generate_chunks(profile, duration, seed, chunk_s,
                                              envelope)
         self._buf: Sequence[Packet] = ()
         self._idx = 0
 
     @staticmethod
     def _generate_chunks(
-        name: str,
+        profile: ApplicationProfile,
         duration: float,
         seed: int,
         chunk_s: float,
         envelope: RateEnvelope | None,
-    ) -> Iterator[list[Packet]]:
-        """Yield one absolute-time packet list per generated chunk.
+    ) -> Iterator[tuple[list[float], list[int], list[bool], list[int]]]:
+        """Yield one absolute-time ``(times, sizes, uplink, flow_ids)`` chunk.
 
-        Chunk 0 reuses the generator's packets unmodified (adding an
-        offset of 0.0 preserves every timestamp, so the copy the old
-        per-packet ``shifted(0.0)`` produced held identical values);
-        later chunks rebuild each packet once at ``timestamp + offset`` —
-        the same float addition ``Packet.shifted`` performs.
+        Chunk 0's times are the generator's; a later chunk adds its offset
+        to each time (``t + offset``, the addition ``Packet.shifted``
+        makes).
         """
         offset = 0.0
         index = 0
@@ -134,19 +159,30 @@ class ChunkedPacketStream:
             if envelope is not None:
                 def rate(local: float, _offset: float = offset) -> float:
                     return envelope(_offset + local)
-            chunk = generate_application_packets(
-                name, duration=length, seed=_chunk_seed(seed, index),
+            times, sizes, uplink, flows = application_columns(
+                profile, duration=length, seed=_chunk_seed(seed, index),
                 rate=rate,
             )
             if offset:
-                chunk = [
-                    Packet(p.timestamp + offset, p.size, p.direction,
-                           p.flow_id, p.app)
-                    for p in chunk
-                ]
-            yield chunk
+                times = [t + offset for t in times]
+            yield times, sizes, uplink, flows
             offset += length
             index += 1
+
+    def _packets(self, chunk) -> list[Packet]:
+        """Build one chunk's packets."""
+        times, sizes, uplink, flows = chunk
+        offset = self._flow_offset
+        if offset:
+            flows = [flow + offset for flow in flows]
+        return packets_from_columns(times, sizes, uplink, flows, self._app)
+
+    def _take_buffer(self) -> Sequence[Packet]:
+        """The unread rest of the packet buffer, leaving the buffer empty."""
+        rest = self._buf[self._idx:]
+        self._buf = ()
+        self._idx = 0
+        return rest
 
     def __iter__(self) -> "ChunkedPacketStream":
         return self
@@ -157,10 +193,10 @@ class ChunkedPacketStream:
             self._idx = idx + 1
             return self._buf[idx]
         for chunk in self._chunks:
-            if chunk:
-                self._buf = chunk
+            if chunk[0]:
+                self._buf = self._packets(chunk)
                 self._idx = 1
-                return chunk[0]
+                return self._buf[0]
         raise StopIteration
 
     def packet_blocks(self) -> Iterator[Sequence[Packet]]:
@@ -171,11 +207,21 @@ class ChunkedPacketStream:
         exhausted as blocks are taken.
         """
         if self._idx < len(self._buf):
-            rest = self._buf[self._idx:]
-            self._buf = ()
-            self._idx = 0
-            yield rest
-        yield from self._chunks
+            yield self._take_buffer()
+        for chunk in self._chunks:
+            yield self._packets(chunk)
+
+    def column_blocks(self) -> Iterator[Columns]:
+        """Iterate the remaining packets as ``(times, sizes, uplink)`` chunks.
+
+        The same cursor as :meth:`packet_blocks`, with no packet built:
+        only a buffer ``next()`` left partly read is read back from its
+        packets.
+        """
+        if self._idx < len(self._buf):
+            yield packet_columns(self._take_buffer())
+        for times, sizes, uplink, _ in self._chunks:
+            yield times, sizes, uplink
 
 
 def stream_application_packets(
@@ -209,32 +255,70 @@ def stream_user_day_packets(
     seed: int = 0,
     chunk_s: float = 600.0,
     envelope: RateEnvelope | None = None,
-) -> Iterator[Packet]:
-    """Yield a multi-application device workload lazily.
+) -> "UserDayStream":
+    """A multi-application device workload, merged lazily.
 
-    One stream per application (flow ids remapped so applications never
-    collide), merged in time order — the streaming analogue of building a
-    user trace with :func:`~repro.traces.packet.merge_traces`.  The
-    optional ``envelope`` shapes every constituent application stream
-    with the same time-of-day rate multipliers (see
-    :func:`stream_application_packets`).
+    One stream per application (application ``index``'s flow ids offset
+    by ``index * 1_000_000`` so applications never collide), merged in
+    time order — the streaming analogue of building a user trace with
+    :func:`~repro.traces.packet.merge_traces`.  The optional ``envelope``
+    shapes every constituent application stream with the same
+    time-of-day rate multipliers (see :func:`stream_application_packets`).
     """
-    streams = [
-        _remap_flows(
-            stream_application_packets(
-                app, duration=duration, seed=_app_stream_seed(seed, index),
-                chunk_s=chunk_s, envelope=envelope,
-            ),
-            offset=index * 1_000_000,
+    return UserDayStream([
+        ChunkedPacketStream(
+            app, duration, _app_stream_seed(seed, index), chunk_s, envelope,
+            flow_offset=index * 1_000_000,
         )
         for index, app in enumerate(apps)
-    ]
-    return merge_packet_streams(*streams)
+    ])
 
 
-def _remap_flows(stream: Iterator[Packet], offset: int) -> Iterator[Packet]:
-    for packet in stream:
-        yield packet.with_flow(packet.flow_id + offset)
+class UserDayStream:
+    """Several applications' chunked streams, merged in time order.
+
+    A packet iterator (``heapq.merge`` over the streams, started on the
+    first ``next()``) that also offers :meth:`column_blocks`.  It has no
+    ``packet_blocks()``, so the scalar kernel and a visit window read it
+    packet by packet.
+    """
+
+    __slots__ = ("_streams", "_merged")
+
+    def __init__(self, streams: Sequence[ChunkedPacketStream]) -> None:
+        self._streams = streams
+        self._merged: Iterator[Packet] | None = None
+
+    def __iter__(self) -> "UserDayStream":
+        return self
+
+    def __next__(self) -> Packet:
+        if self._merged is None:
+            self._merged = merge_packet_streams(*self._streams)
+        return next(self._merged)
+
+    def column_blocks(self) -> Iterator[Columns]:
+        """The remaining packets as one ``(times, sizes, uplink)`` block.
+
+        Every application's columns concatenated in application order,
+        then stable-sorted by time: the merge's own order (module
+        docstring).  Once ``next()`` has started the merge, the block is
+        the rest of the merge.
+        """
+        if self._merged is not None:
+            yield packet_columns(list(self._merged))
+            return
+        times: list[float] = []
+        sizes: list[int] = []
+        uplink: list[bool] = []
+        for stream in self._streams:
+            for block in stream.column_blocks():
+                times += block[0]
+                sizes += block[1]
+                uplink += block[2]
+        order = sorted(range(len(times)), key=times.__getitem__)
+        yield ([times[i] for i in order], [sizes[i] for i in order],
+               [uplink[i] for i in order])
 
 
 def merge_packet_streams(*streams: Iterable[Packet]) -> Iterator[Packet]:

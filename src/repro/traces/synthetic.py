@@ -25,21 +25,41 @@ All generators are deterministic given a seed (they use
 :class:`random.Random`), so experiments and tests are reproducible.  The
 generators emit bursts as short packet trains with realistic per-packet
 spacing so that MakeIdle's intra-burst/inter-burst distinction is exercised.
+
+One loop synthesises every application run: :func:`application_columns`
+returns the run as plain ``(times, sizes, uplink, flow_ids)`` lists.  The
+vector kernel reads those columns without building a :class:`Packet`
+(:mod:`repro.traces.streaming`); :func:`generate_application_packets` and
+:func:`generate_application_trace` build their packets from the same
+columns.  Its ``random.Random`` calls are fixed, in order: per session,
+``session_gap`` and the jitter, then the train — one ``random()``
+bisected into the cumulative weights (the body of ``random.choices`` for
+``k=1``), or ``rng.choice`` for an unweighted profile — and one inlined
+``expovariate`` per packet.  Per-application digests in the test suite
+hold every seed to the sample earlier releases drew.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from bisect import bisect, bisect_left
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .packet import Direction, Packet, PacketTrace, merge_traces
+from .packet import (
+    Direction,
+    Packet,
+    PacketTrace,
+    merge_traces,
+    packets_from_columns,
+)
 
 __all__ = [
     "ApplicationProfile",
     "APPLICATION_PROFILES",
     "APPLICATION_NAMES",
+    "application_columns",
     "generate_application_packets",
     "generate_application_trace",
     "generate_poisson_trace",
@@ -70,38 +90,23 @@ class PacketTrainSpec:
             raise ValueError("packet counts must be non-negative")
         if self.uplink_packets + self.downlink_packets == 0:
             raise ValueError("a packet train must contain at least one packet")
+        # The column generator builds no Packet, so the size check a
+        # Packet makes is made here, once per train shape.
+        if self.uplink_size < 0 or self.downlink_size < 0:
+            raise ValueError("packet sizes must be non-negative")
         if self.intra_gap_mean <= 0 or self.intra_gap_max <= 0:
             raise ValueError("intra-burst gaps must be positive")
-        # Hot-path constant: emit() draws one exponential gap per packet;
-        # precomputing the rate once is the identical float the per-call
-        # ``1.0 / intra_gap_mean`` division produced.
+        # Hot-path constants: the generator draws one exponential gap of
+        # rate ``1.0 / intra_gap_mean`` per packet, and every burst of
+        # this shape has the same size and direction columns.
         object.__setattr__(self, "_intra_rate", 1.0 / self.intra_gap_mean)
-
-    def emit(
-        self,
-        rng: random.Random,
-        start: float,
-        flow_id: int,
-        app: str,
-    ) -> list[Packet]:
-        """Materialise the burst starting at time ``start``."""
-        packets: list[Packet] = []
-        append = packets.append
-        expovariate = rng.expovariate
-        intra_rate = self._intra_rate
-        intra_max = self.intra_gap_max
-        time = start
-        uplink_size = self.uplink_size
-        for _ in range(self.uplink_packets):
-            append(Packet(time, uplink_size, Direction.UPLINK, flow_id, app))
-            gap = expovariate(intra_rate)
-            time += gap if gap < intra_max else intra_max
-        downlink_size = self.downlink_size
-        for _ in range(self.downlink_packets):
-            append(Packet(time, downlink_size, Direction.DOWNLINK, flow_id, app))
-            gap = expovariate(intra_rate)
-            time += gap if gap < intra_max else intra_max
-        return packets
+        object.__setattr__(
+            self, "_sizes",
+            (self.uplink_size,) * self.uplink_packets
+            + (self.downlink_size,) * self.downlink_packets)
+        object.__setattr__(
+            self, "_uplink",
+            (True,) * self.uplink_packets + (False,) * self.downlink_packets)
 
 
 @dataclass(frozen=True)
@@ -124,19 +129,25 @@ class ApplicationProfile:
     flows: int = 1
 
     def __post_init__(self) -> None:
-        # draw_train() runs once per session for every device of a cell:
-        # snapshot the train list and the cumulative weights once instead
-        # of rebuilding both lists per draw.  ``random.choices`` computes
-        # exactly these cumulative sums internally, and consumes the same
-        # single ``random()`` either way, so draws are byte-identical.
-        object.__setattr__(self, "_train_list", list(self.trains))
+        # The generator draws a train once per session for every device of
+        # a cell: snapshot the train list and the cumulative weights once.
+        # ``random.choices`` computes exactly these cumulative sums and
+        # this total, and bisects one ``random()`` into them.
+        trains = list(self.trains)
+        object.__setattr__(self, "_train_list", trains)
         cum_weights = None
         if self.train_weights:
+            if len(self.train_weights) != len(trains):
+                raise ValueError("the number of weights does not match the "
+                                 "number of trains")
             total = 0.0
             cum_weights = []
             for weight in self.train_weights:
                 total += weight
                 cum_weights.append(total)
+            if not 0.0 < cum_weights[-1] + 0.0 < math.inf:
+                raise ValueError("train weights must have a positive, "
+                                 "finite total")
         object.__setattr__(self, "_cum_weights", cum_weights)
 
     def draw_gap(self, rng: random.Random) -> float:
@@ -145,13 +156,6 @@ class ApplicationProfile:
         if self.jitter > 0:
             gap += rng.uniform(-self.jitter, self.jitter)
         return max(0.05, gap)
-
-    def draw_train(self, rng: random.Random) -> PacketTrainSpec:
-        """Draw the packet-train shape of the next session."""
-        if self._cum_weights is None:
-            return rng.choice(self._train_list)
-        return rng.choices(self._train_list, cum_weights=self._cum_weights,
-                           k=1)[0]
 
 
 def _uniform(low: float, high: float) -> Callable[[random.Random], float]:
@@ -274,29 +278,36 @@ def _resolve_application_profile(
     return app
 
 
-def generate_application_packets(
+def application_columns(
     app: str | ApplicationProfile,
     duration: float = 7200.0,
     seed: int = 0,
     rate: Callable[[float], float] | None = None,
-) -> list[Packet]:
-    """The time-sorted packet list of one application run.
+) -> tuple[list[float], list[int], list[bool], list[int]]:
+    """One application run as ``(times, sizes, uplink, flow_ids)`` columns.
 
-    This is :func:`generate_application_trace` without the
-    :class:`~repro.traces.packet.PacketTrace` wrapper: the returned list
-    holds exactly the packets the trace would hold, already in the
-    trace's order (a stable sort by timestamp — overlapping bursts
-    interleave identically).  The chunked streaming layer
-    (:mod:`repro.traces.streaming`) consumes these lists directly so the
-    kernel can walk chunk-local arrays instead of paying a container
-    round-trip per chunk.
+    The library's only synthesis loop (see the module docstring): row
+    ``i`` of the four lists is the ``i``-th packet of
+    :func:`generate_application_packets`, which builds its packets from
+    these columns.  Sessions start after gaps from
+    :meth:`ApplicationProfile.draw_gap`, divided by ``rate`` at the
+    previous session's start (see :func:`generate_application_trace`);
+    each session emits one train: its uplink packets, then its downlink
+    packets, one capped exponential gap after every packet, cut at
+    ``duration``.  The rows are in time order, as a stable sort by time
+    leaves them: overlapping bursts interleave as the sort interleaves
+    them, and the sort is skipped when no burst starts before the
+    previous burst's last kept packet.
     """
     profile = _resolve_application_profile(app)
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
 
+    rng = random.Random(seed)
+    draw_gap = profile.draw_gap
+
     def next_gap(at: float) -> float:
-        gap = profile.draw_gap(rng)
+        gap = draw_gap(rng)
         if rate is None:
             return gap
         multiplier = rate(at)
@@ -306,28 +317,81 @@ def generate_application_packets(
             )
         return gap / multiplier
 
-    rng = random.Random(seed)
-    packets: list[Packet] = []
-    time = next_gap(0.0)
+    random_ = rng.random
+    log = math.log
+    trains = profile._train_list
+    cum_weights = profile._cum_weights
+    if cum_weights is not None:
+        total = cum_weights[-1] + 0.0
+        last_train = len(trains) - 1
+    times: list[float] = []
+    sizes: list[int] = []
+    uplink: list[bool] = []
+    flows: list[int] = []
+    append = times.append
     flow_counter = 0
     flow_cycle = max(1, profile.flows)
-    name = profile.name
-    while time < duration:
-        train = profile.draw_train(rng)
-        flow_id = flow_counter % flow_cycle
-        flow_counter += 1
-        burst = train.emit(rng, time, flow_id, name)
-        # Burst packets are time-ordered, so the common all-inside case
-        # needs one comparison instead of one per packet.
-        if burst[-1].timestamp < duration:
-            packets.extend(burst)
+    overlap = False
+    last_kept = -math.inf
+    at = next_gap(0.0)
+    while at < duration:
+        if cum_weights is None:
+            train = rng.choice(trains)
         else:
-            packets.extend(p for p in burst if p.timestamp < duration)
-        time += next_gap(time)
-    # The same stable timestamp sort the PacketTrace constructor applies,
-    # so list and trace order agree packet for packet.
-    packets.sort(key=lambda p: p.timestamp)
-    return packets
+            train = trains[bisect(cum_weights, random_() * total, 0,
+                                  last_train)]
+        if at < last_kept:
+            overlap = True
+        first = len(times)
+        intra_rate = train._intra_rate
+        intra_max = train.intra_gap_max
+        time = at
+        for _ in train._sizes:
+            append(time)
+            gap = -log(1.0 - random_()) / intra_rate
+            time += gap if gap < intra_max else intra_max
+        # Burst times never decrease, so the packets before ``duration``
+        # are a prefix; the common all-inside case costs one comparison.
+        if times[-1] < duration:
+            sizes += train._sizes
+            uplink += train._uplink
+        else:
+            del times[bisect_left(times, duration, first):]
+            sizes += train._sizes[:len(times) - first]
+            uplink += train._uplink[:len(times) - first]
+        last_kept = times[-1]
+        flows += [flow_counter % flow_cycle] * (len(times) - first)
+        flow_counter += 1
+        at += next_gap(at)
+    if overlap:
+        order = sorted(range(len(times)), key=times.__getitem__)
+        times = [times[i] for i in order]
+        sizes = [sizes[i] for i in order]
+        uplink = [uplink[i] for i in order]
+        flows = [flows[i] for i in order]
+    return times, sizes, uplink, flows
+
+
+def generate_application_packets(
+    app: str | ApplicationProfile,
+    duration: float = 7200.0,
+    seed: int = 0,
+    rate: Callable[[float], float] | None = None,
+) -> list[Packet]:
+    """The time-sorted packet list of one application run.
+
+    This is :func:`generate_application_trace` without the
+    :class:`~repro.traces.packet.PacketTrace` wrapper: one packet per row
+    of :func:`application_columns`, labelled with the profile's name,
+    already in the trace's order (a stable sort by timestamp —
+    overlapping bursts interleave identically).
+    """
+    profile = _resolve_application_profile(app)
+    return packets_from_columns(
+        *application_columns(profile, duration=duration, seed=seed,
+                             rate=rate),
+        profile.name,
+    )
 
 
 def generate_application_trace(

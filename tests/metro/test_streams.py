@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.metro import windowed_stream
-from repro.traces.packet import Direction, Packet
+from repro.traces.packet import Direction, Packet, packet_columns
 from repro.traces.streaming import stream_application_packets
 
 
@@ -123,3 +123,48 @@ class TestAgainstRealStreams:
         for lo, hi in zip(cuts, cuts[1:]):
             pieces.extend(windowed_stream(full(), lo, hi))
         assert pieces == list(full())
+
+
+def _joined(blocks):
+    times, sizes, uplink = [], [], []
+    for block_times, block_sizes, block_uplink in blocks:
+        times += block_times
+        sizes += block_sizes
+        uplink += block_uplink
+    return times, sizes, uplink
+
+
+class TestColumnWindow:
+    """A window over a column source cuts columns as it cuts packets."""
+
+    @staticmethod
+    def _full():
+        return stream_application_packets("im", duration=900.0, seed=11,
+                                          chunk_s=150.0)
+
+    def test_edges_on_exact_packet_times(self):
+        times = [p.timestamp for p in self._full()]
+        # Edges on packet times, on a chunk's first packet, and unbounded.
+        first_of_chunk = next(t for t in times if t >= 300.0)
+        cuts = [(times[0], times[5]), (times[7], times[40]),
+                (first_of_chunk, times[-1]), (times[12], math.inf),
+                (0.0, first_of_chunk)]
+        for lo, hi in cuts:
+            window = windowed_stream(self._full(), lo, hi)
+            packets = list(windowed_stream(self._full(), lo, hi))
+            assert packets and all(lo <= p.timestamp < hi for p in packets)
+            assert _joined(window.column_blocks()) == packet_columns(packets)
+
+    def test_resumes_after_partial_iteration(self):
+        packets = list(windowed_stream(self._full(), 100.0, 700.0))
+        window = windowed_stream(self._full(), 100.0, 700.0)
+        head = [next(window) for _ in range(3)]
+        assert head == packets[:3]
+        assert _joined(window.column_blocks()) == packet_columns(packets[3:])
+
+    def test_packet_blocks_only_source_offers_no_columns(self):
+        window = windowed_stream(_Blocks(_packets(0.0, 1.0)), 0.0, 5.0)
+        assert hasattr(window, "packet_blocks")
+        assert not hasattr(window, "column_blocks")
+        assert hasattr(windowed_stream(self._full(), 0.0, 5.0),
+                       "column_blocks")

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import PolicySpec
+from repro.api.cells import cell
 from repro.api.metro import MetroRunSpec, execute_metro, metro
 from repro.basestation import AcceptAllDormancy, CellSimulator
 from repro.basestation.cell import DeviceSpec
@@ -39,8 +40,14 @@ from repro.core import (
 from repro.rrc.profiles import get_profile
 from repro.sim import vector_engine
 from repro.sim.engine import StreamOrderError
+from repro.metro import windowed_stream
 from repro.traces import Direction, Packet, PacketTrace
-from repro.traces.streaming import stream_application_packets
+from repro.traces.streaming import (
+    stream_application_packets,
+    stream_user_day_packets,
+)
+
+from .test_vector_backend import _shard_view
 
 np = pytest.importorskip("numpy")
 
@@ -361,6 +368,101 @@ class TestShardShapes:
         scalar, vector = _both_kernels(scalar_kernel, build)
         assert vector == scalar
         assert vector.vector_devices == 5
+
+
+def _generated_devices():
+    """Chunked, user-day and windowed devices, each kind under a policy."""
+    chunked = [
+        DeviceSpec(device_id=index,
+                   trace=stream_application_packets(
+                       ("im", "news", "social")[index % 3], duration=900.0,
+                       seed=index, chunk_s=300.0),
+                   policy=FixedTimerPolicy(timeout=4.5))
+        for index in range(6)
+    ]
+    user_day = [
+        DeviceSpec(device_id=6 + index,
+                   trace=stream_user_day_packets(
+                       ("im", "news", "finance"), duration=900.0, seed=index,
+                       chunk_s=300.0),
+                   policy=MakeIdlePolicy(window_size=20, min_samples=5))
+        for index in range(3)
+    ]
+    windowed = [
+        DeviceSpec(device_id=9 + index,
+                   trace=windowed_stream(stream_application_packets(
+                       "im", duration=900.0, seed=20 + index, chunk_s=120.0),
+                       100.0, 700.0),
+                   policy=StatusQuoPolicy(), attach_at=100.0,
+                   detach_at=700.0)
+        for index in range(3)
+    ]
+    return chunked + user_day + windowed
+
+
+class TestColumnDrain:
+    """Generated streams reach the vector kernel as column blocks."""
+
+    def test_vector_shard_builds_no_packet(self, monkeypatch):
+        devices = _generated_devices()
+
+        def refuse(packet):
+            raise AssertionError(f"a Packet was built at {packet.timestamp}")
+
+        monkeypatch.setattr(Packet, "__post_init__", refuse)
+        shard = CellSimulator(get_profile("att_hspa"), AcceptAllDormancy(),
+                              load_sample_interval_s=5.0).run_shard(devices)
+        assert shard.vector_devices == len(devices)
+        assert all(shard.devices.column("packets").tolist())
+
+    def test_generated_shard_matches_scalar(self, scalar_kernel):
+        views = {}
+        for kernel, context in (("scalar", scalar_kernel),
+                                ("vector", contextlib.nullcontext)):
+            simulator = CellSimulator(get_profile("att_hspa"),
+                                      AcceptAllDormancy(),
+                                      load_sample_interval_s=5.0)
+            with context():
+                views[kernel] = _shard_view(
+                    simulator.run_shard(_generated_devices()))
+        assert views["vector"] == views["scalar"]
+
+    def test_window_over_packet_blocks_source(self, scalar_kernel):
+        """A source with only ``packet_blocks()`` drains through them."""
+
+        def build():
+            return [
+                DeviceSpec(device_id=index,
+                           trace=windowed_stream(
+                               _RawBlocks(1.0, 2.5, 9.0, 30.0, 31.0, 80.0),
+                               2.5, 80.0),
+                           policy=FixedTimerPolicy(timeout=(0.0, 4.5)[index]),
+                           attach_at=2.5, detach_at=80.0)
+                for index in range(2)
+            ]
+
+        assert not hasattr(build()[0].trace, "column_blocks")
+        scalar, vector = _both_kernels(scalar_kernel, build)
+        assert vector == scalar
+        assert vector.vector_devices == 2
+        assert [device.packets for device in vector.devices] == [4, 4]
+
+    @pytest.mark.parametrize("scheme", ("fixed_4.5s", "makeidle"))
+    def test_office_day_shard_matches_scalar(self, scheme, scalar_kernel):
+        population = cell(devices=60, scenario="office_day", duration=900.0,
+                          seed=4)
+        policy = PolicySpec(scheme=scheme).resolved(100)
+        shards = {}
+        for kernel, context in (("scalar", scalar_kernel),
+                                ("vector", contextlib.nullcontext)):
+            simulator = CellSimulator(get_profile("att_hspa"),
+                                      AcceptAllDormancy(),
+                                      load_sample_interval_s=5.0)
+            with context():
+                shards[kernel] = simulator.run_shard(
+                    population.build_devices(policy, 10, 50))
+        assert shards["vector"].vector_devices == 40
+        assert _shard_view(shards["vector"]) == _shard_view(shards["scalar"])
 
 
 class TestMetroMakeIdle:

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces import (
+    Direction,
+    Packet,
     PacketTrace,
+    UserDayStream,
     merge_packet_streams,
     stream_application_packets,
     stream_user_day_packets,
 )
+from repro.traces.packet import packet_columns
 
 
 class TestStreamApplicationPackets:
@@ -176,3 +183,133 @@ class TestRateEnvelopes:
             ("im", "email"), duration=1200.0, seed=2, chunk_s=400.0,
             envelope=lambda t: 3.0))
         assert low < high
+
+
+def _hexed(columns):
+    times, sizes, uplink = columns
+    return [t.hex() for t in times], list(sizes), list(uplink)
+
+
+def _joined(blocks):
+    """Concatenate ``(times, sizes, uplink)`` blocks into one block."""
+    times, sizes, uplink = [], [], []
+    for block_times, block_sizes, block_uplink in blocks:
+        times += block_times
+        sizes += block_sizes
+        uplink += block_uplink
+    return times, sizes, uplink
+
+
+def _envelope(time_s: float) -> float:
+    return 0.5 + (time_s % 200.0) / 100.0
+
+
+class TestColumnBlocks:
+    """``column_blocks()`` is the packet view's columns, for every stream."""
+
+    def test_chunked_stream_after_next_calls(self):
+        def fresh():
+            return stream_application_packets(
+                "social", duration=900.0, seed=5, chunk_s=120.0,
+                envelope=_envelope)
+
+        full = list(fresh())
+        stream = fresh()
+        head = [next(stream) for _ in range(3)]
+        blocks = list(stream.column_blocks())
+        assert len(blocks) > 2  # the rest of chunk 0, then chunks 1..7
+        assert head == full[:3]
+        assert _hexed(_joined(blocks)) == _hexed(packet_columns(full[3:]))
+        # One cursor: both views are spent now.
+        assert list(stream) == []
+        assert list(stream.packet_blocks()) == []
+
+    def test_chunk_columns_are_the_packet_blocks(self):
+        args = dict(duration=900.0, seed=2, chunk_s=120.0,
+                    envelope=_envelope)
+        columns = list(stream_application_packets("im", **args)
+                       .column_blocks())
+        packets = list(stream_application_packets("im", **args)
+                       .packet_blocks())
+        assert [_hexed(block) for block in columns] == \
+            [_hexed(packet_columns(block)) for block in packets]
+
+    def test_user_day_stream_is_one_sorted_block(self):
+        def fresh():
+            return stream_user_day_packets(
+                ("im", "email", "social"), duration=1500.0, seed=9,
+                chunk_s=500.0, envelope=_envelope)
+
+        packets = list(fresh())
+        assert {p.flow_id // 1_000_000 for p in packets} == {0, 1, 2}
+        blocks = list(fresh().column_blocks())
+        assert len(blocks) == 1
+        assert _hexed(blocks[0]) == _hexed(packet_columns(packets))
+
+    def test_user_day_stream_after_next_calls(self):
+        def fresh():
+            return stream_user_day_packets(("im", "finance"), duration=300.0,
+                                           seed=4, chunk_s=100.0)
+
+        packets = list(fresh())
+        stream = fresh()
+        head = [next(stream) for _ in range(4)]
+        assert head == packets[:4]
+        assert _hexed(_joined(stream.column_blocks())) == \
+            _hexed(packet_columns(packets[4:]))
+        assert list(stream) == []
+
+    def test_packet_trace_is_one_column_block(self):
+        trace = PacketTrace([Packet(2.0, 30, Direction.UPLINK),
+                             Packet(1.0, 10), Packet(2.0, 20)])
+        blocks = list(trace.column_blocks())
+        assert blocks == [([1.0, 2.0, 2.0], [10, 30, 20],
+                           [False, True, False])]
+
+
+class _Columned:
+    """A hand-built stream: packets in blocks, both views, one cursor."""
+
+    def __init__(self, blocks) -> None:
+        self._blocks = iter(blocks)
+
+    def column_blocks(self):
+        for block in self._blocks:
+            yield packet_columns(block)
+
+    def __iter__(self):
+        for block in self._blocks:
+            yield from block
+
+
+@st.composite
+def _sorted_streams(draw):
+    """2-4 time-ordered streams over few distinct times: ties abound."""
+    streams = []
+    for index in range(draw(st.integers(min_value=2, max_value=4))):
+        times = sorted(draw(st.lists(
+            st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 7.25)), max_size=12)))
+        packets = [Packet(t, 100 * index + k,
+                          Direction.UPLINK if k % 3 else Direction.DOWNLINK)
+                   for k, t in enumerate(times)]
+        cuts = sorted(draw(st.lists(st.integers(0, len(packets)),
+                                    max_size=3)))
+        bounds = [0, *cuts, len(packets)]
+        streams.append([packets[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    return streams
+
+
+class TestColumnMerge:
+    @settings(max_examples=80, deadline=None)
+    @given(streams=_sorted_streams())
+    def test_equals_heapq_merge(self, streams):
+        merged = list(heapq.merge(*(_Columned(blocks) for blocks in streams),
+                                  key=lambda p: p.timestamp))
+        blocks = list(UserDayStream(
+            [_Columned(blocks) for blocks in streams]).column_blocks())
+        assert len(blocks) == 1
+        assert blocks[0] == packet_columns(merged)
+        # The packet view is that merge too.
+        packets = list(UserDayStream([_Columned(b) for b in streams]))
+        assert packets == merged
+        assert [p.size for p in packets] == [p.size for p in merged]

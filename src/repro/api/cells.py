@@ -103,6 +103,22 @@ class DormancySpec:
             )
         if self.param is not None and self.scheme in ("accept_all", "reject_all"):
             raise ValueError(f"{self.scheme!r} takes no parameter")
+        if (self.scheme == "rate_limited" and self.param is not None
+                and not self.param > 0):
+            # NaN too, which would grant every request and make the spec
+            # unequal to itself; inf is one grant per device.
+            raise ValueError(
+                "rate_limited takes a positive min_interval_s, "
+                f"got {self.param}"
+            )
+        if (self.scheme == "load_aware" and self.param is not None
+                and not 0 < self.param < float("inf")):
+            # Refused here, not by build() at run time, and before the
+            # int() below, which raises OverflowError on inf.
+            raise ValueError(
+                "load_aware takes a positive finite switches-per-minute "
+                f"budget, got {self.param}"
+            )
         if (self.scheme == "load_aware" and self.param is not None
                 and self.param != int(self.param)):
             # A fractional budget would be silently truncated by build(),

@@ -65,9 +65,17 @@ class DormancyPolicy:
     name: str = "dormancy_policy"
 
     def decide(
-        self, device_id: int, request_time: float, load: CellLoadSnapshot
+        self, device_id: int, request_time: float,
+        load: CellLoadSnapshot | None,
     ) -> DormancyDecision:
-        """Grant or deny a device's request to release its channel."""
+        """Grant or deny a device's request to release its channel.
+
+        ``load`` is the cell's load when the request pops.  The scalar
+        kernel always passes a snapshot.  The vector kernel replays a
+        shard only for the stations whose ``decide`` never reads it
+        (:func:`repro.sim.vector_engine.station_decides_per_device`) and
+        passes ``None``.
+        """
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -86,7 +94,8 @@ class AcceptAllDormancy(DormancyPolicy):
     name = "accept_all"
 
     def decide(
-        self, device_id: int, request_time: float, load: CellLoadSnapshot
+        self, device_id: int, request_time: float,
+        load: CellLoadSnapshot | None,
     ) -> DormancyDecision:
         del device_id, request_time, load
         return DormancyDecision(granted=True, reason="always accept")
@@ -98,7 +107,8 @@ class RejectAllDormancy(DormancyPolicy):
     name = "reject_all"
 
     def decide(
-        self, device_id: int, request_time: float, load: CellLoadSnapshot
+        self, device_id: int, request_time: float,
+        load: CellLoadSnapshot | None,
     ) -> DormancyDecision:
         del device_id, request_time, load
         return DormancyDecision(granted=False, reason="fast dormancy disabled")
@@ -115,7 +125,7 @@ class RateLimitedDormancy(DormancyPolicy):
     name = "rate_limited"
 
     def __init__(self, min_interval_s: float = 10.0) -> None:
-        if min_interval_s <= 0:
+        if not min_interval_s > 0:  # NaN too; inf grants once per device
             raise ValueError(f"min_interval_s must be positive, got {min_interval_s}")
         self._min_interval_s = min_interval_s
         self._last_grant: dict[int, float] = {}
@@ -129,7 +139,8 @@ class RateLimitedDormancy(DormancyPolicy):
         self._last_grant.clear()
 
     def decide(
-        self, device_id: int, request_time: float, load: CellLoadSnapshot
+        self, device_id: int, request_time: float,
+        load: CellLoadSnapshot | None,
     ) -> DormancyDecision:
         del load
         last = self._last_grant.get(device_id)

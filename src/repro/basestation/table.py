@@ -739,7 +739,7 @@ class ShardTable:
 
         ``values`` maps float and int field names to one value per
         device; a field it leaves out is zero for every device (a vector
-        shard's devices never learn, buffer sessions or meet a denial).
+        shard's devices never learn or buffer sessions).
         ``open_codes`` holds each device's open state as its
         :meth:`state_code`, and ``closed`` its handover-closed flag.
         ``session_delays`` holds each device's stored session-delay

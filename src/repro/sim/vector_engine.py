@@ -63,11 +63,13 @@ The scalar kernel's per-UE work for an *eligible* UE (see
    depends on RRC state: a MakeIdle wait depends only on the device's
    packet times):
 
-   * a packet is a boundary when the previous gap fired a scheduled fast
-     dormancy (``t[i] + wait[i] <= t[i+1]``, with ``wait[i]`` the wait
-     decided after packet ``i``: the dormancy event pops before the
-     arrival, equality included because DORMANCY sorts before ARRIVAL)
-     or when it left the ``t1`` window (``t[i+1] >= t[i] + t1``);
+   * a packet is a boundary when the base station granted the request
+     the previous gap fired (``t[i] + wait[i] <= t[i+1]``, with
+     ``wait[i]`` the wait decided after packet ``i``: the dormancy event
+     pops before the arrival, equality included because DORMANCY sorts
+     before ARRIVAL) or when that gap left the ``t1`` window
+     (``t[i+1] >= t[i] + t1``).  A denied request changes nothing: no
+     state, no load op, not even the machine's clock;
    * an inactivity-timer expiry fires inside a gap when
      ``t[i] + idle_after <= t[i+1]`` (the self-deferring TIMER event pops
      at exactly the deadline; equality included, TIMER sorts before
@@ -105,8 +107,8 @@ The scalar kernel's per-UE work for an *eligible* UE (see
    columns, and the periodic :class:`~repro.sim.engine.LoadSample` chain
    is re-run on the same grid: sample *k+1* exists iff some real event
    pops after sample *k*, so the chain horizon is the latest real pop.
-   Every scheduled dormancy pops, stale or not, so for a UE that is the
-   later of its latest dormancy pop ``max_k(t_k + wait[k])``
+   Every scheduled dormancy pops, stale, denied or neither, so for a UE
+   that is the later of its latest dormancy pop ``max_k(t_k + wait[k])``
    (``t_last + wait`` for a constant wait) and ``t_last + idle_after`` —
    or, for a departed UE, of that dormancy pop, its handover instant and
    the final pop of its self-deferring timer chain.
@@ -115,10 +117,14 @@ Kernel selection
 ----------------
 
 The kernel is chosen per shard, all or nothing (:func:`use_vector_kernel`):
-numpy must import, the base-station policy must grant every dormancy
-request unconditionally (request arbitration observes the live
-interleaved load, which a per-UE replay cannot see), and every device
-policy must be :func:`vector_eligible`.  That is a plain
+numpy must import, the base station must decide each request from the
+requesting device alone (:func:`station_decides_per_device`: accept-all,
+reject-all or rate-limited by type; a station that reads the live
+interleaved load, which a per-UE replay cannot see, stays scalar), and
+every device policy must be :func:`vector_eligible`.  Each fired request
+goes to the station's own ``decide`` once, device by device in each
+device's request order, before any RRC work; an always-granting station
+is not called at all.  A device policy is eligible when it is a plain
 :class:`~repro.core.makeidle.MakeIdlePolicy`, whose decisions depend only
 on its own packet times, so each batch computes a device's whole wait
 sequence up front (:meth:`~repro.core.makeidle.MakeIdlePolicy.dormancy_waits`)
@@ -158,6 +164,7 @@ __all__ = [
     "numpy_available",
     "run_shard_vector",
     "station_always_grants",
+    "station_decides_per_device",
     "use_vector_kernel",
     "vector_eligible",
 ]
@@ -193,14 +200,37 @@ def station_always_grants(policy: object) -> bool:
 
     Derived from the policy's type: its ``decide`` must be the accept-all
     implementation, so a subclass that overrides ``decide`` is consulted
-    on every request.  Only then are per-UE outcomes independent of the
-    live cell load — the precondition for the scalar kernel's
-    per-request fast path (:class:`~repro.basestation.cell._NetworkStation`)
-    and for running UEs out of event order here.
+    on every request.  Both kernels then skip the per-request call: the
+    scalar kernel's fast path
+    (:class:`~repro.basestation.cell._NetworkStation`) builds no load
+    snapshot, and the vector kernel takes every fired request as granted.
     """
     from ..basestation.policies import AcceptAllDormancy
 
     return type(policy).decide is AcceptAllDormancy.decide
+
+
+def station_decides_per_device(policy: object) -> bool:
+    """Whether a base-station policy answers from the requesting device alone.
+
+    Derived from the policy's type, as :func:`station_always_grants` is:
+    its ``decide`` must be the accept-all, reject-all or rate-limited
+    implementation.  None of them reads the load snapshot, and the
+    rate-limited state is keyed by device id, so a device's answers
+    depend only on its own earlier requests and a per-UE replay can ask
+    for them in each device's request order.  The load-aware station
+    (coupled to every UE through the cell's switch window) and a
+    subclass that overrides ``decide`` are not.
+    """
+    from ..basestation.policies import (
+        AcceptAllDormancy,
+        RateLimitedDormancy,
+        RejectAllDormancy,
+    )
+
+    return type(policy).decide in (AcceptAllDormancy.decide,
+                                   RejectAllDormancy.decide,
+                                   RateLimitedDormancy.decide)
 
 
 def vector_eligible(policy: RadioPolicy) -> bool:
@@ -240,8 +270,8 @@ def use_vector_kernel(
     """Whether a shard runs on the vector kernel rather than the scalar one.
 
     One kernel runs the whole shard: the vector kernel when numpy
-    imports, the base station always grants
-    (:func:`station_always_grants`) and every device policy is
+    imports, the base station decides per device
+    (:func:`station_decides_per_device`) and every device policy is
     :func:`vector_eligible`; otherwise the scalar kernel.  Judged from
     policy types, so it is asked before any ``prepare()``.
     :meth:`~repro.basestation.cell.CellSimulator.run_shard` looks this
@@ -250,7 +280,7 @@ def use_vector_kernel(
     """
     return (
         numpy_available()
-        and station_always_grants(dormancy_policy)
+        and station_decides_per_device(dormancy_policy)
         and all(vector_eligible(policy) for policy in policies)
     )
 
@@ -471,12 +501,14 @@ class _Rows:
     def run(self, dorm, timer, end, closes) -> None:
         """Resolve every row up to ``end``, its last processed event.
 
-        ``dorm`` / ``timer`` say whether the row's DORMANCY / TIMER event
-        pops by ``end``; ``closes`` whether the segment open at ``end`` is
-        folded there (an arrival or a handover ends it, while a device
-        that stays leaves it open for the shard merge).  Sets each state's
-        duration (``0.0`` where the state does not occur), the request's
-        outcome, the timer-demotion count and the load-op slot masks.
+        ``dorm`` says whether the row's dormancy request pops by ``end``
+        and is granted (a denied one does nothing), ``timer`` whether its
+        TIMER event pops by ``end``; ``closes`` whether the segment open
+        at ``end`` is folded there (an arrival or a handover ends it,
+        while a device that stays leaves it open for the shard merge).
+        Sets each state's duration (``0.0`` where the state does not
+        occur), the request's outcome, the timer-demotion count and the
+        load-op slot masks.
         """
         a1, a2, tt, at = self.a1, self.a2, self.tt, self.at
         # A granted request demotes unless the timers reached Idle first,
@@ -589,10 +621,13 @@ def _final_timer_pop(
 
 
 def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
-                  table: TransitionTable, model: DataEnergyModel):
+                  table: TransitionTable, model: DataEnergyModel, decide):
     """Replay one drained batch: its devices' columns and its load ops.
 
-    Returns ``(columns, ops, horizon, last_emitted, max_now)``.
+    ``decide`` is a per-device station's own ``decide``
+    (:func:`station_decides_per_device`), or ``None`` for a station that
+    always grants.  Returns ``(columns, ops, horizon, last_emitted,
+    max_now)``.
     ``columns`` maps shard-table fields (plus ``open_code``, the shard
     table's open-state code, and ``closed``) to one value per device;
     ``ops`` are the batch's ``(time, kind, ue_id, op)`` columns, every
@@ -642,18 +677,48 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
     data_time_s, data_j = _segment_left_fold((dur, energy), offsets[:-1],
                                              counts)
 
-    # Per-gap fired events and the boundary mask (see module docstring),
-    # over every gap at once: each packet carries the wait decided after
-    # it (``inf``: no request, so no dormancy fires), and every first
-    # packet is a boundary.
+    # Fired dormancy requests, before any RRC work: each packet carries
+    # the wait decided after it (``inf``: no request).  The gap into
+    # packet i fires iff t[i-1] + wait[i-1] <= t[i], never into a
+    # device's first packet; a device's trailing request fires iff it
+    # asked and the request pops by its departure.
     times = t.tolist()  # Python floats for MakeIdle and the timer chains
     wait = _wait_column(specs, times, offsets.tolist(), counts)
+    request_at = t + wait
+    fired = _np.zeros(n, dtype=bool)
+    fired[1:] = request_at[:-1] <= nxt
+    fired[heads] = False
+    dep = departs[nonempty]
+    det = detach[nonempty]
+    last_wait = wait[lasts]
+    tail_at = t[lasts] + last_wait
+    tail_fired = (last_wait < _INF) & (tail_at <= det)
+    granted, tail_granted = fired, tail_fired
+    if decide is not None:
+        # Every gap request in flat order, then every trailing request, so
+        # each device's requests reach the station in their time order.
+        # These stations read no load: the snapshot is None.
+        gap = _np.flatnonzero(fired)
+        tails = _np.flatnonzero(tail_fired)
+        owners = _np.concatenate((_np.repeat(ids, counts)[gap],
+                                  ids[nonempty][tails]))
+        when = _np.concatenate((request_at[gap - 1], tail_at[tails]))
+        answers = _np.array(
+            [decide(ue, at, None).granted
+             for ue, at in zip(owners.tolist(), when.tolist())],
+            dtype=bool)
+        granted = _np.zeros_like(fired)
+        granted[gap] = answers[:gap.shape[0]]
+        tail_granted = _np.zeros_like(tail_fired)
+        tail_granted[tails] = answers[gap.shape[0]:]
+
+    # The boundary mask (see module docstring) over every gap at once:
+    # a granted request or a gap past t1 ends a gap at a boundary, and
+    # every first packet is one.
     timer_fired = _np.zeros(n, dtype=bool)
     timer_fired[1:] = (prev + table.idle_after) <= nxt
-    dorm_fired = _np.zeros(n, dtype=bool)
-    dorm_fired[1:] = (prev + wait[:-1]) <= nxt
     boundary = _np.empty(n, dtype=bool)
-    boundary[1:] = dorm_fired[1:] | (nxt >= (prev + table.t1))
+    boundary[1:] = granted[1:] | (nxt >= (prev + table.t1))
     boundary[heads] = True
     b = _np.flatnonzero(boundary)
     # Device d's boundary rows are b[bounds[d]:bounds[d + 1]], its first
@@ -671,9 +736,8 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
     s = _np.empty_like(tb)
     s[1:] = tb[:-1]
     s[:1] = tb[:1]
-    dorm_rows = dorm_fired[b] & later
     rows = _Rows(table, t[b - 1], s, wait[b - 1])
-    rows.run(dorm_rows, timer_fired[b] & later, tb, True)
+    rows.run(granted[b], timer_fired[b] & later, tb, True)
     rows.active_s[first] = 0.0
     rows.high_idle_s[first] = 0.0
     rows.idle_s[first] = t[heads] - attach[nonempty]
@@ -685,16 +749,14 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
 
     # Trailing rows: the scheduled dormancy and the final timer pop after
     # each last packet, cut by a departure as the heap tie-breaks them,
-    # up to the last event the device processes.
-    dep = departs[nonempty]
-    det = detach[nonempty]
-    last_wait = wait[lasts]
+    # up to the last event the device processes.  A denied request does
+    # not move the machine's clock, so a staying device then ends at its
+    # timer pop.
     tail = _Rows(table, t[lasts], tb[bounds[1:][nonempty] - 1], last_wait)
-    tail_dorm = (last_wait < _INF) & (tail.at <= det)
     end = _np.where(dep, det,
-                    _np.where(tail_dorm, _np.maximum(tail.tt, tail.at),
+                    _np.where(tail_granted, _np.maximum(tail.tt, tail.at),
                               tail.tt))
-    tail.run(tail_dorm, tail.tt < det, end, dep)
+    tail.run(tail_granted, tail.tt < det, end, dep)
 
     # Per-device folds over the boundary rows, then one more left-fold
     # step: the trailing row of each device with packets, and the Idle
@@ -714,8 +776,10 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
     timer_demotions[nonempty] += tail.timer_demotions
     fast_demotions = _segment_counts(rows.fd, bounds)
     fast_demotions[nonempty] += tail.fd
-    requests = _segment_counts(dorm_rows, bounds)
-    requests[nonempty] += tail_dorm
+    requests = _segment_counts(fired, offsets)
+    requests[nonempty] += tail_fired
+    grants = _segment_counts(granted, offsets)
+    grants[nonempty] += tail_granted
 
     # Open segments: a departed machine is closed at detach_at, a device
     # without packets is still Idle since attach_at.
@@ -735,7 +799,7 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
     horizon = _np.where(departs, detach, -_INF)
     if heads.shape[0]:
         last_dormancy = _np.maximum.reduceat(
-            _np.where(wait < _INF, t + wait, -_INF), heads)
+            _np.where(wait < _INF, request_at, -_INF), heads)
         horizon[nonempty] = _np.maximum(_np.where(dep, det, tail.tt),
                                         last_dormancy)
     chained = _np.flatnonzero(departs & nonempty)
@@ -783,6 +847,8 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
         "last_activity": last_activity,
         "packets": counts,
         "dormancy_requests": requests,
+        "dormancy_granted": grants,
+        "dormancy_denied": requests - grants,
         "open_code": open_code,
         "closed": departs,
     }
@@ -865,6 +931,8 @@ def run_shard_vector(
     profile = engine.profile
     table = transition_table(profile)
     model = engine.accountant.data_model
+    station = simulator.dormancy_policy
+    decide = None if station_always_grants(station) else station.decide
     parts = []
     ops = []
     horizon = -_INF
@@ -874,7 +942,8 @@ def run_shard_vector(
     while first < len(devices):
         stop, drained = _drain(devices, first)
         columns, batch_ops, batch_horizon, batch_last, batch_now = (
-            _replay_batch(devices[first:stop], *drained, table, model))
+            _replay_batch(devices[first:stop], *drained, table, model,
+                          decide))
         del drained  # free the packet arrays before the next batch
         first = stop
         parts.append(columns)
@@ -904,8 +973,6 @@ def run_shard_vector(
 
     open_code = columns.pop("open_code")
     closed = columns.pop("closed")
-    # An always-granting station grants every request.
-    columns["dormancy_granted"] = columns["dormancy_requests"].copy()
     shard_table = ShardTable.from_columns(
         columns,
         open_codes=open_code,

@@ -80,6 +80,16 @@ class TestCellSpec:
             DormancySpec(scheme="accept_all", param=3.0)
         with pytest.raises(ValueError):
             DormancySpec(scheme="load_aware", param=2.5)  # would truncate
+        for scheme, param in (("load_aware", float("inf")),
+                              ("load_aware", float("nan")),
+                              ("load_aware", 0),
+                              ("rate_limited", float("nan")),
+                              ("rate_limited", 0.0)):
+            with pytest.raises(ValueError, match=scheme):
+                DormancySpec(scheme=scheme, param=param)
+        unlimited = DormancySpec("rate_limited", float("inf"))
+        assert unlimited == DormancySpec("rate_limited", float("inf"))
+        assert unlimited.build().min_interval_s == float("inf")
         assert dormancy("rate_limited", 30.0).build().min_interval_s == 30.0
         assert dormancy("load_aware", 50).build().max_switches_per_minute == 50
 

@@ -69,8 +69,15 @@ class TestRateLimitedDormancy:
         assert policy.decide(1, 10.5, _load()).granted
 
     def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            RateLimitedDormancy(min_interval_s=0.0)
+        for interval in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                RateLimitedDormancy(min_interval_s=interval)
+
+    def test_infinite_interval_grants_once_per_device(self):
+        policy = RateLimitedDormancy(min_interval_s=float("inf"))
+        assert policy.decide(1, 0.0, _load()).granted
+        assert not policy.decide(1, 1e9, _load()).granted
+        assert policy.decide(2, 1e9, _load()).granted
 
 
 class TestLoadAwareDormancy:

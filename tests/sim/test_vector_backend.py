@@ -10,10 +10,11 @@ tests drive that contract across:
 * the carrier × policy equivalence matrix (every profile shape, every
   standard scheme, eligible and hook-bearing alike);
 * the selection rule — one kernel per shard, vector only when numpy
-  imports, the station always grants and every device policy is
-  eligible, with ``CellResult.vector_devices`` reporting which ran;
+  imports, the station decides per device (accept-all, reject-all or
+  rate-limited) and every device policy is eligible, with
+  ``CellResult.vector_devices`` reporting which ran;
 * sharded merges, where each shard picks its kernel on its own (the
-  mixed-policy scenario's cohorts, a metro's accept-all and arbitrating
+  mixed-policy scenario's cohorts, a metro's per-device and load-aware
   cells);
 * randomized traces under hypothesis, where the boundary/fold split is
   exercised at adversarial burst spacings.
@@ -196,12 +197,12 @@ _SELECTION_CASES = {
         AcceptAllDormancy, _one_makeactive_policies, True, "scalar"),
     "rate_limited_station": (
         lambda: RateLimitedDormancy(min_interval_s=10.0), _eligible_policies,
-        True, "scalar"),
+        True, "vector"),
     "load_aware_station": (
         lambda: LoadAwareDormancy(max_switches_per_minute=2),
         _eligible_policies, True, "scalar"),
     "reject_all_station": (
-        RejectAllDormancy, _eligible_policies, True, "scalar"),
+        RejectAllDormancy, _eligible_policies, True, "vector"),
     "accept_all_subclass_overriding_decide": (
         _DenyingAcceptAll, _eligible_policies, True, "scalar"),
     "numpy_missing": (
@@ -335,22 +336,25 @@ class TestMixedPolicyScenario:
 
 class TestMetroCells:
     def test_cells_pick_their_kernel_by_station(self, scalar_kernel):
-        """``metro_4cell`` has two accept-all cells and two arbitrating
-        ones: every visit to an accept-all cell vectorizes, the others
-        run scalar, and the metro matches the forced-scalar run."""
+        """``metro_4cell`` has two accept-all cells, a rate-limited one
+        (east) and a load-aware one (south): every visit to the first
+        three vectorizes, south's run scalar, and the metro matches the
+        forced-scalar run, denials included."""
         spec = MetroRunSpec(
             metro=metro("metro_4cell", devices=10, duration=900.0),
             carrier="att_hspa",
-            policy=PolicySpec(scheme="status_quo").resolved(100),
+            policy=PolicySpec(scheme="fixed_4.5s").resolved(100),
         )
         with scalar_kernel():
             scalar = execute_metro(spec)
         auto = execute_metro(spec)
         assert auto == scalar
         for entry in auto.cells:
-            expected = entry.visits if entry.dormancy == "accept_all" else 0
+            expected = 0 if entry.name == "south" else entry.visits
             assert entry.result.vector_devices == expected, entry.name
-        assert sum(entry.result.vector_devices for entry in auto.cells) > 0
+        east = next(entry for entry in auto.cells if entry.name == "east")
+        assert east.visits > 0
+        assert east.result.dormancy_denied > 0
 
 
 class TestEngineKeyword:
@@ -455,7 +459,7 @@ _PARITY_CARRIERS = ("att_hspa", "tmobile_3g", "verizon_3g", "verizon_lte")
 
 @st.composite
 def _shard_cases(draw):
-    """One eligible shard under any RRC shape, sampled or not.
+    """One eligible shard under any RRC shape and station, sampled or not.
 
     Each device runs fixed-timer, status-quo or plain MakeIdle; gaps mix
     free floats with the carrier's own thresholds (``t1``, ``t2``,
@@ -463,7 +467,10 @@ def _shard_cases(draw):
     packets spread over [0, 100) s so the ``(t + t1) + t2`` vs
     ``t + (t1 + t2)`` ulp corner is common.  Some devices attach at their
     first packet, and some depart after their last one, on a threshold
-    or off it.
+    or off it.  The station accepts all, rejects all, or rate-limits
+    with an interval drawn from the devices' timeouts, the carrier's
+    thresholds and a few fixed spacings, so grants and denials tie with
+    request spacings.
     """
     # Floats with full random mantissas: hypothesis favours short floats,
     # which hit the ulp corner less often.
@@ -507,7 +514,16 @@ def _shard_cases(draw):
                                 max_size=n_packets))
         devices.append((policy, timeout, times, sizes, uplinks, attach,
                         detach))
-    return carrier, interval, devices
+    station = draw(st.sampled_from(("accept_all", "reject_all",
+                                    "rate_limited")))
+    if station == "rate_limited":
+        spacing = draw(st.sampled_from(
+            [device[1] for device in devices if device[1] > 0.0]
+            + [table.t1, table.idle_after, 0.5, 30.0, math.inf]))
+        return carrier, interval, devices, (
+            lambda: RateLimitedDormancy(min_interval_s=spacing))
+    return carrier, interval, devices, (
+        AcceptAllDormancy if station == "accept_all" else RejectAllDormancy)
 
 
 def _parity_policy(kind: str, timeout: float):
@@ -544,15 +560,17 @@ def _shard_view(shard):
     }
 
 
-def _run_shard_both(scalar_kernel, carrier, interval, build):
+def _run_shard_both(scalar_kernel, carrier, interval, build,
+                    station=AcceptAllDormancy):
     """``build()``'s shard run forced-scalar and auto-selected.
 
-    Returns ``(scalar, vector)`` outcomes: a shard, or the raised error.
+    ``station()`` makes each run's base station.  Returns
+    ``(scalar, vector)`` outcomes: a shard, or the raised error.
     """
     outcomes = {}
     for kernel, context in (("scalar", scalar_kernel),
                             ("vector", contextlib.nullcontext)):
-        simulator = CellSimulator(get_profile(carrier), AcceptAllDormancy(),
+        simulator = CellSimulator(get_profile(carrier), station(),
                                   load_sample_interval_s=interval)
         with context():
             try:
@@ -577,7 +595,7 @@ class TestShardParity:
     @settings(max_examples=300, deadline=None)
     @given(case=_shard_cases())
     def test_every_rrc_shape(self, case, scalar_kernel):
-        carrier, interval, drawn = case
+        carrier, interval, drawn, station = case
 
         def build():
             return [
@@ -592,8 +610,10 @@ class TestShardParity:
                             detach) in enumerate(drawn)
             ]
 
+        assert vector_engine.use_vector_kernel(
+            station(), [spec.policy for spec in build()])
         scalar, vector = _run_shard_both(scalar_kernel, carrier, interval,
-                                         build)
+                                         build, station)
         if isinstance(scalar, Exception) or isinstance(vector, Exception):
             _assert_same_error(scalar, vector)
             return
@@ -642,3 +662,88 @@ class TestShardParity:
         assert vector.load.active_devices == 1
         assert vector.load_samples[-1].time > arrival + table.idle_after
         assert vector.load_samples[-1].active_devices == 1
+
+    @staticmethod
+    def _rate_limited_shard(scalar_kernel, last_arrival):
+        """One fixed-0.5 s device under ``rate_limited(10)``: requests at
+        1.5 (granted), 6.5 (denied: 5 s after the grant, and it does not
+        restart the interval) and ``last_arrival + 0.5`` (trailing)."""
+        def build():
+            return [DeviceSpec(0, PacketTrace([
+                Packet(1.0, 100, Direction.UPLINK),
+                Packet(6.0, 100, Direction.DOWNLINK),
+                Packet(last_arrival, 100, Direction.UPLINK),
+            ]), FixedTimerPolicy(timeout=0.5))]
+
+        scalar, vector = _run_shard_both(
+            scalar_kernel, "att_hspa", 1.0, build,
+            lambda: RateLimitedDormancy(min_interval_s=10.0))
+        assert vector.vector_devices == 1
+        assert _shard_view(vector) == _shard_view(scalar)
+        return vector.devices
+
+    def test_request_exactly_the_interval_after_a_grant(self, scalar_kernel):
+        """The spacing check is strict: ``11.5 - 1.5 == 10.0`` grants."""
+        assert (11.0 + 0.5) - (1.0 + 0.5) == 10.0
+        table = self._rate_limited_shard(scalar_kernel, 11.0)
+        assert table.column("dormancy_requests").tolist() == [3]
+        assert table.column("dormancy_granted").tolist() == [2]
+        assert table.column("dormancy_denied").tolist() == [1]
+        assert table.column("fast_demotions").tolist() == [2]
+
+    def test_request_one_ulp_inside_the_interval(self, scalar_kernel):
+        """A trailing request one ulp short of the interval is denied."""
+        last = math.nextafter(11.0, 0.0)
+        assert (last + 0.5) - (1.0 + 0.5) == math.nextafter(10.0, 0.0)
+        table = self._rate_limited_shard(scalar_kernel, last)
+        assert table.column("dormancy_requests").tolist() == [3]
+        assert table.column("dormancy_granted").tolist() == [1]
+        assert table.column("dormancy_denied").tolist() == [2]
+        assert table.column("fast_demotions").tolist() == [1]
+
+    def test_denied_request_inside_t1_is_no_boundary(self, scalar_kernel):
+        """A denied request leaves the device in DCH: with every gap below
+        ``t1``, DCH runs from the first packet to the last one's
+        ``demote_at`` as one segment, with one promotion.  Split at each
+        denied request, the same stretch folds to another float."""
+        table = transition_table(get_profile("att_hspa"))
+        times = (0.1, 3.7, 7.3)
+        demote_at = times[-1] + table.t1
+        split = (times[1] - times[0]) + (times[2] - times[1])
+        assert split + (demote_at - times[2]) != demote_at - times[0]
+
+        def build():
+            return [DeviceSpec(0, PacketTrace([
+                Packet(at, 100, Direction.UPLINK) for at in times
+            ]), FixedTimerPolicy(timeout=0.5))]
+
+        scalar, vector = _run_shard_both(scalar_kernel, "att_hspa", 1.0,
+                                         build, RejectAllDormancy)
+        assert vector.vector_devices == 1
+        assert _shard_view(vector) == _shard_view(scalar)
+        columns = vector.devices
+        assert columns.column("active_time_s").tolist() == [
+            demote_at - times[0]]
+        assert columns.column("promotions").tolist() == [1]
+        assert columns.column("dormancy_denied").tolist() == [3]
+
+    def test_denied_trailing_request_after_the_timer(self, scalar_kernel):
+        """A denied request does not move the machine's clock: a staying
+        device whose trailing request pops after its timer ends at the
+        timer pop, while the request still extends the sample horizon."""
+        table = transition_table(get_profile("att_hspa"))
+        arrival = 3.0
+        wait = table.idle_after + 5.0
+
+        def build():
+            return [DeviceSpec(
+                0, PacketTrace([Packet(arrival, 100, Direction.UPLINK)]),
+                FixedTimerPolicy(timeout=wait))]
+
+        scalar, vector = _run_shard_both(scalar_kernel, "att_hspa", 1.0,
+                                         build, RejectAllDormancy)
+        assert vector.vector_devices == 1
+        assert _shard_view(vector) == _shard_view(scalar)
+        assert vector.max_now == arrival + table.idle_after
+        assert vector.devices.column("dormancy_denied").tolist() == [1]
+        assert vector.load_samples[-1].time >= arrival + wait

@@ -297,9 +297,19 @@ class TestCellSweepCommand:
         lambda d: d.update(carriers=[7]),
         lambda d: d.update(seeds=["x"]),
         lambda d: d.update(window_size="100"),
+        # 1e400 parses as inf; int() of it raised OverflowError.
+        lambda d: d.update(dormancy=[{"scheme": "load_aware",
+                                      "param": 1e400}]),
+        lambda d: d.update(dormancy=[{"scheme": "load_aware",
+                                      "param": float("nan")}]),
+        lambda d: d.update(dormancy=[{"scheme": "rate_limited",
+                                      "param": float("nan")}]),
+        lambda d: d.update(dormancy=[{"scheme": "load_aware",
+                                      "param": 0}]),
     ], ids=["top_level", "cell", "window_size", "devices_string",
             "duration_null", "policy_window_string", "carrier_number",
-            "seed_string", "window_size_string"])
+            "seed_string", "window_size_string", "load_aware_inf",
+            "load_aware_nan", "rate_limited_nan", "load_aware_zero"])
     def test_strict_plan_file_errors_are_clean(self, edit, capsys, tmp_path):
         import json
 

@@ -88,8 +88,9 @@ class DormancySpec:
     """How to build one base-station dormancy policy.
 
     ``param`` feeds the scheme's knob: ``min_interval_s`` for
-    ``rate_limited``, ``max_switches_per_minute`` for ``load_aware``;
-    unused (and refused) for the parameterless schemes.
+    ``rate_limited`` (positive; ``inf`` grants once per device),
+    ``max_switches_per_minute`` for ``load_aware`` (a positive whole
+    number); unused (and refused) for the parameterless schemes.
     """
 
     scheme: str = "accept_all"
@@ -111,21 +112,16 @@ class DormancySpec:
                 "rate_limited takes a positive min_interval_s, "
                 f"got {self.param}"
             )
-        if (self.scheme == "load_aware" and self.param is not None
-                and not 0 < self.param < float("inf")):
-            # Refused here, not by build() at run time, and before the
-            # int() below, which raises OverflowError on inf.
+        if self.scheme == "load_aware" and self.param is not None and (
+                not 0 < self.param < float("inf")
+                or self.param != int(self.param)):
+            # Refused here rather than by build() at run time.  NaN and
+            # inf fail the range test before int() sees them; a fractional
+            # budget would be silently truncated by build(), leaving the
+            # label/cache key claiming a policy never in effect.
             raise ValueError(
-                "load_aware takes a positive finite switches-per-minute "
+                "load_aware takes a positive whole switches-per-minute "
                 f"budget, got {self.param}"
-            )
-        if (self.scheme == "load_aware" and self.param is not None
-                and self.param != int(self.param)):
-            # A fractional budget would be silently truncated by build(),
-            # leaving the label/cache key claiming a policy never in effect.
-            raise ValueError(
-                "load_aware takes a whole switches-per-minute budget, "
-                f"got {self.param}"
             )
 
     @property

@@ -34,6 +34,7 @@ from ..basestation.policies import (
     LoadAwareDormancy,
     RateLimitedDormancy,
     RejectAllDormancy,
+    check_switch_budget,
     partition_switch_budget,
 )
 from ..dictform import strict_fields
@@ -112,17 +113,8 @@ class DormancySpec:
                 "rate_limited takes a positive min_interval_s, "
                 f"got {self.param}"
             )
-        if self.scheme == "load_aware" and self.param is not None and (
-                not 0 < self.param < float("inf")
-                or self.param != int(self.param)):
-            # Refused here rather than by build() at run time.  NaN and
-            # inf fail the range test before int() sees them; a fractional
-            # budget would be silently truncated by build(), leaving the
-            # label/cache key claiming a policy never in effect.
-            raise ValueError(
-                "load_aware takes a positive whole switches-per-minute "
-                f"budget, got {self.param}"
-            )
+        if self.scheme == "load_aware" and self.param is not None:
+            check_switch_budget(self.param)  # here, not at build time
 
     @property
     def key(self) -> tuple:

@@ -26,7 +26,6 @@ from .cell import (
 from .table import DeviceTable, FloatArray, ShardTable
 from .policies import (
     AcceptAllDormancy,
-    DormancyDecision,
     DormancyPolicy,
     LoadAwareDormancy,
     RateLimitedDormancy,
@@ -43,7 +42,6 @@ __all__ = [
     "DeviceResult",
     "DeviceSpec",
     "DeviceTable",
-    "DormancyDecision",
     "DormancyPolicy",
     "FloatArray",
     "LoadAwareDormancy",

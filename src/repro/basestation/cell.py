@@ -5,7 +5,7 @@ happens at the base station when *many* phones run MakeIdle and trigger
 fast dormancy?  The simulator replays one packet trace per device, each
 against its own RRC state machine and device-side policy, while a single
 :class:`~repro.basestation.policies.DormancyPolicy` arbitrates every
-fast-dormancy request using a live snapshot of cell load.
+fast-dormancy request from the live cell load.
 
 Since the kernel refactor, :class:`CellSimulator` is a thin façade over
 :class:`~repro.sim.engine.SimulationEngine` — the same heap-based event
@@ -59,8 +59,8 @@ from ..rrc.state_machine import SwitchKind
 from ..rrc.states import RadioState
 from ..sim import vector_engine
 from ..sim.engine import (
+    LOAD_WINDOW_S,
     CellLoad,
-    DormancyStation,
     LoadSample,
     SimulationEngine,
     UeContext,
@@ -68,11 +68,7 @@ from ..sim.engine import (
 )
 from ..sim.results import SessionDelay
 from ..traces.packet import Packet, PacketTrace
-from .policies import (
-    AcceptAllDormancy,
-    CellLoadSnapshot,
-    DormancyPolicy,
-)
+from .policies import AcceptAllDormancy, DormancyPolicy
 from .table import (
     DeviceTable,
     FloatArray,
@@ -97,9 +93,6 @@ __all__ = [
     "ShardTable",
     "merge_cell_shards",
 ]
-
-#: Length of the sliding window used for the cell's switches-per-minute load.
-_LOAD_WINDOW_S = 60.0
 
 #: A device workload: a materialised trace or a lazy time-ordered source.
 TraceSource = Union[PacketTrace, Iterable[Packet]]
@@ -326,7 +319,7 @@ class CellSummary:
             dormancy_requests=devices.int_total("dormancy_requests"),
             dormancy_denied=devices.int_total("dormancy_denied"),
             peak_switches_per_minute=peak_per_window(
-                switch_times.tolist(), _LOAD_WINDOW_S, presorted=True
+                switch_times.tolist(), LOAD_WINDOW_S, presorted=True
             ),
             learning=devices.learning_summary(),
             cohorts=cohorts,
@@ -490,25 +483,6 @@ class CellShard:
             load._recent_start = 0
 
 
-class _NetworkStation(DormancyStation):
-    """Adapts a :class:`DormancyPolicy` to the kernel's station hook."""
-
-    def __init__(self, policy: DormancyPolicy) -> None:
-        self._policy = policy
-        # An unconditionally granting policy lets the kernel skip
-        # per-request snapshots.
-        self.always_grants = vector_engine.station_always_grants(policy)
-
-    def decide(self, ue_id: int, time: float, load: CellLoad) -> bool:
-        snapshot = CellLoadSnapshot(
-            time=time,
-            active_devices=load.active_devices,
-            total_devices=load.total_devices,
-            switches_last_minute=load.switches_within_window(time),
-        )
-        return self._policy.decide(ue_id, time, snapshot).granted
-
-
 class CellSimulator:
     """Replays several devices' traces against one base station.
 
@@ -585,7 +559,9 @@ class CellSimulator:
         The whole shard runs on the kernel
         :func:`~repro.sim.vector_engine.use_vector_kernel` picks from its
         station and device-policy types; ``CellShard.vector_devices``
-        records which (all devices or none).
+        records which (all devices or none).  Either kernel gets the
+        station's ``decide``, or ``None`` for an always-granting station,
+        which is then never asked.
         """
         _check_policy_isolation(devices)
         if not devices:
@@ -595,10 +571,15 @@ class CellSimulator:
             raise ValueError("device ids must be unique")
 
         profile = self._engine.profile
+        station = self._dormancy_policy
         vector = vector_engine.use_vector_kernel(
-            self._dormancy_policy, [spec.policy for spec in devices]
+            station, [spec.policy for spec in devices]
         )
-        self._dormancy_policy.reset()
+        decide = (
+            None if vector_engine.station_always_grants(station)
+            else station.decide
+        )
+        station.reset()
         for spec in devices:
             if isinstance(spec.trace, PacketTrace):
                 spec.policy.prepare(spec.trace, profile)
@@ -619,7 +600,7 @@ class CellSimulator:
                 spec.policy.bind_profile(profile)
             spec.policy.reset()
         if vector:
-            return vector_engine.run_shard_vector(self, devices)
+            return vector_engine.run_shard_vector(self, devices, decide)
 
         contexts: dict[int, UeContext] = {}
         streams: dict[int, Iterable[Packet]] = {}
@@ -635,11 +616,11 @@ class CellSimulator:
             for spec in devices
             if spec.detach_at is not None
         }
-        load = CellLoad(total_devices=len(devices), window_s=_LOAD_WINDOW_S)
+        load = CellLoad()
         outcome = self._engine.run(
             streams,
             contexts,
-            station=_NetworkStation(self._dormancy_policy),
+            decide=decide,
             load=load,
             sample_interval_s=self._sample_interval,
             finish=False,
@@ -681,7 +662,7 @@ class CellSimulator:
             session_delays=session_delays,
         )
         return CellShard(
-            dormancy_policy_name=self._dormancy_policy.name,
+            dormancy_policy_name=station.name,
             profile=profile,
             trailing_time=self._engine.trailing_time,
             devices=table,

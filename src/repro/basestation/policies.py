@@ -4,58 +4,27 @@ Under Release 8 the device merely *requests* channel release; the base
 station decides.  The paper's simplified model assumes every request is
 granted and motivates this module in its future work: an operator worried
 about signalling storms may want to throttle or refuse requests.  Each
-policy here sees the requesting device, the request time and a snapshot of
-current cell load, and answers grant / deny.
+policy here sees the requesting device, the request time and the cell's
+live :class:`~repro.sim.engine.CellLoad`, which it reads and never
+mutates, and answers ``True`` (grant) or ``False`` (deny).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.engine import CellLoad
 
 __all__ = [
-    "CellLoadSnapshot",
-    "DormancyDecision",
     "DormancyPolicy",
     "AcceptAllDormancy",
     "RejectAllDormancy",
     "RateLimitedDormancy",
     "LoadAwareDormancy",
+    "check_switch_budget",
     "partition_switch_budget",
 ]
-
-
-@dataclass(frozen=True)
-class CellLoadSnapshot:
-    """What the base station knows when it evaluates a dormancy request."""
-
-    time: float
-    active_devices: int
-    total_devices: int
-    switches_last_minute: int
-
-    def __post_init__(self) -> None:
-        if self.total_devices < 0 or self.active_devices < 0:
-            raise ValueError("device counts must be non-negative")
-        if self.active_devices > self.total_devices:
-            raise ValueError("active_devices cannot exceed total_devices")
-        if self.switches_last_minute < 0:
-            raise ValueError("switches_last_minute must be non-negative")
-
-    @property
-    def active_fraction(self) -> float:
-        """Fraction of attached devices currently holding a channel."""
-        if self.total_devices == 0:
-            return 0.0
-        return self.active_devices / self.total_devices
-
-
-@dataclass(frozen=True)
-class DormancyDecision:
-    """Outcome of one fast-dormancy request."""
-
-    granted: bool
-    reason: str = ""
 
 
 class DormancyPolicy:
@@ -65,14 +34,14 @@ class DormancyPolicy:
     name: str = "dormancy_policy"
 
     def decide(
-        self, device_id: int, request_time: float,
-        load: CellLoadSnapshot | None,
-    ) -> DormancyDecision:
-        """Grant or deny a device's request to release its channel.
+        self, device_id: int, request_time: float, load: CellLoad | None
+    ) -> bool:
+        """Grant (``True``) or deny (``False``) a device's channel release.
 
-        ``load`` is the cell's load when the request pops.  The scalar
-        kernel always passes a snapshot.  The vector kernel replays a
-        shard only for the stations whose ``decide`` never reads it
+        ``load`` is the cell's live load when the request pops; a policy
+        reads it and never mutates it.  The scalar kernel always passes
+        it.  The vector kernel replays a shard only for the stations whose
+        ``decide`` never reads it
         (:func:`repro.sim.vector_engine.station_decides_per_device`) and
         passes ``None``.
         """
@@ -86,19 +55,18 @@ class AcceptAllDormancy(DormancyPolicy):
     """The paper's assumption: every request is granted immediately.
 
     A station whose ``decide`` is this one grants unconditionally and keeps
-    no per-request state, so the kernels skip the per-request
-    :class:`CellLoadSnapshot` and may replay its devices independently
+    no per-request state, so neither kernel asks it and its devices may be
+    replayed independently
     (:func:`repro.sim.vector_engine.station_always_grants`).
     """
 
     name = "accept_all"
 
     def decide(
-        self, device_id: int, request_time: float,
-        load: CellLoadSnapshot | None,
-    ) -> DormancyDecision:
+        self, device_id: int, request_time: float, load: CellLoad | None
+    ) -> bool:
         del device_id, request_time, load
-        return DormancyDecision(granted=True, reason="always accept")
+        return True
 
 
 class RejectAllDormancy(DormancyPolicy):
@@ -107,11 +75,10 @@ class RejectAllDormancy(DormancyPolicy):
     name = "reject_all"
 
     def decide(
-        self, device_id: int, request_time: float,
-        load: CellLoadSnapshot | None,
-    ) -> DormancyDecision:
+        self, device_id: int, request_time: float, load: CellLoad | None
+    ) -> bool:
         del device_id, request_time, load
-        return DormancyDecision(granted=False, reason="fast dormancy disabled")
+        return False
 
 
 class RateLimitedDormancy(DormancyPolicy):
@@ -139,37 +106,46 @@ class RateLimitedDormancy(DormancyPolicy):
         self._last_grant.clear()
 
     def decide(
-        self, device_id: int, request_time: float,
-        load: CellLoadSnapshot | None,
-    ) -> DormancyDecision:
+        self, device_id: int, request_time: float, load: CellLoad | None
+    ) -> bool:
         del load
         last = self._last_grant.get(device_id)
         if last is not None and request_time - last < self._min_interval_s:
-            return DormancyDecision(
-                granted=False,
-                reason=f"device requested again within {self._min_interval_s}s",
-            )
+            return False
         self._last_grant[device_id] = request_time
-        return DormancyDecision(granted=True, reason="within rate limit")
+        return True
+
+
+def check_switch_budget(budget: float) -> None:
+    """Refuse a load-aware budget that is not a positive, finite whole number.
+
+    The one check behind :class:`LoadAwareDormancy` and
+    :class:`~repro.api.cells.DormancySpec`.  NaN and inf fail the range
+    test before ``int()`` sees them; a fractional budget would be
+    truncated by a spec's ``build()``, leaving its label and cache key
+    naming a policy never in effect.
+    """
+    if not 0 < budget < float("inf") or budget != int(budget):
+        raise ValueError(
+            "load_aware takes a positive whole switches-per-minute "
+            f"budget, got {budget}"
+        )
 
 
 class LoadAwareDormancy(DormancyPolicy):
     """Grant requests only while cell-wide signalling stays below a budget.
 
-    The base station tracks switches over the last minute (provided in the
-    load snapshot) and starts refusing dormancy requests once the rate
-    exceeds ``max_switches_per_minute`` — trading device energy for network
-    stability exactly the way the paper's future-work discussion anticipates.
+    The base station counts the switches of the last minute in the live
+    cell load and refuses dormancy requests once that count reaches
+    ``max_switches_per_minute`` — trading device energy for network
+    stability exactly the way the paper's future-work discussion
+    anticipates.
     """
 
     name = "load_aware"
 
     def __init__(self, max_switches_per_minute: int = 120) -> None:
-        if max_switches_per_minute <= 0:
-            raise ValueError(
-                "max_switches_per_minute must be positive, "
-                f"got {max_switches_per_minute}"
-            )
+        check_switch_budget(max_switches_per_minute)
         self._max_switches_per_minute = max_switches_per_minute
 
     @property
@@ -178,18 +154,11 @@ class LoadAwareDormancy(DormancyPolicy):
         return self._max_switches_per_minute
 
     def decide(
-        self, device_id: int, request_time: float, load: CellLoadSnapshot
-    ) -> DormancyDecision:
-        del device_id, request_time
-        if load.switches_last_minute >= self._max_switches_per_minute:
-            return DormancyDecision(
-                granted=False,
-                reason=(
-                    f"cell at {load.switches_last_minute} switches/min, "
-                    f"budget {self._max_switches_per_minute}"
-                ),
-            )
-        return DormancyDecision(granted=True, reason="cell below switch budget")
+        self, device_id: int, request_time: float, load: CellLoad
+    ) -> bool:
+        del device_id
+        return (load.switches_within_window(request_time)
+                < self._max_switches_per_minute)
 
 
 def partition_switch_budget(

@@ -2,7 +2,6 @@
 
 from .engine import (
     CellLoad,
-    DormancyStation,
     EventKind,
     KernelResult,
     LoadSample,
@@ -16,7 +15,6 @@ from .simulator import TraceSimulator
 
 __all__ = [
     "CellLoad",
-    "DormancyStation",
     "EventKind",
     "GapDecision",
     "KernelResult",

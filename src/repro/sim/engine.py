@@ -47,12 +47,14 @@ and ``docs/DESIGN.md`` §2.2 for the hot-path contract).
 Cell mode
 ---------
 
-Passing a :class:`DormancyStation` puts the kernel in cell mode: every
-scheduled fast-dormancy event becomes a *request* that the station may deny
-(3GPP Release 8 network-controlled fast dormancy), the kernel maintains a
-live :class:`CellLoad` (active-device count via inactivity-timer-expiry
-events, switch timestamps in a sliding window) and can record a
-:class:`LoadSample` time series at a fixed cadence.
+Passing a :class:`CellLoad` puts the kernel in cell mode: it maintains
+that live load (active-device count via inactivity-timer-expiry events,
+switch timestamps in a sliding window), can record a :class:`LoadSample`
+time series at a fixed cadence, and turns every scheduled fast-dormancy
+event into a *request* (3GPP Release 8 network-controlled fast dormancy).
+A base station's ``decide(ue_id, time, load)`` answers each request with
+a bool (``False`` denies it) from the live load, which it reads and never
+mutates; without ``decide`` every request is granted without a call.
 
 Sharding
 --------
@@ -72,7 +74,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..core.policy import RadioPolicy
 from ..energy.accounting import (
@@ -90,9 +92,9 @@ from .results import SessionDelay, SimulationResult
 
 __all__ = [
     "CellLoad",
-    "DormancyStation",
     "EventKind",
     "KernelResult",
+    "LOAD_WINDOW_S",
     "LoadSample",
     "SimulationEngine",
     "StreamOrderError",
@@ -204,35 +206,33 @@ class LoadSample:
     switches_last_minute: int
 
 
+#: Length of the cell's sliding switch window, seconds: load-aware
+#: budgets and the peak-switch metric count switches per minute.
+LOAD_WINDOW_S = 60.0
+
+
 class CellLoad:
     """Live cell-load bookkeeping maintained by the kernel in cell mode.
 
     Tracks the number of non-Idle devices (kept exact by inactivity-timer
     expiry events), the running peak, and the timestamps of
     signalling-relevant switches (promotions and granted fast dormancies)
-    with a sliding window for switches-per-minute style queries.
+    with a :data:`LOAD_WINDOW_S` sliding window for switches-per-minute
+    queries.
     """
 
     __slots__ = (
-        "total_devices",
         "active_devices",
         "peak_active_devices",
         "switch_times",
-        "window_s",
         "_recent",
         "_recent_start",
     )
 
-    def __init__(self, total_devices: int, window_s: float = 60.0) -> None:
-        if total_devices < 0:
-            raise ValueError("total_devices must be non-negative")
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        self.total_devices = total_devices
+    def __init__(self) -> None:
         self.active_devices = 0
         self.peak_active_devices = 0
         self.switch_times: list[float] = []
-        self.window_s = window_s
         # The recent-switch window is a list pruned by advancing a start
         # index (cheaper than a deque for the append-mostly access pattern).
         self._recent: list[float] = []
@@ -244,15 +244,17 @@ class CellLoad:
         self._recent.append(time)
 
     def switches_within_window(self, time: float) -> int:
-        """Switches recorded in the last ``window_s`` seconds before ``time``.
+        """Switches recorded in the last :data:`LOAD_WINDOW_S` before ``time``.
 
-        The window is half-open — a switch exactly ``window_s`` seconds ago
-        has aged out — consistent with the half-open windows of
-        :func:`repro.metrics.switches.peak_per_window`.
+        The window is half-open — a switch exactly :data:`LOAD_WINDOW_S`
+        seconds ago has aged out — consistent with the half-open windows
+        of :func:`repro.metrics.switches.peak_per_window`.  It prunes by
+        time alone, so at non-decreasing query times (the kernel's) the
+        count does not depend on which earlier times were queried.
         """
         recent = self._recent
         start = self._recent_start
-        while start < len(recent) and time - recent[start] >= self.window_s:
+        while start < len(recent) and time - recent[start] >= LOAD_WINDOW_S:
             start += 1
         self._recent_start = start
         # Compact occasionally so the pruned prefix cannot grow unbounded.
@@ -271,26 +273,6 @@ class CellLoad:
     def deactivate(self) -> None:
         """One device reached Idle."""
         self.active_devices -= 1
-
-
-class DormancyStation:
-    """Base-station hook arbitrating fast-dormancy requests in cell mode.
-
-    The kernel calls :meth:`decide` once per fired fast-dormancy request,
-    passing the live :class:`CellLoad`; returning ``False`` denies the
-    request (the device stays on its inactivity timers until its next
-    scheduled request).  The default grants everything — the paper's
-    simplified assumption.
-    """
-
-    #: Declare ``True`` only when :meth:`decide` grants unconditionally and
-    #: keeps no per-request state: the kernel then skips the per-request
-    #: call entirely (the grant/deny counters are unchanged either way).
-    always_grants: bool = False
-
-    def decide(self, ue_id: int, time: float, load: CellLoad) -> bool:
-        """Grant (``True``) or deny (``False``) one fast-dormancy request."""
-        return True
 
 
 class UeContext:
@@ -645,7 +627,7 @@ class SimulationEngine:
         self,
         streams: Mapping[int, Iterator[Packet] | Iterable[Packet]],
         contexts: Mapping[int, UeContext],
-        station: DormancyStation | None = None,
+        decide: Callable[[int, float, CellLoad], bool] | None = None,
         load: CellLoad | None = None,
         sample_interval_s: float | None = None,
         finish: bool = True,
@@ -661,13 +643,17 @@ class SimulationEngine:
             pending packet of each stream is held in memory.
         contexts:
             Per-UE :class:`UeContext` keyed like ``streams``.
-        station:
-            Optional base-station arbiter; presence switches the kernel to
-            cell mode (dormancy arbitration + load tracking via timer
-            events).
+        decide:
+            The base station's answer to one fast-dormancy request,
+            ``decide(ue_id, time, load) -> bool`` (``False`` denies; the
+            device stays on its inactivity timers until its next scheduled
+            request).  ``None`` grants every request without a call.
+            Cell mode only.
         load:
-            The :class:`CellLoad` to maintain; required when ``station`` is
-            given (the cell façade owns it so it can also snapshot it).
+            The :class:`CellLoad` to maintain; its presence switches the
+            kernel to cell mode (dormancy requests + load tracking via
+            timer events).  Required when ``decide`` is given; the cell
+            façade owns it and exports it with the shard.
         sample_interval_s:
             When set (cell mode), record a :class:`LoadSample` every this
             many seconds while packet/timer events remain.
@@ -686,8 +672,8 @@ class SimulationEngine:
             departure time; a later packet aborts the run.  See
             ``docs/DESIGN.md`` §4 (handover contract).
         """
-        if station is not None and load is None:
-            raise ValueError("cell mode (station=...) requires a CellLoad")
+        if decide is not None and load is None:
+            raise ValueError("cell mode (decide=...) requires a CellLoad")
         if sample_interval_s is not None and sample_interval_s <= 0:
             raise ValueError("sample_interval_s must be positive")
         if handovers:
@@ -700,16 +686,10 @@ class SimulationEngine:
         profile = self._profile
         data_model = self._accountant.data_model
         session_idle_gap = self._session_idle_gap
-        cell_mode = station is not None
+        cell_mode = load is not None
         # Time for an untouched radio to demote all the way to Idle — when
         # an inactivity-timer-expiry event is scheduled after each activity.
         idle_after = transition_table(profile).idle_after
-        # Station fast path: an unconditionally-granting, stateless station
-        # (the paper's accept-all assumption) needs no load snapshot per
-        # request.
-        station_always_grants = cell_mode and getattr(
-            station, "always_grants", False
-        )
         # Flat per-packet energy constants (see repro.rrc.tables for the
         # byte-identity contract of precomputed model constants).
         burst_gap = data_model.burst_gap
@@ -943,8 +923,7 @@ class SimulationEngine:
                 return  # cancelled by a later packet or superseded
             if cell_mode:
                 ue.dormancy_requests += 1
-                if station_always_grants or station.decide(ue.ue_id, time,
-                                                           load):
+                if decide is None or decide(ue.ue_id, time, load):
                     ue.dormancy_granted += 1
                 else:
                     ue.dormancy_denied += 1

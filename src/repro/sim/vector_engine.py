@@ -155,7 +155,7 @@ from ..core.policy import RadioPolicy
 from ..energy.accounting import DataEnergyModel
 from ..rrc.tables import TransitionTable, transition_table
 from ..traces.packet import Columns, packet_columns
-from .engine import CellLoad, LoadSample, StreamOrderError
+from .engine import LOAD_WINDOW_S, CellLoad, LoadSample, StreamOrderError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..basestation.cell import CellShard, CellSimulator, DeviceSpec
@@ -200,10 +200,9 @@ def station_always_grants(policy: object) -> bool:
 
     Derived from the policy's type: its ``decide`` must be the accept-all
     implementation, so a subclass that overrides ``decide`` is consulted
-    on every request.  Both kernels then skip the per-request call: the
-    scalar kernel's fast path
-    (:class:`~repro.basestation.cell._NetworkStation`) builds no load
-    snapshot, and the vector kernel takes every fired request as granted.
+    on every request.  :meth:`~repro.basestation.cell.CellSimulator.run_shard`
+    then hands either kernel no ``decide`` at all, and every fired request
+    is granted without a call.
     """
     from ..basestation.policies import AcceptAllDormancy
 
@@ -215,7 +214,7 @@ def station_decides_per_device(policy: object) -> bool:
 
     Derived from the policy's type, as :func:`station_always_grants` is:
     its ``decide`` must be the accept-all, reject-all or rate-limited
-    implementation.  None of them reads the load snapshot, and the
+    implementation.  None of them reads the cell load, and the
     rate-limited state is keyed by device id, so a device's answers
     depend only on its own earlier requests and a per-UE replay can ask
     for them in each device's request order.  The load-aware station
@@ -697,14 +696,14 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
     if decide is not None:
         # Every gap request in flat order, then every trailing request, so
         # each device's requests reach the station in their time order.
-        # These stations read no load: the snapshot is None.
+        # These stations read no load: it is None.
         gap = _np.flatnonzero(fired)
         tails = _np.flatnonzero(tail_fired)
         owners = _np.concatenate((_np.repeat(ids, counts)[gap],
                                   ids[nonempty][tails]))
         when = _np.concatenate((request_at[gap - 1], tail_at[tails]))
         answers = _np.array(
-            [decide(ue, at, None).granted
+            [decide(ue, at, None)
              for ue, at in zip(owners.tolist(), when.tolist())],
             dtype=bool)
         granted = _np.zeros_like(fired)
@@ -860,8 +859,6 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
 def _rebuild_load_and_samples(
     when,
     op,
-    total_devices: int,
-    window_s: float,
     sample_interval_s: float | None,
     horizon: float | None,
 ) -> tuple[CellLoad, tuple[LoadSample, ...]]:
@@ -880,7 +877,7 @@ def _rebuild_load_and_samples(
     sample's switch count prunes the window with the comparison
     :meth:`CellLoad.switches_within_window` makes.
     """
-    load = CellLoad(total_devices=total_devices, window_s=window_s)
+    load = CellLoad()
     active = _np.zeros(op.shape[0] + 1, dtype=_np.int64)
     _np.add.accumulate(op, dtype=_np.int64, out=active[1:])
     load.active_devices = int(active[-1])
@@ -899,7 +896,7 @@ def _rebuild_load_and_samples(
     samples: list[LoadSample] = []
     start = 0
     for s, active_now, count in zip(grid, active[applied].tolist(), noted):
-        while start < count and s - recent[start] >= window_s:
+        while start < count and s - recent[start] >= LOAD_WINDOW_S:
             start += 1
         samples.append(LoadSample(time=s, active_devices=active_now,
                                   switches_last_minute=count - start))
@@ -907,7 +904,7 @@ def _rebuild_load_and_samples(
 
 
 def run_shard_vector(
-    simulator: "CellSimulator", devices: Sequence["DeviceSpec"]
+    simulator: "CellSimulator", devices: Sequence["DeviceSpec"], decide
 ) -> "CellShard":
     """Vector-kernel implementation of :meth:`CellSimulator.run_shard`.
 
@@ -922,17 +919,16 @@ def run_shard_vector(
     kernel builds its partial with.  The caller —
     :meth:`~repro.basestation.cell.CellSimulator.run_shard` — has already
     validated the shard, checked :func:`use_vector_kernel`, and prepared
-    and reset every policy.
+    and reset every policy and the station, whose ``decide`` it passes
+    (``None``: the station always grants).
     """
-    from ..basestation.cell import _LOAD_WINDOW_S, CellShard
+    from ..basestation.cell import CellShard
     from ..basestation.table import ShardTable
 
     engine = simulator.engine
     profile = engine.profile
     table = transition_table(profile)
     model = engine.accountant.data_model
-    station = simulator.dormancy_policy
-    decide = None if station_always_grants(station) else station.decide
     parts = []
     ops = []
     horizon = -_INF
@@ -965,8 +961,6 @@ def run_shard_vector(
     load, samples = _rebuild_load_and_samples(
         when[order],
         op[order],
-        total_devices=len(devices),
-        window_s=_LOAD_WINDOW_S,
         sample_interval_s=simulator.sample_interval_s,
         horizon=None if horizon == -_INF else horizon,
     )

@@ -9,7 +9,7 @@ from repro.basestation import (
     RejectAllDormancy,
 )
 from repro.api import SerialRunner, plan
-from repro.api.cells import cell
+from repro.api.cells import cell, dormancy
 from repro.api.metro import metro
 from repro.basestation.policies import RateLimitedDormancy
 from repro.core import (
@@ -257,3 +257,43 @@ class TestSwitchTimeline:
         )
         _assert_time_ordered([entry.result for record in runs.records
                               for entry in record.result.cells])
+
+
+class TestLoadAwareCell:
+    """A load-aware cell whose answers depend on the live switch window."""
+
+    #: Per device: (dormancy_granted, dormancy_denied, float.hex energy).
+    #: The email devices send nothing in 300 s and never ask.
+    PINNED = (
+        (9, 11, "0x1.4e59770cb098ep+7"),
+        (0, 0, "0x0.0p+0"),
+        (11, 11, "0x1.6a41a7aec57a9p+7"),
+        (0, 0, "0x0.0p+0"),
+        (10, 11, "0x1.517c70fb3c735p+7"),
+        (0, 0, "0x0.0p+0"),
+        (12, 13, "0x1.6acac7bc9d2f4p+7"),
+        (0, 0, "0x0.0p+0"),
+        (13, 12, "0x1.71b0827d563d8p+7"),
+        (1, 0, "0x1.7645185cf075ep+2"),
+        (11, 12, "0x1.6b613f0c2ce81p+7"),
+        (0, 0, "0x0.0p+0"),
+    )
+
+    def test_pinned_grants_and_denials(self):
+        runs = SerialRunner().run(
+            plan()
+            .cells(cell(devices=12, apps=("im", "email"), duration=300.0,
+                        seed=3))
+            .carriers("att_hspa")
+            .policies("fixed_4.5s")
+            .dormancy(dormancy("load_aware", 30))
+        )
+        (record,) = runs.records
+        result = record.result
+        assert result.vector_devices == 0  # load-aware stays scalar
+        assert (result.dormancy_requests, result.dormancy_denied) == (137, 70)
+        assert tuple(
+            (device.dormancy_granted, device.dormancy_denied,
+             device.total_energy_j.hex())
+            for device in result.devices
+        ) == self.PINNED

@@ -308,7 +308,7 @@ class TestMergeValidation:
 class TestCellLoadMerge:
     def test_window_is_half_open(self):
         # Regression: a switch exactly window_s ago has aged out.
-        load = CellLoad(total_devices=1)
+        load = CellLoad()
         load.note_switch(0.0)
         load.note_switch(30.0)
         assert load.switches_within_window(59.9) == 2

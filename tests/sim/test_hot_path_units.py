@@ -14,7 +14,7 @@ from repro.energy.accounting import DataEnergyModel
 from repro.rrc.profiles import CARRIER_PROFILES, get_profile
 from repro.rrc.state_machine import RrcStateMachine
 from repro.rrc.tables import TransitionTable, transition_table
-from repro.sim.engine import SimulationEngine, UeContext
+from repro.sim.engine import CellLoad, SimulationEngine, UeContext
 from repro.traces.packet import Direction, Packet, PacketTrace
 from repro.traces.streaming import stream_application_packets
 
@@ -119,6 +119,38 @@ class TestFoldModeGuards:
         assert high_s == summed({RadioState.HIGH_IDLE})
         assert idle_s == summed({RadioState.IDLE})
         assert switch_j == sum(s.energy_j for s in recording.switches)
+
+
+class TestCellModeGuards:
+    @staticmethod
+    def _run(decide, load):
+        profile = get_profile("att_hspa")
+        packets = [Packet(t, 100, Direction.UPLINK) for t in (1.0, 20.0, 40.0)]
+        ue = UeContext(0, profile, FixedTimerPolicy(timeout=1.0),
+                       collect=False)
+        SimulationEngine(profile).run({0: iter(packets)}, {0: ue},
+                                      decide=decide, load=load)
+        return ue
+
+    def test_decide_requires_a_load(self):
+        with pytest.raises(ValueError, match="CellLoad"):
+            self._run(lambda ue_id, time, load: True, None)
+
+    def test_decide_sees_the_live_load_and_answers_a_bool(self):
+        load = CellLoad()
+        asked = []
+
+        def deny(ue_id, time, seen):
+            asked.append((ue_id, time, seen is load))
+            return False
+
+        ue = self._run(deny, load)
+        assert asked == [(0, 2.0, True), (0, 21.0, True), (0, 41.0, True)]
+        assert (ue.dormancy_requests, ue.dormancy_denied) == (3, 3)
+
+    def test_no_decide_grants_every_request(self):
+        ue = self._run(None, CellLoad())
+        assert (ue.dormancy_requests, ue.dormancy_granted) == (3, 3)
 
 
 class TestChunkedStreamBlockProtocol:

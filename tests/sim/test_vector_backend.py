@@ -43,7 +43,6 @@ from repro.basestation import (
     RejectAllDormancy,
 )
 from repro.basestation.cell import DeviceSpec
-from repro.basestation.policies import DormancyDecision
 from repro.core import (
     FixedDelayMakeActive,
     FixedTimerPolicy,
@@ -181,7 +180,7 @@ class _DenyingAcceptAll(AcceptAllDormancy):
     """Overrides ``AcceptAllDormancy.decide``: it arbitrates."""
 
     def decide(self, ue_id, time, load):
-        return DormancyDecision(granted=False, reason="denied")
+        return False
 
 
 #: The selection rule, case by case: (station, device policies, numpy

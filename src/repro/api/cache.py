@@ -20,26 +20,29 @@ Two tiers:
 * **Disk** (optional, :class:`DiskCacheTier`) — content-addressed files
   keyed by the spec fingerprint, so repeated sweeps across *sessions*
   (or across cooperating processes) load results instead of
-  re-simulating.  Writes are atomic (temp file + ``os.replace``) and
-  version-stamped; any unreadable, truncated or mismatched file is a
-  clean miss that re-simulates and overwrites.
+  re-simulating.  Each file is a small JSON header ahead of raw
+  columns (:mod:`repro.api.resultfile`): a warm hit reads the header and
+  maps the columns, and nothing is unpickled.  Writes are atomic (temp
+  file + ``os.replace``) and version-stamped; any unreadable, truncated
+  or mismatched file is a clean miss that re-simulates and overwrites.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterator, Union
 
 from ..sim.results import SimulationResult
+from .resultfile import FORMAT, read_result, write_result
 
 if TYPE_CHECKING:  # avoid a basestation import at runtime for type hints only
     from ..basestation.cell import CellResult
+    from ..metro.execution import MetroResult
 
-    CachedResult = Union[SimulationResult, "CellResult"]
+    CachedResult = Union[SimulationResult, "CellResult", "MetroResult"]
 else:
     CachedResult = SimulationResult
 
@@ -105,22 +108,24 @@ class DiskCacheTier:
     Filenames are the SHA-256 of the cache key's canonical ``repr`` —
     the same nested-primitive-tuple fingerprints the memory tier hashes —
     so cooperating processes (and later sessions) address the same file
-    for the same spec without coordination.  The stored payload carries a
-    format version and the full key repr; :meth:`load` treats *any*
-    irregularity — unpickling error, truncated file, version or key
-    mismatch — as a clean miss and deletes the offender so the slot heals
-    on the next store.
+    for the same spec without coordination.  Each file is a format-3
+    result file (:mod:`repro.api.resultfile`): a JSON header carrying the
+    format version, the full key repr and every number a records query
+    reads, then the result's columns.  :meth:`load` treats *any*
+    irregularity — wrong magic, format or key, a length the header does
+    not imply — as a clean miss and deletes the offender so the slot
+    heals on the next store.
 
     Writes go to a temp file in the same directory followed by
     ``os.replace``, so concurrent writers are safe: readers only ever see
-    a complete file (the atomicity the disk-cache tests exercise).
+    a complete file (the atomicity the disk-cache tests exercise), and a
+    result loaded before its file is replaced or removed keeps reading
+    the old file's mapping.
     """
 
-    #: Bump when the pickled payload layout (or anything that affects the
-    #: byte-compatibility of stored results) changes: old files then read
-    #: as version mismatches, i.e. clean misses.  Format 2: cell results
-    #: carry their folded ``CellSummary``.
-    FORMAT_VERSION = 2
+    #: The file layout's version: files of any other format (format 2
+    #: pickled the result) read as clean misses.
+    FORMAT_VERSION = FORMAT
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self._dir = Path(directory) if directory is not None else default_cache_dir()
@@ -142,36 +147,27 @@ class DiskCacheTier:
         """Results written to disk so far."""
         return self._stores
 
-    @staticmethod
-    def _key_repr(key: Hashable) -> str:
-        return repr(key)
+    def _path(self, key_repr: str) -> Path:
+        digest = hashlib.sha256(key_repr.encode("utf-8")).hexdigest()
+        return self._dir / f"{digest}.pkl"
 
     def path_for(self, key: Hashable) -> Path:
         """The content-addressed file path of ``key``."""
-        digest = hashlib.sha256(
-            self._key_repr(key).encode("utf-8")
-        ).hexdigest()
-        return self._dir / f"{digest}.pkl"
+        return self._path(repr(key))
 
     def load(self, key: Hashable) -> CachedResult | None:
         """Return the stored result for ``key``, or ``None`` on any miss.
 
-        Corruption of any kind never propagates: a file that cannot be
-        read, unpickled or validated is removed (best effort) and the
-        caller re-simulates.
+        Corruption of any kind never propagates: a file that fails
+        validation is removed (best effort) and the caller re-simulates.
+        A file that cannot be opened or mapped (permissions, descriptors
+        exhausted) is a miss that leaves the file alone.
         """
-        path = self.path_for(key)
+        key_repr = repr(key)
+        path = self._path(key_repr)
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("format") != self.FORMAT_VERSION
-                or payload.get("key") != self._key_repr(key)
-            ):
-                raise ValueError("cache file failed validation")
-            result = payload["result"]
-        except FileNotFoundError:
+            result = read_result(path, key_repr)
+        except OSError:
             return None
         except Exception:
             try:
@@ -187,23 +183,20 @@ class DiskCacheTier:
 
         A filesystem that refuses the write (read-only, full, ...) fails
         quietly: the disk tier is an accelerator, never a correctness
-        dependency.
+        dependency.  Only ``SimulationResult``, ``CellResult`` and
+        ``MetroResult`` values are stored; anything else raises
+        ``TypeError``.
         """
+        key_repr = repr(key)
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "format": self.FORMAT_VERSION,
-                "key": self._key_repr(key),
-                "result": result,
-            }
             fd, tmp = tempfile.mkstemp(
                 dir=self._dir, prefix=".tmp-", suffix=".pkl"
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self.path_for(key))
+                    write_result(handle, key_repr, result)
+                os.replace(tmp, self._path(key_repr))
             except BaseException:
                 try:
                     os.unlink(tmp)

@@ -34,6 +34,7 @@ from ..basestation.policies import (
     LoadAwareDormancy,
     RateLimitedDormancy,
     RejectAllDormancy,
+    check_min_interval,
     check_switch_budget,
     partition_switch_budget,
 )
@@ -105,16 +106,11 @@ class DormancySpec:
             )
         if self.param is not None and self.scheme in ("accept_all", "reject_all"):
             raise ValueError(f"{self.scheme!r} takes no parameter")
-        if (self.scheme == "rate_limited" and self.param is not None
-                and not self.param > 0):
-            # NaN too, which would grant every request and make the spec
-            # unequal to itself; inf is one grant per device.
-            raise ValueError(
-                "rate_limited takes a positive min_interval_s, "
-                f"got {self.param}"
-            )
+        # Checked here, not at build time.
+        if self.scheme == "rate_limited" and self.param is not None:
+            check_min_interval(self.param)
         if self.scheme == "load_aware" and self.param is not None:
-            check_switch_budget(self.param)  # here, not at build time
+            check_switch_budget(self.param)
 
     @property
     def key(self) -> tuple:

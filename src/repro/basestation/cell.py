@@ -281,8 +281,9 @@ class CellSummary:
     :meth:`of` runs every fold a records query reads — the energy left
     fold, the integer totals, the peak-switch sweep, the learning summary
     and the cohort groups — from the result's columns.  The result builds
-    it when it is made and pickles it, so a result loaded from the disk
-    cache answers its aggregate accessors without folding anything.
+    it when it is made and the disk cache stores it in its file header,
+    so a result loaded from the cache answers its aggregate accessors
+    without folding anything.
     """
 
     total_energy_j: float
@@ -337,8 +338,8 @@ class CellResult:
     cell-wide aggregates push down to column operations that replicate the
     row-based left-fold sums bit for bit (see ``docs/DESIGN.md`` §5), and
     run once, when the result is made: ``summary`` (a
-    :class:`CellSummary`) holds them, pickles with the result, and is what
-    the aggregate accessors read.  ``switch_times`` is time-ordered (the
+    :class:`CellSummary`) holds them, is stored with the result by the
+    disk cache, and is what the aggregate accessors read.  ``switch_times`` is time-ordered (the
     peak sweep relies on it).
     """
 

@@ -22,6 +22,7 @@ __all__ = [
     "RejectAllDormancy",
     "RateLimitedDormancy",
     "LoadAwareDormancy",
+    "check_min_interval",
     "check_switch_budget",
     "partition_switch_budget",
 ]
@@ -92,8 +93,7 @@ class RateLimitedDormancy(DormancyPolicy):
     name = "rate_limited"
 
     def __init__(self, min_interval_s: float = 10.0) -> None:
-        if not min_interval_s > 0:  # NaN too; inf grants once per device
-            raise ValueError(f"min_interval_s must be positive, got {min_interval_s}")
+        check_min_interval(min_interval_s)
         self._min_interval_s = min_interval_s
         self._last_grant: dict[int, float] = {}
 
@@ -114,6 +114,21 @@ class RateLimitedDormancy(DormancyPolicy):
             return False
         self._last_grant[device_id] = request_time
         return True
+
+
+def check_min_interval(min_interval_s: float) -> None:
+    """Refuse a rate-limited spacing that is not positive.
+
+    The one check behind :class:`RateLimitedDormancy` and
+    :class:`~repro.api.cells.DormancySpec`.  NaN fails too: it would grant
+    every request and make a spec unequal to itself.  ``inf`` passes and
+    grants one request per device.
+    """
+    if not min_interval_s > 0:
+        raise ValueError(
+            "rate_limited takes a positive min_interval_s, "
+            f"got {min_interval_s}"
+        )
 
 
 def check_switch_budget(budget: float) -> None:

@@ -239,6 +239,11 @@ class FloatArray(Sequence[float]):
         """The values as a plain list of Python floats."""
         return self._data.tolist()
 
+    @property
+    def column(self):
+        """The backing float64 column (numpy array, or ``array('d')``)."""
+        return self._data
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FloatArray):
             return _col_equal(self._data, other._data)
@@ -386,8 +391,8 @@ class DeviceTable(Sequence["DeviceResult"]):
 
     def __getstate__(self) -> dict[str, Any]:
         # The id index is a lookup cache, rebuilt on demand: leaving it
-        # out keeps a stored table's bytes independent of which lookups
-        # ran before the store.
+        # out keeps a pickled table's bytes independent of which lookups
+        # ran before the pickle.
         return {name: getattr(self, name)
                 for name in self.__slots__ if name != "_id_index"}
 
@@ -443,6 +448,60 @@ class DeviceTable(Sequence["DeviceResult"]):
             {name: cols[name] for name in cls._FLOAT_COLS + cls._INT_COLS},
             policy_codes, policy_cats, cohort_codes, cohort_cats, delays,
         )
+
+    def stored_columns(self) -> list[Any]:
+        """Every column of the table, in :meth:`stored_layout` order.
+
+        The field columns, the policy and cohort label codes, then the
+        session delays' offsets, arrival, release and flow columns.  With
+        :attr:`labels` this is the whole table; :meth:`from_stored`
+        rebuilds it.
+        """
+        delays = self._delays
+        return [
+            *(self._cols[name] for name in self._FLOAT_COLS + self._INT_COLS),
+            self._policy_codes, self._cohort_codes,
+            delays.offsets, delays.arrival, delays.release, delays.flow,
+        ]
+
+    @classmethod
+    def stored_layout(cls, devices: int, delays: int) -> list[tuple[str, int]]:
+        """``(typecode, length)`` of each of the :meth:`stored_columns`.
+
+        For a table of ``devices`` rows holding ``delays`` session delays;
+        ``"d"`` is float64 and ``"q"`` int64.  The field and label-code
+        columns have one row per device, the delay offsets one more, and
+        the arrival, release and flow columns one per delay.
+        """
+        return (
+            [("d", devices)] * len(cls._FLOAT_COLS)
+            + [("q", devices)] * (len(cls._INT_COLS) + 2)
+            + [("q", devices + 1), ("d", delays), ("d", delays), ("q", delays)]
+        )
+
+    @property
+    def labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The policy and cohort categories the label code columns index."""
+        return self._policy_cats, self._cohort_cats
+
+    @classmethod
+    def from_stored(
+        cls,
+        columns: Iterator[Any],
+        policy_cats: tuple[str, ...],
+        cohort_cats: tuple[str, ...],
+    ) -> "DeviceTable":
+        """The table whose :meth:`stored_columns` come next in ``columns``.
+
+        Takes exactly those columns off the iterator and keeps them as
+        given, without a copy; the labels are the table's :attr:`labels`.
+        """
+        cols = dict(zip(cls._FLOAT_COLS + cls._INT_COLS, columns))
+        policy_codes, cohort_codes, offsets, arrival, release, flow = (
+            next(columns) for _ in range(6)
+        )
+        return cls(cols, policy_codes, policy_cats, cohort_codes, cohort_cats,
+                   _Ragged(arrival, release, flow, offsets))
 
     # -- sequence protocol -----------------------------------------------------------
 

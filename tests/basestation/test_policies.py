@@ -5,6 +5,7 @@ Every policy answers a bare ``bool`` from the cell's live ``CellLoad``.
 
 import pytest
 
+from repro.api.cells import DormancySpec
 from repro.basestation import (
     AcceptAllDormancy,
     LoadAwareDormancy,
@@ -64,6 +65,36 @@ class TestRateLimitedDormancy:
         assert policy.decide(1, 0.0, _load()) is True
         assert policy.decide(1, 1e9, _load()) is False
         assert policy.decide(2, 1e9, _load()) is True
+
+
+#: The two ways to make a rate-limited station from a spacing.
+_RATE_LIMITED = {
+    "policy": lambda interval: RateLimitedDormancy(min_interval_s=interval),
+    "spec": lambda interval: DormancySpec("rate_limited", interval).build(),
+}
+
+
+class TestOneIntervalCheck:
+    """The policy and the plan spec refuse the same spacings alike."""
+
+    @pytest.mark.parametrize("make", list(_RATE_LIMITED.values()),
+                             ids=list(_RATE_LIMITED))
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_refused(self, make, interval):
+        with pytest.raises(ValueError) as refused:
+            make(interval)
+        assert str(refused.value) == (
+            f"rate_limited takes a positive min_interval_s, got {interval}"
+        )
+
+    @pytest.mark.parametrize("make", list(_RATE_LIMITED.values()),
+                             ids=list(_RATE_LIMITED))
+    def test_infinite_spacing_grants_once_per_device(self, make):
+        policy = make(float("inf"))
+        assert policy.min_interval_s == float("inf")
+        assert [policy.decide(device, time, _load())
+                for device, time in ((1, 0.0), (1, 1e9), (2, 1e9))] == [
+            True, False, True]
 
 
 class TestLoadAwareDormancy:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from ..basestation.cell import (
@@ -213,7 +214,7 @@ class CellSpec:
                     f"{sorted(APPLICATION_PROFILES)}"
                 )
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Short human-readable identity used in result tables and grouping.
 
@@ -223,6 +224,12 @@ class CellSpec:
         never share a :class:`~repro.api.runset.RunRecord` group, which
         would cross their baselines.  The seed stays out of the digest so
         ``repeat(seeds=...)`` repetitions of one population group together.
+
+        Computed once per instance: ``cached_property`` stores it in the
+        instance ``__dict__`` past the frozen ``__setattr__``, and it is not
+        a field, so equality, hashing, ``repr`` and :meth:`to_dict` never
+        see it; ``dataclasses.replace`` builds a new instance, which
+        computes its own.
         """
         if self.name:
             return self.name

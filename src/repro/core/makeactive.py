@@ -188,17 +188,18 @@ class LearningMakeActive(RadioPolicy):
     def on_release(self, release_time: float, arrival_times: Sequence[float]) -> None:
         if not arrival_times:
             return
+        # Score and learn before anything else moves: a refused loss row
+        # leaves the learner, the history and the pending proposal as they were.
+        first = arrival_times[0]
+        offsets = [t - first for t in arrival_times]
+        self._learner.update(self._loss.row(self._learner.expert_values, offsets))
         # Pair this release with the decision that opened its buffer window;
         # a release the learner was never asked about (no activation_delay
         # since the last release) records the realised delay instead of the
         # stale previous proposal.
         pending = self._pending_delay
         self._pending_delay = None
-        first = arrival_times[0]
         delay_used = pending if pending is not None else release_time - first
-        offsets = [t - first for t in arrival_times]
-        losses = [self._loss(value, offsets) for value in self._learner.expert_values]
-        self._learner.update(losses)
         delays = [release_time - t for t in arrival_times]
         self._history.append(
             LearningRecord(

@@ -34,6 +34,32 @@ from ..folds import left_fold
 __all__ = ["FixedShareExperts", "switching_kernel"]
 
 
+def _check_loss_row(losses: Sequence[float], n_experts: int) -> None:
+    """Refuse a loss row of the wrong length or with a negative or NaN loss.
+
+    ``inf`` is admissible: its factor ``e^{-inf}`` is 0.  Both learners
+    check a row here before any of their state moves, so a refused row
+    leaves them as they were.
+    """
+    if len(losses) != n_experts:
+        raise ValueError(f"expected {n_experts} losses, got {len(losses)}")
+    for loss in losses:
+        if not loss >= 0.0:
+            raise ValueError(f"losses must be non-negative, got {loss!r}")
+
+
+def _exp_factors(losses: Sequence[float]) -> list[float]:
+    """The factors ``e^{-L(i,t)}`` every weight row of one update multiplies by."""
+    return [math.exp(-loss) for loss in losses]
+
+
+def _mix_loss(mixture: float, losses: Sequence[float]) -> float:
+    """``-log`` of a mixture; the worst loss when the mixture underflowed to 0."""
+    if mixture <= 0.0:
+        return max(losses)
+    return -math.log(mixture)
+
+
 def switching_kernel(n_experts: int, alpha: float) -> list[list[float]]:
     """Return the ``P(i | j, α)`` transition matrix as nested lists.
 
@@ -117,7 +143,7 @@ class FixedShareExperts:
 
     def predict(self) -> float:
         """Current prediction: the weight-averaged expert value ``Σ p_t(i) T_i``."""
-        return left_fold(w * v for w, v in zip(self._weights, self._values))
+        return left_fold([w * v for w, v in zip(self._weights, self._values)])
 
     def update(self, losses: Sequence[float]) -> float:
         """Apply one Fixed-Share update given per-expert losses.
@@ -126,38 +152,10 @@ class FixedShareExperts:
         weight-averaged expert loss (used for diagnostics and by Learn-α,
         where the analogous quantity appears as ``L(α_j, t)``).
         """
-        if len(losses) != len(self._values):
-            raise ValueError(
-                f"expected {len(self._values)} losses, got {len(losses)}"
-            )
-        if any(loss < 0 for loss in losses):
-            raise ValueError("losses must be non-negative")
-
-        own_loss = self.loss_of_mixture(losses)
-
-        # Exponential-weights step followed by the switching kernel, computed
-        # without materialising the full kernel matrix.
-        boosted = [w * math.exp(-loss) for w, loss in zip(self._weights, losses)]
-        total = left_fold(boosted)
-        if total <= 0.0:
-            # All losses astronomically large; fall back to uniform weights.
-            self._weights = [1.0 / len(self._values)] * len(self._values)
-        else:
-            boosted = [b / total for b in boosted]
-            n = len(boosted)
-            if n == 1 or self._alpha == 0.0:  # repro-lint: allow[float-eq] reason=documented Learn-α reduction: α=0.0 must reduce exactly to Fixed-Share (property-tested)
-                self._weights = boosted
-            else:
-                share = self._alpha / (n - 1)
-                mass = left_fold(boosted)
-                self._weights = [
-                    (1.0 - self._alpha) * b + share * (mass - b) for b in boosted
-                ]
-                normalizer = left_fold(self._weights)
-                self._weights = [w / normalizer for w in self._weights]
-
-        self._iterations += 1
-        self._cumulative_loss += own_loss
+        _check_loss_row(losses, len(self._values))
+        products, mixture = self._mix(_exp_factors(losses))
+        own_loss = _mix_loss(mixture, losses)
+        self._advance(products, mixture, own_loss)
         return own_loss
 
     def loss_of_mixture(self, losses: Sequence[float]) -> float:
@@ -167,16 +165,43 @@ class FixedShareExperts:
         α-expert (paper Equation 5).  It is bounded above by the weighted
         average loss and below by the best expert's loss.
         """
-        if len(losses) != len(self._values):
-            raise ValueError(
-                f"expected {len(self._values)} losses, got {len(losses)}"
-            )
-        mixture = left_fold(
-            w * math.exp(-loss) for w, loss in zip(self._weights, losses)
-        )
+        _check_loss_row(losses, len(self._values))
+        return _mix_loss(self._mix(_exp_factors(losses))[1], losses)
+
+    def _mix(self, factors: Sequence[float]) -> tuple[list[float], float]:
+        """The products ``p_t(i) e^{-L(i,t)}`` and their left-folded mixture.
+
+        The mixture is both the exponent of the mix loss and the
+        normaliser of :meth:`_advance`, so one fold serves both.
+        :class:`~repro.learning.learn_alpha.LearnAlpha` runs this step and
+        :meth:`_advance` on every α-row, with factors shared by all rows.
+        """
+        products = [w * f for w, f in zip(self._weights, factors)]
+        return products, left_fold(products)
+
+    def _advance(self, products: list[float], mixture: float, own_loss: float) -> None:
+        """The Fixed-Share step from one :meth:`_mix` of the current weights.
+
+        The exponential-weights step followed by the switching kernel,
+        computed without materialising the full kernel matrix.
+        """
+        n = len(products)
         if mixture <= 0.0:
-            return max(losses)
-        return -math.log(mixture)
+            # All losses astronomically large; fall back to uniform weights.
+            self._weights = [1.0 / n] * n
+        else:
+            boosted = [p / mixture for p in products]
+            if n == 1 or self._alpha == 0.0:  # repro-lint: allow[float-eq] reason=documented Learn-α reduction: α=0.0 must reduce exactly to Fixed-Share (property-tested)
+                self._weights = boosted
+            else:
+                keep = 1.0 - self._alpha
+                share = self._alpha / (n - 1)
+                mass = left_fold(boosted)
+                weights = [keep * b + share * (mass - b) for b in boosted]
+                normalizer = left_fold(weights)
+                self._weights = [w / normalizer for w in weights]
+        self._iterations += 1
+        self._cumulative_loss += own_loss
 
     def reset(self) -> None:
         """Restore uniform weights and clear the iteration counters."""

@@ -24,7 +24,7 @@ import math
 from typing import Sequence
 
 from ..folds import left_fold
-from .experts import FixedShareExperts
+from .experts import FixedShareExperts, _check_loss_row, _exp_factors, _mix_loss
 
 __all__ = ["LearnAlpha", "default_alpha_grid"]
 
@@ -76,6 +76,7 @@ class LearnAlpha:
         ]
         self._alpha_weights = [1.0 / len(alpha_values)] * len(alpha_values)
         self._iterations = 0
+        self._prediction = self._weighted_prediction()
 
     # -- read-only views ---------------------------------------------------------------
 
@@ -110,11 +111,13 @@ class LearnAlpha:
     # -- prediction and update -----------------------------------------------------------
 
     def predict(self) -> float:
-        """The doubly weighted prediction ``T_t`` (paper Equation 3)."""
-        return left_fold(
-            alpha_weight * learner.predict()
-            for alpha_weight, learner in zip(self._alpha_weights, self._sub_learners)
-        )
+        """The doubly weighted prediction ``T_t`` (paper Equation 3).
+
+        Only construction, :meth:`update` and :meth:`reset` move the
+        weights, and each computes the prediction once as it finishes;
+        this returns the kept value.
+        """
+        return self._prediction
 
     def update(self, losses: Sequence[float]) -> float:
         """Apply one update with per-expert losses shared by every α-expert.
@@ -124,14 +127,16 @@ class LearnAlpha:
         used at time ``t``, matching the paper's indexing), then every
         Fixed-Share sub-learner applies its own update.  Returns the new
         overall prediction.
+
+        The row is checked before any weight moves.  The factors
+        ``e^{-L(i,t)}`` are computed once for all α-experts, and each
+        α-expert's one mixture is its mix loss, its own loss and its
+        normaliser alike.
         """
-        if len(losses) != len(self._expert_values):
-            raise ValueError(
-                f"expected {len(self._expert_values)} losses, got {len(losses)}"
-            )
-        alpha_losses = [
-            learner.loss_of_mixture(losses) for learner in self._sub_learners
-        ]
+        _check_loss_row(losses, len(self._expert_values))
+        factors = _exp_factors(losses)
+        mixes = [learner._mix(factors) for learner in self._sub_learners]
+        alpha_losses = [_mix_loss(mixture, losses) for _, mixture in mixes]
         boosted = [
             w * math.exp(-loss) for w, loss in zip(self._alpha_weights, alpha_losses)
         ]
@@ -141,10 +146,13 @@ class LearnAlpha:
         else:
             self._alpha_weights = [b / total for b in boosted]
 
-        for learner in self._sub_learners:
-            learner.update(losses)
+        for learner, (products, mixture), own_loss in zip(
+            self._sub_learners, mixes, alpha_losses
+        ):
+            learner._advance(products, mixture, own_loss)
         self._iterations += 1
-        return self.predict()
+        self._prediction = self._weighted_prediction()
+        return self._prediction
 
     def reset(self) -> None:
         """Restore uniform weights in both layers."""
@@ -152,3 +160,10 @@ class LearnAlpha:
             learner.reset()
         self._alpha_weights = [1.0 / len(self._sub_learners)] * len(self._sub_learners)
         self._iterations = 0
+        self._prediction = self._weighted_prediction()
+
+    def _weighted_prediction(self) -> float:
+        return left_fold([
+            alpha_weight * learner.predict()
+            for alpha_weight, learner in zip(self._alpha_weights, self._sub_learners)
+        ])

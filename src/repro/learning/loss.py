@@ -31,6 +31,12 @@ __all__ = ["MakeActiveLoss", "aggregate_delay", "DEFAULT_GAMMA"]
 DEFAULT_GAMMA = 0.008
 
 
+def _check_bound(delay_bound: float) -> None:
+    """Refuse a negative or NaN delay bound; every entry point here uses this rule."""
+    if not delay_bound >= 0:
+        raise ValueError(f"delay_bound must be non-negative, got {delay_bound}")
+
+
 def aggregate_delay(delay_bound: float, arrival_offsets: Sequence[float]) -> float:
     """Total waiting time of buffered sessions if released at ``delay_bound``.
 
@@ -39,8 +45,7 @@ def aggregate_delay(delay_bound: float, arrival_offsets: Sequence[float]) -> flo
     Sessions that arrive after ``delay_bound`` would not have been buffered
     by this expert and contribute nothing.
     """
-    if delay_bound < 0:
-        raise ValueError(f"delay_bound must be non-negative, got {delay_bound}")
+    _check_bound(delay_bound)
     return left_fold(
         delay_bound - offset
         for offset in arrival_offsets
@@ -68,8 +73,32 @@ class MakeActiveLoss:
     def __call__(
         self, delay_bound: float, arrival_offsets: Sequence[float]
     ) -> float:
-        buffered = [o for o in arrival_offsets if 0.0 <= o <= delay_bound]
-        if not buffered:
-            return self.gamma * delay_bound + 1.0
-        total_delay = aggregate_delay(delay_bound, buffered)
-        return self.gamma * total_delay + 1.0 / len(buffered)
+        return self.row((delay_bound,), arrival_offsets)[0]
+
+    def row(
+        self, delay_bounds: Sequence[float], arrival_offsets: Sequence[float]
+    ) -> list[float]:
+        """The loss of every bound in ``delay_bounds`` over one release.
+
+        Entry ``i`` is the loss of ``delay_bounds[i]`` alone; the offsets
+        before the first arrival are dropped once for the whole row.
+        Every bound is checked before any loss is computed.
+        """
+        for bound in delay_bounds:
+            _check_bound(bound)
+        started = [o for o in arrival_offsets if 0.0 <= o]
+        losses = []
+        for bound in delay_bounds:
+            # aggregate_delay's left fold, inlined: the same terms in the
+            # same order, counted as they are added.
+            total_delay = 0
+            buffered = 0
+            for offset in started:
+                if offset <= bound:
+                    total_delay += bound - offset
+                    buffered += 1
+            if buffered:
+                losses.append(self.gamma * total_delay + 1.0 / buffered)
+            else:
+                losses.append(self.gamma * bound + 1.0)
+        return losses

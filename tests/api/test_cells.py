@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -54,6 +56,46 @@ class TestCellSpec:
         assert im.label == im.with_seed(5).label
         assert cell(devices=3, apps=("im",), duration=300.0,
                     name="x").label == "x"
+
+    @pytest.mark.parametrize("spec", [
+        cell(devices=50, scenario="office_day", duration=900.0, seed=7),
+        cell(devices=3, apps=("im", "email"), duration=300.0),
+        cell(devices=3, apps=("im",), duration=300.0, name="named"),
+    ], ids=["scenario", "apps", "named"])
+    def test_label_computed_once(self, spec, monkeypatch):
+        from repro.api import cells as cells_module
+
+        spec = dataclasses.replace(spec)  # a fresh, uncached instance
+        fresh = CellSpec.label.func(spec)
+        computed = spec.to_dict(), repr(spec), hash(spec)
+        crcs = []
+        crc32 = cells_module.zlib.crc32
+
+        class CountingZlib:
+            @staticmethod
+            def crc32(data):
+                crcs.append(data)
+                return crc32(data)
+
+        monkeypatch.setattr(cells_module, "zlib", CountingZlib)
+        assert [spec.label for _ in range(9)] == [fresh] * 9
+        assert len(crcs) == (0 if spec.name else 1)
+        # The cached label is not a field: equality, hashing, repr and the
+        # plan form are what they were before it was computed.
+        assert (spec.to_dict(), repr(spec), hash(spec)) == computed
+        assert "label" not in repr(spec)
+        assert spec == dataclasses.replace(spec)
+        assert hash(spec) == hash(dataclasses.replace(spec))
+        assert CellSpec.from_dict(spec.to_dict()) == spec
+
+    def test_label_survives_pickle_and_replace_recomputes(self):
+        spec = cell(devices=50, scenario="office_day", duration=900.0)
+        label = spec.label
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert restored.label == label == CellSpec.label.func(restored)
+        bigger = dataclasses.replace(spec, devices=60)
+        assert bigger.label == CellSpec.label.func(bigger) != label
 
     def test_fingerprint_distinguishes_populations(self):
         base = cell(devices=10, apps=("im",), duration=300.0)

@@ -187,7 +187,7 @@ def _rss_now_mb() -> float:
 def _build_devices():
     population = cell(
         devices=DEVICES, apps=("im", "email"), duration=DURATION_S,
-        streaming=True, chunk_s=60.0,
+        chunk_s=60.0,
     )
     # fixed_4.5s keeps per-packet policy work O(1): the number measured is
     # the kernel's, not MakeIdle's window optimisation.
@@ -197,7 +197,7 @@ def _build_devices():
 def _cell_spec(devices: int, duration: float, shards: int) -> CellRunSpec:
     return CellRunSpec(
         cell=cell(devices=devices, apps=("im", "email"), duration=duration,
-                  streaming=True, chunk_s=60.0),
+                  chunk_s=60.0),
         carrier="att_hspa",
         policy=PolicySpec(scheme="fixed_4.5s").resolved(100),
         dormancy=DormancySpec(),
@@ -520,7 +520,7 @@ def _materialized_dense_devices():
     """
     population = cell(
         devices=VECTOR_DEVICES, apps=VECTOR_APPS,
-        duration=VECTOR_DURATION_S, streaming=True, chunk_s=60.0,
+        duration=VECTOR_DURATION_S, chunk_s=60.0,
     )
     return [
         dc_replace(spec, trace=PacketTrace(spec.trace))
@@ -642,8 +642,7 @@ def test_learning_10k_device_cell_matches_and_records():
     def spec(shards: int) -> CellRunSpec:
         return CellRunSpec(
             cell=cell(devices=LEARNING_DEVICES, apps=("im", "email"),
-                      duration=LEARNING_DURATION_S, streaming=True,
-                      chunk_s=60.0),
+                      duration=LEARNING_DURATION_S, chunk_s=60.0),
             carrier="att_hspa",
             policy=PolicySpec(scheme="makeidle+makeactive_learn").resolved(100),
             dormancy=DormancySpec(),

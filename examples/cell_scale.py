@@ -38,8 +38,7 @@ def main() -> None:
         apps=APPS,
         duration=DURATION_S,
         name=f"cell{DEVICES}",
-        streaming=True,       # lazy chunked generation: O(devices) memory
-        chunk_s=150.0,
+        chunk_s=150.0,        # lazy chunked generation: O(devices) memory
     )
     sweep = (plan()
              .cells(population)

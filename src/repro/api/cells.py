@@ -3,7 +3,7 @@
 The paper's §8 future-work question — what happens at the base station when
 *many* phones run these schemes — becomes a first-class sweep axis here.  A
 :class:`CellSpec` describes a reproducible device population (how many
-devices, which application mix, how much traffic, streamed or materialised);
+devices, which application mix, how much traffic);
 a :class:`DormancySpec` describes the base-station policy arbitrating
 fast-dormancy requests; and a :class:`CellRunSpec` is one cell of the
 expanded grid: population × carrier × device policy × dormancy policy.
@@ -42,9 +42,8 @@ from ..basestation.policies import (
 from ..dictform import strict_fields
 from ..rrc.profiles import get_profile
 from ..scenarios.scenario import Scenario
-from ..traces.packet import PacketTrace
 from ..traces.streaming import stream_application_packets
-from .spec import PolicySpec
+from .spec import PolicySpec, check_chunk, check_duration
 
 __all__ = [
     "DORMANCY_SCHEMES",
@@ -77,7 +76,7 @@ DORMANCY_SCHEMES: tuple[str, ...] = (
 #: with their JSON types (see :mod:`repro.dictform`).
 _CELL_FIELDS = {
     "devices": "integer", "duration_s": "number", "seed": "integer",
-    "name": "string", "streaming": "boolean", "chunk_s": "number",
+    "name": "string", "chunk_s": "number",
     "apps": "list[string]", "scenario": "object?",
 }
 
@@ -160,10 +159,12 @@ class CellSpec:
 
     Device ``i`` of the population runs the application
     ``apps[i % len(apps)]`` with a seed derived from ``seed`` and ``i``, so
-    the whole population regenerates exactly from the spec.  With
-    ``streaming=True`` (the default) each device's workload is produced
-    lazily in ``chunk_s``-second chunks, keeping a sweep's memory bounded
-    by the device count rather than the total packet count.
+    the whole population regenerates exactly from the spec.  Each
+    device's workload is produced lazily in ``chunk_s``-second chunks,
+    keeping a sweep's memory bounded by the device count rather than the
+    total packet count.  A device whose policy reads the whole trace
+    (``RadioPolicy.requires_trace``) has its stream materialised at run
+    time, for that device alone.
 
     Alternatively a :class:`~repro.scenarios.scenario.Scenario` describes
     a *heterogeneous* population: weighted archetype cohorts (multi-app
@@ -180,7 +181,6 @@ class CellSpec:
     duration_s: float = 900.0
     seed: int = 0
     name: str = ""
-    streaming: bool = True
     chunk_s: float = 300.0
     scenario: Scenario | None = None
 
@@ -189,10 +189,8 @@ class CellSpec:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
         if not self.apps and self.scenario is None:
             raise ValueError("at least one application is required")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.chunk_s <= 0:
-            raise ValueError(f"chunk_s must be positive, got {self.chunk_s}")
+        check_duration(self.duration_s)
+        check_chunk(self.chunk_s)
         if self.scenario is not None:
             if not isinstance(self.scenario, Scenario):
                 raise TypeError(
@@ -219,7 +217,7 @@ class CellSpec:
         """Short human-readable identity used in result tables and grouping.
 
         Unnamed populations carry a digest of their seed-independent
-        identity (apps, duration, generation mode), so two different
+        identity (apps, duration, chunk length), so two different
         populations of the same size never share a label — and therefore
         never share a :class:`~repro.api.runset.RunRecord` group, which
         would cross their baselines.  The seed stays out of the digest so
@@ -233,15 +231,14 @@ class CellSpec:
         """
         if self.name:
             return self.name
+        # The literal True keeps the bytes of a retired generation-mode
+        # flag, so labels, fingerprints and disk-cache keys do not move.
         if self.scenario is not None:
-            # chunk_s always matters here: scenario workloads generate via
-            # the chunked stream even when materialised (streaming=False).
             identity = repr((self.scenario.fingerprint, self.duration_s,
-                             self.streaming, self.chunk_s))
+                             True, self.chunk_s))
             digest = zlib.crc32(identity.encode("utf-8"))
             return f"{self.scenario.name}{self.devices}-{digest:08x}"
-        identity = repr((self.apps, self.duration_s, self.streaming,
-                         self.chunk_s if self.streaming else None))
+        identity = repr((self.apps, self.duration_s, True, self.chunk_s))
         digest = zlib.crc32(identity.encode("utf-8"))
         return f"cell{self.devices}-{digest:08x}"
 
@@ -249,27 +246,23 @@ class CellSpec:
     def fingerprint(self) -> tuple:
         """Stable cache-key component identifying the population this builds.
 
-        Chunked (streaming) generation samples the workload differently
-        than single-shot generation, so ``streaming``/``chunk_s`` are part
-        of the identity.  A scenario population's identity is the
-        scenario's own fingerprint (cohorts, intensities, policy
-        overrides, diurnal shape) in place of the homogeneous app cycle.
+        The chunk length changes how the workload is sampled, so
+        ``chunk_s`` is part of the identity.  A scenario population's
+        identity is the scenario's own fingerprint (cohorts, intensities,
+        policy overrides, diurnal shape) in place of the homogeneous app
+        cycle.  For the literal ``True``, see :attr:`label`.
         """
         workload = (
             self.scenario.fingerprint if self.scenario is not None else self.apps
         )
-        # Scenario workloads generate via the chunked stream even when
-        # materialised, so chunk_s stays in their identity regardless of
-        # the streaming flag.
-        chunked = self.streaming or self.scenario is not None
         return (
             "cell",
             self.devices,
             workload,
             self.duration_s,
             self.seed,
-            self.streaming,
-            self.chunk_s if chunked else None,
+            True,
+            self.chunk_s,
         )
 
     def with_seed(self, seed: int) -> "CellSpec":
@@ -279,12 +272,15 @@ class CellSpec:
     def build_devices(
         self, policy: PolicySpec, start: int = 0, stop: int | None = None
     ) -> list[DeviceSpec]:
-        """Materialise the population, one fresh policy instance per device.
+        """Describe the population, one fresh policy instance per device.
 
-        ``start``/``stop`` select a contiguous slice of the population (a
-        shard): device ids, per-device seeds and workloads are global
-        indices, so building the population shard by shard yields exactly
-        the devices a whole-population build would.
+        Every device gets a lazy packet stream;
+        :meth:`~repro.basestation.cell.CellSimulator.run_shard` decides
+        which of them to hold in memory.  ``start``/``stop`` select a
+        contiguous slice of the population (a shard): device ids,
+        per-device seeds and workloads are global indices, so building
+        the population shard by shard yields exactly the devices a
+        whole-population build would.
         """
         stop = self.devices if stop is None else stop
         if not 0 <= start <= stop <= self.devices:
@@ -296,20 +292,12 @@ class CellSpec:
         specs: list[DeviceSpec] = []
         for index in range(start, stop):
             app = self.apps[index % len(self.apps)]
-            device_seed = self.seed * _DEVICE_SEED_STRIDE + index
-            if self.streaming:
-                source = stream_application_packets(
-                    app,
-                    duration=self.duration_s,
-                    seed=device_seed,
-                    chunk_s=self.chunk_s,
-                )
-            else:
-                from ..traces.synthetic import generate_application_trace
-
-                source = generate_application_trace(
-                    app, duration=self.duration_s, seed=device_seed
-                )
+            source = stream_application_packets(
+                app,
+                duration=self.duration_s,
+                seed=self.seed * _DEVICE_SEED_STRIDE + index,
+                chunk_s=self.chunk_s,
+            )
             specs.append(
                 DeviceSpec(device_id=index, trace=source, policy=policy.build())
             )
@@ -318,16 +306,12 @@ class CellSpec:
     def _build_scenario_devices(
         self, policy: PolicySpec, start: int, stop: int
     ) -> list[DeviceSpec]:
-        """Materialise a scenario-population slice.
+        """Describe a scenario-population slice, one cohort stream per device.
 
         Cohort membership, per-device seeds and envelopes are pure
         functions of the *global* device index (see
         :mod:`repro.scenarios.scenario`), so shard-by-shard builds equal
-        the whole-population build.  Scenario workloads always generate
-        via the chunked stream — with ``streaming=False`` the stream is
-        materialised into a :class:`~repro.traces.packet.PacketTrace`
-        holding the identical packets (offline device policies need the
-        full trace in ``prepare``).
+        the whole-population build.
         """
         scenario = self.scenario
         # One apportionment for the whole slice: walk the cohorts' index
@@ -342,15 +326,13 @@ class CellSpec:
             device_policy = cohort.policy if cohort.policy is not None else policy
             for index in range(max(block_start, start),
                                min(block_stop, stop)):
-                source: Any = scenario.cohort_stream(
-                    cohort, index, self.duration_s, self.seed, self.chunk_s
-                )
-                if not self.streaming:
-                    source = PacketTrace(list(source), name=cohort.label)
                 specs.append(
                     DeviceSpec(
                         device_id=index,
-                        trace=source,
+                        trace=scenario.cohort_stream(
+                            cohort, index, self.duration_s, self.seed,
+                            self.chunk_s,
+                        ),
                         policy=device_policy.build(),
                         cohort=cohort.label,
                     )
@@ -364,7 +346,6 @@ class CellSpec:
             "duration_s": self.duration_s,
             "seed": self.seed,
             "name": self.name,
-            "streaming": self.streaming,
             "chunk_s": self.chunk_s,
         }
         if self.scenario is not None:
@@ -482,7 +463,7 @@ def check_legacy_engine(engine: Any) -> None:
 
 def cell(devices: int, apps: tuple[str, ...] | list[str] | None = None,
          duration: float = 900.0, seed: int = 0, name: str = "",
-         streaming: bool = True, chunk_s: float = 300.0,
+         chunk_s: float = 300.0,
          scenario: Scenario | str | None = None,
          engine: str = "scalar") -> CellSpec:
     """A device-population axis entry for cell sweeps.
@@ -511,7 +492,7 @@ def cell(devices: int, apps: tuple[str, ...] | list[str] | None = None,
         apps = () if scenario is not None else ("im", "email", "news")
     return CellSpec(
         devices=devices, apps=tuple(apps), duration_s=duration, seed=seed,
-        name=name, streaming=streaming, chunk_s=chunk_s, scenario=scenario,
+        name=name, chunk_s=chunk_s, scenario=scenario,
     )
 
 

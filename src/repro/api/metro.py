@@ -25,7 +25,7 @@ from ..metro.execution import (
 from ..metro.presets import METRO_BUILDERS, get_metro
 from ..metro.topology import Metro
 from ..rrc.profiles import get_profile
-from .spec import PolicySpec
+from .spec import PolicySpec, check_chunk, check_duration
 
 __all__ = [
     "MetroRunSpec",
@@ -59,12 +59,8 @@ class MetroSpec:
     def __post_init__(self) -> None:
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
-        if self.duration_s <= 0:
-            raise ValueError(
-                f"duration_s must be positive, got {self.duration_s}"
-            )
-        if self.chunk_s <= 0:
-            raise ValueError(f"chunk_s must be positive, got {self.chunk_s}")
+        check_duration(self.duration_s)
+        check_chunk(self.chunk_s)
 
     @property
     def label(self) -> str:

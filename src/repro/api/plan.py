@@ -177,7 +177,6 @@ class ExperimentPlan:
 
     def scenarios(self, *entries: "Scenario | str", devices: int = 100,
                   duration: float = 900.0, seed: int = 0,
-                  streaming: bool = True,
                   chunk_s: float = 300.0) -> "ExperimentPlan":
         """Append one scenario population per entry (switches to cell mode).
 
@@ -204,7 +203,7 @@ class ExperimentPlan:
             specs.append(
                 CellSpec(
                     devices=devices, duration_s=duration, seed=seed,
-                    streaming=streaming, chunk_s=chunk_s, scenario=entry,
+                    chunk_s=chunk_s, scenario=entry,
                 )
             )
         return self.cells(*specs)

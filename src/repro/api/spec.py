@@ -18,6 +18,7 @@ worker processes and rebuild the heavyweight objects there, and what gives
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
@@ -52,6 +53,21 @@ _TRACE_FIELDS = {
     "kind": "string", "name": "string", "user_id": "integer",
     "path": "string", "duration_s": "number", "seed": "integer",
 }
+
+
+def check_duration(duration_s: float) -> None:
+    """Refuse a horizon that is not positive and finite (NaN included).
+
+    Every workload spec (traces, cells, metros) applies this one rule.
+    """
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
+
+
+def check_chunk(chunk_s: float) -> None:
+    """Refuse a generation chunk length that is not positive (NaN included)."""
+    if not chunk_s > 0:
+        raise ValueError(f"chunk_s must be positive, got {chunk_s}")
 
 
 def _trace_digest(trace: PacketTrace) -> str:
@@ -106,8 +122,7 @@ class TraceSpec:
             raise ValueError("an inline trace spec requires a PacketTrace")
         if self.kind in ("pcap", "tcpdump") and not self.path:
             raise ValueError(f"a {self.kind} trace spec requires a file path")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        check_duration(self.duration_s)
         if self.user_id < 1:
             raise ValueError(f"user_id must be >= 1, got {self.user_id}")
         if self.kind == "application":

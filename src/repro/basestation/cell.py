@@ -28,8 +28,8 @@ Scope and simplifications
   per-device energy accounting folds incrementally, so memory is bounded by
   the number of attached devices — 10k+-device cells are practical.
   Offline policies that inspect the whole trace in ``prepare`` (the Oracle,
-  trace-trained baselines) need materialised traces; online policies work
-  with either.
+  trace-trained baselines) get it: :meth:`CellSimulator.run_shard`
+  materialises the lazy source of each such device, and only of those.
 
 Sharding
 --------
@@ -47,7 +47,7 @@ partitioning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence, Union
 
 from ..core.policy import RadioPolicy
@@ -97,6 +97,9 @@ __all__ = [
 #: A device workload: a materialised trace or a lazy time-ordered source.
 TraceSource = Union[PacketTrace, Iterable[Packet]]
 
+#: The trace every online device on a lazy source is prepared with.
+_NO_TRACE = PacketTrace(())
+
 #: The numeric columns a scalar shard exports, in the order
 #: :meth:`CellSimulator.run_shard` lists each device's values.
 _SCALAR_EXPORT = (
@@ -116,7 +119,8 @@ class DeviceSpec:
     ``trace`` may be a :class:`~repro.traces.packet.PacketTrace` or any
     iterable of packets in non-decreasing timestamp order (a generator from
     :mod:`repro.traces.streaming`); lazy sources keep cell memory bounded by
-    the device count.
+    the device count; :meth:`CellSimulator.run_shard` materialises one
+    only for a policy that sets ``requires_trace``.
 
     ``attach_at``/``detach_at`` bound a *metro visit*: the device's
     timeline starts at ``attach_at`` (Idle until its first packet) and — if
@@ -157,8 +161,11 @@ def _check_policy_isolation(devices: Sequence[DeviceSpec]) -> None:
     ``observe_packet`` or ``on_release`` — the online learners and
     MakeIdle's window) carries per-UE state; sharing one instance across
     devices leaks expert weights and inter-arrival history between UEs and
-    breaks shard byte-identity.  Stateless decision policies (fixed timers,
-    the status quo) may be shared freely.
+    breaks shard byte-identity.  So does a policy that sets
+    ``requires_trace`` (the Oracle, trace-fitted timers and bounds): its
+    ``prepare`` stores what it read from its device's trace, and the next
+    device's ``prepare`` would overwrite it.  Stateless decision policies
+    (fixed timers, the status quo) may be shared freely.
     """
     owners: dict[int, int] = {}
     for spec in devices:
@@ -166,6 +173,7 @@ def _check_policy_isolation(devices: Sequence[DeviceSpec]) -> None:
         if (
             cls.observe_packet is RadioPolicy.observe_packet
             and cls.on_release is RadioPolicy.on_release
+            and not spec.policy.requires_trace
         ):
             continue
         owner = owners.setdefault(id(spec.policy), spec.device_id)
@@ -563,6 +571,11 @@ class CellSimulator:
         records which (all devices or none).  Either kernel gets the
         station's ``decide``, or ``None`` for an always-granting station,
         which is then never asked.
+
+        This is the one place that decides whether a device's packets are
+        held in memory: a lazy source is materialised (and run) for a
+        policy that sets ``requires_trace``, and every other policy is
+        prepared with its device's trace or one shared empty trace.
         """
         _check_policy_isolation(devices)
         if not devices:
@@ -581,24 +594,16 @@ class CellSimulator:
             else station.decide
         )
         station.reset()
-        for spec in devices:
-            if isinstance(spec.trace, PacketTrace):
-                spec.policy.prepare(spec.trace, profile)
-            elif getattr(spec.policy, "requires_trace", False):
-                # Offline policies (oracle, trace-trained baselines) read
-                # the whole trace in prepare(); feeding them an empty one
-                # would yield silently wrong results.
-                raise ValueError(
-                    f"device {spec.device_id}: policy {spec.policy.name!r} "
-                    "requires the full trace in prepare() and cannot run "
-                    "on a lazy packet source; materialise the trace "
-                    "(PacketTrace) for this device instead"
-                )
-            else:
-                # Streaming path: profile-only binding, no trace ever
-                # materialised.  Online learners set up their energy model
-                # here and learn packet-by-packet inside the kernel.
-                spec.policy.bind_profile(profile)
+        devices = list(devices)
+        for index, spec in enumerate(devices):
+            trace = spec.trace
+            if not isinstance(trace, PacketTrace):
+                if spec.policy.requires_trace:
+                    trace = PacketTrace(list(trace))
+                    devices[index] = replace(spec, trace=trace)
+                else:
+                    trace = _NO_TRACE
+            spec.policy.prepare(trace, profile)
             spec.policy.reset()
         if vector:
             return vector_engine.run_shard_vector(self, devices, decide)

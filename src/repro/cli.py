@@ -383,8 +383,9 @@ def _build_sweep_plan(args: argparse.Namespace):
         p = p.apps(*apps, duration=args.duration)
     p = p.carriers(*_split_csv_arg(args.carriers))
     if args.schemes is None:
-        # Streamed cell/metro traces cannot feed the offline oracle (see
-        # RadioPolicy.requires_trace), so those defaults leave it out.
+        # The offline oracle holds each device's whole trace in memory
+        # (RadioPolicy.requires_trace), so the cell and metro defaults
+        # leave it out; name it in --schemes to run it.
         default_schemes = (
             "status_quo,makeidle" if args.cell or args.metro is not None
             else "status_quo,makeidle,oracle"
@@ -698,9 +699,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``repro-rrc`` console script.
 
     Bad input to any command — an unknown user, workload, carrier or
-    scheme, a non-positive duration, an unreadable capture or plan file, a
-    plan with an empty axis — prints one ``error: ...`` line on stderr and
-    exits 2 instead of a traceback.
+    scheme, a duration that is not positive and finite, an unreadable
+    capture or plan file, a plan with an empty axis — prints one
+    ``error: ...`` line on stderr and exits 2 instead of a traceback.
     """
     args = build_parser().parse_args(argv)
     try:

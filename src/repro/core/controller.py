@@ -79,10 +79,6 @@ class CombinedPolicy(RadioPolicy):
         self._idle.prepare(trace, profile)
         self._active.prepare(trace, profile)
 
-    def bind_profile(self, profile: CarrierProfile) -> None:
-        self._idle.bind_profile(profile)
-        self._active.bind_profile(profile)
-
     def learning_records(self) -> Sequence[object]:
         return tuple(self._idle.learning_records()) + tuple(
             self._active.learning_records()

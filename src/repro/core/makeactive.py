@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..learning.learn_alpha import LearnAlpha, default_alpha_grid
-from ..learning.loss import DEFAULT_GAMMA, MakeActiveLoss
+from ..learning.loss import DEFAULT_GAMMA, MakeActiveLoss, check_bound
 from ..energy.model import TailEnergyModel
 from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
@@ -87,8 +87,8 @@ class FixedDelayMakeActive(RadioPolicy):
     name = "makeactive_fixed"
 
     def __init__(self, delay_bound: float | None = None) -> None:
-        if delay_bound is not None and delay_bound < 0:
-            raise ValueError(f"delay_bound must be non-negative, got {delay_bound}")
+        if delay_bound is not None:
+            check_bound(delay_bound)
         self._explicit_bound = delay_bound
         self._bound = delay_bound if delay_bound is not None else 0.0
         # Without an explicit bound, prepare() derives one from the trace.
@@ -140,8 +140,10 @@ class LearningMakeActive(RadioPolicy):
         gamma: float = DEFAULT_GAMMA,
         alphas: Sequence[float] | None = None,
     ) -> None:
-        if max_delay < 1.0:
-            raise ValueError(f"max_delay must be at least 1 second, got {max_delay}")
+        if not 1.0 <= max_delay < math.inf:  # NaN and inf fail here, not in ceil
+            raise ValueError(
+                f"max_delay must be finite and at least 1 second, got {max_delay}"
+            )
         expert_values = tuple(float(i) for i in range(1, int(math.ceil(max_delay)) + 1))
         self._learner = LearnAlpha(
             expert_values, alphas if alphas is not None else default_alpha_grid()

@@ -48,31 +48,23 @@ class RadioPolicy:
     name: str = "policy"
 
     #: Whether :meth:`prepare` reads the *trace* (offline/oracle policies) —
-    #: as opposed to only the profile.  Streaming consumers (the cell
-    #: simulator feeding lazy packet sources) refuse such policies rather
-    #: than silently preparing them on an empty trace.  May be overridden
-    #: per instance (e.g. a policy that only falls back to trace statistics
+    #: as opposed to only the profile.  A cell device whose policy sets it
+    #: has its lazy packet source materialised for that device alone
+    #: (:meth:`~repro.basestation.cell.CellSimulator.run_shard`), and its
+    #: policy instance counts as per-device state.  May be overridden per
+    #: instance (e.g. a policy that only falls back to trace statistics
     #: when no explicit parameter was given).
     requires_trace: bool = False
 
     def prepare(self, trace: PacketTrace, profile: CarrierProfile) -> None:
         """Inspect the full trace and carrier profile before the run starts.
 
-        Online policies should only use this to read the *profile* (power
-        constants, timers); offline/oracle policies may also read the trace.
-        The default does nothing.
+        The one preparation hook.  Online policies should only read the
+        *profile* (power constants, timers): a cell device on a lazy
+        packet source is prepared with an empty trace.  Policies that set
+        :attr:`requires_trace` may also read the trace, and always get
+        their device's whole trace.  The default does nothing.
         """
-
-    def bind_profile(self, profile: CarrierProfile) -> None:
-        """Profile-only preparation — the streaming entry point.
-
-        Streamed cells and metros never materialise a trace, so they call
-        this instead of :meth:`prepare`.  Online policies override it (or
-        inherit this default, which forwards to :meth:`prepare` with an
-        empty trace); policies with ``requires_trace`` set are rejected by
-        the streaming layers before this is reached.
-        """
-        self.prepare(PacketTrace(()), profile)
 
     def learning_records(self) -> Sequence[object]:
         """Per-iteration learning records accumulated during the run.

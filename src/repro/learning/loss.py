@@ -25,14 +25,14 @@ from typing import Sequence
 
 from ..folds import left_fold
 
-__all__ = ["MakeActiveLoss", "aggregate_delay", "DEFAULT_GAMMA"]
+__all__ = ["MakeActiveLoss", "aggregate_delay", "check_bound", "DEFAULT_GAMMA"]
 
 #: The paper's value for the delay-vs-batching trade-off constant.
 DEFAULT_GAMMA = 0.008
 
 
-def _check_bound(delay_bound: float) -> None:
-    """Refuse a negative or NaN delay bound; every entry point here uses this rule."""
+def check_bound(delay_bound: float) -> None:
+    """Refuse a negative or NaN delay bound: the rule for every MakeActive bound."""
     if not delay_bound >= 0:
         raise ValueError(f"delay_bound must be non-negative, got {delay_bound}")
 
@@ -45,7 +45,7 @@ def aggregate_delay(delay_bound: float, arrival_offsets: Sequence[float]) -> flo
     Sessions that arrive after ``delay_bound`` would not have been buffered
     by this expert and contribute nothing.
     """
-    _check_bound(delay_bound)
+    check_bound(delay_bound)
     return left_fold(
         delay_bound - offset
         for offset in arrival_offsets
@@ -85,7 +85,7 @@ class MakeActiveLoss:
         Every bound is checked before any loss is computed.
         """
         for bound in delay_bounds:
-            _check_bound(bound)
+            check_bound(bound)
         started = [o for o in arrival_offsets if 0.0 <= o]
         losses = []
         for bound in delay_bounds:

@@ -281,11 +281,8 @@ class PredictiveMakeIdlePolicy(RadioPolicy):
         return self._predictor
 
     def prepare(self, trace: PacketTrace, profile: CarrierProfile) -> None:
-        # Only the profile is read — streaming runs call bind_profile()
-        # directly and never materialise a trace.
-        self.bind_profile(profile)
-
-    def bind_profile(self, profile: CarrierProfile) -> None:
+        # Only the profile is read: a streamed device is prepared with an
+        # empty trace.
         self._evaluator = WaitEvaluator(
             TailEnergyModel(profile), self._candidate_count
         )

@@ -204,8 +204,7 @@ def _hot_path_records() -> list[dict[str, Any]]:
         (
             "streamed_1k",
             cell(devices=_HOT_PATH_DEVICES, apps=("im", "email"),
-                 duration=_HOT_PATH_DURATION_S, streaming=True,
-                 chunk_s=_HOT_PATH_CHUNK_S),
+                 duration=_HOT_PATH_DURATION_S, chunk_s=_HOT_PATH_CHUNK_S),
         ),
         (
             "scenario_office_day",

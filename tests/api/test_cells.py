@@ -13,16 +13,24 @@ from repro.api import (
     CellSpec,
     DormancySpec,
     EmptyAxisError,
+    PolicySpec,
     ProcessPoolRunner,
     SerialRunner,
     cell,
     dormancy,
+    execute_cell,
     execute_spec,
     load_plan,
+    metro,
     plan,
     save_plan,
 )
-from repro.basestation.cell import CellResult
+from repro.api.metro import MetroRunSpec, execute_metro
+from repro.basestation.cell import CellResult, CellSimulator
+from repro.metro import execution as metro_execution
+from repro.rrc.profiles import get_profile
+from repro.sim.vector_engine import numpy_available
+from repro.traces.packet import PacketTrace
 
 
 def _small_plan():
@@ -104,9 +112,10 @@ class TestCellSpec:
         assert base.fingerprint != base.with_seed(1).fingerprint
         assert base.fingerprint != cell(devices=11, apps=("im",),
                                         duration=300.0).fingerprint
-        materialised = CellSpec(devices=10, apps=("im",), duration_s=300.0,
-                                streaming=False)
-        assert base.fingerprint != materialised.fingerprint
+        rechunked = cell(devices=10, apps=("im",), duration=300.0,
+                         chunk_s=60.0)
+        assert base.fingerprint != rechunked.fingerprint
+        assert base.label != rechunked.label
 
     def test_build_devices_cycles_apps_and_seeds(self):
         spec = cell(devices=4, apps=("im", "email"), duration=60.0)
@@ -167,23 +176,6 @@ class TestCellPlan:
         with pytest.raises(ValueError, match="cell plans"):
             p.build()
 
-    def test_offline_policy_refused_on_streamed_cells(self):
-        p = (plan().cells(cell(devices=2, apps=("im",), duration=120.0))
-             .carriers("att_hspa").policies("oracle"))
-        (spec,) = p.build()
-        with pytest.raises(ValueError, match="lazy packet source"):
-            execute_spec(spec)
-
-    def test_offline_policy_allowed_on_materialised_cells(self):
-        materialised = CellSpec(devices=2, apps=("im",), duration_s=120.0,
-                                streaming=False)
-        p = (plan().cells(materialised).carriers("att_hspa")
-             .policies("oracle"))
-        (spec,) = p.build()
-        result = execute_spec(spec)
-        assert isinstance(result, CellResult)
-        assert result.dormancy_requests > 0  # the oracle did demote
-
     def test_missing_axes_raise(self):
         with pytest.raises(EmptyAxisError):
             plan().cells(cell(devices=2)).policies("makeidle").build()
@@ -207,12 +199,12 @@ class TestCellPlan:
 
 
 #: Plan files as they were written while a plan and each of its cells or
-#: metros named a kernel ("engine"/"engines"), without those keys.
+#: metros named a kernel ("engine"/"engines") and each cell a generation
+#: mode ("streaming"), without those keys.
 _LEGACY_CELL_PLAN = {
     "carriers": ["att_hspa"],
     "cells": [{"apps": ["im"], "chunk_s": 300.0, "devices": 4,
-               "duration_s": 120.0, "name": "legacy", "seed": 0,
-               "streaming": True}],
+               "duration_s": 120.0, "name": "legacy", "seed": 0}],
     "name": "",
     "policies": [{"scheme": "status_quo", "window_size": None},
                  {"scheme": "fixed_4.5s", "window_size": None}],
@@ -229,7 +221,8 @@ _LEGACY_METRO_PLAN = {
 
 
 class TestLegacyPlanFiles:
-    """Each shard picks its own kernel: old kernel keys are unknown keys."""
+    """Retired options are unknown keys: each shard picks its own kernel,
+    and each device's policy decides whether its trace is materialised."""
 
     def test_files_without_kernel_keys_load(self, tmp_path):
         from repro.api import metro
@@ -268,6 +261,78 @@ class TestLegacyPlanFiles:
         with pytest.raises(ValueError,
                            match=f"unknown {where} key\\(s\\) '{key}'"):
             load_plan(path)
+
+    @pytest.mark.parametrize("streaming", (True, False))
+    def test_streaming_key_is_rejected(self, tmp_path, streaming):
+        data = json.loads(json.dumps(_LEGACY_CELL_PLAN))
+        data["cells"][0]["streaming"] = streaming
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match="unknown cell key\\(s\\) 'streaming'"):
+            load_plan(path)
+
+
+#: The paper's offline baselines (§5.1, Fig. 12): each reads its device's
+#: whole trace in prepare().
+_OFFLINE_SCHEMES = ("oracle", "p95_iat", "makeidle+makeactive_fixed")
+
+
+def _materialised(devices):
+    """The same devices, each on a PacketTrace of its source's packets."""
+    return [dataclasses.replace(d, trace=PacketTrace(list(d.trace)))
+            for d in devices]
+
+
+def _offline_run(population, scheme, materialise=False, monkeypatch=None):
+    """Run ``scheme`` on one population: an app cell, a scenario cell or
+    metro_4cell.  With ``materialise`` every device is handed to
+    ``CellSimulator`` on an explicit PacketTrace instead of its stream."""
+    policy = PolicySpec(scheme=scheme).resolved(100)
+    if population == "metro":
+        spec = MetroRunSpec(
+            metro=metro("metro_4cell", devices=40, duration=300.0),
+            carrier="att_hspa", policy=policy,
+        )
+        if materialise:
+            visit_devices = metro_execution._visit_devices
+            monkeypatch.setattr(
+                metro_execution, "_visit_devices",
+                lambda *args: _materialised(visit_devices(*args)),
+            )
+        return execute_metro(spec)
+    workload = ({"apps": ("im", "email")} if population == "app"
+                else {"scenario": "office_day"})
+    spec = cell(devices=6, duration=300.0, **workload)
+    if materialise:
+        return CellSimulator(get_profile("att_hspa")).run(
+            _materialised(spec.build_devices(policy))
+        )
+    return execute_cell(CellRunSpec(cell=spec, carrier="att_hspa",
+                                    policy=policy, dormancy=DormancySpec()))
+
+
+class TestOfflineBaselines:
+    """Offline baselines run on every population: the devices whose policy
+    reads the whole trace are materialised for that device alone."""
+
+    @pytest.mark.parametrize("population", ("app", "scenario", "metro"))
+    @pytest.mark.parametrize("scheme", _OFFLINE_SCHEMES)
+    def test_streamed_equals_materialised_on_both_kernels(
+            self, scheme, population, monkeypatch, scalar_kernel):
+        streamed = _offline_run(population, scheme)
+        with scalar_kernel():
+            scalar = _offline_run(population, scheme)
+        assert streamed == scalar
+        assert streamed == _offline_run(population, scheme,
+                                        materialise=True,
+                                        monkeypatch=monkeypatch)
+        if population != "metro":
+            assert isinstance(streamed, CellResult)
+            if scheme == "p95_iat" and numpy_available():
+                assert streamed.vector_devices == len(streamed.devices)
+            if scheme == "oracle":
+                assert streamed.dormancy_requests > 0  # the oracle demoted
 
 
 class TestCellRunners:

@@ -278,7 +278,6 @@ _WRONG_TYPES = {
     "trace": ("trace", "single_ue", ("traces", 0), "duration_s", None),
     "policy": ("policy", "single_ue", ("policies", 0), "window_size", "5"),
     "cell": ("cell", "office_day", ("cells", 0), "devices", "4"),
-    "cell_streaming": ("cell", "office_day", ("cells", 0), "streaming", 1),
     "dormancy": ("dormancy", "office_day", ("dormancy", 0), "param", "5"),
     "metro": ("metro", "metro", ("metros", 0), "devices", 8.0),
     "scenario": ("scenario", "office_day", ("cells", 0, "scenario"),
@@ -359,6 +358,43 @@ class TestStrictPlanFiles:
         message = str(info.value)
         assert message.startswith(f"{kind} key '{key}' must be ")
         assert message.endswith(f"got {value!r}")
+
+    @pytest.mark.parametrize("name, path, key, value", [
+        ("single_ue", ("traces", 0), "duration_s", float("nan")),
+        ("single_ue", ("traces", 0), "duration_s", float("inf")),
+        ("office_day", ("cells", 0), "duration_s", float("nan")),
+        ("office_day", ("cells", 0), "duration_s", float("inf")),
+        ("office_day", ("cells", 0), "chunk_s", float("nan")),
+        ("metro", ("metros", 0), "duration_s", float("nan")),
+        ("metro", ("metros", 0), "chunk_s", float("nan")),
+    ], ids=["trace_nan", "trace_inf", "cell_nan", "cell_inf", "cell_chunk_nan",
+            "metro_nan", "metro_chunk_nan"])
+    def test_non_finite_durations_are_refused(self, name, path, key, value,
+                                              tmp_path):
+        # Python's json reads NaN and Infinity, and both are JSON-typed
+        # numbers; the spec's own rule refuses them.
+        data = json.loads(json.dumps(_plan_files()[name].to_dict()))
+        entry = data
+        for step in path:
+            entry = entry[step]
+        entry[key] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(data), encoding="utf-8")
+        rule = "positive and finite" if key == "duration_s" else "positive"
+        with pytest.raises(ValueError, match=f"{key} must be {rule}, got"):
+            load_plan(plan_path)
+
+    @pytest.mark.parametrize("declare", [
+        lambda: plan().apps("im", duration=float("nan")),
+        lambda: plan().users("verizon_3g", (1,),
+                             hours_per_day=float("inf")),
+        lambda: plan().scenarios("office_day", duration=float("inf")),
+        lambda: plan().scenarios("office_day", chunk_s=float("nan")),
+        lambda: plan().metros("metro_4cell", duration=float("nan")),
+    ], ids=["app", "user", "scenario", "scenario_chunk", "metro"])
+    def test_fluent_methods_refuse_non_finite_durations(self, declare):
+        with pytest.raises(ValueError, match="must be positive"):
+            declare()
 
     def test_entry_must_be_an_object(self):
         data = _plan_files()["office_day"].to_dict()

@@ -18,6 +18,7 @@ from repro.core import (
     MakeIdlePolicy,
     StatusQuoPolicy,
 )
+from repro.core.controller import build_scheme
 from repro.metrics.switches import peak_per_window
 from repro.sim import TraceSimulator
 from repro.traces import (
@@ -47,6 +48,22 @@ class TestDeviceSpec:
 
 
 class TestCellSimulator:
+    @pytest.mark.parametrize("scheme", ("oracle", "p95_iat"))
+    def test_shared_offline_policy_instance_is_refused(self, att_profile,
+                                                      scheme):
+        # An offline policy stores what prepare() read from its device's
+        # trace; a second device's prepare() would overwrite it.
+        shared = build_scheme(scheme)
+        devices = [
+            DeviceSpec(device_id=device_id,
+                       trace=generate_application_trace(app, duration=300.0,
+                                                        seed=device_id),
+                       policy=shared)
+            for device_id, app in ((3, "im"), (8, "email"))
+        ]
+        with pytest.raises(ValueError, match="devices 3 and 8 share one"):
+            CellSimulator(att_profile).run(devices)
+
     def test_requires_devices_and_unique_ids(self, att_profile):
         simulator = CellSimulator(att_profile)
         with pytest.raises(ValueError):

@@ -26,6 +26,11 @@ class TestFixedDelayBound:
         with pytest.raises(ValueError):
             FixedDelayMakeActive(delay_bound=-1.0)
 
+    def test_nan_bound_rejected(self):
+        # NaN passes "< 0" and would silently switch MakeActive off.
+        with pytest.raises(ValueError, match="delay_bound must be non-negative"):
+            FixedDelayMakeActive(delay_bound=float("nan"))
+
     def test_bound_computed_from_trace(self, att_profile, email_trace):
         policy = FixedDelayMakeActive()
         policy.prepare(email_trace, att_profile)
@@ -59,6 +64,14 @@ class TestLearningMakeActive:
     def test_max_delay_validation(self):
         with pytest.raises(ValueError):
             LearningMakeActive(max_delay=0.5)
+
+    @pytest.mark.parametrize("max_delay", (float("nan"), float("inf"),
+                                           float("-inf")))
+    def test_non_finite_max_delay_rejected(self, max_delay):
+        # Refused by the class itself, not by math.ceil's ValueError or
+        # OverflowError.
+        with pytest.raises(ValueError, match="max_delay must be finite"):
+            LearningMakeActive(max_delay=max_delay)
 
     def test_initial_delay_is_mid_grid(self):
         policy = LearningMakeActive(max_delay=12.0)

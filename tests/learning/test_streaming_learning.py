@@ -17,7 +17,7 @@ import pytest
 from repro.api.cells import CellRunSpec, DormancySpec, cell, execute_cell
 from repro.api.spec import PolicySpec
 from repro.basestation import AcceptAllDormancy, CellSimulator, DeviceSpec
-from repro.core import MakeIdlePolicy, StatusQuoPolicy
+from repro.core import StatusQuoPolicy
 from repro.core.controller import build_scheme
 from repro.core.makeactive import LearningMakeActive
 from repro.learning.predictors import (
@@ -25,6 +25,7 @@ from repro.learning.predictors import (
     PredictiveMakeIdlePolicy,
     SlidingWindowPredictor,
 )
+from repro.traces.packet import PacketTrace
 from repro.traces.streaming import stream_application_packets
 
 #: Every learning scheme the tournament sweeps: per-UE learner state, no
@@ -166,29 +167,21 @@ class TestPerUeIsolation:
 
 
 class TestBindProfile:
-    """Profile-only preparation: streaming runs never materialise a trace."""
+    """Profile-only preparation: a streamed device is prepared with an
+    empty trace, and its packets are never materialised."""
 
     def test_predictive_makeidle_runs_after_bind_profile(self, att_profile):
         policy = PredictiveMakeIdlePolicy(SlidingWindowPredictor(window_size=10))
         with pytest.raises(RuntimeError):
             policy.dormancy_wait(0.0)
-        policy.bind_profile(att_profile)
+        policy.prepare(PacketTrace(()), att_profile)
         policy.reset()
-        wait = policy.dormancy_wait(0.0)  # no RuntimeError once bound
+        wait = policy.dormancy_wait(0.0)  # no RuntimeError once prepared
         assert wait is None or wait >= 0.0
 
     def test_predictive_schemes_do_not_require_a_trace(self):
         for scheme in ("makeidle_hist", "makeidle_rate"):
             assert build_scheme(scheme).requires_trace is False
-
-    def test_default_bind_profile_forwards_to_prepare(self, att_profile):
-        # Policies that never look at the trace in prepare() get streaming
-        # support for free through the base-class forwarding.
-        policy = MakeIdlePolicy(window_size=10)
-        policy.bind_profile(att_profile)
-        policy.reset()
-        wait = policy.dormancy_wait(0.0)
-        assert wait is None or wait >= 0.0
 
 
 class TestRecordDecisionPairing:

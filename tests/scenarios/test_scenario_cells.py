@@ -11,7 +11,6 @@ from repro.api import (
 )
 from repro.api.cells import CellRunSpec, CellSpec, DormancySpec
 from repro.scenarios import Cohort, Scenario, get_archetype, get_scenario
-from repro.traces.packet import PacketTrace
 
 
 def _run_spec(scenario_name="office_day", devices=9, scheme="makeidle",
@@ -72,24 +71,16 @@ class TestScenarioCellSpec:
         assert clone == spec
         assert clone.fingerprint == spec.fingerprint
 
-    def test_materialised_scenario_identity_sees_chunk_s(self):
-        # Scenario workloads generate via the chunked stream even with
-        # streaming=False, so chunk_s must stay in the identity: two
-        # materialised specs differing only in chunk_s build different
-        # populations and must never share a cache entry or a label.
-        a = cell(devices=6, scenario="office_day", duration=200.0,
-                 streaming=False, chunk_s=50.0)
-        b = cell(devices=6, scenario="office_day", duration=200.0,
-                 streaming=False, chunk_s=100.0)
-        assert a.fingerprint != b.fingerprint
-        assert a.label != b.label
-        # Homogeneous materialised populations ignore chunk_s (single-shot
-        # generation), exactly as before.
-        plain_a = cell(devices=6, duration=200.0, streaming=False,
-                       chunk_s=50.0)
-        plain_b = cell(devices=6, duration=200.0, streaming=False,
-                       chunk_s=100.0)
-        assert plain_a.fingerprint == plain_b.fingerprint
+    def test_identity_sees_chunk_s(self):
+        # Every population generates via the chunked stream, so chunk_s is
+        # in every identity: two specs differing only in chunk_s build
+        # different populations and must never share a cache entry or a
+        # label, whether a scenario or the app cycle describes them.
+        for workload in ({"scenario": "office_day"}, {}):
+            a = cell(devices=6, duration=200.0, chunk_s=50.0, **workload)
+            b = cell(devices=6, duration=200.0, chunk_s=100.0, **workload)
+            assert a.fingerprint != b.fingerprint
+            assert a.label != b.label
 
     def test_plain_cell_dict_has_no_scenario_key(self):
         assert "scenario" not in cell(devices=5).to_dict()
@@ -102,8 +93,7 @@ class TestScenarioCellSpec:
                           + ["idle_messenger"] * 3)
 
     def test_build_devices_shard_slices_match_whole_build(self):
-        spec = cell(devices=10, scenario="mixed_policy", duration=200.0,
-                    streaming=False)
+        spec = cell(devices=10, scenario="mixed_policy", duration=200.0)
         policy = PolicySpec(scheme="makeidle").resolved(100)
         whole = spec.build_devices(policy)
         sliced = (spec.build_devices(policy, 0, 4)
@@ -112,16 +102,6 @@ class TestScenarioCellSpec:
         assert [d.cohort for d in whole] == [d.cohort for d in sliced]
         assert [d.policy.name for d in whole] == [d.policy.name for d in sliced]
         for a, b in zip(whole, sliced):
-            assert list(a.trace) == list(b.trace)
-
-    def test_materialised_build_equals_streamed_packets(self):
-        streamed = cell(devices=4, scenario="office_day", duration=200.0)
-        materialised = cell(devices=4, scenario="office_day", duration=200.0,
-                            streaming=False)
-        policy = PolicySpec(scheme="makeidle").resolved(100)
-        for a, b in zip(streamed.build_devices(policy),
-                        materialised.build_devices(policy)):
-            assert isinstance(b.trace, PacketTrace)
             assert list(a.trace) == list(b.trace)
 
     def test_mixed_policy_overrides_device_policies(self):

@@ -99,6 +99,11 @@ class TestTraceInfoCommand:
     ["compare-carriers", "--users", "99"],
     ["simulate", "--duration", "0"],
     ["apps", "--duration", "0"],
+    ["apps", "--duration", "nan"],
+    ["sweep", "--cell", "--devices", "4", "--duration", "nan",
+     "--schemes", "fixed"],
+    ["sweep", "--cell", "--devices", "4", "--duration", "inf"],
+    ["sweep", "--metro", "metro_4cell", "--devices", "4", "--duration", "inf"],
     ["compare-carriers", "--hours", "0"],
     ["trace-info", "/nonexistent"],
     ["simulate", "--pcap", "/nonexistent"],
@@ -264,8 +269,10 @@ class TestCellSweepCommand:
         assert "dormancy" in capsys.readouterr().err
 
     def test_plan_naming_a_kernel_is_a_clean_error(self, capsys, tmp_path):
-        # Plan files once carried a kernel choice per cell and per plan;
-        # each shard now picks its own, so the keys are unknown keys.
+        # Plan files once carried a kernel choice per cell and per plan,
+        # and a generation mode per cell; each shard now picks its own
+        # kernel and each device's policy decides what is materialised,
+        # so the keys are unknown keys.
         import json
 
         args = ["sweep", "--cell", "--devices", "4", "--apps", "im",
@@ -278,6 +285,7 @@ class TestCellSweepCommand:
         for key, edit in (
             ("engines", lambda d: d.update(engines=["scalar", "vector"])),
             ("engine", lambda d: d["cells"][0].update(engine="vector")),
+            ("streaming", lambda d: d["cells"][0].update(streaming=False)),
         ):
             legacy = json.loads(json.dumps(saved))
             edit(legacy)
@@ -285,7 +293,7 @@ class TestCellSweepCommand:
             assert main(["sweep", "--plan", str(plan_path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ")
-            assert f"'{key}'" in err
+            assert f"key(s) '{key}'" in err
 
     @pytest.mark.parametrize("edit", [
         lambda d: d.update(carrier="lte"),
@@ -306,10 +314,12 @@ class TestCellSweepCommand:
                                       "param": float("nan")}]),
         lambda d: d.update(dormancy=[{"scheme": "load_aware",
                                       "param": 0}]),
+        lambda d: d["cells"][0].update(duration_s=float("nan")),
     ], ids=["top_level", "cell", "window_size", "devices_string",
             "duration_null", "policy_window_string", "carrier_number",
             "seed_string", "window_size_string", "load_aware_inf",
-            "load_aware_nan", "rate_limited_nan", "load_aware_zero"])
+            "load_aware_nan", "rate_limited_nan", "load_aware_zero",
+            "duration_nan"])
     def test_strict_plan_file_errors_are_clean(self, edit, capsys, tmp_path):
         import json
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from ..basestation.cell import (
     CellResult,
@@ -41,9 +41,16 @@ from ..basestation.policies import (
 )
 from ..dictform import strict_fields
 from ..rrc.profiles import get_profile
-from ..scenarios.scenario import Scenario
-from ..traces.streaming import stream_application_packets
+from ..scenarios.scenario import Cohort, Scenario
+from ..traces.streaming import (
+    ChunkedPacketStream,
+    UserDayStream,
+    stream_application_packets,
+)
 from .spec import PolicySpec, check_chunk, check_duration
+
+if TYPE_CHECKING:  # populations imports this module
+    from .populations import PopulationSlot
 
 __all__ = [
     "DORMANCY_SCHEMES",
@@ -242,7 +249,7 @@ class CellSpec:
         digest = zlib.crc32(identity.encode("utf-8"))
         return f"cell{self.devices}-{digest:08x}"
 
-    @property
+    @cached_property
     def fingerprint(self) -> tuple:
         """Stable cache-key component identifying the population this builds.
 
@@ -250,7 +257,9 @@ class CellSpec:
         ``chunk_s`` is part of the identity.  A scenario population's
         identity is the scenario's own fingerprint (cohorts, intensities,
         policy overrides, diurnal shape) in place of the homogeneous app
-        cycle.  For the literal ``True``, see :attr:`label`.
+        cycle.  For the literal ``True``, see :attr:`label`.  Computed once
+        per instance, as :attr:`label` is: every run's cache keys and
+        population slices read it.
         """
         workload = (
             self.scenario.fingerprint if self.scenario is not None else self.apps
@@ -270,74 +279,106 @@ class CellSpec:
         return replace(self, seed=seed)
 
     def build_devices(
-        self, policy: PolicySpec, start: int = 0, stop: int | None = None
+        self,
+        policy: PolicySpec,
+        start: int = 0,
+        stop: int | None = None,
+        *,
+        population: PopulationSlot | None = None,
     ) -> list[DeviceSpec]:
         """Describe the population, one fresh policy instance per device.
 
-        Every device gets a lazy packet stream;
+        Every device gets a lazy packet stream (:meth:`device_streams`),
+        or, when ``population`` opens this slice's stored file (drawing
+        and storing it first if the slot says so; see
+        :mod:`repro.api.populations`), its device's source in that file;
+        the two hold the same packets.
         :meth:`~repro.basestation.cell.CellSimulator.run_shard` decides
         which of them to hold in memory.  ``start``/``stop`` select a
         contiguous slice of the population (a shard): device ids,
         per-device seeds and workloads are global indices, so building
         the population shard by shard yields exactly the devices a
         whole-population build would.
+
+        A scenario population's cohort membership, per-device seeds and
+        envelopes are pure functions of the *global* device index (see
+        :mod:`repro.scenarios.scenario`), so shard-by-shard builds equal
+        the whole-population build; a cohort with its own policy runs it
+        in place of ``policy``.
         """
+        stop = self._check_slice(start, stop)
+        stored = (None if population is None
+                  else population.open(self, start, stop))
+        sources = (self.device_streams(start, stop) if stored is None
+                   else iter(stored.sources()))
+        specs: list[DeviceSpec] = []
+        for cohort, indices in self._cohort_runs(start, stop):
+            device_policy = policy
+            label = ""
+            if cohort is not None:
+                label = cohort.label
+                if cohort.policy is not None:
+                    device_policy = cohort.policy
+            for index in indices:
+                specs.append(DeviceSpec(
+                    device_id=index, trace=next(sources),
+                    policy=device_policy.build(), cohort=label,
+                ))
+        return specs
+
+    def device_streams(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[ChunkedPacketStream | UserDayStream]:
+        """Each device's lazy packet stream of the slice, in index order.
+
+        Device ``i`` of an app cycle streams ``apps[i % len(apps)]``; a
+        scenario device streams its cohort's merged workload
+        (:meth:`~repro.scenarios.scenario.Scenario.cohort_stream`).
+        """
+        stop = self._check_slice(start, stop)
+        for cohort, indices in self._cohort_runs(start, stop):
+            for index in indices:
+                if cohort is None:
+                    yield stream_application_packets(
+                        self.apps[index % len(self.apps)],
+                        duration=self.duration_s,
+                        seed=self.seed * _DEVICE_SEED_STRIDE + index,
+                        chunk_s=self.chunk_s,
+                    )
+                else:
+                    yield self.scenario.cohort_stream(
+                        cohort, index, self.duration_s, self.seed,
+                        self.chunk_s,
+                    )
+
+    def _check_slice(self, start: int, stop: int | None) -> int:
+        """The slice's stop (the population's end for ``None``), checked."""
         stop = self.devices if stop is None else stop
         if not 0 <= start <= stop <= self.devices:
             raise ValueError(
                 f"invalid device slice [{start}, {stop}) of {self.devices}"
             )
-        if self.scenario is not None:
-            return self._build_scenario_devices(policy, start, stop)
-        specs: list[DeviceSpec] = []
-        for index in range(start, stop):
-            app = self.apps[index % len(self.apps)]
-            source = stream_application_packets(
-                app,
-                duration=self.duration_s,
-                seed=self.seed * _DEVICE_SEED_STRIDE + index,
-                chunk_s=self.chunk_s,
-            )
-            specs.append(
-                DeviceSpec(device_id=index, trace=source, policy=policy.build())
-            )
-        return specs
+        return stop
 
-    def _build_scenario_devices(
-        self, policy: PolicySpec, start: int, stop: int
-    ) -> list[DeviceSpec]:
-        """Describe a scenario-population slice, one cohort stream per device.
+    def _cohort_runs(
+        self, start: int, stop: int
+    ) -> Iterator[tuple[Cohort | None, range]]:
+        """The slice as ``(cohort, device indices)`` runs, in index order.
 
-        Cohort membership, per-device seeds and envelopes are pure
-        functions of the *global* device index (see
-        :mod:`repro.scenarios.scenario`), so shard-by-shard builds equal
-        the whole-population build.
+        An app cycle is one run without a cohort.  A scenario's cohorts
+        occupy contiguous index blocks in declaration order: one
+        apportionment for the whole slice, not a membership lookup per
+        device.
         """
         scenario = self.scenario
-        # One apportionment for the whole slice: walk the cohorts' index
-        # blocks (contiguous, in declaration order) rather than resolving
-        # membership per device.
-        specs: list[DeviceSpec] = []
+        if scenario is None:
+            yield None, range(start, stop)
+            return
         offset = 0
         for cohort, size in zip(scenario.cohorts,
                                 scenario.cohort_sizes(self.devices)):
-            block_start, block_stop = offset, offset + size
-            offset = block_stop
-            device_policy = cohort.policy if cohort.policy is not None else policy
-            for index in range(max(block_start, start),
-                               min(block_stop, stop)):
-                specs.append(
-                    DeviceSpec(
-                        device_id=index,
-                        trace=scenario.cohort_stream(
-                            cohort, index, self.duration_s, self.seed,
-                            self.chunk_s,
-                        ),
-                        policy=device_policy.build(),
-                        cohort=cohort.label,
-                    )
-                )
-        return specs
+            block_start, offset = offset, offset + size
+            yield cohort, range(max(block_start, start), min(offset, stop))
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable form."""
@@ -541,13 +582,20 @@ def _shard_dormancy_policy(
     )
 
 
-def execute_cell_shard(spec: CellRunSpec, index: int) -> CellShard:
+def execute_cell_shard(
+    spec: CellRunSpec,
+    index: int,
+    *,
+    population: PopulationSlot | None = None,
+) -> CellShard:
     """Run shard ``index`` of ``spec`` — the unit of sharded fan-out.
 
     Module-level and driven purely by the picklable spec, so
     :class:`~repro.api.runner.ProcessPoolRunner` can ship individual
     shards of one cell to different worker processes and merge the
-    returned partials in the parent.
+    returned partials in the parent.  ``population``, the slot of this
+    shard's stored slice, replaces their lazy streams
+    (:meth:`CellSpec.build_devices`); the result is the same.
     """
     sizes = shard_sizes(spec.cell.devices, spec.effective_shards)
     if not 0 <= index < len(sizes):
@@ -562,11 +610,17 @@ def execute_cell_shard(spec: CellRunSpec, index: int) -> CellShard:
         ),
     )
     return simulator.run_shard(
-        spec.cell.build_devices(spec.policy, start, start + sizes[index])
+        spec.cell.build_devices(spec.policy, start, start + sizes[index],
+                                population=population)
     )
 
 
-def execute_cell(spec: CellRunSpec, shards: int | None = None) -> CellResult:
+def execute_cell(
+    spec: CellRunSpec,
+    shards: int | None = None,
+    *,
+    populations: Sequence[PopulationSlot | None] | None = None,
+) -> CellResult:
     """Materialise and run one cell spec — the cell analogue of ``execute``.
 
     Module-level so :class:`~repro.api.runner.ProcessPoolRunner` can send
@@ -577,11 +631,16 @@ def execute_cell(spec: CellRunSpec, shards: int | None = None) -> CellResult:
     belongs to the runner layer
     (:class:`~repro.api.runner.ProcessPoolRunner` ships
     :func:`execute_cell_shard` calls to workers), which keeps worker-side
-    execution free of nested process pools.
+    execution free of nested process pools.  ``populations`` holds each
+    shard's population slot (or ``None``) for the spec's own shard count
+    (:func:`execute_cell_shard`).
     """
     if shards is not None:
         spec = replace(spec, shards=shards)
+    count = spec.effective_shards
+    if populations is None:
+        populations = (None,) * count
     return merge_cell_shards(
-        [execute_cell_shard(spec, index)
-         for index in range(spec.effective_shards)]
+        [execute_cell_shard(spec, index, population=populations[index])
+         for index in range(count)]
     )

@@ -26,6 +26,11 @@ copies.  It builds a ``CellResult`` without running its
 ``__post_init__`` (the stored summary is the folded one), and a
 single-UE result's record tuples from their columns.  Nothing is
 unpickled.  :func:`write_result` streams each column from its own buffer.
+
+The framing (magic, header length, padded header, 8-byte columns) is
+:func:`write_file` and :func:`read_file`; the population store
+(:mod:`repro.api.populations`) writes and reads its files through the
+same two functions under its own magic.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import fields
 from enum import Enum
 from itertools import groupby
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from ..basestation.cell import CellResult, CellSummary, CohortBreakdown
 from ..basestation.table import DeviceTable, FloatArray, _np
@@ -52,7 +57,9 @@ from ..sim.engine import LoadSample
 from ..sim.results import GapDecision, SessionDelay, SimulationResult
 from ..traces.packet import Direction, Packet, PacketTrace
 
-__all__ = ["FORMAT", "MAGIC", "read_result", "write_result"]
+__all__ = [
+    "FORMAT", "MAGIC", "read_file", "read_result", "write_file", "write_result",
+]
 
 #: The first eight bytes of every result file.
 MAGIC = b"RRCRES\r\n"
@@ -331,12 +338,27 @@ def _column_buffer(typecode: str, column: Any):
     return column
 
 
+def write_file(handle: BinaryIO, magic: bytes, header: dict[str, Any],
+               columns: Iterable[tuple[str, Any]]) -> None:
+    """Write one header-first file to ``handle``: ``magic``, ``header``, ``columns``.
+
+    The header is compact JSON, space-padded so the body starts on an
+    8-byte boundary; each ``(typecode, values)`` column is then written
+    from its own little-endian buffer, so the body is never assembled in
+    memory.
+    """
+    encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    encoded += b" " * (-(len(magic) + _LENGTH.size + len(encoded)) % _BODY_ALIGN)
+    handle.write(magic + _LENGTH.pack(len(encoded)) + encoded)
+    for typecode, column in columns:
+        handle.write(_column_buffer(typecode, column))
+
+
 def write_result(handle: BinaryIO, key_repr: str, result: Any) -> None:
     """Write ``result``'s file, stored under ``key_repr``, to ``handle``.
 
     Raises ``TypeError`` for anything but the three result kinds, before
-    writing a byte.  The header goes first, then each column from its own
-    buffer: the body is never assembled in memory.
+    writing a byte.
     """
     for kind, (result_type, encode, _, _) in _KINDS.items():
         if isinstance(result, result_type):
@@ -347,14 +369,9 @@ def write_result(handle: BinaryIO, key_repr: str, result: Any) -> None:
             f"SimulationResult, not {type(result).__name__}"
         )
     body_header, columns = encode(result)
-    header = json.dumps(
-        {"format": FORMAT, "key": key_repr, "kind": kind, **body_header},
-        separators=(",", ":"),
-    ).encode("utf-8")
-    header += b" " * (-(len(MAGIC) + _LENGTH.size + len(header)) % _BODY_ALIGN)
-    handle.write(MAGIC + _LENGTH.pack(len(header)) + header)
-    for typecode, column in columns:
-        handle.write(_column_buffer(typecode, column))
+    write_file(handle, MAGIC,
+               {"format": FORMAT, "key": key_repr, "kind": kind, **body_header},
+               columns)
 
 
 def _read_columns(mapped: mmap.mmap, offset: int, typecode: str,
@@ -379,33 +396,55 @@ def _read_columns(mapped: mmap.mmap, offset: int, typecode: str,
     return columns
 
 
-def read_result(path: Path, key_repr: str) -> Any:
-    """The result stored at ``path`` under ``key_repr``.
+def read_file(
+    path: Path,
+    magic: bytes,
+    version: int,
+    key_repr: str,
+    layout: Callable[[dict[str, Any]], list[tuple[str, int]]],
+) -> tuple[dict[str, Any], list]:
+    """The header and the columns of the header-first file at ``path``.
 
-    Raises ``ValueError`` (or another non-``OSError`` exception) for a
-    file that is not a complete format-3 file of that key, and ``OSError``
-    when the file cannot be opened or mapped.  With numpy a cell's or a
-    metro's columns stay views on the read-only mapping, which lives as
-    long as they do.
+    The file must start with ``magic``, its header must hold ``version``
+    as its ``format`` and ``key_repr`` as its ``key``, and its length must
+    be exactly what the ``(typecode, length)`` columns of
+    ``layout(header)`` imply; else ``ValueError`` (or another
+    non-``OSError`` exception) is raised.  ``OSError`` means the file
+    cannot be opened or mapped.  With numpy the columns are read-only
+    views on the file's mapping, which lives as long as they do; without
+    numpy they are ``array.array`` copies.
     """
     with open(path, "rb") as handle:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    start = len(MAGIC) + _LENGTH.size
-    if mapped[:len(MAGIC)] != MAGIC:
-        raise ValueError("not a result file")
-    (header_length,) = _LENGTH.unpack_from(mapped, len(MAGIC))
+    start = len(magic) + _LENGTH.size
+    if mapped[:len(magic)] != magic:
+        raise ValueError("not a file of this kind")
+    (header_length,) = _LENGTH.unpack_from(mapped, len(magic))
     body = start + header_length
     header = json.loads(mapped[start:body])
-    if header["format"] != FORMAT or header["key"] != key_repr:
-        raise ValueError("result file of another format or key")
-    _, _, layout, rebuild = _KINDS[header["kind"]]
+    if header["format"] != version or header["key"] != key_repr:
+        raise ValueError("file of another format or key")
     columns = layout(header)
     if len(mapped) != body + 8 * sum(length for _, length in columns):
-        raise ValueError("result file length does not match its header")
+        raise ValueError("file length does not match its header")
     views = []
     offset = body
     for (typecode, length), run in groupby(columns):
         count = len(list(run))
         views.extend(_read_columns(mapped, offset, typecode, length, count))
         offset += 8 * count * length
-    return rebuild(header, iter(views))
+    return header, views
+
+
+def read_result(path: Path, key_repr: str) -> Any:
+    """The result stored at ``path`` under ``key_repr``.
+
+    Raises as :func:`read_file` does for a file that is not a complete
+    format-3 result file of that key.  With numpy a cell's or a metro's
+    columns stay views on the read-only mapping.
+    """
+    header, views = read_file(
+        path, MAGIC, FORMAT, key_repr,
+        lambda header: _KINDS[header["kind"]][2](header),
+    )
+    return _KINDS[header["kind"]][3](header, iter(views))

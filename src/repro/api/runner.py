@@ -45,6 +45,7 @@ from .metro import (
     merge_metro_run,
 )
 from .plan import ExperimentPlan
+from .populations import PopulationSlot, RunPopulations
 from .runset import RunRecord, RunSet
 from .spec import RunSpec, execute
 
@@ -105,18 +106,24 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def execute_spec(spec: AnySpec) -> AnyResult:
+def execute_spec(
+    spec: AnySpec,
+    *,
+    populations: Sequence[PopulationSlot | None] | None = None,
+) -> AnyResult:
     """Materialise and run one grid cell of either kind.
 
     The single entry point of both runner backends (module-level so the
     process pool can send it to workers by reference): single-UE
     :class:`RunSpec`s go through the trace simulator, :class:`CellRunSpec`s
     through the cell simulator — both riding the same event kernel.
+    ``populations`` are a cell spec's per-shard population slots
+    (:func:`~repro.api.cells.execute_cell`).
     """
     if isinstance(spec, MetroRunSpec):
         return execute_metro(spec)
     if isinstance(spec, CellRunSpec):
-        return execute_cell(spec)
+        return execute_cell(spec, populations=populations)
     return execute(spec)
 
 
@@ -168,11 +175,18 @@ class _BaseRunner:
         return None
 
     def _execute(
-        self, pending: dict[Hashable, AnySpec], execution: PoolExecution | None
+        self,
+        pending: dict[Hashable, AnySpec],
+        execution: PoolExecution | None,
+        populations: RunPopulations,
     ) -> Iterator[tuple[Hashable, AnyResult]]:
-        """Simulate every pending cell, yielding ``(key, result)`` in order."""
+        """Simulate every pending cell, yielding ``(key, result)`` in order.
+
+        A population slice several cells share is drawn by its first
+        reader (:mod:`repro.api.populations`).
+        """
         for key, spec in pending.items():
-            yield key, execute_spec(spec)
+            yield key, execute_spec(spec, populations=populations.of(key))
 
     def run(self, plan: ExperimentPlan | Sequence[AnySpec]) -> RunSet:
         """Execute every grid cell and return the results in plan order."""
@@ -194,12 +208,17 @@ class _BaseRunner:
             else:
                 held[key] = result
 
-        # Phase 2: simulate the misses, storing each as it arrives.
+        # Phase 2: simulate the misses, storing each as it arrives.  A
+        # population slice that several of them replay is drawn once.
         execution = self._execution(pending)
         fresh: dict[Hashable, AnyResult] = {}
-        for key, result in self._execute(pending, execution):
-            self._cache.put(key, result)
-            fresh[key] = result
+        disk = self._cache.disk
+        with RunPopulations(
+            pending, disk.directory if disk is not None else None
+        ) as populations:
+            for key, result in self._execute(pending, execution, populations):
+                self._cache.put(key, result)
+                fresh[key] = result
 
         # Phase 3: assemble records in plan order.  A cell's first
         # appearance was counted in phase 1 (hit) or by put() (miss);
@@ -296,7 +315,10 @@ class ProcessPoolRunner(_BaseRunner):
         )
 
     def _execute(
-        self, pending: dict[Hashable, AnySpec], execution: PoolExecution | None
+        self,
+        pending: dict[Hashable, AnySpec],
+        execution: PoolExecution | None,
+        populations: RunPopulations,
     ) -> Iterator[tuple[Hashable, AnyResult]]:
         """Fan the pending cells out to the pool.
 
@@ -304,33 +326,41 @@ class ProcessPoolRunner(_BaseRunner):
         spec into one task per UE block, which returns every cell's
         partial for the block — so a single big run can occupy every
         worker; the partials are merged back here in the parent (see
-        repro.basestation.cell / repro.metro.execution).  Without the pool
-        everything (a sharded spec's partitions included) runs
-        sequentially in-process: same merged result, no pool overhead.
+        repro.basestation.cell / repro.metro.execution).  The shared
+        population slices are drawn first, one task per slice, and each
+        task receives its shards' population slots (a worker maps the
+        files again).  Without the pool everything (a sharded spec's
+        partitions included) runs sequentially in-process: same merged
+        result, no pool overhead.
         """
         if execution is None or not execution.pool_used:
-            yield from super()._execute(pending, execution)
+            yield from super()._execute(pending, execution, populations)
             return
         total_tasks = sum(_task_count(spec) for spec in pending.values())
         workers = min(execution.effective_jobs, total_tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            populations.predraw(pool.map)
             futures: dict[Hashable, object] = {}
             for key, spec in pending.items():
                 count = _task_count(spec)
-                if count > 1:
+                slots = populations.of(key)
+                if count > 1 and isinstance(spec, MetroRunSpec):
                     # Shard order: both merges take the partials in the
                     # order of their shard (UE block) index.
-                    shard_task = (
-                        execute_metro_cell_shard
-                        if isinstance(spec, MetroRunSpec)
-                        else execute_cell_shard
-                    )
                     futures[key] = [
-                        pool.submit(shard_task, spec, index)
+                        pool.submit(execute_metro_cell_shard, spec, index)
+                        for index in range(count)
+                    ]
+                elif count > 1:
+                    futures[key] = [
+                        pool.submit(execute_cell_shard, spec, index,
+                                    population=(None if slots is None
+                                                else slots[index]))
                         for index in range(count)
                     ]
                 else:
-                    futures[key] = pool.submit(execute_spec, spec)
+                    futures[key] = pool.submit(execute_spec, spec,
+                                               populations=slots)
             for key, future in futures.items():
                 if isinstance(future, list):
                     partials = [shard.result() for shard in future]

@@ -18,7 +18,6 @@ worker processes and rebuild the heavyweight objects there, and what gives
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
@@ -29,6 +28,7 @@ from ..rrc.profiles import get_profile
 from ..sim.results import SimulationResult
 from ..sim.simulator import TraceSimulator
 from ..traces.packet import PacketTrace
+from ..traces.synthetic import check_chunk, check_duration
 
 __all__ = [
     "TraceSpec",
@@ -53,21 +53,6 @@ _TRACE_FIELDS = {
     "kind": "string", "name": "string", "user_id": "integer",
     "path": "string", "duration_s": "number", "seed": "integer",
 }
-
-
-def check_duration(duration_s: float) -> None:
-    """Refuse a horizon that is not positive and finite (NaN included).
-
-    Every workload spec (traces, cells, metros) applies this one rule.
-    """
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
-
-
-def check_chunk(chunk_s: float) -> None:
-    """Refuse a generation chunk length that is not positive (NaN included)."""
-    if not chunk_s > 0:
-        raise ValueError(f"chunk_s must be positive, got {chunk_s}")
 
 
 def _trace_digest(trace: PacketTrace) -> str:

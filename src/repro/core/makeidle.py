@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..energy.model import TailEnergyModel, WaitEvaluator
+from ..energy.model import TailEnergyModel, WaitEvaluator, wait_evaluator
 from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
 from ..traces.packet import Packet, PacketTrace
@@ -123,8 +123,8 @@ class MakeIdlePolicy(RadioPolicy):
     # -- policy hooks ----------------------------------------------------------------------
 
     def prepare(self, trace: PacketTrace, profile: CarrierProfile) -> None:
-        self._model = TailEnergyModel(profile)
-        self._evaluator = WaitEvaluator(self._model, self._candidate_count)
+        self._evaluator = wait_evaluator(profile, self._candidate_count)
+        self._model = self._evaluator.model
 
     def reset(self) -> None:
         self._window.reset()

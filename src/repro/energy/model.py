@@ -28,6 +28,7 @@ search for the best waiting time under such a distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 try:  # numpy is optional: without it WaitEvaluator runs its reference loop
@@ -38,7 +39,12 @@ except ImportError:  # pragma: no cover - numpy is an optional dependency
 from ..folds import left_fold
 from ..rrc.profiles import CarrierProfile
 
-__all__ = ["TailEnergyModel", "WaitEvaluator", "compute_t_threshold"]
+__all__ = [
+    "TailEnergyModel",
+    "WaitEvaluator",
+    "compute_t_threshold",
+    "wait_evaluator",
+]
 
 #: :meth:`WaitEvaluator.best_waits` scores at most this many windows per
 #: numpy pass, so a device of any length holds a bounded cost matrix.
@@ -170,8 +176,9 @@ class WaitEvaluator:
     the candidate-by-candidate reference that runs when numpy is missing
     (DESIGN.md §2.4 lists the rules that keep the two equal).
     :meth:`best_waits` scores every window a sliding window slides through
-    in one pass, bit-equal to :meth:`best_wait` on each.  Build one per
-    profile; it holds no window state.
+    in one pass, bit-equal to :meth:`best_wait` on each.  It holds no
+    window state: :func:`wait_evaluator` hands one instance per profile to
+    every policy.
     """
 
     __slots__ = (
@@ -213,8 +220,17 @@ class WaitEvaluator:
         self._full_tail = p.t1 * p.power_active_w + p.t2 * p.power_high_idle_w
         self._full_tail_switch = self._full_tail + p.switch_energy_j
         if _np is not None:
+            # Read-only: one evaluator serves every policy prepared on
+            # its profile (wait_evaluator).
             self._wait_column = _np.array(self.candidates)[:, None]
             self._switch_column = _np.array(self._switch_costs)[:, None]
+            self._wait_column.setflags(write=False)
+            self._switch_column.setflags(write=False)
+
+    @property
+    def model(self) -> TailEnergyModel:
+        """The tail-energy model the candidates are scored with."""
+        return self._model
 
     def best_wait(
         self, gaps: Sequence[float], weights: Sequence[float] | None = None
@@ -361,6 +377,27 @@ class WaitEvaluator:
                 best_gain = gain
                 best_wait = wait
         return best_wait, best_gain
+
+
+def wait_evaluator(profile: CarrierProfile,
+                   candidate_count: int) -> WaitEvaluator:
+    """The :class:`WaitEvaluator` of ``profile`` at ``candidate_count``.
+
+    One instance per ``(profile, candidate_count)``, shared by every
+    policy that asks: an evaluator holds no window state, and its
+    candidates, costs and numpy columns are read-only.  Profiles are
+    frozen, so equal profiles share one evaluator; the cache is bounded,
+    as :func:`repro.rrc.tables.transition_table` is.
+    """
+    return _shared_evaluator(profile, candidate_count, _np is not None)
+
+
+@lru_cache(maxsize=512)
+def _shared_evaluator(profile: CarrierProfile, candidate_count: int,
+                      with_numpy: bool) -> WaitEvaluator:
+    # ``with_numpy`` only partitions the cache: an evaluator built while
+    # numpy is hidden (the tests hide it) has no numpy columns.
+    return WaitEvaluator(TailEnergyModel(profile), candidate_count)
 
 
 def compute_t_threshold(profile: CarrierProfile) -> float:

@@ -28,7 +28,7 @@ from collections import deque
 from typing import Protocol
 
 from ..core.policy import RadioPolicy
-from ..energy.model import TailEnergyModel, WaitEvaluator
+from ..energy.model import WaitEvaluator, wait_evaluator
 from ..rrc.profiles import CarrierProfile
 from ..traces.packet import Packet, PacketTrace
 
@@ -283,9 +283,7 @@ class PredictiveMakeIdlePolicy(RadioPolicy):
     def prepare(self, trace: PacketTrace, profile: CarrierProfile) -> None:
         # Only the profile is read: a streamed device is prepared with an
         # empty trace.
-        self._evaluator = WaitEvaluator(
-            TailEnergyModel(profile), self._candidate_count
-        )
+        self._evaluator = wait_evaluator(profile, self._candidate_count)
 
     def reset(self) -> None:
         self._predictor.reset()

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from ..api.spec import PolicySpec
 from ..dictform import strict_fields
 from ..folds import left_fold
-from ..traces.packet import Packet
-from ..traces.streaming import stream_user_day_packets
+from ..traces.streaming import UserDayStream, stream_user_day_packets
 from .archetypes import DeviceArchetype
 from .shapes import DiurnalShape
 
@@ -251,7 +250,7 @@ class Scenario:
         duration_s: float,
         seed: int,
         chunk_s: float,
-    ) -> Iterator[Packet]:
+    ) -> UserDayStream:
         """The lazy packet workload of device ``index`` within ``cohort``.
 
         A merged multi-application stream (flow ids remapped per app, as

@@ -33,8 +33,11 @@ __all__ = [
     "Packet",
     "PacketTrace",
     "merge_traces",
+    "Records",
     "packet_columns",
+    "packet_records",
     "packets_from_columns",
+    "packets_from_records",
 ]
 
 
@@ -128,6 +131,24 @@ Columns = tuple[Sequence[float], Sequence[int], Sequence[bool]]
 _DIRECTIONS = (Direction.DOWNLINK, Direction.UPLINK)
 
 
+#: A record block: ``(times, sizes, uplink, flow_ids, apps)``, every field
+#: of each packet in time order (``apps`` holds each packet's label).
+Records = tuple[Sequence[float], Sequence[int], Sequence[bool], Sequence[int],
+                Sequence[str]]
+
+
+def packets_from_records(
+    times: Iterable[float],
+    sizes: Iterable[int],
+    uplink: Iterable[bool],
+    flow_ids: Iterable[int],
+    apps: Iterable[str],
+) -> list[Packet]:
+    """One :class:`Packet` per row of the columns, labelled by ``apps``."""
+    return list(map(Packet, times, sizes, map(_DIRECTIONS.__getitem__, uplink),
+                    flow_ids, apps))
+
+
 def packets_from_columns(
     times: Iterable[float],
     sizes: Iterable[int],
@@ -136,8 +157,7 @@ def packets_from_columns(
     app: str,
 ) -> list[Packet]:
     """One :class:`Packet` per row of the columns, all labelled ``app``."""
-    return list(map(Packet, times, sizes, map(_DIRECTIONS.__getitem__, uplink),
-                    flow_ids, repeat(app)))
+    return packets_from_records(times, sizes, uplink, flow_ids, repeat(app))
 
 
 def packet_columns(packets: Sequence[Packet]) -> Columns:
@@ -146,6 +166,16 @@ def packet_columns(packets: Sequence[Packet]) -> Columns:
         [p.timestamp for p in packets],
         [p.size for p in packets],
         [p.direction is Direction.UPLINK for p in packets],
+    )
+
+
+def packet_records(packets: Sequence[Packet]) -> Records:
+    """The record block of a packet sequence: :func:`packet_columns` plus
+    flow ids and app labels."""
+    return (
+        *packet_columns(packets),
+        [p.flow_id for p in packets],
+        [p.app for p in packets],
     )
 
 

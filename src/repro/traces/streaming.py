@@ -33,13 +33,17 @@ Block protocols (the kernel fast paths)
 Every generated stream hands out its packets in **column blocks**.  The
 one synthesis loop, :func:`~repro.traces.synthetic.application_columns`,
 emits each chunk as ``(times, sizes, uplink, flow_ids)`` lists, and a
-stream offers two views of them that share one cursor:
+stream offers three views of them that share one cursor:
 
 * ``column_blocks()`` yields ``(times, sizes, uplink)`` per chunk.  The
   vector kernel (:func:`repro.sim.vector_engine._drain`) reads these and
   builds no :class:`~repro.traces.packet.Packet`.
 * ``packet_blocks()`` (and ``next()``) build a chunk's packets on demand,
   for the scalar kernel, which walks chunk-local lists by index.
+* ``record_blocks()`` yields ``(times, sizes, uplink, flow_ids, apps)``
+  per chunk: every field those packets would carry, as columns.  The
+  population store (:mod:`repro.api.populations`) drains streams
+  through it.
 
 A packet buffer that ``next()`` left partly consumed comes out first, as
 columns or as packets, so mixing the views never drops or repeats a
@@ -64,11 +68,20 @@ import heapq
 import zlib
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .packet import Columns, Packet, packet_columns, packets_from_columns
+from .packet import (
+    Columns,
+    Packet,
+    Records,
+    packet_columns,
+    packet_records,
+    packets_from_columns,
+)
 from .synthetic import (
     ApplicationProfile,
     _resolve_application_profile,
     application_columns,
+    check_chunk,
+    check_duration,
 )
 
 #: A traffic-rate envelope: absolute stream time (seconds) -> positive
@@ -115,11 +128,12 @@ class ChunkedPacketStream:
     """One application's packets, lazily generated ``chunk_s`` at a time.
 
     Behaves as a plain packet iterator (``next()`` / ``for``) *and*
-    exposes the two block views of the module docstring:
-    :meth:`column_blocks` and :meth:`packet_blocks`.  All three share one
-    cursor over the same chunk sequence, so mixing them never duplicates
-    or drops packets.  ``flow_offset`` is added to every flow id (a
-    user-day stream's per-application flow range).
+    exposes the block views of the module docstring:
+    :meth:`column_blocks`, :meth:`packet_blocks` and
+    :meth:`record_blocks`.  All of them share one cursor over the same
+    chunk sequence, so mixing them never duplicates or drops packets.
+    ``flow_offset`` is added to every flow id (a user-day stream's
+    per-application flow range).
     """
 
     __slots__ = ("_app", "_flow_offset", "_chunks", "_buf", "_idx")
@@ -133,10 +147,8 @@ class ChunkedPacketStream:
         envelope: RateEnvelope | None,
         flow_offset: int = 0,
     ) -> None:
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if chunk_s <= 0:
-            raise ValueError(f"chunk_s must be positive, got {chunk_s}")
+        check_duration(duration, "duration")
+        check_chunk(chunk_s)
         profile = _resolve_application_profile(name)
         self._app = profile.name
         self._flow_offset = flow_offset
@@ -231,6 +243,22 @@ class ChunkedPacketStream:
         for times, sizes, uplink, _ in self._chunks:
             yield times, sizes, uplink
 
+    def record_blocks(self) -> Iterator[Records]:
+        """Iterate the remaining packets as ``(times, sizes, uplink,
+        flow_ids, apps)`` chunks.
+
+        The same cursor as :meth:`column_blocks`, with every field
+        :meth:`packet_blocks` would give each packet: flow ids offset and
+        the application's label.
+        """
+        if self._idx < len(self._buf):
+            yield packet_records(self._take_buffer())
+        offset = self._flow_offset
+        for times, sizes, uplink, flows in self._chunks:
+            if offset:
+                flows = [flow + offset for flow in flows]
+            yield times, sizes, uplink, flows, [self._app] * len(times)
+
 
 def stream_application_packets(
     name: str,
@@ -273,6 +301,8 @@ def stream_user_day_packets(
     shapes every constituent application stream with the same
     time-of-day rate multipliers (see :func:`stream_application_packets`).
     """
+    check_duration(duration, "duration")
+    check_chunk(chunk_s)
     return UserDayStream([
         ChunkedPacketStream(
             app, duration, _app_stream_seed(seed, index), chunk_s, envelope,
@@ -286,7 +316,8 @@ class UserDayStream:
     """Several applications' chunked streams, merged in time order.
 
     A packet iterator (``heapq.merge`` over the streams, started on the
-    first ``next()``) that also offers :meth:`column_blocks`.  It has no
+    first ``next()``) that also offers :meth:`column_blocks` and
+    :meth:`record_blocks`.  It has no
     ``packet_blocks()``, so the scalar kernel and a visit window read it
     packet by packet.
     """
@@ -316,17 +347,27 @@ class UserDayStream:
         if self._merged is not None:
             yield packet_columns(list(self._merged))
             return
-        times: list[float] = []
-        sizes: list[int] = []
-        uplink: list[bool] = []
+        yield self._sorted("column_blocks", 3)
+
+    def record_blocks(self) -> Iterator[Records]:
+        """The remaining packets as one ``(times, sizes, uplink, flow_ids,
+        apps)`` block, in the order of :meth:`column_blocks`."""
+        if self._merged is not None:
+            yield packet_records(list(self._merged))
+            return
+        yield self._sorted("record_blocks", 5)
+
+    def _sorted(self, view: str, width: int) -> tuple[list, ...]:
+        """Every stream's ``view`` blocks concatenated in application
+        order, each of the ``width`` columns stable-sorted by time."""
+        columns: tuple[list, ...] = tuple([] for _ in range(width))
         for stream in self._streams:
-            for block in stream.column_blocks():
-                times += block[0]
-                sizes += block[1]
-                uplink += block[2]
+            for block in getattr(stream, view)():
+                for column, part in zip(columns, block):
+                    column += part
+        times = columns[0]
         order = sorted(range(len(times)), key=times.__getitem__)
-        yield ([times[i] for i in order], [sizes[i] for i in order],
-               [uplink[i] for i in order])
+        return tuple([column[i] for i in order] for column in columns)
 
 
 def merge_packet_streams(*streams: Iterable[Packet]) -> Iterator[Packet]:

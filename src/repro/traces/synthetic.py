@@ -60,12 +60,31 @@ __all__ = [
     "APPLICATION_PROFILES",
     "APPLICATION_NAMES",
     "application_columns",
+    "check_chunk",
+    "check_duration",
     "generate_application_packets",
     "generate_application_trace",
     "generate_poisson_trace",
     "generate_periodic_trace",
     "PacketTrainSpec",
 ]
+
+
+def check_duration(duration: float, name: str = "duration_s") -> None:
+    """Refuse a horizon that is not positive and finite (NaN included).
+
+    The one rule of every workload: the generators here and in
+    :mod:`repro.traces.streaming`, and the trace, cell and metro specs of
+    :mod:`repro.api`.  ``name`` is the caller's parameter name.
+    """
+    if not 0 < duration < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {duration}")
+
+
+def check_chunk(chunk_s: float) -> None:
+    """Refuse a generation chunk length that is not positive (NaN included)."""
+    if not chunk_s > 0:
+        raise ValueError(f"chunk_s must be positive, got {chunk_s}")
 
 
 @dataclass(frozen=True)
@@ -300,8 +319,7 @@ def application_columns(
     previous burst's last kept packet.
     """
     profile = _resolve_application_profile(app)
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    check_duration(duration, "duration")
 
     rng = random.Random(seed)
     draw_gap = profile.draw_gap

@@ -196,3 +196,46 @@ def test_sequence_pass_matches_the_policy_packet_by_packet(
     if window_size < min_samples:
         assert all(w is None for w in waits)
     assert _window_state(policy, times) == _window_state(reference, times)
+
+
+class TestSharedEvaluator:
+    """One evaluator per (profile, candidate count), read-only."""
+
+    def test_policies_on_equal_profiles_share_one_evaluator(self,
+                                                            att_profile):
+        from dataclasses import replace
+
+        from repro.learning.predictors import (
+            PredictiveMakeIdlePolicy,
+            SlidingWindowPredictor,
+        )
+
+        equal = replace(att_profile)
+        assert equal == att_profile and equal is not att_profile
+        policies = [MakeIdlePolicy(), MakeIdlePolicy(window_size=30),
+                    PredictiveMakeIdlePolicy(SlidingWindowPredictor(50))]
+        for policy, profile in zip(policies, (att_profile, equal, equal)):
+            policy.prepare(PacketTrace([]), profile)
+        evaluators = {id(policy._evaluator) for policy in policies}
+        assert len(evaluators) == 1
+        assert policies[0]._evaluator is model_module.wait_evaluator(
+            att_profile, 24)
+        assert policies[0]._model is policies[0]._evaluator.model
+        assert model_module.wait_evaluator(att_profile, 12) is not \
+            policies[0]._evaluator
+
+    def test_numpy_columns_are_read_only(self, att_profile):
+        evaluator = model_module.wait_evaluator(att_profile, 24)
+        for column in (evaluator._wait_column, evaluator._switch_column):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0, 0] = 1.0
+
+    def test_an_evaluator_built_without_numpy_is_cached_apart(
+            self, att_profile, monkeypatch):
+        with_numpy = model_module.wait_evaluator(att_profile, 24)
+        monkeypatch.setattr(model_module, "_np", None)
+        without = model_module.wait_evaluator(att_profile, 24)
+        assert without is not with_numpy
+        assert without.best_wait([1.0, 30.0]) == with_numpy.best_wait_loop(
+            [1.0, 30.0])

@@ -15,10 +15,11 @@ from repro.traces import (
     PacketTrace,
     UserDayStream,
     merge_packet_streams,
+    generate_application_trace,
     stream_application_packets,
     stream_user_day_packets,
 )
-from repro.traces.packet import packet_columns
+from repro.traces.packet import packet_columns, packet_records
 
 
 class TestStreamApplicationPackets:
@@ -57,6 +58,25 @@ class TestStreamApplicationPackets:
             next(stream_application_packets("im", duration=0.0))
         with pytest.raises(ValueError):
             next(stream_application_packets("im", duration=10.0, chunk_s=0.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_horizons_are_refused(self, bad):
+        # These once yielded an empty workload without an error.
+        with pytest.raises(ValueError, match="duration must be positive "
+                                             "and finite"):
+            stream_application_packets("im", duration=bad, seed=1)
+        with pytest.raises(ValueError, match="duration must be positive "
+                                             "and finite"):
+            generate_application_trace("im", duration=bad, seed=1)
+        with pytest.raises(ValueError, match="duration must be positive "
+                                             "and finite"):
+            stream_user_day_packets(("im", "email"), duration=bad, seed=1)
+        with pytest.raises(ValueError, match="chunk_s must be positive"):
+            stream_application_packets("im", duration=60.0, seed=1,
+                                       chunk_s=float("nan"))
+        with pytest.raises(ValueError, match="chunk_s must be positive"):
+            stream_user_day_packets(("im",), duration=60.0, seed=1,
+                                    chunk_s=float("nan"))
 
     def test_materialises_to_a_valid_trace(self):
         trace = PacketTrace(
@@ -257,6 +277,30 @@ class TestColumnBlocks:
         assert head == packets[:4]
         assert _hexed(_joined(stream.column_blocks())) == \
             _hexed(packet_columns(packets[4:]))
+        assert list(stream) == []
+
+    @pytest.mark.parametrize("view", ["chunked", "user_day"])
+    def test_record_blocks_carry_every_packet_field(self, view):
+        def fresh():
+            if view == "chunked":
+                return stream_application_packets(
+                    "news", duration=900.0, seed=5, chunk_s=120.0,
+                    envelope=_envelope)
+            return stream_user_day_packets(
+                ("im", "email", "social"), duration=1500.0, seed=9,
+                chunk_s=500.0, envelope=_envelope)
+
+        packets = list(fresh())
+        whole = [list(column) for column in packet_records(packets)]
+        records = list(fresh().record_blocks())
+        assert [sum((list(block[i]) for block in records), [])
+                for i in range(5)] == whole
+        stream = fresh()
+        head = [next(stream) for _ in range(3)]
+        rest = list(stream.record_blocks())
+        assert head == packets[:3]
+        assert [sum((list(block[i]) for block in rest), [])
+                for i in range(5)] == [column[3:] for column in whole]
         assert list(stream) == []
 
     def test_packet_trace_is_one_column_block(self):

@@ -51,6 +51,7 @@ import hashlib
 import os
 import shutil
 import tempfile
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator
 
@@ -96,28 +97,27 @@ def population_key(cell: CellSpec, start: int, stop: int) -> tuple:
 
 def draw_population(
     cell: CellSpec, start: int, stop: int
-) -> tuple[list[str], list[list]]:
+) -> tuple[list[str], list[array]]:
     """Synthesise devices ``[start, stop)`` of ``cell`` as stored columns.
 
     Returns the application labels and the six columns of the file body
-    (module docstring).  Each device's lazy stream is drained once,
-    through ``record_blocks()``, in device order.
+    (module docstring), as 8-byte ``array.array`` columns, so a drawn
+    slice holds 48 bytes per packet, not Python objects.  Each device's
+    lazy stream is drained once, through ``record_blocks()``, in device
+    order.
     """
-    offsets = [0]
-    times: list[float] = []
-    sizes: list[int] = []
-    uplink: list[bool] = []
-    flows: list[int] = []
-    codes: list[int] = []
+    offsets = array("q", [0])
+    times = array("d")
+    sizes, uplink, flows, codes = (array("q") for _ in range(4))
     labels: dict[str, int] = {}
     code = labels.setdefault
     for stream in cell.device_streams(start, stop):
         for block in stream.record_blocks():
-            times += block[0]
-            sizes += block[1]
-            uplink += block[2]
-            flows += block[3]
-            codes += [code(app, len(labels)) for app in block[4]]
+            times.extend(block[0])
+            sizes.extend(block[1])
+            uplink.extend(block[2])
+            flows.extend(block[3])
+            codes.extend([code(app, len(labels)) for app in block[4]])
         offsets.append(len(times))
     return list(labels), [offsets, times, sizes, uplink, flows, codes]
 

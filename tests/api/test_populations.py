@@ -445,8 +445,8 @@ class TestBadFiles:
 def _digest(population):
     apps, columns = draw_population(population, 0, population.devices)
     offsets, times, sizes, uplink, flows, codes = columns
-    text = repr((apps, offsets, [t.hex() for t in times], sizes,
-                 [int(u) for u in uplink], flows, codes))
+    text = repr((apps, list(offsets), [t.hex() for t in times], list(sizes),
+                 [int(u) for u in uplink], list(flows), list(codes)))
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

@@ -29,14 +29,19 @@ Two tiers:
 
 from __future__ import annotations
 
-import hashlib
 import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterator, Union
 
 from ..sim.results import SimulationResult
-from .resultfile import FORMAT, read_result, write_result
+from .resultfile import (
+    FORMAT,
+    keyed_path,
+    load_file,
+    read_result,
+    store_file,
+    write_result,
+)
 
 if TYPE_CHECKING:  # avoid a basestation import at runtime for type hints only
     from ..basestation.cell import CellResult
@@ -148,8 +153,7 @@ class DiskCacheTier:
         return self._stores
 
     def _path(self, key_repr: str) -> Path:
-        digest = hashlib.sha256(key_repr.encode("utf-8")).hexdigest()
-        return self._dir / f"{digest}.pkl"
+        return keyed_path(self._dir, key_repr, ".pkl")
 
     def path_for(self, key: Hashable) -> Path:
         """The content-addressed file path of ``key``."""
@@ -164,18 +168,10 @@ class DiskCacheTier:
         exhausted) is a miss that leaves the file alone.
         """
         key_repr = repr(key)
-        path = self._path(key_repr)
-        try:
-            result = read_result(path, key_repr)
-        except OSError:
-            return None
-        except Exception:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        self._loads += 1
+        result = load_file(self._path(key_repr),
+                           lambda path: read_result(path, key_repr))
+        if result is not None:
+            self._loads += 1
         return result
 
     def store(self, key: Hashable, result: CachedResult) -> None:
@@ -188,24 +184,9 @@ class DiskCacheTier:
         ``TypeError``.
         """
         key_repr = repr(key)
-        try:
-            self._dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self._dir, prefix=".tmp-", suffix=".pkl"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    write_result(handle, key_repr, result)
-                os.replace(tmp, self._path(key_repr))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self._stores += 1
+        if store_file(self._path(key_repr),
+                      lambda handle: write_result(handle, key_repr, result)):
+            self._stores += 1
 
 
 class ResultCache:

@@ -24,8 +24,11 @@ the format, the key, the exact length and the offsets, then maps the
 file read-only; each device comes back as a :class:`StoredSource`, which
 offers the views of a generated stream (``column_blocks()``,
 ``packet_blocks()``, iteration) and hands out Python floats, ints and
-bools.  Any bad file is a miss that heals: it is unlinked, and the slice
-is drawn again or streamed lazily.
+bools.  Writes and reads follow the result cache's on-disk rules
+(:func:`~repro.api.resultfile.store_file`,
+:func:`~repro.api.resultfile.load_file`): any bad file is a miss that
+heals, as it is unlinked and the slice is drawn again or streamed
+lazily.
 
 **Byte identity.**  A slice is drawn by draining each device's lazy
 stream once (:meth:`CellSpec.device_streams`), with the generator calls
@@ -39,25 +42,29 @@ byte-identical with or without the store.
 **Who draws.**  :class:`RunPopulations` serves one ``run()`` of a runner:
 every slice that two or more pending specs read is drawn once into the
 disk tier's :data:`SUBDIRECTORY`, or into a temporary directory made
-only then and removed when the run ends.  In process, the slice's first
-reader draws it while it builds its devices (:class:`PopulationSlot`);
-a pool runner draws it first, one task per slice.  A slice with one
-reader streams lazily unless its file is already on the disk tier.
+only then and removed when the run ends.  The slice's first reader draws
+it while it builds its devices (:class:`PopulationSlot`), in process or
+in a pool worker.  A slice with one reader streams lazily unless its
+file is already on the disk tier.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import shutil
 import tempfile
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, BinaryIO, Hashable, Iterator
 
 from ..traces.packet import Columns, Packet, packet_columns, packets_from_records
 from .cells import CellRunSpec, shard_sizes
-from .resultfile import read_file, write_file
+from .resultfile import (
+    keyed_path,
+    load_file,
+    read_file,
+    store_file,
+    write_file,
+)
 
 if TYPE_CHECKING:
     from .cells import CellSpec
@@ -141,28 +148,18 @@ class StoredPopulation:
     file leaves it intact); without numpy they are ``array.array`` copies.
     """
 
-    __slots__ = ("_key", "_apps", "_offsets", "_times", "_sizes",
-                 "_uplink", "_flows", "_codes")
+    __slots__ = ("_apps", "_offsets", "_times", "_sizes", "_uplink",
+                 "_flows", "_codes")
 
-    def __init__(self, key: tuple, header: dict[str, Any],
-                 columns: list) -> None:
+    def __init__(self, header: dict[str, Any], columns: list) -> None:
         offsets = columns[0].tolist()
         if offsets[0] != 0 or offsets[-1] != header["packets"] or any(
                 low > high for low, high in zip(offsets, offsets[1:])):
             raise ValueError("population offsets do not tile its packets")
-        self._key = key
         self._apps = tuple(header["apps"])
         self._offsets = offsets
         (self._times, self._sizes, self._uplink, self._flows,
          self._codes) = columns[1:]
-
-    def check(self, cell: CellSpec, start: int, stop: int) -> None:
-        """Raise ``ValueError`` unless this is devices ``[start, stop)`` of ``cell``."""
-        if population_key(cell, start, stop) != self._key:
-            raise ValueError(
-                f"the stored population is not devices [{start}, {stop}) "
-                "of this cell"
-            )
 
     def sources(self) -> list[StoredSource]:
         """One fresh :class:`StoredSource` per device, in device order."""
@@ -251,10 +248,10 @@ class StoredSource:
 class PopulationStore:
     """Population slice files under one directory, named by key digest.
 
-    Writes are atomic (a temp file, then ``os.replace``) and best effort,
-    like :class:`~repro.api.cache.DiskCacheTier`'s.  :meth:`load` treats
-    any bad file as a miss and unlinks it, so the slot heals on the next
-    store.
+    Writes are atomic and best effort, and :meth:`load` treats any bad
+    file as a miss and unlinks it, so the slot heals on the next store:
+    the result cache's rules (:func:`~repro.api.resultfile.store_file`,
+    :func:`~repro.api.resultfile.load_file`).
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -262,8 +259,7 @@ class PopulationStore:
 
     def path_for(self, key_repr: str) -> Path:
         """The file of the key whose ``repr`` is ``key_repr``."""
-        digest = hashlib.sha256(key_repr.encode("utf-8")).hexdigest()
-        return self._dir / f"{digest}.pop"
+        return keyed_path(self._dir, key_repr, ".pop")
 
     def load(self, cell: CellSpec, start: int,
              stop: int) -> StoredPopulation | None:
@@ -272,93 +268,66 @@ class PopulationStore:
         A file that fails validation is removed (best effort); one that
         cannot be opened or mapped is a miss that stays.
         """
-        key = population_key(cell, start, stop)
-        key_repr = repr(key)
-        path = self.path_for(key_repr)
-        try:
-            header, columns = read_file(path, MAGIC, FORMAT, key_repr, _layout)
-            return StoredPopulation(key, header, columns)
-        except OSError:
-            return None
-        except Exception:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
+        key_repr = repr(population_key(cell, start, stop))
+
+        def read(path: Path) -> StoredPopulation:
+            return StoredPopulation(
+                *read_file(path, MAGIC, FORMAT, key_repr, _layout))
+
+        return load_file(self.path_for(key_repr), read)
 
     def store(self, cell: CellSpec, start: int, stop: int) -> bool:
         """Draw devices ``[start, stop)`` of ``cell`` and write their file.
 
         Returns whether the file was written: a filesystem that refuses
-        the write fails quietly, and readers then stream lazily.
+        the write fails quietly, and readers then stream lazily.  The draw
+        runs once the temp file exists, so a store that cannot be written
+        to costs no draw.
         """
         key_repr = repr(population_key(cell, start, stop))
-        try:
-            # A directory that cannot be made costs no draw.
-            self._dir.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return False
-        apps, columns = draw_population(cell, start, stop)
-        header = {"format": FORMAT, "key": key_repr, "devices": stop - start,
-                  "packets": len(columns[1]), "apps": apps}
-        typed = zip(("q", "d", "q", "q", "q", "q"), columns)
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self._dir, prefix=".tmp-",
-                                       suffix=".pop")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    write_file(handle, MAGIC, header, typed)
-                os.replace(tmp, self.path_for(key_repr))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
+
+        def write(handle: BinaryIO) -> None:
+            apps, columns = draw_population(cell, start, stop)
+            header = {"format": FORMAT, "key": key_repr,
+                      "devices": stop - start, "packets": len(columns[1]),
+                      "apps": apps}
+            write_file(handle, MAGIC, header,
+                       zip(("q", "d", "q", "q", "q", "q"), columns))
+
+        return store_file(self.path_for(key_repr), write)
 
 
 class PopulationSlot:
     """A reader's handle on one slice's file in a store.
 
-    :meth:`CellSpec.build_devices` opens it.  With ``draw`` (a slice
-    several specs read) an opener that finds no good file draws the slice
-    and stores it first, so in process the first reader draws and the
-    others map its file.  Without ``draw`` (a single reader's slice) only
-    a file already in the store is read.  The opened population is kept
-    for the next reader in this process; a pickled slot (a pool task)
-    carries only its directory and flag, and its worker maps the file
-    again.  A slot whose file cannot be had streams lazily from then on.
+    :meth:`CellSpec.build_devices` opens it, and every open loads the
+    file afresh: each reader maps it and drops the mapping with its
+    devices, so a run holds no population longer than one spec's shard
+    does.  With ``draw`` (a slice several specs read) the first open that
+    finds no good file draws the slice and stores it; later opens only
+    read, so a slot draws at most once, and a store that refuses the write
+    leaves the other readers streaming lazily.  Without ``draw`` (a single
+    reader's slice) only a file already in the store is read.  A pool
+    task gets its own copy of the slot: a worker that opens a slice
+    before any file of it exists draws it as well, and the atomic
+    ``os.replace`` keeps those racing writes safe.
     """
 
-    __slots__ = ("_directory", "_draw", "_opened", "_population")
+    __slots__ = ("_directory", "_draw")
 
     def __init__(self, directory: Path, draw: bool) -> None:
         self._directory = directory
         self._draw = draw
-        self._opened = False
-        self._population: StoredPopulation | None = None
-
-    def __reduce__(self):
-        return PopulationSlot, (self._directory, self._draw)
 
     def open(self, cell: CellSpec, start: int,
              stop: int) -> StoredPopulation | None:
         """Devices ``[start, stop)`` of ``cell`` from the store, or ``None``."""
-        if not self._opened:
-            self._opened = True
-            store = PopulationStore(self._directory)
+        store = PopulationStore(self._directory)
+        draw, self._draw = self._draw, False
+        population = store.load(cell, start, stop)
+        if population is None and draw and store.store(cell, start, stop):
             population = store.load(cell, start, stop)
-            if population is None and self._draw and store.store(
-                    cell, start, stop):
-                population = store.load(cell, start, stop)
-            self._population = population
-        if self._population is not None:
-            self._population.check(cell, start, stop)
-        return self._population
+        return population
 
 
 class RunPopulations:
@@ -370,89 +339,59 @@ class RunPopulations:
     disk tier's :data:`SUBDIRECTORY` when ``disk_directory`` is given,
     where a single reader's slice also gets a slot that only reads;
     without a disk tier it is a temporary directory, made on entry only
-    if some slice is shared and removed on exit.  A pool runner calls
-    :meth:`predraw` first; every runner asks :meth:`of` for each pending
-    spec's per-shard slots.
+    if some slice is shared and removed on exit.  If no temporary
+    directory can be made, every spec streams lazily.  Runners ask
+    :meth:`of` for each pending spec's per-shard slots.
     """
 
     def __init__(self, pending: dict[Hashable, Any],
                  disk_directory: Path | None) -> None:
         self._disk_directory = disk_directory
-        # Slices are numbered by first appearance: per pending cell spec
-        # the numbers of its shards' slices, and per number the slice.
-        numbers: dict[tuple, int] = {}
-        self._slices: dict[Hashable, list[int]] = {}
-        self._where: list[tuple[CellSpec, int, int]] = []
-        readers: list[int] = []
+        # Per pending cell spec, the slices its shards read; per slice, how
+        # many shards of pending specs read it.
+        self._slices: dict[Hashable, list[tuple]] = {}
+        self._readers: dict[tuple, int] = {}
         for key, spec in pending.items():
             if not isinstance(spec, CellRunSpec):
                 continue
             fingerprint = spec.cell.fingerprint
-            shards = []
+            shards = self._slices[key] = []
             stop = 0
             for size in shard_sizes(spec.cell.devices, spec.effective_shards):
                 start, stop = stop, stop + size
-                number = numbers.setdefault((fingerprint, start, stop),
-                                            len(numbers))
-                if number == len(readers):
-                    readers.append(0)
-                    self._where.append((spec.cell, start, stop))
-                readers[number] += 1
-                shards.append(number)
-            self._slices[key] = shards
-        self._shared = [number for number, count in enumerate(readers)
-                        if count > 1]
-        self._slots: list[PopulationSlot | None] = [None] * len(readers)
-        self._directory: Path | None = None
+                where = (fingerprint, start, stop)
+                self._readers[where] = self._readers.get(where, 0) + 1
+                shards.append(where)
+        self._slots: dict[tuple, PopulationSlot] = {}
         self._temporary: str | None = None
 
     def __enter__(self) -> RunPopulations:
-        if not self._slices:
+        if not self._readers:
             return self
         if self._disk_directory is not None:
-            self._directory = Path(self._disk_directory, SUBDIRECTORY)
-        elif self._shared:
-            self._temporary = tempfile.mkdtemp(prefix="repro-populations-")
-            self._directory = Path(self._temporary)
+            directory = Path(self._disk_directory, SUBDIRECTORY)
+        elif any(count > 1 for count in self._readers.values()):
+            try:
+                self._temporary = tempfile.mkdtemp(prefix="repro-populations-")
+            except OSError:  # no writable temp directory: stream lazily
+                return self
+            directory = Path(self._temporary)
         else:
             return self
-        shared = set(self._shared)
-        for number in range(len(self._slots)):
-            if number in shared or self._disk_directory is not None:
-                self._slots[number] = PopulationSlot(self._directory,
-                                                     number in shared)
+        for where, count in self._readers.items():
+            if count > 1 or self._disk_directory is not None:
+                self._slots[where] = PopulationSlot(directory, count > 1)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._slots = [None] * len(self._slots)
+        self._slots = {}
         if self._temporary is not None:
             shutil.rmtree(self._temporary, ignore_errors=True)
             self._temporary = None
 
-    def predraw(self, mapper: Callable[..., Iterable[Any]]) -> None:
-        """Draw the shared slices the store lacks through ``mapper``.
-
-        ``mapper`` is a pool's ``map``: one :meth:`PopulationStore.store`
-        task per slice.  A slice whose file could not be written or read
-        back then streams lazily.
-        """
-        if self._directory is None:
-            return
-        store = PopulationStore(self._directory)
-        missing = [number for number in self._shared
-                   if store.load(*self._where[number]) is None]
-        if not missing:
-            return
-        cells, starts, stops = zip(*map(self._where.__getitem__, missing))
-        list(mapper(store.store, cells, starts, stops))
-        for number in missing:
-            if store.load(*self._where[number]) is None:
-                self._slots[number] = None
-
     def of(self, key: Hashable) -> tuple[PopulationSlot | None, ...] | None:
         """Pending spec ``key``'s slot per shard, or ``None`` for none."""
-        shards = self._slices.get(key)
-        if shards is None or self._directory is None:
+        if not self._slots:
             return None
-        slots = tuple(map(self._slots.__getitem__, shards))
+        slots = tuple(map(self._slots.get, self._slices.get(key, ())))
         return slots if any(slots) else None

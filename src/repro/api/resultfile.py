@@ -28,23 +28,30 @@ single-UE result's record tuples from their columns.  Nothing is
 unpickled.  :func:`write_result` streams each column from its own buffer.
 
 The framing (magic, header length, padded header, 8-byte columns) is
-:func:`write_file` and :func:`read_file`; the population store
-(:mod:`repro.api.populations`) writes and reads its files through the
-same two functions under its own magic.
+:func:`write_file` and :func:`read_file`, and the on-disk rules around
+them are :func:`keyed_path` (a file is named by the SHA-256 of its key's
+``repr``), :func:`store_file` (atomic, best-effort writes) and
+:func:`load_file` (a bad file is a miss that heals).  The result cache
+(:class:`~repro.api.cache.DiskCacheTier`) and the population store
+(:mod:`repro.api.populations`, under its own magic) both go through
+them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import mmap
+import os
 import struct
 import sys
+import tempfile
 from array import array
 from dataclasses import fields
 from enum import Enum
 from itertools import groupby
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..basestation.cell import CellResult, CellSummary, CohortBreakdown
 from ..basestation.table import DeviceTable, FloatArray, _np
@@ -58,7 +65,8 @@ from ..sim.results import GapDecision, SessionDelay, SimulationResult
 from ..traces.packet import Direction, Packet, PacketTrace
 
 __all__ = [
-    "FORMAT", "MAGIC", "read_file", "read_result", "write_file", "write_result",
+    "FORMAT", "MAGIC", "keyed_path", "load_file", "read_file", "read_result",
+    "store_file", "write_file", "write_result",
 ]
 
 #: The first eight bytes of every result file.
@@ -67,6 +75,7 @@ MAGIC = b"RRCRES\r\n"
 #: pickle; format 1 a pickle without the stored summaries.
 FORMAT = 3
 
+_T = TypeVar("_T")
 _LENGTH = struct.Struct("<Q")
 _BODY_ALIGN = 8
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -448,3 +457,63 @@ def read_result(path: Path, key_repr: str) -> Any:
         lambda header: _KINDS[header["kind"]][2](header),
     )
     return _KINDS[header["kind"]][3](header, iter(views))
+
+
+def keyed_path(directory: Path, key_repr: str, suffix: str) -> Path:
+    """The file under ``directory`` of the key whose ``repr`` is ``key_repr``.
+
+    Its name is the SHA-256 of the repr, then ``suffix``, so cooperating
+    processes (and later sessions) address the same file for the same key
+    without coordination.
+    """
+    digest = hashlib.sha256(key_repr.encode("utf-8")).hexdigest()
+    return directory / f"{digest}{suffix}"
+
+
+def load_file(path: Path, read: Callable[[Path], _T]) -> _T | None:
+    """``read(path)``, or ``None`` on any miss.
+
+    A file ``read`` refuses (any exception but ``OSError``: wrong magic,
+    format or key, a length the header does not imply) is removed, best
+    effort, so its slot heals on the next store.  A file that cannot be
+    opened or mapped (``OSError``: permissions, descriptors exhausted) is a
+    miss that leaves the file alone.
+    """
+    try:
+        return read(path)
+    except OSError:
+        return None
+    except Exception:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        return None
+
+
+def store_file(path: Path, write: Callable[[BinaryIO], None]) -> bool:
+    """Write ``path`` atomically through ``write(handle)``; whether it was.
+
+    ``write`` fills a temp file in ``path``'s directory (made if missing),
+    which then replaces ``path``, so concurrent writers are safe and
+    readers only ever see a complete file.  A filesystem that refuses the
+    write (read-only, full, ...) fails quietly with ``False``; any other
+    exception removes the temp file and propagates.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
+                                   suffix=path.suffix)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                write(handle)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError:
+        return False
+    return True

@@ -326,12 +326,11 @@ class ProcessPoolRunner(_BaseRunner):
         spec into one task per UE block, which returns every cell's
         partial for the block — so a single big run can occupy every
         worker; the partials are merged back here in the parent (see
-        repro.basestation.cell / repro.metro.execution).  The shared
-        population slices are drawn first, one task per slice, and each
-        task receives its shards' population slots (a worker maps the
-        files again).  Without the pool everything (a sharded spec's
-        partitions included) runs sequentially in-process: same merged
-        result, no pool overhead.
+        repro.basestation.cell / repro.metro.execution).  A cell task
+        receives its shards' population slots: the worker maps a shared
+        slice's file, or draws it if no file is there yet.  Without the
+        pool everything (a sharded spec's partitions included) runs
+        sequentially in-process: same merged result, no pool overhead.
         """
         if execution is None or not execution.pool_used:
             yield from super()._execute(pending, execution, populations)
@@ -339,23 +338,24 @@ class ProcessPoolRunner(_BaseRunner):
         total_tasks = sum(_task_count(spec) for spec in pending.values())
         workers = min(execution.effective_jobs, total_tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            populations.predraw(pool.map)
             futures: dict[Hashable, object] = {}
             for key, spec in pending.items():
                 count = _task_count(spec)
                 slots = populations.of(key)
-                if count > 1 and isinstance(spec, MetroRunSpec):
+                if count > 1:
                     # Shard order: both merges take the partials in the
-                    # order of their shard (UE block) index.
+                    # order of their shard (UE block) index.  Metro specs
+                    # have no population slots.
+                    shard_task = (
+                        execute_metro_cell_shard
+                        if isinstance(spec, MetroRunSpec)
+                        else execute_cell_shard
+                    )
                     futures[key] = [
-                        pool.submit(execute_metro_cell_shard, spec, index)
-                        for index in range(count)
-                    ]
-                elif count > 1:
-                    futures[key] = [
-                        pool.submit(execute_cell_shard, spec, index,
-                                    population=(None if slots is None
-                                                else slots[index]))
+                        pool.submit(shard_task, spec, index)
+                        if slots is None
+                        else pool.submit(shard_task, spec, index,
+                                         population=slots[index])
                         for index in range(count)
                     ]
                 else:

@@ -379,6 +379,7 @@ class WaitEvaluator:
         return best_wait, best_gain
 
 
+@lru_cache(maxsize=512)
 def wait_evaluator(profile: CarrierProfile,
                    candidate_count: int) -> WaitEvaluator:
     """The :class:`WaitEvaluator` of ``profile`` at ``candidate_count``.
@@ -389,14 +390,6 @@ def wait_evaluator(profile: CarrierProfile,
     frozen, so equal profiles share one evaluator; the cache is bounded,
     as :func:`repro.rrc.tables.transition_table` is.
     """
-    return _shared_evaluator(profile, candidate_count, _np is not None)
-
-
-@lru_cache(maxsize=512)
-def _shared_evaluator(profile: CarrierProfile, candidate_count: int,
-                      with_numpy: bool) -> WaitEvaluator:
-    # ``with_numpy`` only partitions the cache: an evaluator built while
-    # numpy is hidden (the tests hide it) has no numpy columns.
     return WaitEvaluator(TailEnergyModel(profile), candidate_count)
 
 

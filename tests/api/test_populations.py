@@ -90,7 +90,6 @@ def lazy():
     @contextlib.contextmanager
     def switched_off():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(RunPopulations, "predraw", lambda self, mapper: None)
             patch.setattr(RunPopulations, "of", lambda self, key: None)
             yield
 
@@ -225,17 +224,45 @@ class TestWhoDraws:
                                                         "makeidle")))
         assert len(made) == 1 and not os.path.exists(made[0])
 
-    def test_a_slot_opened_for_another_slice_is_refused(self, tmp_path):
+    def test_no_temporary_directory_streams_lazily(self, monkeypatch,
+                                                   draws, lazy):
+        def refuse(**kwargs):
+            raise FileNotFoundError("no usable temporary directory")
+
+        monkeypatch.setattr(populations_mod.tempfile, "mkdtemp", refuse)
         population = _app_cell()
+        p = _plan(population, policies=("status_quo", "makeidle"), shards=2)
+        runs = SerialRunner().run(p)
+        assert draws["calls"] == 2 * _one_draw(population, draws)
+        with lazy():
+            reference = SerialRunner().run(p)
+        assert [r.result for r in runs] == [r.result for r in reference]
+        assert _records(runs) == _records(reference)
+
+    def test_each_open_maps_afresh_and_a_slot_draws_at_most_once(
+            self, tmp_path, monkeypatch):
+        population = _app_cell()
+        stores, inits = [], []
+        real_store = PopulationStore.store
+        real_init = StoredPopulation.__init__
+        monkeypatch.setattr(
+            PopulationStore, "store",
+            lambda self, *args: stores.append(args) or real_store(self, *args))
+        monkeypatch.setattr(
+            StoredPopulation, "__init__",
+            lambda self, *args: inits.append(1) or real_init(self, *args))
         slot = PopulationSlot(tmp_path, draw=True)
-        devices = population.build_devices(PolicySpec(), 0, 4,
-                                           population=slot)
-        assert len(devices) == 4 and len(list(tmp_path.glob("*.pop"))) == 1
-        with pytest.raises(ValueError, match=r"not devices \[0, 5\)"):
-            population.build_devices(PolicySpec(), 0, 5, population=slot)
-        with pytest.raises(ValueError, match="not devices"):
-            _app_cell(seed=5).build_devices(PolicySpec(), 0, 4,
-                                            population=slot)
+        opened = [slot.open(population, 0, 4) for _ in range(3)]
+        assert len(stores) == 1 and len(inits) == 3
+        assert len({id(stored) for stored in opened}) == 3
+        # A store that refuses the write: the first open draws, the
+        # others stream lazily rather than draw again.
+        stores.clear()
+        monkeypatch.setattr(PopulationStore, "store",
+                            lambda self, *args: stores.append(args) or False)
+        refused = PopulationSlot(tmp_path / "refused", draw=True)
+        assert [refused.open(population, 0, 4) for _ in range(3)] == [None] * 3
+        assert len(stores) == 1
 
     def test_a_reading_slot_never_draws(self, tmp_path, draws):
         population = _app_cell()

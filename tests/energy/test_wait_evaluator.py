@@ -11,6 +11,8 @@ by packet.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,21 @@ def windows(draw):
     return key, gaps, weights
 
 
+@contextlib.contextmanager
+def _fresh_evaluators():
+    """Drop the shared evaluators on entry and on exit.
+
+    Enter it after hiding numpy and leave it before numpy returns: the
+    evaluators built in between have no numpy columns, and none of them
+    serves a caller that sees numpy.
+    """
+    model_module.wait_evaluator.cache_clear()
+    try:
+        yield
+    finally:
+        model_module.wait_evaluator.cache_clear()
+
+
 def _hexes(pair):
     assert [type(v) for v in pair] == [float, float]
     return [v.hex() for v in pair]
@@ -81,6 +98,8 @@ class TestTiesAndEmptyWindows:
     def _path(self, numpy_path, monkeypatch):
         if not numpy_path:
             monkeypatch.setattr(model_module, "_np", None)
+        with _fresh_evaluators():
+            yield
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_all_zero_window_ties_to_the_first_candidate(self, att_profile,
@@ -173,7 +192,7 @@ def test_sequence_pass_matches_the_policy_packet_by_packet(
     numpy scores each window with the loop."""
     key, times, split, chunk = drawn
     profile = CARRIER_PROFILES[key]
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, _fresh_evaluators():
         patch.setattr(model_module, "_WINDOW_CHUNK", chunk)
         if not numpy_path:
             patch.setattr(model_module, "_np", None)
@@ -230,12 +249,3 @@ class TestSharedEvaluator:
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0, 0] = 1.0
-
-    def test_an_evaluator_built_without_numpy_is_cached_apart(
-            self, att_profile, monkeypatch):
-        with_numpy = model_module.wait_evaluator(att_profile, 24)
-        monkeypatch.setattr(model_module, "_np", None)
-        without = model_module.wait_evaluator(att_profile, 24)
-        assert without is not with_numpy
-        assert without.best_wait([1.0, 30.0]) == with_numpy.best_wait_loop(
-            [1.0, 30.0])

@@ -118,8 +118,14 @@ def test_makeidle_reference_loop_matches_golden_records(suite, monkeypatch):
     suites pin MakeIdle's decisions, so they must not move on either path.
     """
     monkeypatch.setattr(energy_model, "_np", None)
-    preview = _drift(suite, render_golden(build_golden(suite)),
-                     "rebuilt, MakeIdle reference loop")
+    # The shared evaluators are rebuilt without numpy, and dropped again
+    # before numpy returns.
+    energy_model.wait_evaluator.cache_clear()
+    try:
+        preview = _drift(suite, render_golden(build_golden(suite)),
+                         "rebuilt, MakeIdle reference loop")
+    finally:
+        energy_model.wait_evaluator.cache_clear()
     assert not preview, preview
 
 

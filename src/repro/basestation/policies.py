@@ -39,12 +39,16 @@ class DormancyPolicy:
     ) -> bool:
         """Grant (``True``) or deny (``False``) a device's channel release.
 
-        ``load`` is the cell's live load when the request pops; a policy
-        reads it and never mutates it.  The scalar kernel always passes
-        it.  The vector kernel replays a shard only for the stations whose
-        ``decide`` never reads it
-        (:func:`repro.sim.vector_engine.station_decides_per_device`) and
-        passes ``None``.
+        ``load`` is the cell's load when the request pops; a policy
+        reads it and never mutates it.  The scalar kernel passes its live
+        load.  The vector kernel replays a shard only for the stations
+        whose ``decide`` it knows by type: it passes ``None`` to those
+        that never read the load
+        (:func:`repro.sim.vector_engine.station_decides_per_device`), and
+        to :class:`LoadAwareDormancy`, which reads only the switch
+        window, a load whose window holds exactly the switches the scalar
+        kernel would have recorded before this request
+        (:func:`repro.sim.vector_engine.station_reads_switch_window`).
         """
         raise NotImplementedError
 
@@ -154,7 +158,9 @@ class LoadAwareDormancy(DormancyPolicy):
     cell load and refuses dormancy requests once that count reaches
     ``max_switches_per_minute`` — trading device energy for network
     stability exactly the way the paper's future-work discussion
-    anticipates.
+    anticipates.  A station whose ``decide`` is this one reads nothing
+    else, so the vector kernel can replay its switch window
+    (:func:`repro.sim.vector_engine.station_reads_switch_window`).
     """
 
     name = "load_aware"

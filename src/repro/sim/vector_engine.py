@@ -23,11 +23,13 @@ A batch is the ragged layout of
 packets ``offsets[d]:offsets[d + 1]`` of the flat columns.  Devices are
 drained whole until a batch holds :data:`_PACKET_BUDGET` packets, so a
 shard of a million devices never holds all its packets as arrays at
-once.  Within a batch a gap ``t[i] -> t[i + 1]`` belongs to a device
-unless ``i + 1`` is an offset; those cross-device gaps are masked out of
-the order check, and every device's first packet is treated as a stream
-start by the folds and the boundary mask, so one pass over the flat
-arrays computes exactly what one pass per device would.
+once; only a shard whose station reads the switch window drains as one
+batch (see Kernel selection).  Within a batch a gap ``t[i] -> t[i + 1]``
+belongs to a device unless ``i + 1`` is an offset; those cross-device
+gaps are masked out of the order check, and every device's first packet
+is treated as a stream start by the folds and the boundary mask, so one
+pass over the flat arrays computes exactly what one pass per device
+would.
 
 Stream errors keep the per-device texts and their per-device order: the
 first faulty device in shard order raises — its
@@ -119,12 +121,19 @@ Kernel selection
 The kernel is chosen per shard, all or nothing (:func:`use_vector_kernel`):
 numpy must import, the base station must decide each request from the
 requesting device alone (:func:`station_decides_per_device`: accept-all,
-reject-all or rate-limited by type; a station that reads the live
-interleaved load, which a per-UE replay cannot see, stays scalar), and
-every device policy must be :func:`vector_eligible`.  Each fired request
-goes to the station's own ``decide`` once, device by device in each
-device's request order, before any RRC work; an always-granting station
-is not called at all.  A device policy is eligible when it is a plain
+reject-all or rate-limited by type) or from the cell's switch window
+(:func:`station_reads_switch_window`: load-aware by type; a subclass
+that overrides ``decide`` may read anything of the live load and stays
+scalar), and every device policy must be :func:`vector_eligible`.  Each
+fired request goes to the station's own ``decide`` once, in heap order,
+before any RRC work (:func:`_ask_station`); an always-granting station
+is not called at all.  A window-reading station is asked against a
+:class:`~repro.sim.engine.CellLoad` fed with the batch's switches in the
+same heap order.  That is exact because no request depends on a grant
+(every wait depends only on its device's packet times) and a grant adds
+switches only at or after its own pop.  An answer can depend on a switch
+of any device, so such a shard drains as one batch.  A device policy is
+eligible when it is a plain
 :class:`~repro.core.makeidle.MakeIdlePolicy`, whose decisions depend only
 on its own packet times, so each batch computes a device's whole wait
 sequence up front (:meth:`~repro.core.makeidle.MakeIdlePolicy.dormancy_waits`)
@@ -165,6 +174,7 @@ __all__ = [
     "run_shard_vector",
     "station_always_grants",
     "station_decides_per_device",
+    "station_reads_switch_window",
     "use_vector_kernel",
     "vector_eligible",
 ]
@@ -180,6 +190,11 @@ _ARRIVAL = 4
 _ACT = 1
 _DEACT = -1
 _SWITCH = 0
+
+#: Item codes of the decision replay (:func:`_ask_station`).
+_NOTE = 0     # a switch no answer can undo
+_ASK = 1      # a fired request: ask the station
+_NOTE_IF = 2  # a switch that happens iff its request is granted
 
 #: A columnar batch closes once it holds this many packets.  Devices are
 #: drained whole and in shard order, so a batch holds at most this many
@@ -216,10 +231,10 @@ def station_decides_per_device(policy: object) -> bool:
     its ``decide`` must be the accept-all, reject-all or rate-limited
     implementation.  None of them reads the cell load, and the
     rate-limited state is keyed by device id, so a device's answers
-    depend only on its own earlier requests and a per-UE replay can ask
-    for them in each device's request order.  The load-aware station
-    (coupled to every UE through the cell's switch window) and a
-    subclass that overrides ``decide`` are not.
+    depend only on its own earlier requests: the vector kernel asks them
+    batch by batch and passes ``None`` for the load.  The load-aware
+    station (:func:`station_reads_switch_window`) and a subclass that
+    overrides ``decide`` are not.
     """
     from ..basestation.policies import (
         AcceptAllDormancy,
@@ -230,6 +245,22 @@ def station_decides_per_device(policy: object) -> bool:
     return type(policy).decide in (AcceptAllDormancy.decide,
                                    RejectAllDormancy.decide,
                                    RateLimitedDormancy.decide)
+
+
+def station_reads_switch_window(policy: object) -> bool:
+    """Whether a base-station policy answers from the cell's switch window.
+
+    Derived from the policy's type: its ``decide`` must be
+    :meth:`~repro.basestation.policies.LoadAwareDormancy.decide`, which
+    reads nothing of the live load but
+    :meth:`~repro.sim.engine.CellLoad.switches_within_window`.  The vector
+    kernel replays that window in heap order (:func:`_ask_station`), so
+    the answers couple every UE of the shard; a subclass that overrides
+    ``decide`` may read anything and is not admitted.
+    """
+    from ..basestation.policies import LoadAwareDormancy
+
+    return type(policy).decide is LoadAwareDormancy.decide
 
 
 def vector_eligible(policy: RadioPolicy) -> bool:
@@ -270,7 +301,8 @@ def use_vector_kernel(
 
     One kernel runs the whole shard: the vector kernel when numpy
     imports, the base station decides per device
-    (:func:`station_decides_per_device`) and every device policy is
+    (:func:`station_decides_per_device`) or from the switch window
+    (:func:`station_reads_switch_window`), and every device policy is
     :func:`vector_eligible`; otherwise the scalar kernel.  Judged from
     policy types, so it is asked before any ``prepare()``.
     :meth:`~repro.basestation.cell.CellSimulator.run_shard` looks this
@@ -279,7 +311,8 @@ def use_vector_kernel(
     """
     return (
         numpy_available()
-        and station_decides_per_device(dormancy_policy)
+        and (station_decides_per_device(dormancy_policy)
+             or station_reads_switch_window(dormancy_policy))
         and all(vector_eligible(policy) for policy in policies)
     )
 
@@ -338,15 +371,16 @@ def _column_blocks(source) -> Iterable[Columns]:
                blocks() if blocks is not None else (list(source),))
 
 
-def _drain(devices: Sequence["DeviceSpec"], first: int):
+def _drain(devices: Sequence["DeviceSpec"], first: int, budget: float):
     """Drain whole devices from ``devices[first:]`` into one columnar batch.
 
     Reads each stream's column blocks (:func:`_column_blocks`: every
     generated stream, a ``PacketTrace`` and a window over either offer
     them, so no ``Packet`` is built), device by device in shard order,
-    until the batch holds :data:`_PACKET_BUDGET` packets.  Packets are
-    not checked on the way: :func:`_check_streams` checks the times, and
-    generated sizes are checked once per train shape
+    until the batch holds ``budget`` packets (``inf``: the whole shard;
+    see :func:`run_shard_vector`).  Packets are not checked on the way:
+    :func:`_check_streams` checks the times, and generated sizes are
+    checked once per train shape
     (:class:`~repro.traces.synthetic.PacketTrainSpec`).  Returns
     ``(stop, (times, sizes, uplink, offsets))``: the batch is
     ``devices[first:stop]`` and its ``d``-th device owns packets
@@ -359,7 +393,7 @@ def _drain(devices: Sequence["DeviceSpec"], first: int):
     offsets = [0]
     stop = first
     count = len(devices)
-    while stop < count and len(times) < _PACKET_BUDGET:
+    while stop < count and len(times) < budget:
         for block_times, block_sizes, block_up in _column_blocks(
                 devices[stop].trace):
             times += block_times
@@ -619,14 +653,97 @@ def _final_timer_pop(
         return None
 
 
+def _ask_station(decide, load: CellLoad | None, table: TransitionTable,
+                 owner, t, request_at, fired, heads, lasts, tail_fired):
+    """Ask the station about every fired request, in heap order.
+
+    ``fired[j]`` marks the request decided after packet ``j - 1`` that
+    pops before packet ``j``; ``tail_fired`` the trailing request of each
+    device with packets (``lasts``: their last packets), and ``owner``
+    is each packet's device id.  Each request is keyed
+    ``(time, kind, ue_id, generation)``, the key the load ops sort by:
+    the generation is ``3 * k + 1`` for the request decided after packet
+    ``k``, and a zero effective wait carries the arrival kind, since it
+    pops right behind the arrival that scheduled it.  One stable
+    ``np.lexsort`` puts the requests in the scalar heap's pop order and
+    ``decide(ue_id, time, load)`` answers each in turn.
+
+    ``load`` is ``None`` for a per-device station
+    (:func:`station_decides_per_device`), which never reads it.  For a
+    station that reads the switch window
+    (:func:`station_reads_switch_window`) it is a fresh
+    :class:`CellLoad`, fed through ``note_switch`` with every switch of
+    the batch interleaved by the same key: each device's first packet
+    and every packet at or after its gap's ``idle_at`` promote whatever
+    the answers (generation ``3 * k``), while a grant adds its own fast
+    dormancy when it pops before ``idle_at`` (``3 * k + 2``) and then
+    the promotion of the packet ending its gap, if the timers did not
+    already idle the device.  This is exact because requests do not
+    depend on grants (each wait depends only on the device's own packet
+    times), a request reads only switches that pop before it, and a
+    grant adds switches only at or after its own pop, where its answer
+    is known.  Returns ``(granted, tail_granted)`` shaped like
+    ``fired`` and ``tail_fired``.
+    """
+    gap = _np.flatnonzero(fired)
+    tails = _np.flatnonzero(tail_fired)
+    after = _np.concatenate((gap - 1, lasts[tails]))
+    at = request_at[after]
+    kind = _np.where(at == t[after], _ARRIVAL, _DORMANCY)
+    asks = after.shape[0]
+    # Per item: (time, kind, packet, generation, item code, request).
+    groups = [(at, kind, after, 3 * after + 1, _ASK, _np.arange(asks))]
+    if load is not None:
+        # The machine's idle_at after each packet, as _Rows.a2 sums it.
+        idle_at = t + table.t1
+        if table.has_high_idle:
+            idle_at = idle_at + table.t2
+        promoted = _np.empty(t.shape[0], dtype=bool)
+        promoted[1:] = t[1:] >= idle_at[:-1]
+        promoted[heads] = True
+        timers = _np.flatnonzero(promoted)
+        groups.append((t[timers], _ARRIVAL, timers, 3 * timers, _NOTE, -1))
+        demotes = _np.flatnonzero(at < idle_at[after])
+        groups.append((at[demotes], kind[demotes], after[demotes],
+                       3 * after[demotes] + 2, _NOTE_IF, demotes))
+        wakes = demotes[demotes < gap.shape[0]]
+        wakes = wakes[~promoted[gap[wakes]]]
+        groups.append((t[gap[wakes]], _ARRIVAL, gap[wakes], 3 * gap[wakes],
+                       _NOTE_IF, wakes))
+    when, kinds, packet, generation, code, ref = (
+        _np.concatenate([_np.broadcast_to(group[k], group[0].shape)
+                         for group in groups])
+        for k in range(6))
+    ue = owner[packet]
+    order = _np.lexsort((generation, ue, kinds, when))
+    answers = [False] * asks
+    note = None if load is None else load.note_switch
+    for item, time, ue_id, request in zip(code[order].tolist(),
+                                          when[order].tolist(),
+                                          ue[order].tolist(),
+                                          ref[order].tolist()):
+        if item == _ASK:
+            answers[request] = decide(ue_id, time, load)
+        elif item == _NOTE or answers[request]:
+            note(time)
+    answered = _np.array(answers, dtype=bool)
+    granted = _np.zeros_like(fired)
+    granted[gap] = answered[:gap.shape[0]]
+    tail_granted = _np.zeros_like(tail_fired)
+    tail_granted[tails] = answered[gap.shape[0]:]
+    return granted, tail_granted
+
+
 def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
-                  table: TransitionTable, model: DataEnergyModel, decide):
+                  table: TransitionTable, model: DataEnergyModel, decide,
+                  load: CellLoad | None):
     """Replay one drained batch: its devices' columns and its load ops.
 
-    ``decide`` is a per-device station's own ``decide``
-    (:func:`station_decides_per_device`), or ``None`` for a station that
-    always grants.  Returns ``(columns, ops, horizon, last_emitted,
-    max_now)``.
+    ``decide`` is the station's own ``decide``, or ``None`` for a
+    station that always grants; ``load`` is the switch window a
+    window-reading station is asked against (``None``: a per-device
+    station; see :func:`_ask_station`).  Returns ``(columns, ops,
+    horizon, last_emitted, max_now)``.
     ``columns`` maps shard-table fields (plus ``open_code``, the shard
     table's open-state code, and ``closed``) to one value per device;
     ``ops`` are the batch's ``(time, kind, ue_id, op)`` columns, every
@@ -694,22 +811,9 @@ def _replay_batch(specs: Sequence["DeviceSpec"], t, sizes, up, offsets,
     tail_fired = (last_wait < _INF) & (tail_at <= det)
     granted, tail_granted = fired, tail_fired
     if decide is not None:
-        # Every gap request in flat order, then every trailing request, so
-        # each device's requests reach the station in their time order.
-        # These stations read no load: it is None.
-        gap = _np.flatnonzero(fired)
-        tails = _np.flatnonzero(tail_fired)
-        owners = _np.concatenate((_np.repeat(ids, counts)[gap],
-                                  ids[nonempty][tails]))
-        when = _np.concatenate((request_at[gap - 1], tail_at[tails]))
-        answers = _np.array(
-            [decide(ue, at, None)
-             for ue, at in zip(owners.tolist(), when.tolist())],
-            dtype=bool)
-        granted = _np.zeros_like(fired)
-        granted[gap] = answers[:gap.shape[0]]
-        tail_granted = _np.zeros_like(tail_fired)
-        tail_granted[tails] = answers[gap.shape[0]:]
+        granted, tail_granted = _ask_station(
+            decide, load, table, _np.repeat(ids, counts), t, request_at,
+            fired, heads, lasts, tail_fired)
 
     # The boundary mask (see module docstring) over every gap at once:
     # a granted request or a gap past t1 ends a gap at a boundary, and
@@ -910,8 +1014,10 @@ def run_shard_vector(
 
     Produces a :class:`~repro.basestation.cell.CellShard` byte-identical
     to the scalar shard run over the same devices: the shard's devices
-    are drained into columnar batches whose folds, boundary rows and load
-    ops are computed once per batch (:func:`_replay_batch`), and the
+    are drained into columnar batches (the whole shard is one batch
+    under a station that reads the switch window) whose answers, folds,
+    boundary rows and load ops are computed once per batch
+    (:func:`_replay_batch`), and the
     shared cell-load state (ordered switch timeline, running peak, sample
     series) is rebuilt from all UEs' load ops, put in exact heap order by
     one stable ``np.lexsort``.  The device columns go to the same
@@ -929,6 +1035,11 @@ def run_shard_vector(
     profile = engine.profile
     table = transition_table(profile)
     model = engine.accountant.data_model
+    # A request can read a switch of any device of the shard, including
+    # one a later batch would hold, so a shard whose station reads the
+    # switch window drains as one batch.
+    window = station_reads_switch_window(simulator.dormancy_policy)
+    budget = _INF if window else _PACKET_BUDGET
     parts = []
     ops = []
     horizon = -_INF
@@ -936,10 +1047,10 @@ def run_shard_vector(
     max_now = 0.0
     first = 0
     while first < len(devices):
-        stop, drained = _drain(devices, first)
+        stop, drained = _drain(devices, first, budget)
         columns, batch_ops, batch_horizon, batch_last, batch_now = (
             _replay_batch(devices[first:stop], *drained, table, model,
-                          decide))
+                          decide, CellLoad() if window else None))
         del drained  # free the packet arrays before the next batch
         first = stop
         parts.append(columns)

@@ -307,7 +307,7 @@ class TestLoadAwareCell:
         )
         (record,) = runs.records
         result = record.result
-        assert result.vector_devices == 0  # load-aware stays scalar
+        assert result.vector_devices == 12  # the switch window is replayed
         assert (result.dormancy_requests, result.dormancy_denied) == (137, 70)
         assert tuple(
             (device.dormancy_granted, device.dormancy_denied,

@@ -10,7 +10,8 @@ batch.  These tests pin what that layout must not change:
   first faulty device raises, its order error before its handover error;
 * shards that mix constant waits, hold no packets at all, single-packet
   devices or packet-less visits, and shards split into many batches, are
-  equal to the forced-scalar run;
+  equal to the forced-scalar run, and a load-aware shard, whose answers
+  read every device's switches, drains as one batch;
 * a metro of MakeIdle UEs, whose per-packet waits vary and whose stale
   dormancies outlive their departures, is equal to its forced-scalar run.
 """
@@ -29,7 +30,11 @@ from hypothesis import strategies as st
 from repro.api import PolicySpec
 from repro.api.cells import cell
 from repro.api.metro import MetroRunSpec, execute_metro, metro
-from repro.basestation import AcceptAllDormancy, CellSimulator
+from repro.basestation import (
+    AcceptAllDormancy,
+    CellSimulator,
+    LoadAwareDormancy,
+)
 from repro.basestation.cell import DeviceSpec
 from repro.core import (
     FixedTimerPolicy,
@@ -74,12 +79,16 @@ class _RawBlocks:
         yield self._packets
 
 
-def _both_kernels(scalar_kernel, build, profile="att_hspa"):
-    """Run ``build()``'s devices forced-scalar and auto-selected."""
+def _both_kernels(scalar_kernel, build, profile="att_hspa",
+                  station=AcceptAllDormancy):
+    """Run ``build()``'s devices forced-scalar and auto-selected.
+
+    ``station()`` makes each run's base station.
+    """
     results = {}
     for kernel, context in (("scalar", scalar_kernel),
                             ("vector", contextlib.nullcontext)):
-        simulator = CellSimulator(get_profile(profile), AcceptAllDormancy(),
+        simulator = CellSimulator(get_profile(profile), station(),
                                   load_sample_interval_s=7.0)
         with context():
             results[kernel] = simulator.run(build())
@@ -250,6 +259,8 @@ class TestShardShapes:
     @pytest.mark.parametrize("budget", (1, 3, 64))
     def test_any_batch_split_matches_scalar(self, budget, scalar_kernel,
                                             monkeypatch):
+        """Under each station; a load-aware shard drains as one batch
+        whatever the budget."""
         monkeypatch.setattr(vector_engine, "_PACKET_BUDGET", budget)
 
         def build():
@@ -264,9 +275,14 @@ class TestShardShapes:
                 for index in range(10)
             ]
 
-        scalar, vector = _both_kernels(scalar_kernel, build)
-        assert vector == scalar
-        assert vector.vector_devices == 10
+        for station in (AcceptAllDormancy,
+                        lambda: LoadAwareDormancy(max_switches_per_minute=30)):
+            scalar, vector = _both_kernels(scalar_kernel, build,
+                                           station=station)
+            assert vector == scalar
+            assert vector.vector_devices == 10
+        # The load-aware station grants 68 of 245 requests here.
+        assert 0 < vector.dormancy_denied < vector.dormancy_requests
 
     def test_batches_respect_the_packet_budget(self, monkeypatch):
         """A batch stops taking devices once it holds the budget."""
@@ -274,8 +290,8 @@ class TestShardShapes:
         drain = vector_engine._drain
         batches = []
 
-        def spy(devices, first):
-            stop, columns = drain(devices, first)
+        def spy(devices, first, budget):
+            stop, columns = drain(devices, first, budget)
             offsets = columns[3].tolist()
             batches.append([b - a for a, b in zip(offsets, offsets[1:])])
             return stop, columns
@@ -296,6 +312,33 @@ class TestShardShapes:
             # Every device but the last was taken below the budget.
             assert sum(batch[:-1]) < 8
         assert len(batches) == 4
+
+    def test_window_reading_shard_is_one_batch(self, monkeypatch):
+        """An answer can depend on a switch of any device, so a load-aware
+        shard ignores the packet budget."""
+        monkeypatch.setattr(vector_engine, "_PACKET_BUDGET", 1)
+        drain = vector_engine._drain
+        stops = []
+
+        def spy(devices, first, budget):
+            stop, columns = drain(devices, first, budget)
+            stops.append((first, stop))
+            return stop, columns
+
+        monkeypatch.setattr(vector_engine, "_drain", spy)
+        devices = [
+            DeviceSpec(device_id=index,
+                       trace=PacketTrace(_packets(*(0.5 + 7.0 * k + index
+                                                    for k in range(4)))),
+                       policy=FixedTimerPolicy(timeout=0.5))
+            for index in range(5)
+        ]
+        shard = CellSimulator(
+            get_profile("att_hspa"),
+            LoadAwareDormancy(max_switches_per_minute=3)).run_shard(devices)
+        assert stops == [(0, 5)]
+        assert shard.vector_devices == 5
+        assert 0 < shard.devices.column("dormancy_denied").sum() < 20
 
     def test_all_empty_shard(self, scalar_kernel):
         def build():

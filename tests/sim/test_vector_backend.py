@@ -11,8 +11,9 @@ tests drive that contract across:
   standard scheme, eligible and hook-bearing alike);
 * the selection rule — one kernel per shard, vector only when numpy
   imports, the station decides per device (accept-all, reject-all or
-  rate-limited) and every device policy is eligible, with
-  ``CellResult.vector_devices`` reporting which ran;
+  rate-limited) or from the switch window (load-aware) and every device
+  policy is eligible, with ``CellResult.vector_devices`` reporting which
+  ran;
 * sharded merges, where each shard picks its kernel on its own (the
   mixed-policy scenario's cohorts, a metro's per-device and load-aware
   cells);
@@ -183,6 +184,13 @@ class _DenyingAcceptAll(AcceptAllDormancy):
         return False
 
 
+class _GreedyLoadAware(LoadAwareDormancy):
+    """Overrides ``LoadAwareDormancy.decide``: it also reads the active count."""
+
+    def decide(self, ue_id, time, load):
+        return load.active_devices < 2 and super().decide(ue_id, time, load)
+
+
 #: The selection rule, case by case: (station, device policies, numpy
 #: importable, expected kernel).
 _SELECTION_CASES = {
@@ -199,6 +207,9 @@ _SELECTION_CASES = {
         True, "vector"),
     "load_aware_station": (
         lambda: LoadAwareDormancy(max_switches_per_minute=2),
+        _eligible_policies, True, "vector"),
+    "load_aware_subclass_overriding_decide": (
+        lambda: _GreedyLoadAware(max_switches_per_minute=2),
         _eligible_policies, True, "scalar"),
     "reject_all_station": (
         RejectAllDormancy, _eligible_policies, True, "vector"),
@@ -336,9 +347,8 @@ class TestMixedPolicyScenario:
 class TestMetroCells:
     def test_cells_pick_their_kernel_by_station(self, scalar_kernel):
         """``metro_4cell`` has two accept-all cells, a rate-limited one
-        (east) and a load-aware one (south): every visit to the first
-        three vectorizes, south's run scalar, and the metro matches the
-        forced-scalar run, denials included."""
+        (east) and a load-aware one (south): every visit vectorizes, and
+        the metro matches the forced-scalar run, denials included."""
         spec = MetroRunSpec(
             metro=metro("metro_4cell", devices=10, duration=900.0),
             carrier="att_hspa",
@@ -349,11 +359,30 @@ class TestMetroCells:
         auto = execute_metro(spec)
         assert auto == scalar
         for entry in auto.cells:
-            expected = 0 if entry.name == "south" else entry.visits
-            assert entry.result.vector_devices == expected, entry.name
+            assert entry.result.vector_devices == entry.visits, entry.name
         east = next(entry for entry in auto.cells if entry.name == "east")
         assert east.visits > 0
         assert east.result.dormancy_denied > 0
+
+    def test_load_aware_cell_grants_and_denies(self, scalar_kernel):
+        """At this size south's ``load_aware(300)`` both grants and
+        denies, so its answers depend on the replayed switch window of
+        every visit; the metro, switch timelines and load samples
+        included, matches the forced-scalar run."""
+        spec = MetroRunSpec(
+            metro=metro("metro_4cell", devices=400, duration=900.0,
+                        seed=2),
+            carrier="att_hspa",
+            policy=PolicySpec(scheme="makeidle").resolved(100),
+        )
+        with scalar_kernel():
+            scalar = execute_metro(spec)
+        auto = execute_metro(spec)
+        assert auto == scalar
+        south = next(entry for entry in auto.cells if entry.name == "south")
+        assert south.result.vector_devices == south.visits > 0
+        assert (south.result.dormancy_requests,
+                south.result.dormancy_denied) == (3026, 1113)
 
 
 class TestEngineKeyword:
@@ -464,12 +493,15 @@ def _shard_cases(draw):
     free floats with the carrier's own thresholds (``t1``, ``t2``,
     ``idle_after``) so dormancies, timer pops and arrivals tie, and first
     packets spread over [0, 100) s so the ``(t + t1) + t2`` vs
-    ``t + (t1 + t2)`` ulp corner is common.  Some devices attach at their
+    ``t + (t1 + t2)`` ulp corner is common, or start at 0.0 or 2.5 s so
+    devices tie with each other too.  Some devices attach at their
     first packet, and some depart after their last one, on a threshold
-    or off it.  The station accepts all, rejects all, or rate-limits
-    with an interval drawn from the devices' timeouts, the carrier's
+    or off it.  The station accepts all, rejects all, rate-limits with
+    an interval drawn from the devices' timeouts, the carrier's
     thresholds and a few fixed spacings, so grants and denials tie with
-    request spacings.
+    request spacings, or is load-aware with a budget of 1 to 6 switches
+    a minute, so grants and denials interleave across devices at tied
+    instants.
     """
     # Floats with full random mantissas: hypothesis favours short floats,
     # which hit the ulp corner less often.
@@ -487,7 +519,7 @@ def _shard_cases(draw):
         policy = draw(st.sampled_from(("fixed", "status_quo", "makeidle")))
         timeout = draw(st.sampled_from((0.0, 0.5, 4.5, table.t1, 12.0)))
         n_packets = draw(st.integers(min_value=0, max_value=10))
-        now = draw(spread(100.0))
+        now = draw(st.one_of(spread(100.0), st.sampled_from((0.0, 2.5))))
         times = []
         for gap in draw(st.lists(
                 st.one_of(st.floats(min_value=0.0, max_value=30.0),
@@ -514,13 +546,17 @@ def _shard_cases(draw):
         devices.append((policy, timeout, times, sizes, uplinks, attach,
                         detach))
     station = draw(st.sampled_from(("accept_all", "reject_all",
-                                    "rate_limited")))
+                                    "rate_limited", "load_aware")))
     if station == "rate_limited":
         spacing = draw(st.sampled_from(
             [device[1] for device in devices if device[1] > 0.0]
             + [table.t1, table.idle_after, 0.5, 30.0, math.inf]))
         return carrier, interval, devices, (
             lambda: RateLimitedDormancy(min_interval_s=spacing))
+    if station == "load_aware":
+        budget = draw(st.integers(min_value=1, max_value=6))
+        return carrier, interval, devices, (
+            lambda: LoadAwareDormancy(max_switches_per_minute=budget))
     return carrier, interval, devices, (
         AcceptAllDormancy if station == "accept_all" else RejectAllDormancy)
 
@@ -661,6 +697,36 @@ class TestShardParity:
         assert vector.load.active_devices == 1
         assert vector.load_samples[-1].time > arrival + table.idle_after
         assert vector.load_samples[-1].active_devices == 1
+
+    def test_load_aware_answer_on_the_idle_at_corner(self, scalar_kernel):
+        """Device 0's second packet comes at ``t + idle_after``, one ulp
+        below ``(t + t1) + t2``: it finds FACH and is no promotion.  So
+        device 1's request sees 2 switches in the window, under a budget
+        of 3, and is granted; counting that packet as a promotion would
+        deny it."""
+        arrival = 66.9730401440221
+        table = transition_table(get_profile("att_hspa"))
+        second = arrival + table.idle_after
+        assert second == math.nextafter((arrival + table.t1) + table.t2, 0.0)
+
+        def build():
+            return [
+                DeviceSpec(0, PacketTrace([
+                    Packet(arrival, 100, Direction.UPLINK),
+                    Packet(second, 100, Direction.DOWNLINK),
+                ]), StatusQuoPolicy()),
+                DeviceSpec(1, PacketTrace([
+                    Packet(84.0, 100, Direction.UPLINK),
+                ]), FixedTimerPolicy(timeout=0.5)),
+            ]
+
+        scalar, vector = _run_shard_both(
+            scalar_kernel, "att_hspa", 1.0, build,
+            lambda: LoadAwareDormancy(max_switches_per_minute=3))
+        assert vector.vector_devices == 2
+        assert _shard_view(vector) == _shard_view(scalar)
+        assert vector.devices.column("promotions").tolist() == [1, 1]
+        assert vector.devices.column("dormancy_granted").tolist() == [0, 1]
 
     @staticmethod
     def _rate_limited_shard(scalar_kernel, last_arrival):

@@ -13,7 +13,7 @@ from .experiments import (
     user_study,
     window_size_sweep,
 )
-from .figures import format_bar_chart, format_grouped_bars, format_table
+from .figures import format_grouped_bars, format_table
 
 __all__ = [
     "CarrierComparisonRow",
@@ -21,7 +21,6 @@ __all__ = [
     "application_energy_breakdowns",
     "application_savings",
     "carrier_comparison",
-    "format_bar_chart",
     "format_grouped_bars",
     "format_table",
     "headline_savings",

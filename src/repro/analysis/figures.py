@@ -1,16 +1,16 @@
 """Text renderers for the reproduced tables and figures.
 
-The benchmark harness prints its results as plain-text tables and horizontal
-bar charts so they can be compared with the paper's figures without any
-plotting dependency.  These helpers are deliberately dumb: they format
-numbers, they never compute them.
+The benchmark harness prints its results as plain-text tables so they can
+be compared with the paper's figures without any plotting dependency.
+These helpers are deliberately dumb: they format numbers, they never
+compute them.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "format_bar_chart", "format_grouped_bars"]
+__all__ = ["format_table", "format_grouped_bars"]
 
 
 def format_table(
@@ -38,36 +38,6 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_bar_chart(
-    values: Mapping[str, float],
-    title: str = "",
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Render ``{label: value}`` as a horizontal ASCII bar chart.
-
-    Negative values render as empty bars with the numeric value shown, so
-    schemes that *cost* energy (the paper's negative-savings cases) remain
-    visible.
-    """
-    if width < 1:
-        raise ValueError("width must be at least 1")
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    if not values:
-        return "\n".join(lines + ["(no data)"])
-    label_width = max(len(label) for label in values)
-    maximum = max((v for v in values.values() if v > 0), default=0.0)
-    for label, value in values.items():
-        if maximum > 0 and value > 0:
-            bar = "#" * max(1, int(round(width * value / maximum)))
-        else:
-            bar = ""
-        lines.append(f"{label.ljust(label_width)} | {bar} {value:.1f}{unit}")
     return "\n".join(lines)
 
 

@@ -423,6 +423,8 @@ def _sweep_cache(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .api import ProcessPoolRunner, SerialRunner, save_plan
 
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     sweep_plan = _build_sweep_plan(args)
     if args.save_plan:
         save_plan(sweep_plan, args.save_plan)

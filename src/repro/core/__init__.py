@@ -16,7 +16,7 @@ from .makeactive import (
     compute_fixed_delay_bound,
 )
 from .makeidle import MakeIdlePolicy, WaitDecision
-from .oracle import OraclePolicy, oracle_switch_decisions
+from .oracle import OraclePolicy
 from .policy import RadioPolicy, StatusQuoPolicy
 
 __all__ = [
@@ -40,6 +40,5 @@ __all__ = [
     "StatusQuoPolicy",
     "WaitDecision",
     "compute_fixed_delay_bound",
-    "oracle_switch_decisions",
     "standard_policies",
 ]

@@ -18,10 +18,10 @@ import bisect
 
 from ..energy.model import TailEnergyModel
 from ..rrc.profiles import CarrierProfile
-from ..traces.packet import Packet, PacketTrace
+from ..traces.packet import PacketTrace
 from .policy import RadioPolicy
 
-__all__ = ["OraclePolicy", "oracle_switch_decisions"]
+__all__ = ["OraclePolicy"]
 
 
 class OraclePolicy(RadioPolicy):
@@ -69,24 +69,3 @@ class OraclePolicy(RadioPolicy):
             return 0.0
         gap = self._timestamps[index] - now
         return 0.0 if gap > self._threshold else None
-
-
-def oracle_switch_decisions(
-    trace: PacketTrace, profile: CarrierProfile
-) -> list[bool]:
-    """Ground-truth switch decision after each packet of ``trace``.
-
-    Entry ``i`` is ``True`` when the offline-optimal rule demotes the radio
-    after packet ``i`` (i.e. the gap to packet ``i + 1`` exceeds
-    ``t_threshold``; the final packet always counts as a switch).  Used by
-    the confusion metrics of Figure 12.
-    """
-    threshold = TailEnergyModel(profile).t_threshold
-    decisions: list[bool] = []
-    timestamps = trace.timestamps
-    for index in range(len(timestamps)):
-        if index + 1 >= len(timestamps):
-            decisions.append(True)
-        else:
-            decisions.append(timestamps[index + 1] - timestamps[index] > threshold)
-    return decisions

@@ -100,15 +100,6 @@ def call_name(node: ast.Call) -> str:
     return ""
 
 
-def attr_tail(node: ast.AST) -> str:
-    """Last attribute component of a Name/Attribute node, else ``""``."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
 def walk_skipping_calls(
     node: ast.AST, skip_call_names: frozenset[str]
 ) -> Iterator[ast.AST]:

@@ -16,7 +16,7 @@ from .battery import (
     paper_lifetime_estimate,
     project_lifetime,
 )
-from .model import TailEnergyModel, compute_t_threshold
+from .model import TailEnergyModel
 from .sensitivity import (
     DEFAULT_DORMANCY_FRACTIONS,
     SensitivityPoint,
@@ -55,7 +55,6 @@ __all__ = [
     "PacketTransfer",
     "TailEnergyModel",
     "ValidationResult",
-    "compute_t_threshold",
     "generate_bulk_transfer",
     "reference_transfer_energy",
     "run_validation",

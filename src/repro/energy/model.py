@@ -42,7 +42,6 @@ from ..rrc.profiles import CarrierProfile
 __all__ = [
     "TailEnergyModel",
     "WaitEvaluator",
-    "compute_t_threshold",
     "wait_evaluator",
 ]
 
@@ -391,8 +390,3 @@ def wait_evaluator(profile: CarrierProfile,
     as :func:`repro.rrc.tables.transition_table` is.
     """
     return WaitEvaluator(TailEnergyModel(profile), candidate_count)
-
-
-def compute_t_threshold(profile: CarrierProfile) -> float:
-    """Convenience wrapper returning :attr:`TailEnergyModel.t_threshold`."""
-    return TailEnergyModel(profile).t_threshold

@@ -1,6 +1,6 @@
 """Online learning substrate: Fixed-Share experts, Learn-α, MakeActive loss."""
 
-from .experts import FixedShareExperts, switching_kernel
+from .experts import FixedShareExperts
 from .learn_alpha import LearnAlpha, default_alpha_grid
 from .loss import DEFAULT_GAMMA, MakeActiveLoss, aggregate_delay
 from .predictors import (
@@ -23,5 +23,4 @@ __all__ = [
     "MakeActiveLoss",
     "aggregate_delay",
     "default_alpha_grid",
-    "switching_kernel",
 ]

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from ..folds import left_fold
 
-__all__ = ["FixedShareExperts", "switching_kernel"]
+__all__ = ["FixedShareExperts"]
 
 
 def _check_loss_row(losses: Sequence[float], n_experts: int) -> None:
@@ -58,26 +58,6 @@ def _mix_loss(mixture: float, losses: Sequence[float]) -> float:
     if mixture <= 0.0:
         return max(losses)
     return -math.log(mixture)
-
-
-def switching_kernel(n_experts: int, alpha: float) -> list[list[float]]:
-    """Return the ``P(i | j, α)`` transition matrix as nested lists.
-
-    Row ``j`` gives the probability of moving from expert ``j`` to each
-    expert ``i``.  For a single expert the kernel is the identity regardless
-    of ``α``.
-    """
-    if n_experts < 1:
-        raise ValueError("n_experts must be at least 1")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if n_experts == 1:
-        return [[1.0]]
-    off_diagonal = alpha / (n_experts - 1)
-    return [
-        [1.0 - alpha if i == j else off_diagonal for i in range(n_experts)]
-        for j in range(n_experts)
-    ]
 
 
 class FixedShareExperts:

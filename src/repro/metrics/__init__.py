@@ -3,26 +3,16 @@
 from .confusion import ConfusionCounts, confusion_for_result, confusion_from_decisions
 from .delays import DelayStats, delay_stats, delay_stats_for_result
 from .savings import SavingsReport, compare, energy_saved_percent, savings_table
-from .switches import (
-    SwitchStats,
-    energy_saved_per_switch_table,
-    switch_stats,
-    switches_normalized_table,
-)
 
 __all__ = [
     "ConfusionCounts",
     "DelayStats",
     "SavingsReport",
-    "SwitchStats",
     "compare",
     "confusion_for_result",
     "confusion_from_decisions",
     "delay_stats",
     "delay_stats_for_result",
-    "energy_saved_per_switch_table",
     "energy_saved_percent",
     "savings_table",
-    "switch_stats",
-    "switches_normalized_table",
 ]

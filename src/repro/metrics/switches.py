@@ -1,27 +1,18 @@
-"""Signalling-overhead metrics: state-switch counts and normalisations.
+"""Signalling load: the most state switches in any window of time.
 
-Figures 10(b), 11(b) and 18 report the number of radio state switches of
-each scheme divided by the number under the status quo, because every
-promotion costs the base station signalling messages and channel
-(re)allocation work.  These helpers compute the counts, the normalised
-ratios and the "energy saved per switch" efficiency measure of
-Figures 10(c)/11(c).
+Every promotion and fast-dormancy request costs the base station
+signalling messages, so a cell reports its busiest minute of switches
+(:func:`peak_per_window` over the cell's switch timeline).  The per-run
+ratios of Figures 10(b)/(c), 11(b)/(c) and 18 are methods of
+:class:`~repro.sim.results.SimulationResult`: ``switches_normalized``
+and ``energy_saved_per_switch``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..rrc.state_machine import SwitchKind
-from ..sim.results import SimulationResult
-
-__all__ = [
-    "SwitchStats",
-    "peak_per_window",
-    "switch_stats",
-    "switches_normalized_table",
-]
+__all__ = ["peak_per_window"]
 
 
 def peak_per_window(
@@ -49,54 +40,3 @@ def peak_per_window(
         if end - start + 1 > best:
             best = end - start + 1
     return best
-
-
-@dataclass(frozen=True)
-class SwitchStats:
-    """Breakdown of the switches recorded in one simulated run."""
-
-    promotions: int
-    fast_dormancy_demotions: int
-    timer_demotions: int
-
-    @property
-    def total(self) -> int:
-        """All switches (promotions plus demotions of either kind)."""
-        return self.promotions + self.fast_dormancy_demotions + self.timer_demotions
-
-    @property
-    def signalling_switches(self) -> int:
-        """Switches that cost base-station signalling (promotions + dormancy requests)."""
-        return self.promotions + self.fast_dormancy_demotions
-
-
-def switch_stats(result: SimulationResult) -> SwitchStats:
-    """Count the promotions and demotions of one run by kind."""
-    promotions = sum(1 for s in result.switches if s.kind is SwitchKind.PROMOTION)  # repro-lint: allow[left-fold] reason=integer count; exact
-    dormancy = sum(1 for s in result.switches if s.kind is SwitchKind.FAST_DORMANCY)  # repro-lint: allow[left-fold] reason=integer count; exact
-    timer = sum(1 for s in result.switches if s.kind is SwitchKind.TIMER_DEMOTION)  # repro-lint: allow[left-fold] reason=integer count; exact
-    return SwitchStats(
-        promotions=promotions,
-        fast_dormancy_demotions=dormancy,
-        timer_demotions=timer,
-    )
-
-
-def switches_normalized_table(
-    results: Mapping[str, SimulationResult], baseline: SimulationResult
-) -> dict[str, float]:
-    """Switch counts of each scheme divided by the status-quo count."""
-    return {
-        name: result.switches_normalized(baseline)
-        for name, result in results.items()
-    }
-
-
-def energy_saved_per_switch_table(
-    results: Mapping[str, SimulationResult], baseline: SimulationResult
-) -> dict[str, float]:
-    """Joules saved per switch performed, per scheme (Figures 10c/11c)."""
-    return {
-        name: result.energy_saved_per_switch(baseline)
-        for name, result in results.items()
-    }

@@ -8,13 +8,7 @@ against the claim the paper makes for it.
 """
 
 from .claims import PAPER_CLAIMS, ClaimCheck, PaperClaim, check_claims
-from .render import (
-    csv_rows,
-    format_markdown_table,
-    format_percent,
-    format_seconds,
-    write_csv,
-)
+from .render import csv_rows, format_markdown_table, write_csv
 from .report import experiments_report, headline_report
 
 __all__ = [
@@ -25,8 +19,6 @@ __all__ = [
     "csv_rows",
     "experiments_report",
     "format_markdown_table",
-    "format_percent",
-    "format_seconds",
     "headline_report",
     "write_csv",
 ]

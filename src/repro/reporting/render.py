@@ -1,4 +1,4 @@
-"""Low-level renderers: markdown tables, CSV export, number formatting."""
+"""Low-level renderers: markdown tables and CSV export."""
 
 from __future__ import annotations
 
@@ -7,29 +7,7 @@ import io
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-__all__ = [
-    "format_percent",
-    "format_seconds",
-    "format_markdown_table",
-    "csv_rows",
-    "write_csv",
-]
-
-
-def format_percent(value: float, decimals: int = 1) -> str:
-    """Format a fraction-of-one or percent value as a percent string.
-
-    Values with magnitude <= 1.5 are treated as fractions (0.66 → "66.0%"),
-    larger values as already-scaled percentages (66.0 → "66.0%"), which is
-    how the analysis layer reports them.
-    """
-    percent = value * 100.0 if abs(value) <= 1.5 else value
-    return f"{percent:.{decimals}f}%"
-
-
-def format_seconds(value: float, decimals: int = 2) -> str:
-    """Format a duration in seconds with a trailing unit."""
-    return f"{value:.{decimals}f}s"
+__all__ = ["format_markdown_table", "csv_rows", "write_csv"]
 
 
 def format_markdown_table(

@@ -22,7 +22,6 @@ from .signaling import (
     UMTS_SIGNALING_COSTS,
     SignalingCosts,
     SignalingLoad,
-    compare_signaling,
     count_messages,
     signaling_costs_for,
     signaling_load,
@@ -35,7 +34,7 @@ from .profiles import (
     get_profile,
 )
 from .state_machine import RrcStateMachine, StateInterval, SwitchEvent, SwitchKind
-from .states import RadioState, Technology, state_name
+from .states import RadioState, Technology
 
 __all__ = [
     "CARRIER_ORDER",
@@ -46,7 +45,6 @@ __all__ = [
     "SignalingCosts",
     "SignalingLoad",
     "UMTS_SIGNALING_COSTS",
-    "compare_signaling",
     "count_messages",
     "drx_timeline",
     "effective_tail_power",
@@ -63,5 +61,4 @@ __all__ = [
     "SwitchKind",
     "Technology",
     "get_profile",
-    "state_name",
 ]

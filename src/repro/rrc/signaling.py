@@ -38,7 +38,6 @@ __all__ = [
     "signaling_costs_for",
     "count_messages",
     "signaling_load",
-    "compare_signaling",
 ]
 
 
@@ -183,18 +182,3 @@ def signaling_load(
         messages=count_messages(switches, chosen),
         duration_s=duration_s,
     )
-
-
-def compare_signaling(
-    scheme: SignalingLoad, baseline: SignalingLoad
-) -> dict[str, float]:
-    """Side-by-side comparison of a scheme's signalling load with a baseline."""
-    return {
-        "switches": float(scheme.switches),
-        "baseline_switches": float(baseline.switches),
-        "switches_normalized": scheme.normalized_switches(baseline),
-        "messages": float(scheme.messages),
-        "baseline_messages": float(baseline.messages),
-        "messages_per_hour": scheme.messages_per_hour,
-        "baseline_messages_per_hour": baseline.messages_per_hour,
-    }

@@ -10,8 +10,8 @@ small number of states with very different power draws (paper Figure 2):
 * LTE: ``RRC_CONNECTED`` and ``RRC_IDLE``.
 
 To keep the simulator uniform across technologies, this module defines a
-canonical three-level :class:`RadioState` (ACTIVE, HIGH_IDLE, IDLE) plus a
-mapping to the technology-specific names.  LTE simply never uses
+canonical three-level :class:`RadioState` (ACTIVE, HIGH_IDLE, IDLE) that
+stands for the technology-specific states above.  LTE simply never uses
 ``HIGH_IDLE`` (its ``t2`` is zero).
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["RadioState", "Technology", "state_name"]
+__all__ = ["RadioState", "Technology"]
 
 
 class Technology(Enum):
@@ -58,28 +58,3 @@ class RadioState(Enum):
     def draws_tail_power(self) -> bool:
         """Whether the state draws non-negligible power while not transferring."""
         return self in (RadioState.ACTIVE, RadioState.HIGH_IDLE, RadioState.PROMOTING)
-
-
-_STATE_NAMES: dict[Technology, dict[RadioState, str]] = {
-    Technology.UMTS_3G: {
-        RadioState.ACTIVE: "CELL_DCH",
-        RadioState.HIGH_IDLE: "CELL_FACH",
-        RadioState.IDLE: "CELL_PCH/IDLE",
-        RadioState.PROMOTING: "PROMOTION",
-    },
-    Technology.LTE: {
-        RadioState.ACTIVE: "RRC_CONNECTED",
-        RadioState.HIGH_IDLE: "RRC_CONNECTED(short-DRX)",
-        RadioState.IDLE: "RRC_IDLE",
-        RadioState.PROMOTING: "PROMOTION",
-    },
-}
-
-
-def state_name(state: RadioState, technology: Technology) -> str:
-    """Return the 3GPP name of ``state`` under ``technology``.
-
-    For example ``state_name(RadioState.ACTIVE, Technology.UMTS_3G)`` is
-    ``"CELL_DCH"`` while the same state under LTE is ``"RRC_CONNECTED"``.
-    """
-    return _STATE_NAMES[technology][state]

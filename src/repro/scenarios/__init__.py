@@ -26,19 +26,11 @@ report per-cohort energy/denial/switch breakdowns
 from .archetypes import ARCHETYPES, DeviceArchetype, get_archetype
 from .presets import SCENARIO_PRESETS, get_scenario, scenario_names
 from .scenario import Cohort, Scenario
-from .shapes import (
-    DIURNAL_SHAPES,
-    EVENING_PEAK,
-    FLAT,
-    OFFICE_HOURS,
-    DiurnalShape,
-    get_shape,
-)
+from .shapes import EVENING_PEAK, FLAT, OFFICE_HOURS, DiurnalShape
 
 __all__ = [
     "ARCHETYPES",
     "Cohort",
-    "DIURNAL_SHAPES",
     "DeviceArchetype",
     "DiurnalShape",
     "EVENING_PEAK",
@@ -48,6 +40,5 @@ __all__ = [
     "Scenario",
     "get_archetype",
     "get_scenario",
-    "get_shape",
     "scenario_names",
 ]

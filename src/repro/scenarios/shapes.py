@@ -25,14 +25,7 @@ from typing import Any, Mapping
 
 from ..dictform import strict_fields
 
-__all__ = [
-    "DIURNAL_SHAPES",
-    "DiurnalShape",
-    "FLAT",
-    "EVENING_PEAK",
-    "OFFICE_HOURS",
-    "get_shape",
-]
+__all__ = ["DiurnalShape", "FLAT", "EVENING_PEAK", "OFFICE_HOURS"]
 
 #: Seconds per envelope period (one day).
 _DAY_S = 86_400.0
@@ -185,19 +178,3 @@ EVENING_PEAK = DiurnalShape(
         (23.0, 0.8),   # winding down
     ),
 )
-
-#: Built-in shapes addressable by name (scenario serialisation keeps the
-#: full segment list, so these are conveniences, not a registry contract).
-DIURNAL_SHAPES: dict[str, DiurnalShape] = {
-    shape.name: shape for shape in (FLAT, OFFICE_HOURS, EVENING_PEAK)
-}
-
-
-def get_shape(name: str) -> DiurnalShape:
-    """Look up a built-in shape by name, with a helpful error."""
-    try:
-        return DIURNAL_SHAPES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown diurnal shape {name!r}; known: {sorted(DIURNAL_SHAPES)}"
-        ) from None

@@ -7,27 +7,7 @@ a synthetic application model (:mod:`repro.traces.synthetic`) or a synthetic
 user workload (:mod:`repro.traces.users`).
 """
 
-from .bursts import (
-    Burst,
-    bursts_per_active_period,
-    segment_bursts,
-    session_start_times,
-)
-from .filters import (
-    add_jitter,
-    clip_sizes,
-    downsample,
-    drop_direction,
-    gap_histogram,
-    interleave,
-    remap_flows,
-    scale_time,
-    slice_windows,
-    split_by_app,
-    split_by_flow,
-    split_train_test,
-    thin_by_fraction,
-)
+from .bursts import Burst, bursts_per_active_period, segment_bursts
 from .packet import Direction, Packet, PacketTrace, merge_traces
 from .tcpdump import (
     TcpdumpParseResult,
@@ -62,13 +42,10 @@ from .synthetic import (
     generate_application_packets,
     generate_application_trace,
     generate_mixed_trace,
-    generate_periodic_trace,
-    generate_poisson_trace,
 )
 from .users import (
     USER_POPULATIONS,
     UserProfile,
-    population_traces,
     user_ids,
     user_profile,
     user_trace,
@@ -77,26 +54,13 @@ from .users import (
 __all__ = [
     "APPLICATION_NAMES",
     "TcpdumpParseResult",
-    "add_jitter",
-    "clip_sizes",
-    "downsample",
-    "drop_direction",
-    "gap_histogram",
-    "interleave",
     "parse_tcpdump_lines",
     "read_tcpdump",
-    "remap_flows",
-    "scale_time",
-    "slice_windows",
-    "split_by_app",
-    "split_by_flow",
-    "split_train_test",
     "ChunkedPacketStream",
     "RateEnvelope",
     "UserDayStream",
     "stream_application_packets",
     "stream_user_day_packets",
-    "thin_by_fraction",
     "write_tcpdump",
     "APPLICATION_PROFILES",
     "ApplicationProfile",
@@ -120,15 +84,11 @@ __all__ = [
     "generate_application_packets",
     "generate_application_trace",
     "generate_mixed_trace",
-    "generate_periodic_trace",
-    "generate_poisson_trace",
     "inter_arrival_percentile",
     "merge_packet_streams",
     "merge_traces",
-    "population_traces",
     "read_pcap",
     "segment_bursts",
-    "session_start_times",
     "summarize_trace",
     "user_ids",
     "user_profile",

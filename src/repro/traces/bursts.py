@@ -10,7 +10,7 @@ The paper reasons about traffic at two granularities above packets:
   initiated while the radio is idle); MakeActive delays the start of
   sessions to batch several of them into a single radio promotion.
 
-This module segments traces into bursts/sessions and provides the helper
+This module segments traces into bursts and provides the helper
 used by the fixed-delay MakeActive variant to compute ``k``, the average
 number of bursts per radio active period.
 """
@@ -18,16 +18,11 @@ number of bursts per radio active period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .packet import Packet, PacketTrace
 
-__all__ = [
-    "Burst",
-    "segment_bursts",
-    "bursts_per_active_period",
-    "session_start_times",
-]
+__all__ = ["Burst", "segment_bursts", "bursts_per_active_period"]
 
 
 @dataclass(frozen=True)
@@ -158,32 +153,3 @@ def bursts_per_active_period(
             count = 1
     periods.append(count)
     return sum(periods) / len(periods)
-
-
-def session_start_times(
-    trace: PacketTrace, idle_gap: float
-) -> list[tuple[float, int]]:
-    """Return ``(timestamp, flow_id)`` of packets that start a new session.
-
-    A packet starts a session when it is the first packet of its flow, or
-    when the previous packet of the same flow is more than ``idle_gap``
-    seconds earlier.  MakeActive only acts on session starts that occur while
-    the radio is Idle; the simulator filters this list against the radio
-    state at run time.
-    """
-    if idle_gap < 0:
-        raise ValueError(f"idle_gap must be non-negative, got {idle_gap}")
-    last_seen: dict[int, float] = {}
-    starts: list[tuple[float, int]] = []
-    for packet in trace:
-        previous = last_seen.get(packet.flow_id)
-        if previous is None or packet.timestamp - previous > idle_gap:
-            starts.append((packet.timestamp, packet.flow_id))
-        last_seen[packet.flow_id] = packet.timestamp
-    return starts
-
-
-def iter_burst_gaps(bursts: Sequence[Burst]) -> Iterator[float]:
-    """Yield the idle gaps between consecutive bursts."""
-    for previous, current in zip(bursts, bursts[1:]):
-        yield previous.gap_to(current)

@@ -21,14 +21,13 @@ so they can be inspected with standard tools.
 
 from __future__ import annotations
 
-import io
 import socket
 import struct
 import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 from .packet import Direction, Packet, PacketTrace
 
@@ -52,7 +51,7 @@ _GLOBAL_HEADER = struct.Struct("IHHiIII")
 _RECORD_HEADER = struct.Struct("IIII")
 
 
-class PcapError(Exception):
+class PcapError(ValueError):
     """Raised when a pcap file is malformed or uses an unsupported format."""
 
 
@@ -296,10 +295,3 @@ def write_pcap(
     writer = PcapWriter(destination)
     for packet in trace:
         writer.write_packet(packet, device_address=device_address)
-
-
-def trace_to_bytes(trace: PacketTrace, device_address: str = "10.0.0.2") -> bytes:
-    """Serialise ``trace`` to pcap bytes in memory (useful in tests)."""
-    buffer = io.BytesIO()
-    write_pcap(buffer, trace, device_address=device_address)
-    return buffer.getvalue()

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .packet import (
-    Direction,
     Packet,
     PacketTrace,
     merge_traces,
@@ -64,8 +63,6 @@ __all__ = [
     "check_duration",
     "generate_application_packets",
     "generate_application_trace",
-    "generate_poisson_trace",
-    "generate_periodic_trace",
     "PacketTrainSpec",
 ]
 
@@ -447,68 +444,6 @@ def generate_application_trace(
                                      rate=rate),
         name=profile.name,
     )
-
-
-def generate_poisson_trace(
-    rate: float,
-    duration: float,
-    seed: int = 0,
-    size: int = 500,
-    name: str = "poisson",
-) -> PacketTrace:
-    """Generate a memoryless (Poisson) packet arrival trace.
-
-    Useful as a null model in tests and ablations: for exponential
-    inter-arrivals the conditional probability used by MakeIdle is constant
-    in the waiting time, so the predictor's behaviour is easy to verify
-    analytically.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    rng = random.Random(seed)
-    packets: list[Packet] = []
-    time = rng.expovariate(rate)
-    while time < duration:
-        direction = Direction.UPLINK if rng.random() < 0.4 else Direction.DOWNLINK
-        packets.append(Packet(time, size, direction, 0, name))
-        time += rng.expovariate(rate)
-    return PacketTrace(packets, name=name)
-
-
-def generate_periodic_trace(
-    period: float,
-    duration: float,
-    burst_packets: int = 1,
-    size: int = 500,
-    jitter: float = 0.0,
-    seed: int = 0,
-    name: str = "periodic",
-) -> PacketTrace:
-    """Generate a strictly periodic trace (optionally jittered).
-
-    Periodic heartbeats are the regime where fixed inactivity timers waste
-    the most energy, so this generator is used heavily by the unit tests and
-    the ablation benchmarks.
-    """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if burst_packets < 1:
-        raise ValueError("burst_packets must be at least 1")
-    rng = random.Random(seed)
-    packets: list[Packet] = []
-    time = period
-    while time < duration:
-        start = time + (rng.uniform(-jitter, jitter) if jitter else 0.0)
-        start = max(0.0, start)
-        for i in range(burst_packets):
-            direction = Direction.UPLINK if i == 0 else Direction.DOWNLINK
-            packets.append(Packet(start + i * 0.05, size, direction, 0, name))
-        time += period
-    return PacketTrace(packets, name=name)
 
 
 def generate_mixed_trace(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
 
 from .packet import PacketTrace, merge_traces
 from .synthetic import generate_application_trace
@@ -35,7 +34,6 @@ __all__ = [
     "user_ids",
     "user_profile",
     "user_trace",
-    "population_traces",
 ]
 
 
@@ -190,15 +188,3 @@ def user_trace(
 
     merged = merge_traces(day_traces, name=profile.label)
     return merged.normalized().renamed(profile.label)
-
-
-def population_traces(
-    population: str,
-    hours_per_day: float = 4.0,
-    seed: int = 0,
-) -> dict[int, PacketTrace]:
-    """Generate traces for every user in ``population``, keyed by user id."""
-    return {
-        uid: user_trace(population, uid, hours_per_day=hours_per_day, seed=seed)
-        for uid in user_ids(population)
-    }

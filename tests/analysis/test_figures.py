@@ -1,10 +1,8 @@
-"""Tests for the plain-text table and bar-chart renderers."""
+"""Tests for the plain-text table renderers."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis import format_bar_chart, format_grouped_bars, format_table
+from repro.analysis import format_grouped_bars, format_table
 
 
 class TestFormatTable:
@@ -30,32 +28,6 @@ class TestFormatTable:
         text = format_table(["a", "b"], [[None, 7]])
         assert "None" in text
         assert "7" in text
-
-
-class TestFormatBarChart:
-    def test_bars_scale_with_value(self):
-        text = format_bar_chart({"small": 10.0, "large": 100.0}, width=20)
-        small_line = next(line for line in text.splitlines() if "small" in line)
-        large_line = next(line for line in text.splitlines() if "large" in line)
-        assert large_line.count("#") > small_line.count("#")
-
-    def test_negative_values_have_no_bar(self):
-        text = format_bar_chart({"loss": -5.0, "gain": 5.0})
-        loss_line = next(line for line in text.splitlines() if "loss" in line)
-        assert "#" not in loss_line
-        assert "-5.0" in loss_line
-
-    def test_title_and_unit(self):
-        text = format_bar_chart({"a": 1.0}, title="Energy", unit="%")
-        assert text.splitlines()[0] == "Energy"
-        assert "1.0%" in text
-
-    def test_empty_values(self):
-        assert "(no data)" in format_bar_chart({})
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            format_bar_chart({"a": 1.0}, width=0)
 
 
 class TestFormatGroupedBars:

@@ -10,9 +10,9 @@ from repro.traces import (
     Packet,
     PacketTrace,
     generate_application_trace,
-    generate_periodic_trace,
-    generate_poisson_trace,
 )
+
+from .tracegen import generate_periodic_trace, generate_poisson_trace
 
 
 @pytest.fixture(params=sorted(CARRIER_PROFILES))

@@ -7,7 +7,9 @@ import pytest
 from repro.core import MakeIdlePolicy, OraclePolicy, StatusQuoPolicy
 from repro.energy import TailEnergyModel
 from repro.sim import TraceSimulator
-from repro.traces import Packet, PacketTrace, generate_periodic_trace
+from repro.traces import Packet, PacketTrace
+
+from ..tracegen import generate_periodic_trace
 
 
 class TestConstruction:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import OraclePolicy, StatusQuoPolicy, oracle_switch_decisions
+from repro.core import OraclePolicy, StatusQuoPolicy
 from repro.energy import TailEnergyModel
 from repro.sim import TraceSimulator
 from repro.traces import Packet, PacketTrace
@@ -34,14 +34,6 @@ class TestOracleDecisions:
         policy = OraclePolicy()
         policy.prepare(simple_trace, att_profile)
         assert policy.dormancy_wait(60.1) == 0.0
-
-    def test_decision_list_matches_policy(self, att_profile, simple_trace):
-        decisions = oracle_switch_decisions(simple_trace, att_profile)
-        assert decisions == [False, False, True, False, True]
-
-    def test_decisions_length(self, att_profile, heartbeat_trace):
-        decisions = oracle_switch_decisions(heartbeat_trace, att_profile)
-        assert len(decisions) == len(heartbeat_trace)
 
 
 class TestOracleOptimality:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.energy import TailEnergyModel, compute_t_threshold
+from repro.energy import TailEnergyModel
 from repro.rrc import get_profile
 
 
@@ -58,15 +58,17 @@ class TestTailEnergy:
 class TestThreshold:
     def test_att_anchor_matches_paper(self):
         # Section 4.1: on an HTC Vivid in AT&T's network, t_threshold ≈ 1.2 s.
-        assert compute_t_threshold(get_profile("att_hspa")) == pytest.approx(1.2, abs=0.05)
+        threshold = TailEnergyModel(get_profile("att_hspa")).t_threshold
+        assert threshold == pytest.approx(1.2, abs=0.05)
 
     def test_lte_threshold_near_promotion_delay(self):
         # Verizon LTE promotions are fast and cheap, so the threshold is small.
-        assert compute_t_threshold(get_profile("verizon_lte")) == pytest.approx(0.6, abs=0.1)
+        threshold = TailEnergyModel(get_profile("verizon_lte")).t_threshold
+        assert threshold == pytest.approx(0.6, abs=0.1)
 
     def test_thresholds_in_paper_band(self, any_profile):
         # The paper reports thresholds between roughly 0.5 and 2 seconds.
-        threshold = compute_t_threshold(any_profile)
+        threshold = TailEnergyModel(any_profile).t_threshold
         assert 0.3 <= threshold <= 2.5
 
     def test_threshold_is_the_crossover(self, any_profile):
@@ -82,7 +84,7 @@ class TestThreshold:
 
     def test_cheaper_switching_lowers_threshold(self, att_profile):
         cheap = att_profile.with_dormancy_fraction(0.1)
-        assert compute_t_threshold(cheap) < compute_t_threshold(att_profile)
+        assert TailEnergyModel(cheap).t_threshold < TailEnergyModel(att_profile).t_threshold
 
 
 class TestExpectations:

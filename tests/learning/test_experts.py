@@ -4,32 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.learning import FixedShareExperts, switching_kernel
-
-
-class TestSwitchingKernel:
-    def test_rows_sum_to_one(self):
-        kernel = switching_kernel(5, 0.3)
-        for row in kernel:
-            assert sum(row) == pytest.approx(1.0)
-
-    def test_diagonal_value(self):
-        kernel = switching_kernel(4, 0.2)
-        assert kernel[0][0] == pytest.approx(0.8)
-        assert kernel[0][1] == pytest.approx(0.2 / 3)
-
-    def test_alpha_zero_is_identity(self):
-        kernel = switching_kernel(3, 0.0)
-        assert kernel == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-
-    def test_single_expert(self):
-        assert switching_kernel(1, 0.9) == [[1.0]]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            switching_kernel(0, 0.1)
-        with pytest.raises(ValueError):
-            switching_kernel(3, 1.5)
+from repro.learning import FixedShareExperts
 
 
 class TestFixedShareExperts:

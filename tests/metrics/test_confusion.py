@@ -70,7 +70,7 @@ class TestConfusionOnSimulations:
         # timer: the Oracle switches on every one of them, the fixed timer on
         # none (100 % missed switches), and MakeIdle learns to switch
         # (Figure 12's qualitative message).
-        from repro.traces import generate_periodic_trace
+        from ..tracegen import generate_periodic_trace
 
         trace = generate_periodic_trace(period=3.0, duration=900.0,
                                         burst_packets=2, seed=11)

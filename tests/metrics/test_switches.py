@@ -5,11 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import run_schemes
-from repro.metrics import (
-    energy_saved_per_switch_table,
-    switch_stats,
-    switches_normalized_table,
-)
 
 
 @pytest.fixture
@@ -19,51 +14,24 @@ def scheme_results(att_profile, im_trace):
     return results, baseline
 
 
-class TestSwitchStats:
-    def test_counts_sum_to_total(self, scheme_results):
-        results, baseline = scheme_results
-        for result in list(results.values()) + [baseline]:
-            stats = switch_stats(result)
-            assert stats.total == len(result.switches)
-            assert stats.signalling_switches <= stats.total
-
-    def test_status_quo_has_no_fast_dormancy(self, scheme_results):
-        _, baseline = scheme_results
-        assert switch_stats(baseline).fast_dormancy_demotions == 0
-
-    def test_makeidle_uses_fast_dormancy(self, scheme_results):
-        results, _ = scheme_results
-        assert switch_stats(results["makeidle"]).fast_dormancy_demotions > 0
-
-
 class TestNormalizedTables:
-    def test_tables_cover_all_schemes(self, scheme_results):
-        results, baseline = scheme_results
-        normalized = switches_normalized_table(results, baseline)
-        per_switch = energy_saved_per_switch_table(results, baseline)
-        assert set(normalized) == set(results)
-        assert set(per_switch) == set(results)
-
     def test_makeidle_increases_switches_on_heartbeat_traffic(self, scheme_results):
         # IM heartbeats arrive every 5-20 s, which is inside AT&T's 16.6 s
         # timeout: the status quo rarely demotes, MakeIdle demotes per
         # heartbeat, so its normalised switch count exceeds 1 (the effect
         # MakeActive is designed to counteract — Figures 10b/11b).
         results, baseline = scheme_results
-        normalized = switches_normalized_table(results, baseline)
-        assert normalized["makeidle"] > 1.0
+        assert results["makeidle"].switches_normalized(baseline) > 1.0
 
     def test_makeactive_reduces_switches_vs_makeidle(self, scheme_results):
         results, baseline = scheme_results
-        normalized = switches_normalized_table(results, baseline)
-        assert (
-            normalized["makeidle+makeactive_fixed"] <= normalized["makeidle"] + 1e-9
-        )
+        combined = results["makeidle+makeactive_fixed"].switches_normalized(baseline)
+        assert combined <= results["makeidle"].switches_normalized(baseline) + 1e-9
 
     def test_values_are_non_negative(self, scheme_results):
         results, baseline = scheme_results
-        for value in switches_normalized_table(results, baseline).values():
-            assert value >= 0.0
+        for result in results.values():
+            assert result.switches_normalized(baseline) >= 0.0
 
 
 class TestPeakPerWindow:

@@ -1,6 +1,4 @@
-"""Property-based tests for the extension modules (filters, predictors, battery, DRX)."""
-
-import math
+"""Property-based tests for the extension modules (predictors, battery, DRX)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,96 +10,14 @@ from repro.learning.predictors import (
     SlidingWindowPredictor,
 )
 from repro.rrc.drx import DrxConfig, effective_tail_power
-from repro.traces import Direction, Packet, PacketTrace
-from repro.traces.filters import (
-    downsample,
-    interleave,
-    scale_time,
-    slice_windows,
-    split_by_flow,
-    thin_by_fraction,
-)
 
 # -- strategies ----------------------------------------------------------------------
-
-timestamps = st.lists(
-    st.floats(min_value=0.0, max_value=1e5, allow_nan=False, allow_infinity=False),
-    min_size=0,
-    max_size=60,
-)
-
-
-@st.composite
-def packet_traces(draw):
-    times = draw(timestamps)
-    packets = [
-        Packet(
-            timestamp=t,
-            size=draw(st.integers(min_value=0, max_value=1500)),
-            direction=draw(st.sampled_from([Direction.UPLINK, Direction.DOWNLINK])),
-            flow_id=draw(st.integers(min_value=0, max_value=4)),
-        )
-        for t in times
-    ]
-    return PacketTrace(packets, name="prop")
-
 
 gaps = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
     min_size=0,
     max_size=80,
 )
-
-
-# -- trace filters --------------------------------------------------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(packet_traces(), st.integers(min_value=1, max_value=10))
-def test_downsample_never_grows_and_preserves_order(trace, keep_every):
-    thinned = downsample(trace, keep_every)
-    assert len(thinned) <= len(trace)
-    stamps = [p.timestamp for p in thinned]
-    assert stamps == sorted(stamps)
-
-
-@settings(max_examples=60, deadline=None)
-@given(packet_traces(), st.floats(min_value=0.05, max_value=1.0))
-def test_thinning_is_a_subset(trace, fraction):
-    thinned = thin_by_fraction(trace, fraction, seed=1)
-    original = list(trace)
-    for packet in thinned:
-        assert packet in original
-
-
-@settings(max_examples=60, deadline=None)
-@given(packet_traces(), st.floats(min_value=0.1, max_value=10.0))
-def test_scale_time_preserves_count_and_scales_duration(trace, factor):
-    scaled = scale_time(trace, factor)
-    assert len(scaled) == len(trace)
-    assert math.isclose(scaled.duration, trace.duration * factor, rel_tol=1e-6, abs_tol=1e-6)
-
-
-@settings(max_examples=60, deadline=None)
-@given(packet_traces(), st.floats(min_value=1.0, max_value=500.0))
-def test_slice_windows_partition_packets(trace, window):
-    windows = slice_windows(trace, window)
-    assert sum(len(w) for w in windows) == len(trace)
-
-
-@settings(max_examples=60, deadline=None)
-@given(packet_traces())
-def test_split_by_flow_partitions_trace(trace):
-    groups = split_by_flow(trace)
-    assert sum(len(g) for g in groups.values()) == len(trace)
-    for flow_id, group in groups.items():
-        assert all(p.flow_id == flow_id for p in group)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(packet_traces(), min_size=1, max_size=4))
-def test_interleave_preserves_packet_count(traces):
-    combined = interleave(traces)
-    assert len(combined) == sum(len(t) for t in traces)
 
 
 # -- predictors ------------------------------------------------------------------------

@@ -28,12 +28,7 @@ import pytest
 from repro.basestation.cell import CellSimulator, DeviceSpec, merge_cell_shards
 from repro.core import FixedTimerPolicy
 from repro.rrc.profiles import get_profile
-from repro.scenarios.shapes import (
-    DIURNAL_SHAPES,
-    EVENING_PEAK,
-    FLAT,
-    OFFICE_HOURS,
-)
+from repro.scenarios.shapes import EVENING_PEAK, FLAT, OFFICE_HOURS
 from repro.traces.streaming import stream_application_packets
 from repro.traces.synthetic import ApplicationProfile, PacketTrainSpec
 
@@ -121,11 +116,6 @@ class TestDiurnalShapeLargeTimes:
             at = offset + start_hour * 3600.0
             assert OFFICE_HOURS.rate_at(at) == multiplier
             assert OFFICE_HOURS.rate_at(at - 1e-3) == previous_multiplier
-
-    def test_builtin_shapes_registry_consistent(self):
-        for name, shape in DIURNAL_SHAPES.items():
-            assert shape.name == name
-            assert shape.rate_at(WEEK_S) == shape.rate_at(0.0)
 
     def test_flat_envelope_streams_byte_identical_over_a_week(self):
         shaped = list(stream_application_packets(

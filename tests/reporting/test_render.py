@@ -1,32 +1,11 @@
-"""Tests for the low-level renderers (markdown tables, CSV, formatting)."""
+"""Tests for the low-level renderers (markdown tables, CSV)."""
 
 import csv
 import io
 
 import pytest
 
-from repro.reporting import (
-    csv_rows,
-    format_markdown_table,
-    format_percent,
-    format_seconds,
-    write_csv,
-)
-
-
-class TestFormatting:
-    def test_format_percent_from_fraction(self):
-        assert format_percent(0.664) == "66.4%"
-
-    def test_format_percent_from_percentage(self):
-        assert format_percent(66.4) == "66.4%"
-
-    def test_format_percent_decimals(self):
-        assert format_percent(0.5, decimals=0) == "50%"
-
-    def test_format_seconds(self):
-        assert format_seconds(4.481) == "4.48s"
-        assert format_seconds(4.481, decimals=1) == "4.5s"
+from repro.reporting import csv_rows, format_markdown_table, write_csv
 
 
 class TestMarkdownTable:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.rrc import RadioState, Technology, state_name
+from repro.rrc import RadioState, Technology
 
 
 class TestTechnology:
@@ -23,19 +23,3 @@ class TestRadioState:
         assert RadioState.HIGH_IDLE.draws_tail_power
         assert RadioState.PROMOTING.draws_tail_power
         assert not RadioState.IDLE.draws_tail_power
-
-
-class TestStateNames:
-    def test_3g_names_match_3gpp(self):
-        assert state_name(RadioState.ACTIVE, Technology.UMTS_3G) == "CELL_DCH"
-        assert state_name(RadioState.HIGH_IDLE, Technology.UMTS_3G) == "CELL_FACH"
-        assert state_name(RadioState.IDLE, Technology.UMTS_3G) == "CELL_PCH/IDLE"
-
-    def test_lte_names(self):
-        assert state_name(RadioState.ACTIVE, Technology.LTE) == "RRC_CONNECTED"
-        assert state_name(RadioState.IDLE, Technology.LTE) == "RRC_IDLE"
-
-    def test_every_state_named_for_every_technology(self):
-        for technology in Technology:
-            for state in RadioState:
-                assert state_name(state, technology)

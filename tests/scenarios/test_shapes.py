@@ -4,14 +4,7 @@ import math
 
 import pytest
 
-from repro.scenarios import (
-    DIURNAL_SHAPES,
-    EVENING_PEAK,
-    FLAT,
-    OFFICE_HOURS,
-    DiurnalShape,
-    get_shape,
-)
+from repro.scenarios import EVENING_PEAK, FLAT, OFFICE_HOURS, DiurnalShape
 
 
 class TestRateLookup:
@@ -85,13 +78,3 @@ class TestSerialisation:
         a = DiurnalShape(name="a", segments=((0.0, 1.0),))
         b = DiurnalShape(name="b", segments=((0.0, 1.0),))
         assert a.fingerprint == b.fingerprint
-
-
-class TestRegistry:
-    def test_builtins_resolvable_by_name(self):
-        for name in DIURNAL_SHAPES:
-            assert get_shape(name).name == name
-
-    def test_unknown_name_lists_known(self):
-        with pytest.raises(KeyError, match="office_hours"):
-            get_shape("nope")

@@ -6,6 +6,9 @@ from repro.cli import build_parser, main
 from repro.traces import Direction, Packet, PacketTrace, write_pcap
 from repro.traces.tcpdump import write_tcpdump
 
+# A Python source file is no capture: reading it as one must fail cleanly.
+NOT_A_CAPTURE = __file__
+
 
 class TestParser:
     def test_all_commands_registered(self):
@@ -107,7 +110,11 @@ class TestTraceInfoCommand:
     ["compare-carriers", "--hours", "0"],
     ["trace-info", "/nonexistent"],
     ["simulate", "--pcap", "/nonexistent"],
-], ids=" ".join)
+    ["trace-info", NOT_A_CAPTURE],
+    ["simulate", "--pcap", NOT_A_CAPTURE],
+    ["sweep", "--apps", "im", "--duration", "60", "--jobs", "0"],
+    ["sweep", "--apps", "im", "--duration", "60", "--jobs", "-3"],
+], ids=lambda argv: " ".join(argv).replace(NOT_A_CAPTURE, "test_cli.py"))
 def test_bad_input_is_a_clean_error(argv, capsys):
     # Every command reports bad input the way sweep does: one error line
     # on stderr and exit status 2, never a traceback.
@@ -200,6 +207,22 @@ class TestSweepCommand:
         code = main(["sweep", "--plan", "/nonexistent/plan.json"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_truncated_capture_in_plan_is_a_clean_error(self, capsys, tmp_path):
+        from repro.api import pcap, plan, save_plan
+
+        capture = tmp_path / "capture.pcap"
+        write_pcap(capture, PacketTrace([Packet(0.0, 500), Packet(5.0, 900)]))
+        capture.write_bytes(capture.read_bytes()[:-4])
+        plan_path = tmp_path / "plan.json"
+        save_plan(plan().traces(pcap(str(capture))).carriers("att_hspa")
+                  .policies("status_quo"), plan_path)
+        assert main(["sweep", "--plan", str(plan_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: truncated pcap record payload")
+        assert "Traceback" not in captured.err
 
     def test_empty_axis_is_a_clean_error(self, capsys):
         code = main(["sweep", "--apps", "im", "--carriers", ","])

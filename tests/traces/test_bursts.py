@@ -1,4 +1,4 @@
-"""Tests for burst and session segmentation."""
+"""Tests for burst segmentation."""
 
 from __future__ import annotations
 
@@ -10,13 +10,11 @@ from repro.traces import (
     PacketTrace,
     bursts_per_active_period,
     segment_bursts,
-    session_start_times,
 )
-from repro.traces.bursts import iter_burst_gaps
 
 
-def make_trace(times, flow_id=0):
-    return PacketTrace([Packet(t, 100, flow_id=flow_id) for t in times])
+def make_trace(times):
+    return PacketTrace([Packet(t, 100) for t in times])
 
 
 class TestBurst:
@@ -64,11 +62,6 @@ class TestSegmentBursts:
         assert bursts[0].flow_ids == (1,)
         assert bursts[1].flow_ids == (2,)
 
-    def test_iter_burst_gaps(self, simple_trace):
-        bursts = segment_bursts(simple_trace, 1.0)
-        gaps = list(iter_burst_gaps(bursts))
-        assert gaps == [pytest.approx(59.8)]
-
 
 class TestBurstsPerActivePeriod:
     def test_empty_trace(self):
@@ -84,24 +77,3 @@ class TestBurstsPerActivePeriod:
         trace = make_trace([0.0, 5.0, 10.0, 200.0])
         k = bursts_per_active_period(trace, 1.0, 10.0)
         assert k == pytest.approx(2.0)  # periods of 3 and 1 bursts
-
-
-class TestSessionStartTimes:
-    def test_new_flow_is_session_start(self, simple_trace):
-        starts = session_start_times(simple_trace, idle_gap=10.0)
-        assert (0.0, 1) in starts
-        assert (60.0, 2) in starts
-
-    def test_continuation_not_a_start(self):
-        trace = make_trace([0.0, 1.0, 2.0], flow_id=5)
-        starts = session_start_times(trace, idle_gap=10.0)
-        assert starts == [(0.0, 5)]
-
-    def test_long_gap_restarts_session(self):
-        trace = make_trace([0.0, 100.0], flow_id=5)
-        starts = session_start_times(trace, idle_gap=10.0)
-        assert len(starts) == 2
-
-    def test_negative_idle_gap_rejected(self, simple_trace):
-        with pytest.raises(ValueError):
-            session_start_times(simple_trace, idle_gap=-1.0)

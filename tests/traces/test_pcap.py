@@ -8,7 +8,14 @@ import struct
 import pytest
 
 from repro.traces import Direction, Packet, PacketTrace, PcapError, read_pcap, write_pcap
-from repro.traces.pcap import PcapReader, trace_to_bytes
+from repro.traces.pcap import PcapReader
+
+
+def pcap_bytes(trace):
+    """``trace`` written as a pcap file in memory."""
+    buffer = io.BytesIO()
+    write_pcap(buffer, trace)
+    return buffer.getvalue()
 
 
 @pytest.fixture
@@ -26,18 +33,18 @@ def round_trip_trace():
 
 class TestRoundTrip:
     def test_packet_count_preserved(self, round_trip_trace):
-        data = trace_to_bytes(round_trip_trace)
+        data = pcap_bytes(round_trip_trace)
         restored = read_pcap(io.BytesIO(data), device_address="10.0.0.2")
         assert len(restored) == len(round_trip_trace)
 
     def test_timestamps_preserved(self, round_trip_trace):
-        data = trace_to_bytes(round_trip_trace)
+        data = pcap_bytes(round_trip_trace)
         restored = read_pcap(io.BytesIO(data), device_address="10.0.0.2")
         for original, recovered in zip(round_trip_trace, restored):
             assert recovered.timestamp == pytest.approx(original.timestamp, abs=1e-5)
 
     def test_directions_preserved(self, round_trip_trace):
-        data = trace_to_bytes(round_trip_trace)
+        data = pcap_bytes(round_trip_trace)
         restored = read_pcap(io.BytesIO(data), device_address="10.0.0.2")
         for original, recovered in zip(round_trip_trace, restored):
             assert recovered.direction is original.direction
@@ -45,7 +52,7 @@ class TestRoundTrip:
     def test_sizes_roughly_preserved(self, round_trip_trace):
         # The writer synthesises IP/UDP headers, so sizes are preserved for
         # packets at least as large as the 28-byte header overhead.
-        data = trace_to_bytes(round_trip_trace)
+        data = pcap_bytes(round_trip_trace)
         restored = read_pcap(io.BytesIO(data), device_address="10.0.0.2")
         for original, recovered in zip(round_trip_trace, restored):
             assert recovered.size == max(original.size, 28)
@@ -60,7 +67,7 @@ class TestRoundTrip:
     def test_device_address_heuristic(self, round_trip_trace):
         # Without an explicit device address, the most common address is
         # taken to be the device; directions must still be self-consistent.
-        data = trace_to_bytes(round_trip_trace)
+        data = pcap_bytes(round_trip_trace)
         restored = read_pcap(io.BytesIO(data))
         uplink = sum(1 for p in restored if p.direction.is_uplink)
         assert uplink in (2, len(restored) - 2)
@@ -76,13 +83,13 @@ class TestPcapReader:
             PcapReader(io.BytesIO(b"\xd4\xc3\xb2\xa1"))
 
     def test_truncated_record_payload(self, round_trip_trace):
-        data = trace_to_bytes(round_trip_trace)
+        data = pcap_bytes(round_trip_trace)
         reader = PcapReader(io.BytesIO(data[:-4]))
         with pytest.raises(PcapError):
             list(reader)
 
     def test_reader_metadata(self, round_trip_trace):
-        data = trace_to_bytes(round_trip_trace)
+        data = pcap_bytes(round_trip_trace)
         reader = PcapReader(io.BytesIO(data))
         assert reader.version == (2, 4)
         assert reader.link_type == 101

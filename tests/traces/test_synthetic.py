@@ -15,10 +15,10 @@ from repro.traces import (
     generate_application_packets,
     generate_application_trace,
     generate_mixed_trace,
-    generate_periodic_trace,
-    generate_poisson_trace,
     summarize_trace,
 )
+
+from ..tracegen import generate_periodic_trace, generate_poisson_trace
 
 
 class TestPacketTrainSpec:

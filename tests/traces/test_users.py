@@ -6,7 +6,6 @@ import pytest
 
 from repro.traces import (
     USER_POPULATIONS,
-    population_traces,
     user_ids,
     user_profile,
     user_trace,
@@ -87,8 +86,3 @@ class TestUserTraces:
         packets_per_day_light = len(light) / user_profile("verizon_3g", 6).days
         packets_per_day_heavy = len(heavy) / user_profile("verizon_3g", 5).days
         assert packets_per_day_heavy > packets_per_day_light
-
-    def test_population_traces_covers_all_users(self):
-        traces = population_traces("verizon_lte", hours_per_day=0.25, seed=1)
-        assert set(traces) == {1, 2, 3}
-        assert all(len(t) > 0 for t in traces.values())

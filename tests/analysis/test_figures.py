@@ -24,6 +24,13 @@ class TestFormatTable:
         text = format_table(["v"], [[3.14159]], float_format="{:.4f}")
         assert "3.1416" in text
 
+    def test_untitled_table_starts_with_the_header(self):
+        lines = format_table(["a", "b"], [[1, 2]]).splitlines()
+        assert lines == ["a  b", "-  -", "1  2"]
+
+    def test_headers_without_rows(self):
+        assert format_table(["name"], []).splitlines() == ["name", "----"]
+
     def test_non_float_cells_stringified(self):
         text = format_table(["a", "b"], [[None, 7]])
         assert "None" in text
@@ -47,3 +54,16 @@ class TestFormatGroupedBars:
         text = format_grouped_bars({"g1": {"a": 1.0}, "g2": {"b": 2.0}})
         header = text.splitlines()[0]
         assert "a" in header and "b" in header
+
+    def test_unit_and_float_format_apply_to_every_value(self):
+        text = format_grouped_bars({"u1": {"a": 61.25, "b": 7.0}},
+                                   unit="%", float_format="{:.2f}")
+        row = text.splitlines()[-1]
+        assert "61.25%" in row and "7.00%" in row
+
+    def test_series_keep_first_seen_order(self):
+        text = format_grouped_bars({"g1": {"z": 1.0}, "g2": {"a": 2.0, "z": 3.0}})
+        assert text.splitlines()[0].split() == ["group", "z", "a"]
+
+    def test_no_groups_gives_the_header_only(self):
+        assert format_grouped_bars({}).splitlines() == ["group", "-----"]

@@ -35,6 +35,34 @@ class TestOracleDecisions:
         policy.prepare(simple_trace, att_profile)
         assert policy.dormancy_wait(60.1) == 0.0
 
+    def test_decision_after_each_packet(self, att_profile, simple_trace):
+        policy = OraclePolicy()
+        policy.prepare(simple_trace, att_profile)
+        decisions = [policy.dormancy_wait(t) == 0.0 for t in simple_trace.timestamps]
+        assert decisions == [False, False, True, False, True]
+
+    def test_switches_exactly_where_the_next_gap_exceeds_the_threshold(
+        self, any_profile, poisson_trace
+    ):
+        # Poisson gaps straddle every carrier's threshold, so both answers
+        # occur; the last packet always ends in a switch.
+        policy = OraclePolicy()
+        policy.prepare(poisson_trace, any_profile)
+        times = poisson_trace.timestamps
+        threshold = TailEnergyModel(any_profile).t_threshold
+        expected = [b - a > threshold for a, b in zip(times, times[1:])] + [True]
+        decisions = [policy.dormancy_wait(t) == 0.0 for t in times]
+        assert decisions == expected
+        assert True in expected[:-1] and False in expected
+
+    def test_prepare_replaces_the_previous_trace(self, att_profile, simple_trace):
+        policy = OraclePolicy()
+        policy.prepare(simple_trace, att_profile)
+        policy.prepare(PacketTrace([Packet(0.2, 100), Packet(0.3, 100)]), att_profile)
+        # The 60 s gap of the first trace is forgotten: a packet follows 0.1 s on.
+        assert policy.dormancy_wait(0.2) is None
+        assert policy.dormancy_wait(0.3) == 0.0
+
 
 class TestOracleOptimality:
     @pytest.mark.parametrize("carrier_fixture", ["att_profile", "lte_profile"])

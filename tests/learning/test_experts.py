@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.learning import FixedShareExperts
@@ -90,3 +92,52 @@ class TestFixedShareExperts:
         learner = FixedShareExperts([1.0, 2.0])
         learner.update([1e6, 1e6])
         assert sum(learner.weights) == pytest.approx(1.0)
+
+
+class TestSwitchingKernel:
+    """The Fixed-Share step: exponential weights, then the switching kernel.
+
+    The kernel keeps ``1 - alpha`` of each expert's weight and spreads
+    ``alpha`` evenly over the other ``n - 1`` experts.
+    """
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0 + 1e-9, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            FixedShareExperts([1.0, 2.0], alpha=alpha)
+
+    def test_alpha_zero_is_exponential_weights(self):
+        learner = FixedShareExperts([1.0, 2.0], alpha=0.0)
+        learner.update([0.0, 1.0])
+        boosted = 1.0 / (1.0 + math.exp(-1.0))
+        assert learner.weights == pytest.approx((boosted, 1.0 - boosted))
+
+    def test_one_update_matches_the_kernel(self):
+        alpha, losses = 0.3, [0.2, 1.0, 0.5]
+        learner = FixedShareExperts([1.0, 2.0, 3.0], alpha=alpha)
+        learner.update(losses)
+        factors = [math.exp(-loss) for loss in losses]
+        boosted = [f / sum(factors) for f in factors]
+        expected = [(1.0 - alpha) * b + alpha / 2 * (1.0 - b) for b in boosted]
+        assert learner.weights == pytest.approx(expected, rel=1e-12)
+
+    def test_full_switching_swaps_two_experts(self):
+        # alpha = 1 moves all of each expert's weight to the other one.
+        learner = FixedShareExperts([1.0, 2.0], alpha=1.0)
+        learner.update([0.0, 1.0])
+        boosted = 1.0 / (1.0 + math.exp(-1.0))
+        assert learner.weights == pytest.approx((1.0 - boosted, boosted))
+
+    def test_single_expert_keeps_all_weight(self):
+        learner = FixedShareExperts([4.0], alpha=0.9)
+        for loss in (0.0, 3.0, 0.5):
+            learner.update([loss])
+            assert learner.weights == (1.0,)
+        assert learner.predict() == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+    def test_equal_losses_keep_uniform_weights(self, alpha):
+        learner = FixedShareExperts([1.0, 2.0, 3.0, 4.0], alpha=alpha)
+        for _ in range(5):
+            learner.update([0.7] * 4)
+        assert learner.weights == pytest.approx((0.25,) * 4)

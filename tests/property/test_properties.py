@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 from hypothesis import given, settings
@@ -18,7 +19,10 @@ from repro.traces import (
     Packet,
     PacketTrace,
     SlidingWindowDistribution,
+    merge_traces,
+    read_pcap,
     segment_bursts,
+    write_pcap,
 )
 
 carrier_keys = st.sampled_from(sorted(CARRIER_PROFILES))
@@ -72,6 +76,89 @@ class TestTraceProperties:
         assert sum(b.total_bytes for b in bursts) == trace.total_bytes
         for previous, current in zip(bursts, bursts[1:]):
             assert current.start - previous.end > threshold
+
+    @given(packets=packet_lists, limit=st.integers(min_value=0, max_value=65_000))
+    def test_filter_never_grows_and_keeps_order(self, packets, limit):
+        trace = PacketTrace(packets)
+        kept = trace.filter(lambda p: p.size <= limit)
+        assert len(kept) <= len(trace)
+        assert all(p.size <= limit for p in kept)
+        assert list(kept) == [p for p in trace if p.size <= limit]
+
+    @given(packets=packet_lists)
+    def test_directions_partition_the_trace(self, packets):
+        trace = PacketTrace(packets)
+        uplink = trace.only_direction(Direction.UPLINK)
+        downlink = trace.only_direction(Direction.DOWNLINK)
+        assert len(uplink) + len(downlink) == len(trace)
+        assert uplink.total_bytes == trace.uplink_bytes
+        assert downlink.total_bytes == trace.downlink_bytes
+
+    @given(packets=packet_lists)
+    def test_flows_partition_the_trace(self, packets):
+        trace = PacketTrace(packets)
+        flows = {flow: trace.only_flow(flow) for flow in trace.flow_ids}
+        assert sum(len(sub) for sub in flows.values()) == len(trace)
+        for flow, sub in flows.items():
+            assert sub and all(p.flow_id == flow for p in sub)
+
+    @given(packets=packet_lists, window=st.floats(min_value=10.0, max_value=500.0))
+    def test_windows_partition_the_trace(self, packets, window):
+        trace = PacketTrace(packets)
+        # One spare edge, so a rounded product cannot end on the last packet.
+        edges = [index * window
+                 for index in range(int(trace.end_time // window) + 3)]
+        windows = [trace.between(a, b) for a, b in zip(edges, edges[1:])]
+        assert sum(len(w) for w in windows) == len(trace)
+        for (a, b), sub in zip(zip(edges, edges[1:]), windows):
+            assert trace.count_between(a, b) == len(sub)
+            assert all(a <= p.timestamp < b for p in sub)
+
+    @given(first=packet_lists, second=packet_lists)
+    def test_merge_keeps_every_packet_and_separates_flows(self, first, second):
+        a, b = PacketTrace(first), PacketTrace(second)
+        merged = merge_traces([a, b])
+        assert len(merged) == len(a) + len(b)
+        assert merged.total_bytes == a.total_bytes + b.total_bytes
+        assert len(merged.flow_ids) == len(a.flow_ids) + len(b.flow_ids)
+        times = merged.timestamps
+        assert all(y >= x for x, y in zip(times, times[1:]))
+
+    @given(packets=packet_lists)
+    def test_normalized_starts_at_zero_and_keeps_duration(self, packets):
+        trace = PacketTrace(packets)
+        normalized = trace.normalized()
+        assert len(normalized) == len(trace)
+        assert normalized.start_time == 0.0
+        assert math.isclose(normalized.duration, trace.duration,
+                            rel_tol=1e-9, abs_tol=1e-9)
+
+    @given(packets=packet_lists,
+           time=st.floats(min_value=0.0, max_value=5000.0, allow_nan=False))
+    def test_next_packet_after_is_the_first_later_packet(self, packets, time):
+        trace = PacketTrace(packets)
+        later = [p for p in trace if p.timestamp > time]
+        found = trace.next_packet_after(time)
+        if later:
+            assert found == later[0]
+        else:
+            assert found is None
+
+    @given(packets=packet_lists)
+    def test_pcap_round_trip_keeps_times_directions_and_sizes(self, packets):
+        trace = PacketTrace(packets)
+        buffer = io.BytesIO()
+        write_pcap(buffer, trace)
+        restored = read_pcap(io.BytesIO(buffer.getvalue()),
+                             device_address="10.0.0.2")
+        assert len(restored) == len(trace)
+        # The reader starts the trace at its first record; both ends of an
+        # offset are rounded to the microsecond.
+        for original, recovered in zip(trace, restored):
+            offset = original.timestamp - trace.start_time
+            assert abs(recovered.timestamp - offset) <= 1e-6 + 1e-9
+            assert recovered.direction is original.direction
+            assert recovered.size == max(original.size, 28)
 
 
 class TestStatisticsProperties:

@@ -22,6 +22,17 @@ class TestMarkdownTable:
         assert "| 1 |" in table
         assert "| 0.333 |" in table
 
+    def test_whole_and_zero_floats_lose_their_decimals(self):
+        table = format_markdown_table(["v"], [[0.0], [10.0], [100.0], [1.23456]])
+        assert table.splitlines()[2:] == [
+            "| 0 |", "| 10 |", "| 100 |", "| 1.235 |",
+        ]
+
+    def test_headers_without_rows(self):
+        assert format_markdown_table(["a", "b"], []).splitlines() == [
+            "| a | b |", "| --- | --- |",
+        ]
+
     def test_empty_headers_rejected(self):
         with pytest.raises(ValueError):
             format_markdown_table([], [])
@@ -56,8 +67,21 @@ class TestCsv:
     def test_empty_records(self):
         assert csv_rows([]) == ""
 
+    def test_fieldnames_set_the_column_order(self):
+        text = csv_rows([{"a": 1, "b": 2}], fieldnames=["b", "a"])
+        assert text.splitlines() == ["b,a", "2,1"]
+
+    def test_columns_default_to_the_first_record(self):
+        text = csv_rows([{"z": 1, "a": 2}, {"a": 3}])
+        assert text.splitlines() == ["z,a", "1,2", ",3"]
+
     def test_write_csv(self, tmp_path):
         path = tmp_path / "out.csv"
         count = write_csv([{"x": 1}, {"x": 2}], path)
         assert count == 2
         assert path.read_text(encoding="utf-8").startswith("x")
+
+    def test_write_csv_without_records_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        assert write_csv([], path) == 0
+        assert path.read_text(encoding="utf-8") == ""

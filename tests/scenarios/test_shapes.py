@@ -78,3 +78,37 @@ class TestSerialisation:
         a = DiurnalShape(name="a", segments=((0.0, 1.0),))
         b = DiurnalShape(name="b", segments=((0.0, 1.0),))
         assert a.fingerprint == b.fingerprint
+
+
+BUILTINS = [FLAT, OFFICE_HOURS, EVENING_PEAK]
+
+
+class TestBuiltins:
+    def test_builtins_are_distinct(self):
+        assert len({shape.name for shape in BUILTINS}) == len(BUILTINS)
+        assert len({shape.fingerprint for shape in BUILTINS}) == len(BUILTINS)
+
+    @pytest.mark.parametrize("shape", BUILTINS, ids=lambda s: s.name)
+    def test_mean_rate_within_segment_range(self, shape):
+        multipliers = [m for _, m in shape.segments]
+        assert min(multipliers) <= shape.mean_rate <= max(multipliers)
+
+    @pytest.mark.parametrize("shape", BUILTINS, ids=lambda s: s.name)
+    def test_each_segment_holds_until_the_next_starts(self, shape):
+        starts = [h for h, _ in shape.segments] + [24.0]
+        for (start, multiplier), end in zip(shape.segments, starts[1:]):
+            assert shape.rate_at(start * 3600.0) == multiplier
+            assert shape.rate_at(end * 3600.0 - 1.0) == multiplier
+
+    def test_office_hours_peak_in_the_working_day(self):
+        hourly = [OFFICE_HOURS.rate_at(h * 3600.0) for h in range(24)]
+        assert max(range(24), key=hourly.__getitem__) in range(9, 17)
+        assert hourly[3] == min(hourly)
+        # The lunch dip sits between the morning and afternoon peaks.
+        assert hourly[12] < hourly[10] and hourly[12] < hourly[14]
+
+    def test_evening_peak_at_prime_time(self):
+        hourly = [EVENING_PEAK.rate_at(h * 3600.0) for h in range(24)]
+        assert max(range(24), key=hourly.__getitem__) in range(20, 23)
+        assert min(range(24), key=hourly.__getitem__) in range(2, 8)
+        assert EVENING_PEAK.rate_at(21 * 3600.0) > OFFICE_HOURS.rate_at(21 * 3600.0)

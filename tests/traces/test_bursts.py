@@ -62,6 +62,21 @@ class TestSegmentBursts:
         assert bursts[0].flow_ids == (1,)
         assert bursts[1].flow_ids == (2,)
 
+    def test_gaps_between_consecutive_bursts(self, simple_trace):
+        bursts = segment_bursts(simple_trace, 1.0)
+        gaps = [a.gap_to(b) for a, b in zip(bursts, bursts[1:])]
+        assert gaps == [pytest.approx(59.8)]
+
+    def test_zero_threshold_splits_on_any_gap(self):
+        bursts = segment_bursts(make_trace([0.0, 0.0, 1.0, 2.0]), 0.0)
+        assert [b.packet_count for b in bursts] == [2, 1, 1]
+
+    def test_lone_packet_is_a_zero_length_burst(self):
+        (burst,) = segment_bursts(make_trace([7.5]), 1.0)
+        assert burst.start == burst.end == 7.5
+        assert burst.duration == 0.0
+        assert burst.packet_count == 1
+
 
 class TestBurstsPerActivePeriod:
     def test_empty_trace(self):
@@ -77,3 +92,8 @@ class TestBurstsPerActivePeriod:
         trace = make_trace([0.0, 5.0, 10.0, 200.0])
         k = bursts_per_active_period(trace, 1.0, 10.0)
         assert k == pytest.approx(2.0)  # periods of 3 and 1 bursts
+
+    def test_gap_equal_to_active_window_stays_in_period(self):
+        trace = make_trace([0.0, 10.0, 30.0])
+        # 10 s apart: one period; 20 s apart: a new one.
+        assert bursts_per_active_period(trace, 1.0, 10.0) == pytest.approx(1.5)

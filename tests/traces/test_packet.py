@@ -159,3 +159,84 @@ class TestMergeTraces:
 
     def test_merge_empty_inputs(self):
         assert len(merge_traces([])) == 0
+
+
+@pytest.fixture
+def mixed_trace():
+    """Two applications over three flows, with one unlabelled packet."""
+    return PacketTrace(
+        [
+            Packet(0.0, 100, Direction.UPLINK, flow_id=0, app="email"),
+            Packet(1.0, 1400, Direction.DOWNLINK, flow_id=0, app="email"),
+            Packet(10.0, 200, Direction.UPLINK, flow_id=1, app="im"),
+            Packet(11.0, 2200, Direction.DOWNLINK, flow_id=1, app="im"),
+            Packet(25.0, 300, Direction.UPLINK, flow_id=2, app="email"),
+            Packet(30.0, 40, Direction.DOWNLINK, flow_id=2),
+        ],
+        name="mixed",
+    )
+
+
+class TestMultiAppTrace:
+    def test_apps_are_the_sorted_labels(self, mixed_trace):
+        # The unlabelled packet contributes no application.
+        assert mixed_trace.apps == ("email", "im")
+
+    def test_only_app_splits_by_label(self, mixed_trace):
+        email = mixed_trace.only_app("email")
+        im = mixed_trace.only_app("im")
+        assert [p.timestamp for p in email] == [0.0, 1.0, 25.0]
+        assert [p.timestamp for p in im] == [10.0, 11.0]
+        assert len(mixed_trace.only_app("")) == 1
+        assert len(mixed_trace.only_app("news")) == 0
+
+    def test_views_keep_the_trace_name(self, mixed_trace):
+        views = [
+            mixed_trace[1:3],
+            mixed_trace.filter(lambda p: p.size > 150),
+            mixed_trace.only_app("im"),
+            mixed_trace.only_flow(2),
+            mixed_trace.only_direction(Direction.DOWNLINK),
+            mixed_trace.between(5.0, 20.0),
+            mixed_trace.shifted(3.0),
+            mixed_trace.shifted(3.0).normalized(),
+        ]
+        assert {view.name for view in views} == {"mixed"}
+
+    def test_between_on_empty_trace_is_empty(self):
+        assert len(PacketTrace([]).between(0.0, 10.0)) == 0
+        assert PacketTrace([]).count_between(0.0, 10.0) == 0
+        assert PacketTrace([]).next_packet_after(0.0) is None
+
+    def test_between_skips_empty_windows(self, mixed_trace):
+        counts = [mixed_trace.count_between(start, start + 5.0)
+                  for start in range(0, 35, 5)]
+        assert counts == [2, 0, 2, 0, 0, 1, 1]
+        assert sum(counts) == len(mixed_trace)
+
+    def test_merge_keeps_app_labels_and_names_the_result(self, mixed_trace):
+        merged = merge_traces([mixed_trace, mixed_trace.only_app("im")])
+        assert merged.name == "merged"
+        assert merged.apps == mixed_trace.apps
+        assert len(merged.only_app("im")) == 4
+        assert merge_traces([mixed_trace], name="one").name == "one"
+
+    def test_concatenate_keeps_flow_ids(self, mixed_trace):
+        # Unlike merge_traces, concatenation does not separate the flows of
+        # its two inputs.
+        doubled = mixed_trace.concatenate(mixed_trace)
+        assert len(doubled) == 2 * len(mixed_trace)
+        assert doubled.flow_ids == mixed_trace.flow_ids
+        assert doubled.total_bytes == 2 * mixed_trace.total_bytes
+
+    def test_concatenate_takes_the_first_non_empty_name(self, mixed_trace):
+        assert PacketTrace([]).concatenate(mixed_trace).name == "mixed"
+        assert mixed_trace.concatenate(PacketTrace([], name="x")).name == "mixed"
+
+    def test_repr_names_the_trace_and_its_size(self, mixed_trace):
+        text = repr(mixed_trace)
+        assert "'mixed'" in text
+        assert "packets=6" in text
+        assert f"bytes={mixed_trace.total_bytes}" in text
+        assert repr(PacketTrace([])) == (
+            "<PacketTrace packets=0 duration=0.0s bytes=0>")

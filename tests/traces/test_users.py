@@ -86,3 +86,22 @@ class TestUserTraces:
         packets_per_day_light = len(light) / user_profile("verizon_3g", 6).days
         packets_per_day_heavy = len(heavy) / user_profile("verizon_3g", 5).days
         assert packets_per_day_heavy > packets_per_day_light
+
+
+EVERY_USER = [
+    (population, user)
+    for population in sorted(USER_POPULATIONS)
+    for user in user_ids(population)
+]
+
+
+@pytest.mark.parametrize(("population", "user_id"), EVERY_USER,
+                         ids=lambda value: str(value))
+def test_every_user_trace_carries_its_own_apps(population, user_id):
+    profile = user_profile(population, user_id)
+    trace = user_trace(population, user_id, hours_per_day=0.25, seed=1)
+    assert len(trace) > 0
+    assert trace.name == profile.label
+    assert trace.start_time == 0.0
+    assert trace.apps and set(trace.apps) <= set(profile.apps)
+    assert trace.duration <= profile.days * 0.25 * 3600.0 + 1.0
